@@ -21,14 +21,13 @@ import threading
 import numpy as np
 
 from repro.core.passresult import PassResult
-from repro.device.kernels import SENTINEL, unpack_pairs
+from repro.device.kernels import SENTINEL, agg_merge, union_runs, unpack_pairs
 from repro.graph.bipartite import BipartiteCSR
 from repro.obs import get_obs
 from repro.util.mixhash import fold_fingerprint_array
 from repro.util.timer import BUCKET_CPU
 
 _U32_MAX = np.uint64(0xFFFFFFFF)
-_U32_BITS = np.uint64(32)
 
 # Expensive sanity scans (for example the O(k*s) sentinel-member check after
 # every aggregation) only run when debug checks are on.  Default comes from
@@ -214,64 +213,16 @@ def aggregate_pass(fps_all: np.ndarray, top_all: np.ndarray, lengths: np.ndarray
     # full O(c*n*s) unpack + int64 conversion.
     members = (top_rows[first_idx] & _U32_MAX).astype(np.int64)
 
-    gen_flat = np.tile(gen_src, c)
-    gen_graph = _gen_graph_from_pairs(inverse, gen_flat, uniq.size, n_seg)
-
-    result = PassResult(fingerprints=uniq, members=members,
-                        gen_graph=gen_graph, n_input_segments=n_seg)
+    # Packed ``group << 32 | gen`` keys: both ranges must fit 32 bits.
+    if uniq.size - 1 > int(_U32_MAX) or n_seg - 1 > int(_U32_MAX):
+        raise ValueError("group/generator ids exceed 32-bit packing range")
+    gen_counts, gens = union_runs(inverse, None, np.tile(gen_src, c),
+                                  uniq.size)
+    result = pass_result_from_wire(uniq, members, gen_counts, gens,
+                                   n_segments=n_seg)
     if _DEBUG_CHECKS:
         _check_no_sentinel_members(result, s)
     return result
-
-
-def _gen_graph_from_pairs(groups: np.ndarray, gens: np.ndarray,
-                          n_groups: int, n_right: int) -> BipartiteCSR:
-    """CSR of sorted, deduplicated generator lists per shingle group.
-
-    Equivalent to ``np.lexsort((gens, groups))`` + adjacent dedup, but packs
-    both keys into one uint64 so a single in-place sort replaces the two
-    stable argsorts and the fancy gathers.  Valid whenever both key ranges
-    fit in 32 bits (guaranteed here: occurrence counts and segment ids are
-    far below 2**32); duplicate (group, gen) pairs are interchangeable, so
-    sort stability is irrelevant to the deduplicated output.
-    """
-    if n_groups - 1 > int(_U32_MAX) or n_right - 1 > int(_U32_MAX):
-        raise ValueError("group/generator ids exceed 32-bit packing range")
-    keys = _pack_u32_keys(groups, gens)
-    keys.sort()
-    return _gen_graph_from_sorted_keys(keys, n_groups, n_right)
-
-
-def _pack_u32_keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """``high << 32 | low`` as uint64, one allocation.
-
-    Both inputs are non-negative int64, so a bit-level ``view`` reinterprets
-    them as uint64 for free (no ``astype`` copies).
-    """
-    high = np.ascontiguousarray(high, dtype=np.int64)
-    low = np.ascontiguousarray(low, dtype=np.int64)
-    keys = np.empty(high.size, dtype=np.uint64)
-    np.left_shift(high.view(np.uint64), _U32_BITS, out=keys)
-    np.bitwise_or(keys, low.view(np.uint64), out=keys)
-    return keys
-
-
-def _gen_graph_from_sorted_keys(keys: np.ndarray, n_groups: int,
-                                n_right: int) -> BipartiteCSR:
-    """Build the generator CSR from sorted ``group << 32 | gen`` keys."""
-    if keys.size:
-        keep = np.empty(keys.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        kept = keys[keep]
-    else:
-        kept = keys
-    inv_dedup = (kept >> _U32_BITS).astype(np.int64)
-    gen_dedup = (kept & _U32_MAX).astype(np.int64)
-    counts = np.bincount(inv_dedup, minlength=n_groups)
-    indptr = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return BipartiteCSR(indptr, gen_dedup, n_right=n_right, validate=False)
 
 
 class StreamingAggregator:
@@ -293,11 +244,10 @@ class StreamingAggregator:
     With a ``device``, the aggregator additionally accepts *device-resident*
     partials (:meth:`add_resident`): the 4-tuple of buffers
     ``shingle_chunk_reduce(..., resident=True)`` leaves on the device.  The
-    merge then runs as the device's ``agg_sort``/``agg_boundaries``/
-    ``agg_invert`` group-by kernels and only the final merged bipartite CSR
-    crosses the PCIe link — bit-identical output to the host merge, without
-    the per-chunk host round-trip.  A single aggregator uses one mode or the
-    other per pass (the driver decides up front).
+    same merge function then runs on the device and only the final merged
+    bipartite CSR crosses the PCIe link — bit-identical output to the host
+    merge, without the per-chunk host round-trip.  A single aggregator uses
+    one mode or the other per pass (the pass executor decides up front).
     """
 
     def __init__(self, s: int, n_segments: int, device=None) -> None:
@@ -350,86 +300,41 @@ class StreamingAggregator:
                       ) -> PassResult:
         """Merge resident partials on the device; download only the result.
 
-        The device merge replicates the host :meth:`_merge` operation
-        sequence exactly (stable sorted-run merge, first-occurrence member
-        rows, packed-key generator union), so the returned
-        :class:`PassResult` is bit-identical; only the final
-        ``PassResult``/CSR assembly from the downloaded wire arrays is host
-        work, charged to the cpu bucket.
+        The device runs the same :func:`~repro.device.kernels.agg_merge` as
+        :meth:`_merge`, so the returned :class:`PassResult` is
+        bit-identical; only the final ``PassResult``/CSR assembly from the
+        downloaded wire arrays is host work, charged to the cpu bucket.
         """
         device = self._device
         parts = [(owner, bufs) for _, owner, bufs in resident]
         with get_obs().tracer.span("aggregate.merge_partials",
                                    n_partials=len(parts), backend="device"):
-            fps, members, gen_counts, gens = device.aggregate_merge(
-                parts, s=self.s)
+            wire = device.aggregate_merge(parts, s=self.s)
             with device.breakdown.timing(BUCKET_CPU):
-                gen_indptr = np.zeros(fps.size + 1, dtype=np.int64)
-                np.cumsum(gen_counts, out=gen_indptr[1:])
-                return PassResult(
-                    fingerprints=fps,
-                    members=members.astype(np.int64),
-                    gen_graph=BipartiteCSR(gen_indptr, gens,
-                                           n_right=self.n_segments,
-                                           validate=False),
-                    n_input_segments=self.n_segments)
+                return pass_result_from_wire(*wire, n_segments=self.n_segments)
 
     def _merge(self, parts: list[PassResult]) -> PassResult:
+        """Merge host partials (ascending trial order) with ``agg_merge``."""
+        fps, members, gen_counts, gens = agg_merge(
+            [p.fingerprints for p in parts], [p.members for p in parts],
+            [p.gen_graph.degrees() for p in parts],
+            [p.gen_graph.indices for p in parts])
+        return pass_result_from_wire(fps, members, gen_counts, gens,
+                                     n_segments=self.n_segments)
 
-        fp_cat = np.concatenate([p.fingerprints for p in parts])
-        if fp_cat.size == 0:
-            return PassResult(
-                fingerprints=np.empty(0, dtype=np.uint64),
-                members=np.empty((0, self.s), dtype=np.int64),
-                gen_graph=BipartiteCSR.from_lists([], n_right=self.n_segments),
-                n_input_segments=self.n_segments,
-            )
-        members_cat = np.concatenate([p.members for p in parts], axis=0)
-        # Every partial's fingerprints are already sorted (PassResult
-        # invariant), so fp_cat is a handful of ascending runs: a stable
-        # (timsort) argsort merges them in near-linear time instead of
-        # re-sorting from scratch.  Stability also makes the first entry of
-        # each equal-fingerprint run the globally-first occurrence (partials
-        # are ordered by trial offset) — exactly the row
-        # ``np.unique(..., return_index=True)`` would have picked.
-        order = np.argsort(fp_cat, kind="stable")
-        fp_sorted = fp_cat[order]
-        is_start = np.empty(fp_sorted.size, dtype=bool)
-        is_start[0] = True
-        np.not_equal(fp_sorted[1:], fp_sorted[:-1], out=is_start[1:])
-        run_starts = np.flatnonzero(is_start)
-        uniq = fp_sorted[run_starts]
-        members = members_cat[order[run_starts]]
-        # Global group id of every concatenated occurrence (the np.unique
-        # ``inverse``), recovered by scattering the sorted group ranks back.
-        inverse = np.empty(fp_cat.size, dtype=np.int64)
-        inverse[order] = np.cumsum(is_start) - 1
 
-        # Union the per-partial generator lists: re-key every CSR entry by
-        # its global group id, then one sort + dedup over all entries.
-        keys_parts = []
-        offset = 0
-        for p in parts:
-            k = p.fingerprints.size
-            graph = p.gen_graph
-            if graph.nnz:
-                entry_groups = np.repeat(inverse[offset:offset + k],
-                                         np.diff(graph.indptr))
-                keys_parts.append(_pack_u32_keys(entry_groups, graph.indices))
-            offset += k
-        if keys_parts:
-            keys = np.concatenate(keys_parts)
-            # Within each partial the re-keyed entries are already sorted
-            # (group ids rise with the partial's fingerprint order, gens are
-            # sorted per group), so this is again a merge of sorted runs.
-            keys.sort(kind="stable")
-        else:
-            keys = np.empty(0, dtype=np.uint64)
-        gen_graph = _gen_graph_from_sorted_keys(keys, uniq.size, self.n_segments)
-
-        return PassResult(fingerprints=uniq, members=members,
-                          gen_graph=gen_graph,
-                          n_input_segments=self.n_segments)
+def pass_result_from_wire(fps: np.ndarray, members: np.ndarray,
+                          gen_counts: np.ndarray, gens: np.ndarray, *,
+                          n_segments: int) -> PassResult:
+    """A :class:`PassResult` from ``(fps, members, gen_counts, gens)``."""
+    gen_indptr = np.zeros(fps.size + 1, dtype=np.int64)
+    np.cumsum(gen_counts, out=gen_indptr[1:])
+    return PassResult(fingerprints=fps,
+                      members=members.astype(np.int64, copy=False),
+                      gen_graph=BipartiteCSR(gen_indptr, gens,
+                                             n_right=n_segments,
+                                             validate=False),
+                      n_input_segments=n_segments)
 
 
 def _check_no_sentinel_members(result: PassResult, s: int) -> None:

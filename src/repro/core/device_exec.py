@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.aggregate import (StreamingAggregator, aggregate_pass,
-                                  merge_splits_into)
+                                  merge_splits_into, pass_result_from_wire)
 from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
                                  ExecutionPlan, trial_chunks)
 from repro.core.params import AGG_AUTO, AGG_HOST, KERNEL_FUSED, PassConfig
@@ -54,7 +54,6 @@ from repro.device.group import DeviceGroup, least_loaded_assignment
 from repro.device.kernels import (SENTINEL, reduce_keys_fit,
                                   segment_element_ids)
 from repro.device.memory import ScratchPool
-from repro.graph.bipartite import BipartiteCSR
 from repro.util.timer import BUCKET_CPU
 
 
@@ -384,18 +383,9 @@ def _single_batch_streaming(
             # buffers and move on (no per-chunk host aggregation at all).
             aggregator.add_resident(lo, member, out)
             return
-        fps, members, gen_counts, gens = out
         with breakdown.timing(BUCKET_CPU), \
                 tracer.span("exec.chunk_aggregate"):
-            gen_indptr = np.zeros(gen_counts.size + 1, dtype=np.int64)
-            np.cumsum(gen_counts, out=gen_indptr[1:])
-            partial = PassResult(
-                fingerprints=fps,
-                members=members.astype(np.int64),
-                gen_graph=BipartiteCSR(gen_indptr, gens, n_right=n_seg,
-                                       validate=False),
-                n_input_segments=n_seg)
-            aggregator.add(lo, partial)
+            aggregator.add(lo, pass_result_from_wire(*out, n_segments=n_seg))
 
     def run_chunk(lo: int, hi: int, dev: int) -> None:
         t = hi - lo

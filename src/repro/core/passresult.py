@@ -50,7 +50,8 @@ class PassResult:
             raise ValueError("members row count must equal fingerprint count")
         if self.gen_graph.n_left != k:
             raise ValueError("gen_graph left size must equal fingerprint count")
-        if k > 1 and not np.all(np.diff(self.fingerprints.astype(np.uint64)) > 0):
+        fps = self.fingerprints
+        if k > 1 and not np.all(fps[1:] > fps[:-1]):
             raise ValueError("fingerprints must be sorted ascending and distinct")
 
     @property

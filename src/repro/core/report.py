@@ -27,7 +27,7 @@ from repro.core.params import (
 )
 from repro.core.passresult import PassResult
 from repro.graph.components import bipartite_components
-from repro.graph.unionfind import UnionFind, union_edges, union_groups
+from repro.graph.unionfind import UnionFind, union_edge_keys, union_groups
 from repro.obs import get_obs
 from repro.util.timer import BUCKET_CPU
 
@@ -92,62 +92,56 @@ def _phase3_groups(pass1: PassResult, pass2: PassResult,
 
 
 def _phase3_edges(pass1: PassResult, pass2: PassResult,
-                  include_generators: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The star edges of :func:`_phase3_groups`, built directly.
+                  include_generators: bool, n_vertices: int) -> np.ndarray:
+    """The star edges of :func:`_phase3_groups`, as packed edge keys.
 
     Each group's star links its leader (first member — ``members2[t, 0]``,
     since ``s2 >= 1``) to every member, so the edges can be emitted without
-    materializing the interleaved segmented flat array at all: one
-    ``np.repeat`` per part instead of scatter-position arithmetic over
-    millions of entries.  Connectivity (and therefore the canonical labels,
-    which depend only on the partition) is identical to running
+    materializing the interleaved segmented flat array at all.  Every edge
+    is written once, as ``src * n_vertices + dst``, into one int64 array.
+    Connectivity (and therefore the canonical labels, which depend only on
+    the partition) is identical to running
     :func:`~repro.graph.unionfind.union_groups` on the grouped form.
     """
     members1 = pass1.members
     members2 = pass2.members
     gens2 = pass2.gen_graph
-    s1 = pass1.s
-    s2 = pass2.s
-
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    if pass2.n_shingles:
-        leaders = members2[:, 0]
-        # Part A: each t's own constituent vertices (the leader IS column 0,
-        # so only the remaining columns need edges).
-        if s2 > 1:
-            src_parts.append(np.repeat(leaders, s2 - 1))
-            dst_parts.append(members2[:, 1:].ravel())
-        if gens2.nnz:
-            # Part B: one edge per (t, f) entry to f's *representative*
-            # vertex, plus one chain per referenced f linking its other
-            # constituents to that representative — transitively equivalent
-            # to linking every constituent to every referencing leader, with
-            # |entries| + s1*|referenced| edges instead of s1*|entries|.
-            src_parts.append(np.repeat(leaders, gens2.degrees()))
-            dst_parts.append(members1[gens2.indices, 0])
-            if s1 > 1:
-                referenced = np.zeros(pass1.n_shingles, dtype=bool)
-                referenced[gens2.indices] = True
-                f_ids = np.flatnonzero(referenced)
-                src_parts.append(np.repeat(members1[f_ids, 0], s1 - 1))
-                dst_parts.append(members1[f_ids, 1:].ravel())
-
+    referenced = np.zeros(pass1.n_shingles, dtype=bool)
+    referenced[gens2.indices] = True
+    f_ids = np.flatnonzero(referenced)
+    lead2 = members2[:, 0] * n_vertices
+    lead1 = members1[f_ids, 0] * n_vertices
+    own = members2[:, 1:]
+    chain = members1[f_ids, 1:]
     if include_generators:
-        in_gii = np.zeros(pass1.n_shingles, dtype=bool)
-        if gens2.nnz:
-            in_gii[gens2.indices] = True
-        f_ids = np.flatnonzero(in_gii)
-        if f_ids.size:
-            gens1 = pass1.gen_graph
-            deg1 = gens1.degrees()
-            src_parts.append(np.repeat(members1[f_ids, 0], deg1[f_ids]))
-            dst_parts.append(gens1.indices[np.repeat(in_gii, deg1)])
+        gens1 = pass1.gen_graph
+        deg1 = gens1.degrees()
+        gen_mask = np.repeat(referenced, deg1)
+        n_gen = int(deg1[f_ids].sum())
+    else:
+        n_gen = 0
+    ends = np.cumsum([own.size, gens2.nnz, chain.size, n_gen])
+    keys = np.empty(int(ends[-1]), dtype=np.int64)
 
-    if not src_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(src_parts), np.concatenate(dst_parts)
+    # Part A: each t's own constituent vertices (the leader IS column 0, so
+    # only the remaining columns need edges).
+    np.add(lead2[:, None], own, out=keys[:ends[0]].reshape(own.shape))
+    # Part B: one edge per (t, f) entry to f's *representative* vertex, plus
+    # one chain per referenced f linking its other constituents to that
+    # representative — transitively equivalent to linking every constituent
+    # to every referencing leader, with |entries| + s1*|referenced| edges
+    # instead of s1*|entries|.
+    entries = keys[ends[0]:ends[1]]
+    np.take(members1[:, 0], gens2.indices, out=entries, mode="clip")
+    entries += np.repeat(lead2, gens2.degrees())
+    np.add(lead1[:, None], chain,
+           out=keys[ends[1]:ends[2]].reshape(chain.shape))
+    if include_generators:
+        # Generator vertices of every referenced f, linked to its leader.
+        generators = keys[ends[2]:]
+        np.compress(gen_mask, gens1.indices, out=generators)
+        generators += np.repeat(lead1, deg1[f_ids])
+    return keys
 
 
 def partition_labels(pass1: PassResult, pass2: PassResult, n_vertices: int,
@@ -169,18 +163,19 @@ def partition_labels(pass1: PassResult, pass2: PassResult, n_vertices: int,
     if backend == UNION_VECTORIZED:
         if device is not None:
             with device.breakdown.timing(BUCKET_CPU):
-                src, dst = _phase3_edges(pass1, pass2, include_generators)
+                keys = _phase3_edges(pass1, pass2, include_generators,
+                                     n_vertices)
             with tracer.span("phase3.union", backend=backend,
                              n_vertices=n_vertices,
-                             n_union_edges=int(src.size)):
-                roots = union_edges(n_vertices, src, dst, device=device)
+                             n_union_edges=int(keys.size)):
+                roots = union_edge_keys(n_vertices, keys, device=device)
             with device.breakdown.timing(BUCKET_CPU):
                 _, labels = np.unique(roots, return_inverse=True)
                 return labels.astype(np.int64)
-        src, dst = _phase3_edges(pass1, pass2, include_generators)
+        keys = _phase3_edges(pass1, pass2, include_generators, n_vertices)
         with tracer.span("phase3.union", backend=backend,
-                         n_vertices=n_vertices, n_union_edges=int(src.size)):
-            roots = union_edges(n_vertices, src, dst)
+                         n_vertices=n_vertices, n_union_edges=int(keys.size)):
+            roots = union_edge_keys(n_vertices, keys)
         # roots[i] is the min vertex id of i's set, so np.unique's sorted
         # order equals order of first appearance — inverse is canonical.
         _, labels = np.unique(roots, return_inverse=True)

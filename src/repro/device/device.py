@@ -928,12 +928,13 @@ class SimulatedDevice:
         :class:`DeviceBuffer` handles returned by
         :meth:`shingle_chunk_reduce` with ``resident=True`` (``owner`` is
         the producing device — ignored here, used by
-        :class:`~repro.device.group.DeviceGroup`).  Runs the
-        ``agg_sort``/``agg_boundaries``/``agg_invert`` group-by kernels over
-        the concatenated runs and downloads only the merged result, so the
-        per-chunk partial bytes never cross the PCIe link.  The merge is the
-        exact device analogue of the host StreamingAggregator's stable
-        sorted-run merge — bit-identical output by construction.
+        :class:`~repro.device.group.DeviceGroup`).  Runs
+        :func:`~repro.device.kernels.agg_merge` (accounted as the
+        ``agg_sort``/``agg_boundaries``/``agg_invert`` kernels) over the
+        resident partials and downloads only the merged result, so the
+        per-chunk partial bytes never cross the PCIe link.  The host
+        StreamingAggregator runs the same merge function, so the output is
+        bit-identical by construction.
 
         Returns host arrays ``(fps, members, gen_counts, gens)`` in the
         ``chunk_reduce`` wire dtypes; all input buffers are freed.
@@ -970,13 +971,8 @@ class SimulatedDevice:
         nnz_in = sum(g.size for g in gen_parts)
 
         t0 = time.perf_counter()
-        fp_cat, order = kernels.agg_sort(fp_parts)
-        fp_sorted, run_starts, inverse = kernels.agg_boundaries(fp_cat, order)
-        uniq = fp_sorted[run_starts]
-        members_cat = np.concatenate(member_parts)
-        members = members_cat[order[run_starts]]
-        gen_counts, gens = kernels.agg_invert(inverse, count_parts,
-                                              gen_parts, uniq.size)
+        uniq, members, gen_counts, gens = kernels.agg_merge(
+            fp_parts, member_parts, count_parts, gen_parts)
         d_out = [self.memory.adopt(arr)
                  for arr in (uniq, members, gen_counts, gens)]
         for part in bufs:

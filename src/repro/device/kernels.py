@@ -49,12 +49,14 @@ Kernel inventory
 ``segment_element_ids``
     Auxiliary iota: the segment id of every element — computed once per
     batch and reused by every selection round.
-``agg_sort`` / ``agg_boundaries`` / ``agg_invert``
-    Inter-pass aggregation group-by: merge the per-chunk sorted fingerprint
-    runs from ``chunk_reduce`` (stable argsort over the concatenation),
-    flag run boundaries + build the group inverse, and invert the generator
-    lists into one bipartite CSR — the device analogue of the host
-    StreamingAggregator merge, bit-identical by construction.
+``agg_merge``
+    Inter-pass aggregation: merge the per-chunk partials from
+    ``chunk_reduce`` into one pass result (stable argsort over the
+    concatenated fingerprints, then one gather of members and generator
+    runs; an exact group-by union only on a cross-chunk fingerprint
+    collision).  Shared by the device merge and the host
+    StreamingAggregator; accounted as the ``agg_sort`` / ``agg_boundaries``
+    / ``agg_invert`` kernel classes.
 ``cc_hook`` / ``cc_jump``
     Phase III connected components: one min-label hooking round (atomic-min
     scatter over the edge list) and one pointer-jumping round
@@ -586,17 +588,7 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
 
     order = np.argsort(fps, kind="quicksort")
     fps_sorted = fps[order]
-    counts_o = counts[order]
-    # Reorder the runs of gens_all to fingerprint order with ONE repeat:
-    # position j inside fp-ordered run r maps to run_start[order][r] + rank,
-    # and rank == j - (fp-ordered run offset), so the gather index is just
-    # j plus a per-run shift broadcast over the run.
-    shift = run_start[order]
-    np.subtract(shift, np.cumsum(counts_o), out=shift)
-    np.add(shift, counts_o, out=shift)
-    positions = np.repeat(shift, counts_o)
-    positions += np.arange(total, dtype=np.int64)
-    gens = np.take(gens_all, positions)
+    counts_o, gens = _permute_runs(gens_all, run_start, counts, order)
     # Narrow before the row gather: ids fit uint32, so permuting the
     # narrowed rows moves half the bytes of permute-then-cast.
     members_o = members.astype(np.uint32)[order]
@@ -610,6 +602,54 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
         return _merge_fp_collisions(fps_sorted, members_o, counts_o, gens,
                                     flatpos[order])
     return fps_sorted, members_o, counts_o.astype(np.uint32), gens
+
+
+def _permute_runs(values: np.ndarray, run_start: np.ndarray,
+                  counts: np.ndarray, order: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder the runs of ``values`` to ``order`` with ONE repeat + take.
+
+    Run ``order[r]`` (``counts[order[r]]`` entries from
+    ``run_start[order[r]]``) becomes output run ``r``.  Position ``j`` inside
+    output run ``r`` maps to ``run_start[order[r]] + rank`` with ``rank == j
+    - (output run offset)``, so the gather index is just ``j`` plus a
+    per-run shift broadcast over the run.  Returns ``(counts[order],
+    gathered values)``.
+    """
+    counts_o = counts[order].astype(np.int64, copy=False)
+    shift = run_start[order].astype(np.int64, copy=False)
+    np.subtract(shift, np.cumsum(counts_o), out=shift)
+    np.add(shift, counts_o, out=shift)
+    positions = np.repeat(shift, counts_o)
+    positions += np.arange(positions.size, dtype=np.int64)
+    return counts_o, np.take(values, positions)
+
+
+def union_runs(group: np.ndarray, counts: np.ndarray | None,
+               gens: np.ndarray, n_groups: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Union the generator runs that share a group id.
+
+    Run ``i`` (``counts[i]`` entries of ``gens``; one entry when ``counts``
+    is None) belongs to group ``group[i]``.  Every entry is re-keyed as
+    packed ``group << 32 | gen``; one sort plus an adjacent-duplicate drop
+    yields each group's sorted, duplicate-free union.  Both ids must fit 32
+    bits.  Returns ``(gen_counts, gens)`` as int64 / uint64.
+    """
+    keys = group.astype(np.uint64)
+    if counts is not None:
+        keys = np.repeat(keys, counts)
+    np.left_shift(keys, _ID_BITS, out=keys)
+    np.bitwise_or(keys, gens.view(np.uint64) if gens.dtype == np.int64
+                  else gens.astype(np.uint64), out=keys)
+    keys.sort()
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    kept = keys[keep]
+    gen_counts = np.bincount((kept >> _ID_BITS).astype(np.int64),
+                             minlength=n_groups)
+    return gen_counts, kept & _ID_MASK
 
 
 def _merge_fp_collisions(fps: np.ndarray, members: np.ndarray,
@@ -626,89 +666,57 @@ def _merge_fp_collisions(fps: np.ndarray, members: np.ndarray,
     # Representative row per group: the globally-first occurrence.
     rep_order = np.lexsort((flatpos, group))
     reps = rep_order[np.searchsorted(group[rep_order], np.arange(n_groups))]
-    # Union the generator lists with one packed-key sort + dedup.
-    entry_groups = np.repeat(group, counts).astype(np.uint64)
-    keys = (entry_groups << _ID_BITS) | gens.astype(np.uint64)
-    keys.sort()
-    keep = np.empty(keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    kept = keys[keep]
-    gen_counts = np.bincount((kept >> _ID_BITS).astype(np.int64),
-                             minlength=n_groups).astype(np.uint32)
-    return (fps[is_new], members[reps], gen_counts,
-            (kept & _ID_MASK).astype(np.uint32))
+    gen_counts, kept = union_runs(group, counts, gens, n_groups)
+    return (fps[is_new], members[reps], gen_counts.astype(np.uint32),
+            kept.astype(np.uint32))
 
 
-def agg_sort(fp_parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge the sorted per-chunk fingerprint runs into one global order.
+def agg_merge(fp_parts: list[np.ndarray], member_parts: list[np.ndarray],
+              count_parts: list[np.ndarray], gen_parts: list[np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merge per-chunk partials into one pass result.
 
-    A real device would run a segmented merge over the already-sorted runs;
-    here one stable argsort over the concatenation produces the identical
-    permutation (stability preserves within-run — i.e. chunk — order, which
-    is what makes the first element of each run the globally-first
-    occurrence downstream).
+    Each part is one trial chunk's ``(fps, members, gen_counts, gens)``:
+    fingerprints strictly ascending, each generator list sorted and
+    duplicate-free (the :func:`chunk_reduce` wire format, or a
+    :class:`~repro.core.passresult.PassResult` in CSR form).  Parts come in
+    ascending trial order.  Output dtypes follow the inputs.
 
-    Returns ``(fp_cat, order)``: the concatenated fingerprints and the
-    stable sort permutation.
+    One stable argsort over the concatenated fingerprints puts every entry
+    in global order; stability keeps trial order among equal fingerprints,
+    so the first of each run is the globally-first occurrence.  Fingerprints
+    are salted per trial, so two parts (disjoint trial ranges) share a
+    fingerprint only on a 64-bit hash collision.  Without one, every output
+    shingle is exactly one input entry: its member row, count and generator
+    run are gathered as they are, with no generator sort.  With one, the
+    colliding entries fall back to an exact group-by: first occurrence wins
+    the member row, generator lists are unioned.  Both branches give the
+    output of one ``np.unique`` over the whole trial-major occurrence array.
     """
     fp_cat = np.concatenate(fp_parts)
+    members_cat = np.concatenate(member_parts)
+    counts_cat = np.concatenate(count_parts)
+    gens_cat = np.concatenate(gen_parts)
     order = np.argsort(fp_cat, kind="stable")
-    return fp_cat, order
-
-
-def agg_boundaries(fp_cat: np.ndarray, order: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run boundaries + group inverse over the globally-sorted fingerprints.
-
-    Returns ``(fp_sorted, run_starts, inverse)`` where ``run_starts`` indexes
-    the first (globally-first-occurrence) entry of each distinct fingerprint
-    in the sorted order and ``inverse[i]`` is the dense group id of
-    concatenated entry ``i`` — exactly the host merge's scatter
-    ``inverse[order] = cumsum(is_start) - 1``.
-    """
     fp_sorted = fp_cat[order]
-    n = fp_cat.size
-    is_start = np.empty(n, dtype=bool)
-    is_start[0] = True
+    is_start = np.empty(fp_sorted.size, dtype=bool)
+    is_start[:1] = True
     np.not_equal(fp_sorted[1:], fp_sorted[:-1], out=is_start[1:])
+    if is_start.all():
+        run_start = np.cumsum(counts_cat, dtype=np.int64)
+        run_start -= counts_cat
+        counts_o, gens = _permute_runs(gens_cat, run_start, counts_cat, order)
+        # ``take`` along axis 0 moves whole rows; ``members_cat[order]`` is
+        # ~10x slower for narrow rows.
+        return (fp_sorted, np.take(members_cat, order, axis=0),
+                counts_o.astype(counts_cat.dtype), gens)
     run_starts = np.flatnonzero(is_start)
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.cumsum(is_start) - 1
-    return fp_sorted, run_starts, inverse
-
-
-def agg_invert(inverse: np.ndarray, count_parts: list[np.ndarray],
-               gen_parts: list[np.ndarray], n_groups: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Union the per-chunk generator lists per merged fingerprint group.
-
-    Re-keys every generator entry by its merged group id (packed
-    ``group << 32 | gen``), sorts, and drops adjacent duplicates — the same
-    packed-key group-by as the host merge and :func:`_merge_fp_collisions`,
-    so the resulting ``(gen_counts, gens)`` pair is bit-identical to the
-    host StreamingAggregator's bipartite CSR payload.
-    """
-    keys_parts = []
-    offset = 0
-    for counts, gens in zip(count_parts, gen_parts):
-        k = counts.size
-        entry_groups = np.repeat(inverse[offset:offset + k].astype(np.uint64),
-                                 counts)
-        keys_parts.append((entry_groups << _ID_BITS) | gens.astype(np.uint64))
-        offset += k
-    keys = np.concatenate(keys_parts)
-    if keys.size == 0:
-        return (np.zeros(n_groups, dtype=np.uint32),
-                np.empty(0, dtype=np.uint32))
-    keys.sort(kind="stable")
-    keep = np.empty(keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    kept = keys[keep]
-    gen_counts = np.bincount((kept >> _ID_BITS).astype(np.int64),
-                             minlength=n_groups).astype(np.uint32)
-    return gen_counts, (kept & _ID_MASK).astype(np.uint32)
+    group = np.empty(fp_cat.size, dtype=np.int64)
+    group[order] = np.cumsum(is_start) - 1
+    gen_counts, gens = union_runs(group, counts_cat, gens_cat,
+                                  run_starts.size)
+    return (fp_sorted[run_starts], members_cat[order[run_starts]],
+            gen_counts.astype(counts_cat.dtype), gens.astype(gens_cat.dtype))
 
 
 def cc_hook(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
