@@ -109,13 +109,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="inter-pass aggregation + Phase III backend "
                              "for the clustering run; 'device' asserts the "
                              "offload spans appear in the trace")
-    parser.add_argument("--launch-graph", default="auto",
-                        choices=["auto", "on", "off"],
-                        help="kernel launch-graph capture/replay for the "
-                             "shingle hot path; when not 'off' the traced "
-                             "run (warm: prior runs primed the process "
-                             "graph cache) must replay >90%% of its "
-                             "steady-state chunks")
     parser.add_argument("--out-dir", default=str(RESULTS_DIR),
                         help="artifact directory")
     args = parser.parse_args(argv)
@@ -125,13 +118,11 @@ def main(argv: list[str] | None = None) -> int:
     scale = get_scale()
     graph = make_runtime_workload(WORKLOAD, scale).graph
     params = workload_params(scale).with_overrides(
-        devices=args.devices, aggregate_backend=args.aggregate_backend,
-        launch_graph=args.launch_graph)
+        devices=args.devices, aggregate_backend=args.aggregate_backend)
     print(f"workload {WORKLOAD} (scale={scale}): "
           f"{graph.n_vertices} vertices, {graph.n_edges} edges, "
           f"devices={args.devices}, "
-          f"aggregate_backend={args.aggregate_backend}, "
-          f"launch_graph={args.launch_graph}")
+          f"aggregate_backend={args.aggregate_backend}")
 
     GpClust(params).run(graph)  # warm-up: page in buffers, prime pools
     off_s = _best_of(args.repeats, lambda: GpClust(params).run(graph))
@@ -202,26 +193,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"{cp['idle_s']:.4f}s does not reconcile with wall "
                 f"{cp['wall_s']:.4f}s")
 
-    # --- launch-graph replay: shingle roofline + hit rate ---------------
-    # The traced run is warm (the warm-up and untraced repeats primed the
-    # process-wide graph cache), so with capture enabled every steady-state
-    # chunk must resolve to a replay.
-    gauges = ctx.metrics.snapshot().get("gauges", {})
-    g_hits = sum(v for k, v in gauges.items() if k.endswith(".graph.hits"))
-    g_misses = sum(v for k, v in gauges.items()
-                   if k.endswith(".graph.misses"))
-    graph_hit_rate = g_hits / (g_hits + g_misses) if (g_hits + g_misses) else 0.0
+    # --- shingle roofline --------------------------------------------
     shingle_roof = report["roofline"].get(
         "shingle", {"wall_s": 0.0, "modeled_s": 0.0, "gap_s": 0.0})
-    print(f"launch-graph {args.launch_graph}: hit rate {graph_hit_rate:.3f} "
-          f"({int(g_hits)} replays / {int(g_misses)} misses); shingle wall "
-          f"{shingle_roof['wall_s']:.4f}s, modeled "
+    print(f"shingle wall {shingle_roof['wall_s']:.4f}s, modeled "
           f"{shingle_roof['modeled_s']:.6f}s, gap "
           f"{shingle_roof['gap_s']:.4f}s")
-    if args.launch_graph != "off" and graph_hit_rate <= 0.9:
-        failures.append(
-            f"launch-graph hit rate {graph_hit_rate:.3f} <= 0.9 on the warm "
-            f"traced run ({int(g_hits)} hits / {int(g_misses)} misses)")
 
     # --- reconciliation: root span vs reported wall time ----------------
     # Only meaningful on a single device: a DeviceGroup charges wall
@@ -331,27 +308,10 @@ def main(argv: list[str] | None = None) -> int:
         "critical_path_s": round(cp["path_s"], 6),
         "critical_path_idle_s": round(cp["idle_s"], 6),
         "n_spans": len(records),
-        "launch_graph": args.launch_graph,
-        "graph_hit_rate": round(graph_hit_rate, 4),
         "shingle_wall_s": round(shingle_roof["wall_s"], 6),
         "shingle_modeled_s": round(shingle_roof["modeled_s"], 9),
         "shingle_gap_s": round(shingle_roof["gap_s"], 6),
     }
-    # Launch-graph comparison rowset: compare_bench.py gates the on-vs-off
-    # shingle-class wall delta between two out-dirs of this file.
-    (out_dir / "launchgraph_2m.json").write_text(json.dumps({
-        "name": "launchgraph_2m",
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "launch_graph": args.launch_graph,
-        "workloads": {row_name: {
-            "wall_s": ledger_row["wall_s"],
-            "shingle_wall_s": ledger_row["shingle_wall_s"],
-            "shingle_modeled_s": ledger_row["shingle_modeled_s"],
-            "shingle_gap_s": ledger_row["shingle_gap_s"],
-            "graph_hit_rate": ledger_row["graph_hit_rate"],
-            "traced_off_s": ledger_row["traced_off_s"],
-        }},
-    }, indent=2) + "\n")
     append_ledger(
         out_dir / "ledger", "traced_smoke", {row_name: ledger_row},
         config={"workload": WORKLOAD, "scale": scale,

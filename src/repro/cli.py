@@ -68,8 +68,7 @@ def _params_from_args(args: argparse.Namespace) -> ShinglingParams:
                            seed=args.seed, kernel=args.kernel,
                            exec_mode=args.exec_mode, streams=args.streams,
                            devices=args.devices,
-                           aggregate_backend=args.aggregate_backend,
-                           launch_graph=args.launch_graph)
+                           aggregate_backend=args.aggregate_backend)
 
 
 def _make_device(params: ShinglingParams):
@@ -186,13 +185,6 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
                              "the device when prerequisites hold, host "
                              "forces the CPU paths, device prefers the "
                              "offloads (all bit-identical)")
-    parser.add_argument("--launch-graph",
-                        choices=["auto", "on", "off"], default="auto",
-                        help="kernel launch-graph capture/replay for the "
-                             "shingle hot path: auto captures a shape class "
-                             "after its first matching chunk, on captures "
-                             "on first sight, off always launches eagerly "
-                             "(all bit-identical)")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

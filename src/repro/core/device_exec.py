@@ -35,85 +35,24 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.aggregate import (StreamingAggregator, aggregate_pass,
-                                  merge_splits_into, pass_result_from_wire)
+                                  debug_checks_enabled, merge_splits_into,
+                                  pass_result_from_wire)
 from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
                                  ExecutionPlan, trial_chunks)
 from repro.core.params import AGG_AUTO, AGG_HOST, KERNEL_FUSED, PassConfig
 from repro.core.passresult import PassResult
-from repro.device import launchgraph
 from repro.device.batching import max_batch_elements, plan_batches
 from repro.device.device import SimulatedDevice
 from repro.device.group import DeviceGroup, least_loaded_assignment
-from repro.device.kernels import (SENTINEL, reduce_keys_fit,
-                                  segment_element_ids)
+from repro.device.kernels import (SENTINEL, build_tournament_plan,
+                                  reduce_keys_fit, segment_element_ids)
 from repro.device.memory import ScratchPool
 from repro.util.timer import BUCKET_CPU
-
-
-@dataclass
-class _PassPlan:
-    """Cached host-side shape planning for one (input, geometry) pair.
-
-    Everything the preamble of :func:`device_shingle_pass` derives from the
-    CSR input and the pass geometry — compaction, batch plan, trial chunks,
-    and (single-batch case) the per-element segment-id table.  With launch
-    graphs enabled the driver keys this by content tokens of the input
-    arrays, so steady-state passes skip the whole O(nnz) replanning; all
-    arrays are treated as read-only downstream.
-    """
-
-    n_seg: int
-    valid_ids: np.ndarray
-    lengths: np.ndarray
-    elements: np.ndarray
-    compact_indptr: np.ndarray
-    n_values: int
-    batch_plan: object
-    chunks: list[tuple[int, int]]
-    seg_ids_table: np.ndarray | None
-
-
-_PASS_PLAN_CACHE: "OrderedDict[tuple, _PassPlan]" = OrderedDict()
-_PASS_PLAN_LOCK = threading.Lock()
-_PASS_PLAN_MAX = 8
-_PASS_PLAN_STATS = {"hits": 0, "misses": 0}
-
-
-def _pass_plan_lookup(key: tuple) -> _PassPlan | None:
-    with _PASS_PLAN_LOCK:
-        plan = _PASS_PLAN_CACHE.get(key)
-        if plan is None:
-            _PASS_PLAN_STATS["misses"] += 1
-        else:
-            _PASS_PLAN_STATS["hits"] += 1
-            _PASS_PLAN_CACHE.move_to_end(key)
-        return plan
-
-
-def _pass_plan_store(key: tuple, plan: _PassPlan) -> None:
-    with _PASS_PLAN_LOCK:
-        _PASS_PLAN_CACHE[key] = plan
-        while len(_PASS_PLAN_CACHE) > _PASS_PLAN_MAX:
-            _PASS_PLAN_CACHE.popitem(last=False)
-
-
-def pass_plan_cache_stats() -> dict:
-    """Hit/miss counters of the driver's pass-plan cache (for tests/bench)."""
-    with _PASS_PLAN_LOCK:
-        return {"entries": len(_PASS_PLAN_CACHE), **_PASS_PLAN_STATS}
-
-
-def clear_pass_plan_cache() -> None:
-    with _PASS_PLAN_LOCK:
-        _PASS_PLAN_CACHE.clear()
-        _PASS_PLAN_STATS.update(hits=0, misses=0)
 
 
 def device_shingle_pass(
@@ -164,7 +103,6 @@ def device_shingle_pass(
         plan = ExecutionPlan(EXEC_PREFETCH if prefetch else EXEC_SYNC)
     indptr = np.asarray(indptr, dtype=np.int64)
     elements = np.asarray(elements, dtype=np.int64)
-    device.configure_launch_graph(plan.launch_graph)
     breakdown = device.breakdown
     s, c = config.s, config.c
     t_start = time.perf_counter()
@@ -174,51 +112,29 @@ def device_shingle_pass(
             max_elements = max_batch_elements(
                 device.spec.memory_capacity_bytes, trial_chunk, s)
         max_elements = max(max_elements // plan.resident_factor, 1)
-        pp = None
-        cache_key = None
-        if plan.launch_graph != launchgraph.LG_OFF:
-            cache_key = (launchgraph.content_token(indptr),
-                         launchgraph.content_token(elements),
-                         s, c, trial_chunk, max_elements)
-            pp = _pass_plan_lookup(cache_key)
-        if pp is None:
-            all_lengths = np.diff(indptr)
-            n_seg = all_lengths.size
-            # CPU-side compaction: segments shorter than s generate no
-            # shingles (Section III-B: shingles exist only for "any vertex
-            # ... that has at least s links"), so they never ship to the
-            # device.  The serial reference skips them the same way.
-            valid = all_lengths >= s
-            valid_ids = np.flatnonzero(valid)
-            lengths = all_lengths[valid_ids]
-            elements = elements[np.repeat(valid, all_lengths)]
-            compact_indptr = np.zeros(valid_ids.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=compact_indptr[1:])
-            # Exclusive element-id bound; sizes the fused kernel's hash
-            # table and the on-device reduction's packed keys.
-            n_values = int(elements.max()) + 1 if elements.size else 1
+        all_lengths = np.diff(indptr)
+        n_seg = all_lengths.size
+        # CPU-side compaction: segments shorter than s generate no
+        # shingles (Section III-B: shingles exist only for "any vertex
+        # ... that has at least s links"), so they never ship to the
+        # device.  The serial reference skips them the same way.
+        valid = all_lengths >= s
+        valid_ids = np.flatnonzero(valid)
+        lengths = all_lengths[valid_ids]
+        elements = elements[np.repeat(valid, all_lengths)]
+        compact_indptr = np.zeros(valid_ids.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=compact_indptr[1:])
+        # Exclusive element-id bound; sizes the fused kernel's hash
+        # table and the on-device reduction's packed keys.
+        n_values = int(elements.max()) + 1 if elements.size else 1
 
-            batch_plan = plan_batches(compact_indptr, max_elements)
-            chunks = trial_chunks(c, trial_chunk)
-            pp = _PassPlan(
-                n_seg=n_seg, valid_ids=valid_ids, lengths=lengths,
-                elements=elements, compact_indptr=compact_indptr,
-                n_values=n_values, batch_plan=batch_plan, chunks=chunks,
-                seg_ids_table=(
-                    segment_element_ids(batch_plan.batches[0].local_indptr)
-                    if batch_plan.n_batches == 1 else None))
-            if cache_key is not None:
-                _pass_plan_store(cache_key, pp)
-        else:
-            n_seg, valid_ids, lengths = pp.n_seg, pp.valid_ids, pp.lengths
-            elements, n_values = pp.elements, pp.n_values
-            batch_plan, chunks = pp.batch_plan, pp.chunks
+        batch_plan = plan_batches(compact_indptr, max_elements)
+        chunks = trial_chunks(c, trial_chunk)
 
     if batch_plan.n_batches == 1:
         result = _single_batch_streaming(
             device, elements, batch_plan.batches[0], chunks, config, kernel,
-            plan, lengths, valid_ids, n_seg, n_values,
-            seg_ids_table=pp.seg_ids_table)
+            plan, lengths, valid_ids, n_seg, n_values)
     else:
         result = _multi_batch_accumulate(
             device, elements, batch_plan, chunks, config, kernel, plan,
@@ -314,7 +230,6 @@ def _single_batch_streaming(
     valid_ids: np.ndarray,
     n_seg: int,
     n_values: int,
-    seg_ids_table: np.ndarray | None = None,
 ) -> PassResult:
     """The streaming hot path: one resident batch, per-chunk aggregation.
 
@@ -327,7 +242,11 @@ def _single_batch_streaming(
     transfer: each chunk downloads a compacted distinct-shingle partial —
     already a :class:`PassResult` in wire form — instead of the raw
     ``(t, n, s)`` occurrence block, so both the g2c bytes and the CPU
-    aggregation shrink from O(t*n*s) to O(k_chunk*s).
+    aggregation shrink from O(t*n*s) to O(k_chunk*s).  Its top-``s``
+    selection is the binned tournament, planned once here from the batch
+    geometry (the eager select is the fallback for geometries the plan
+    rejects); with debug checks on, each pass's first chunk is also checked
+    against the eager select.
     """
     breakdown = device.breakdown
     group_members = _members_of(device)
@@ -355,21 +274,26 @@ def _single_batch_streaming(
                      < device.spec.memory_capacity_bytes)
     use_dev_agg = (use_reduce and agg_backend != AGG_HOST and resident_fits)
 
+    batch_elements = batch.slice_elements(elements)
     with breakdown.timing(BUCKET_CPU):
-        if seg_ids_table is None:
-            seg_ids_table = segment_element_ids(batch.local_indptr)
+        tournament = (build_tournament_plan(batch_elements, batch.local_indptr,
+                                            s, n_values)
+                      if use_reduce else None)
+        # The per-element segment ids only feed the eager select.
+        seg_ids_table = (segment_element_ids(batch.local_indptr)
+                         if tournament is None else None)
         aggregator = StreamingAggregator(
             s, n_seg, device=device if use_dev_agg else None)
         host_pool = ScratchPool()  # reused download staging across chunks
 
-    d_elems = _broadcast(device, group_members, multi,
-                         batch.slice_elements(elements))
+    d_elems = _broadcast(device, group_members, multi, batch_elements)
     d_indptrs = _broadcast(device, group_members, multi, batch.local_indptr)
     d_gens = (_broadcast(device, group_members, multi,
                          valid_ids.astype(np.uint32))
               if use_reduce else [])
 
     tracer = device.obs.tracer
+    check_lo = chunks[0][0] if chunks and debug_checks_enabled() else None
 
     def run_chunk_reduce(lo: int, hi: int, dev: int) -> None:
         member = group_members[dev]
@@ -377,6 +301,7 @@ def _single_batch_streaming(
             d_elems[dev], d_indptrs[dev], d_gens[dev],
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
             salts=salts[lo:hi], seg_ids=seg_ids_table, n_values=n_values,
+            tournament=tournament, check=lo == check_lo,
             resident=use_dev_agg, label=f"trials {lo}-{hi - 1}")
         if use_dev_agg:
             # The partial never leaves the device: record the resident

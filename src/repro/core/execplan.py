@@ -108,21 +108,11 @@ class ExecutionPlan:
         :class:`repro.device.group.DeviceGroup` of this size, one driver
         thread per member.  Ignored by the other modes; ``multidevice``
         with one device degrades to the synchronous schedule.
-    launch_graph:
-        Launch-graph capture/replay mode (``"auto"``/``"on"``/``"off"``,
-        see :mod:`repro.device.launchgraph`).  Orthogonal to the schedule:
-        every plan runs the same chunk units, and with replay enabled the
-        driver also caches its per-pass shape planning (batch plan, trial
-        chunks, compaction) keyed by the batch geometry, so steady-state
-        chunks re-derive nothing on the host.  Defaults to ``"off"`` at
-        this layer; :class:`repro.core.params.ShinglingParams` defaults the
-        pipeline to ``"auto"``.
     """
 
     mode: str = EXEC_SYNC
     streams: int = 2
     devices: int = 1
-    launch_graph: str = "off"
 
     def __post_init__(self) -> None:
         if self.mode not in EXEC_MODES:
@@ -132,9 +122,6 @@ class ExecutionPlan:
             raise ValueError("streams must be >= 1")
         if self.devices < 1:
             raise ValueError("devices must be >= 1")
-        if self.launch_graph not in ("auto", "on", "off"):
-            raise ValueError(
-                f"unknown launch-graph mode {self.launch_graph!r}")
 
     @property
     def n_workers(self) -> int:
@@ -162,7 +149,6 @@ class ExecutionPlan:
         return 1
 
     @classmethod
-    def from_mode(cls, mode: str, streams: int = 2, devices: int = 1,
-                  launch_graph: str = "off") -> "ExecutionPlan":
-        return cls(mode=mode, streams=streams, devices=devices,
-                   launch_graph=launch_graph)
+    def from_mode(cls, mode: str, streams: int = 2,
+                  devices: int = 1) -> "ExecutionPlan":
+        return cls(mode=mode, streams=streams, devices=devices)

@@ -38,12 +38,6 @@ AGG_DEVICE = "device"
 
 AGGREGATE_BACKENDS = (AGG_AUTO, AGG_HOST, AGG_DEVICE)
 
-LAUNCH_GRAPH_AUTO = "auto"
-LAUNCH_GRAPH_ON = "on"
-LAUNCH_GRAPH_OFF = "off"
-
-LAUNCH_GRAPH_MODES = (LAUNCH_GRAPH_AUTO, LAUNCH_GRAPH_ON, LAUNCH_GRAPH_OFF)
-
 
 @dataclass(frozen=True)
 class ShinglingParams:
@@ -102,14 +96,6 @@ class ShinglingParams:
         device offloads; still degrades to host where a prerequisite — the
         fused reduction, resident capacity, the vectorized union backend —
         is missing).  All backends produce bit-identical results.
-    launch_graph:
-        Kernel launch-graph capture/replay for the shingle hot path
-        (:mod:`repro.device.launchgraph`): ``"auto"`` (the default —
-        capture a shape class after its first matching chunk, so one-off
-        ragged shapes never pay capture cost), ``"on"`` (capture on first
-        sight) or ``"off"`` (always launch eagerly).  Replay is
-        bit-identical to eager execution across every kernel, exec mode,
-        device count and backend.
     grouping:
         Vertex-grouping strategy.  ``"two_level"`` is the paper's middle
         ground (merge via shared *second-level* shingles).  ``"one_shingle"``
@@ -135,7 +121,6 @@ class ShinglingParams:
     union_backend: str = UNION_VECTORIZED
     grouping: str = GROUPING_TWO_LEVEL
     aggregate_backend: str = AGG_AUTO
-    launch_graph: str = LAUNCH_GRAPH_AUTO
 
     def __post_init__(self) -> None:
         for name in ("s1", "s2"):
@@ -165,8 +150,6 @@ class ShinglingParams:
         if self.aggregate_backend not in AGGREGATE_BACKENDS:
             raise ValueError(
                 f"unknown aggregate_backend {self.aggregate_backend!r}")
-        if self.launch_graph not in LAUNCH_GRAPH_MODES:
-            raise ValueError(f"unknown launch_graph {self.launch_graph!r}")
         if self.grouping == GROUPING_ONE_SHINGLE and self.report_mode != REPORT_PARTITION:
             raise ValueError("one_shingle grouping supports partition mode only")
 
@@ -182,8 +165,7 @@ class ShinglingParams:
         """
         mode = EXEC_MULTIDEVICE if self.devices > 1 else self.exec_mode
         return ExecutionPlan(mode=mode, streams=self.streams,
-                             devices=self.devices,
-                             launch_graph=self.launch_graph)
+                             devices=self.devices)
 
     # ------------------------------------------------------------------ #
     # Derived per-pass configuration

@@ -190,7 +190,7 @@ class GpClust:
                     include_generators=params.include_generators)
 
         # Flush gauge-backed device accounting (transfer bytes, scratch
-        # pool, launch-graph hit rate) so a traced run's embedded metrics
+        # pool) so a traced run's embedded metrics
         # snapshot carries the whole device picture.
         device.sync_metrics()
         self._record_run(tracer, t_start, graph)

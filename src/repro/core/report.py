@@ -144,6 +144,19 @@ def _phase3_edges(pass1: PassResult, pass2: PassResult,
     return keys
 
 
+def _canonical_labels(roots: np.ndarray) -> np.ndarray:
+    """Dense set labels from min-vertex roots, in O(n).
+
+    ``roots[i]`` is the smallest vertex id of i's set, so the sets' roots
+    are exactly the ``i`` with ``roots[i] == i``.  Numbering them in id
+    order (a running count) equals order of first appearance, and gives
+    ``np.unique(roots, return_inverse=True)``'s inverse without a sort.
+    """
+    roots = np.asarray(roots, dtype=np.int64)
+    rank = np.cumsum(roots == np.arange(roots.size, dtype=np.int64)) - 1
+    return rank[roots].astype(np.int64, copy=False)
+
+
 def partition_labels(pass1: PassResult, pass2: PassResult, n_vertices: int,
                      backend: str = UNION_VECTORIZED,
                      include_generators: bool = False,
@@ -170,16 +183,12 @@ def partition_labels(pass1: PassResult, pass2: PassResult, n_vertices: int,
                              n_union_edges=int(keys.size)):
                 roots = union_edge_keys(n_vertices, keys, device=device)
             with device.breakdown.timing(BUCKET_CPU):
-                _, labels = np.unique(roots, return_inverse=True)
-                return labels.astype(np.int64)
+                return _canonical_labels(roots)
         keys = _phase3_edges(pass1, pass2, include_generators, n_vertices)
         with tracer.span("phase3.union", backend=backend,
                          n_vertices=n_vertices, n_union_edges=int(keys.size)):
             roots = union_edge_keys(n_vertices, keys)
-        # roots[i] is the min vertex id of i's set, so np.unique's sorted
-        # order equals order of first appearance — inverse is canonical.
-        _, labels = np.unique(roots, return_inverse=True)
-        return labels.astype(np.int64)
+        return _canonical_labels(roots)
     offsets, flat = _phase3_groups(pass1, pass2, include_generators)
     if backend == UNION_UNIONFIND:
         with tracer.span("phase3.union", backend=backend,
@@ -249,9 +258,7 @@ def one_shingle_labels(pass1: PassResult, n_vertices: int,
     flat = gens.indices[mask]
 
     if backend == UNION_VECTORIZED:
-        roots = union_groups(n_vertices, offsets, flat)
-        _, labels = np.unique(roots, return_inverse=True)
-        return labels.astype(np.int64)
+        return _canonical_labels(union_groups(n_vertices, offsets, flat))
     if backend == UNION_UNIONFIND:
         uf = UnionFind(n_vertices)
         flat_list = flat.tolist()

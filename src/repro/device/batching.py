@@ -126,6 +126,24 @@ def plan_batches(indptr: np.ndarray, max_elements: int) -> BatchPlan:
     n_seg = indptr.size - 1
     nnz = int(indptr[-1])
 
+    if (0 < nnz <= max_elements and indptr[0] == 0
+            and np.all(np.diff(indptr) > 0)):
+        # Everything fits and no segment is empty: the one whole batch the
+        # greedy loop would build, without its per-segment loop.
+        batches = [Batch(element_lo=0, element_hi=nnz,
+                         local_indptr=indptr.copy(),
+                         segment_ids=np.arange(n_seg, dtype=np.int64),
+                         is_split=np.zeros(n_seg, dtype=bool))]
+    else:
+        batches = _greedy_batches(indptr, max_elements)
+    plan = BatchPlan(batches=batches, max_elements_per_batch=max_elements,
+                     n_source_segments=n_seg)
+    _validate_plan(plan, indptr, nnz)
+    return plan
+
+
+def _greedy_batches(indptr: np.ndarray, max_elements: int) -> list[Batch]:
+    """The packing loop of :func:`plan_batches`, one segment at a time."""
     batches: list[Batch] = []
     cur_lo = 0                      # element offset where current batch starts
     cur_fill = 0                    # elements used in current batch
@@ -150,11 +168,10 @@ def plan_batches(indptr: np.ndarray, max_elements: int) -> BatchPlan:
         cur_ids = []
         cur_split = []
 
-    for seg in range(n_seg):
+    for seg in range(indptr.size - 1):
         remaining = int(indptr[seg + 1] - indptr[seg])
         if remaining == 0:
             continue  # empty segments carry no work; they rejoin in aggregation
-        first_piece = True
         while remaining > 0:
             space = max_elements - cur_fill
             if remaining <= space:
@@ -172,15 +189,10 @@ def plan_batches(indptr: np.ndarray, max_elements: int) -> BatchPlan:
             cur_ids.append(seg)
             cur_split.append(take < int(indptr[seg + 1] - indptr[seg]))
             remaining -= take
-            first_piece = False
             if cur_fill == max_elements:
                 flush()
     flush()
-
-    plan = BatchPlan(batches=batches, max_elements_per_batch=max_elements,
-                     n_source_segments=n_seg)
-    _validate_plan(plan, indptr, nnz)
-    return plan
+    return batches
 
 
 # --------------------------------------------------------------------- #

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from repro.device import kernels, launchgraph
+from repro.device import kernels
 from repro.device.memory import DeviceBuffer, DeviceMemory, ScratchPool
 from repro.device.timingmodels import DeviceSpec
 from repro.obs import MetricsRegistry, ObsContext, get_obs
@@ -81,48 +81,10 @@ class SimulatedDevice:
         # name -> (launches, elements, modeled_s) registry counters.
         self._kernel_counters: dict[str, tuple] = {}
         self._stats_lock = threading.Lock()
-        # Launch-graph capture/replay (repro.device.launchgraph): the mode
-        # knob plus this device's resolution counters behind the
-        # ``graph_hit_rate`` gauge.  Logical graphs live in the process-wide
-        # GRAPH_CACHE and are shared across devices and pipeline runs.
-        self._graph_mode = launchgraph.LG_OFF
-        self._graph_hits = 0
-        self._graph_misses = 0
-        self._graph_captures = 0
 
     def set_breakdown(self, breakdown: TimeBreakdown) -> None:
         """Point timing accumulation at a fresh breakdown (per pipeline run)."""
         self.breakdown = breakdown
-
-    def configure_launch_graph(self, mode: str) -> None:
-        """Select the launch-graph mode: ``"auto"``, ``"on"``, or ``"off"``."""
-        if mode not in launchgraph.LAUNCH_GRAPH_MODES:
-            raise ValueError(f"unknown launch-graph mode {mode!r}")
-        self._graph_mode = mode
-
-    @property
-    def launch_graph_stats(self) -> dict:
-        """Replay hit/miss/capture counters and the derived hit rate."""
-        with self._stats_lock:
-            hits, misses = self._graph_hits, self._graph_misses
-            captures = self._graph_captures
-        total = hits + misses
-        return {"mode": self._graph_mode, "hits": hits, "misses": misses,
-                "captures": captures,
-                "hit_rate": (hits / total) if total else 0.0}
-
-    def _graph_resolve(self, signature: tuple):
-        """Consult the process cache and count the outcome on this device."""
-        action, graph = launchgraph.GRAPH_CACHE.resolve(
-            signature, self._graph_mode)
-        with self._stats_lock:
-            if action == launchgraph.ACTION_REPLAY:
-                self._graph_hits += 1
-            else:
-                self._graph_misses += 1
-                if action == launchgraph.ACTION_CAPTURE:
-                    self._graph_captures += 1
-        return action, graph
 
     def _record_kernel(self, name: str, n_elements: int, modeled_s: float,
                        n_launches: int = 1) -> None:
@@ -165,10 +127,6 @@ class SimulatedDevice:
         metrics.gauge(f"{prefix}.scratch.misses").set(self.scratch.n_allocations)
         metrics.gauge(f"{prefix}.scratch.peak_bytes").set(
             self.scratch.bytes_allocated)
-        graph = self.launch_graph_stats
-        metrics.gauge(f"{prefix}.graph.hits").set(graph["hits"])
-        metrics.gauge(f"{prefix}.graph.misses").set(graph["misses"])
-        metrics.gauge(f"{prefix}.graph_hit_rate").set(graph["hit_rate"])
 
     def profile(self) -> dict:
         """Machine-readable breakdown: kernel launches, bytes, pool counters.
@@ -195,7 +153,6 @@ class SimulatedDevice:
             },
             "measured_buckets_s": {k: round(v, 6)
                                    for k, v in self.breakdown.as_row().items()},
-            "launch_graph": self.launch_graph_stats,
         }
 
     # ------------------------------------------------------------------ #
@@ -224,11 +181,6 @@ class SimulatedDevice:
         self.breakdown.add_modeled(BUCKET_C2G, modeled)
         if self.timeline is not None:
             self.timeline.record(BUCKET_C2G, "upload", modeled)
-        if self._graph_mode != launchgraph.LG_OFF:
-            # The device copy is byte-identical to the host array: let
-            # chunk signatures reuse the host side's memoized content token
-            # instead of re-hashing the copy every run.
-            launchgraph.adopt_token(buf.device_view(), host_array)
         tracer = self.obs.tracer
         if tracer.enabled:
             tracer.record("device.upload", t0, t1, proc=self.proc,
@@ -417,85 +369,7 @@ class SimulatedDevice:
         nnz = elements.size
         pool = self.scratch
 
-        graph_sig = None
-        if (self._graph_mode != launchgraph.LG_OFF
-                and t > 0 and nnz > 0 and n_seg > 0):
-            graph_sig = launchgraph.chunk_signature(
-                "chunk", kernel=kernel, t=t, s=s, prime=prime,
-                n_values=n_values, resident=False,
-                elements=elements, indptr=indptr)
-            action, graph = self._graph_resolve(graph_sig)
-            if action == launchgraph.ACTION_REPLAY:
-                return self._replay_chunk(
-                    graph, d_elements, d_indptr, a=a, b=b, prime=prime, s=s,
-                    salts=salts, seg_ids=seg_ids, n_values=n_values,
-                    out_fps=out_fps, out_top=out_top, label=label)
-            if action != launchgraph.ACTION_CAPTURE:
-                graph_sig = None
-
         t0 = time.perf_counter()
-        d_work, small, fps, d_top, d_fps, kernel_class, n_transforms = (
-            self._chunk_kernels(elements, indptr, a=a, b=b, prime=prime, s=s,
-                                salts=salts, kernel=kernel, seg_ids=seg_ids,
-                                n_values=n_values))
-        t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_GPU, t1 - t0)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.shingle_chunk", t0, t1, proc=self.proc,
-                          attrs={"kernel": kernel, "trials": t, "nnz": nnz,
-                                 "n_seg": n_seg, "label": label})
-        transform_s = self.spec.kernels.seconds_for("transform", t * nnz)
-        select_s = self.spec.kernels.seconds_for(
-            kernel_class,
-            kernels.count_kernel_elements(kernel_class, t, nnz, n_seg, s))
-        reduce_s = self.spec.kernels.seconds_for(
-            "reduce",
-            kernels.count_kernel_elements("reduce", t, nnz, n_seg, s))
-        modeled_gpu = n_transforms * transform_s + select_s + reduce_s
-        # The unfused transform stands for two physical launches (hash +
-        # pack): charge and count both (the launch-latency audit rule in
-        # timingmodels.KernelCostModel).
-        self._record_kernel("fused_transform" if kernel == "fused" else
-                            "hash+pack_transform",
-                            n_transforms * t * nnz, n_transforms * transform_s,
-                            n_launches=n_transforms)
-        self._record_kernel(f"top_s_{kernel_class}", t * nnz * s, select_s)
-        self._record_kernel("fingerprint_fold", t * n_seg * s, reduce_s)
-        self.breakdown.add_modeled(BUCKET_GPU, modeled_gpu)
-        if self.timeline is not None:
-            self.timeline.record(BUCKET_GPU, label, modeled_gpu)
-        if graph_sig is not None:
-            self._commit_chunk_graph(graph_sig, kernel=kernel, t=t, nnz=nnz,
-                                     n_seg=n_seg, s=s, prime=prime,
-                                     n_values=n_values,
-                                     kernel_class=kernel_class,
-                                     n_transforms=n_transforms)
-
-        # Transfer this round's shingles back immediately (synchronous).
-        if out_top is None:
-            out_top = self.download(d_top)
-        else:
-            self.download_into(d_top, out_top)
-        if out_fps is None:
-            out_fps = self.download(d_fps)
-        else:
-            self.download_into(d_fps, out_fps)
-        self.free(d_work, d_top, d_fps)
-        pool.give(fps, *small)
-        return out_fps, out_top
-
-    def _chunk_kernels(self, elements, indptr, *, a, b, prime, s, salts,
-                       kernel, seg_ids, n_values):
-        """The eager kernel DAG of one :meth:`shingle_chunk` (no accounting).
-
-        Shared by the eager path and the launch-graph "kernels" replay
-        executor, so both launch byte-identical kernel sequences.
-        """
-        t = len(a)
-        n_seg = indptr.size - 1
-        nnz = elements.size
-        pool = self.scratch
         if kernel == "fused":
             keys = pool.take((t, nnz), np.uint32)
             kernels.fused_hash(elements, a, b, prime, out=keys,
@@ -532,53 +406,35 @@ class SimulatedDevice:
             scratch=pool, out=fps)
         d_top = self.memory.adopt(top)
         d_fps = self.memory.adopt(fps)
-        return d_work, small, fps, d_top, d_fps, kernel_class, n_transforms
-
-    def _commit_chunk_graph(self, signature, *, kernel, t, nnz, n_seg, s,
-                            prime, n_values, kernel_class, n_transforms):
-        """Record the dense-output chunk DAG (always the kernels executor)."""
-        km = self.spec.kernels
-        nodes = (
-            launchgraph.GraphNode(
-                "fused_transform" if kernel == "fused"
-                else "hash+pack_transform",
-                n_transforms * t * nnz,
-                km.launch_latency_s
-                + n_transforms * km.rate_seconds_for("transform", t * nnz)),
-            launchgraph.GraphNode(
-                f"top_s_{kernel_class}", t * nnz * s,
-                km.rate_seconds_for(
-                    kernel_class,
-                    kernels.count_kernel_elements(kernel_class, t, nnz,
-                                                  n_seg, s))),
-            launchgraph.GraphNode(
-                "fingerprint_fold", t * n_seg * s,
-                km.rate_seconds_for(
-                    "reduce",
-                    kernels.count_kernel_elements("reduce", t, nnz,
-                                                  n_seg, s))),
-        )
-        launchgraph.GRAPH_CACHE.commit(launchgraph.LaunchGraph(
-            signature=signature, kind="chunk", kernel=kernel, t=t, s=s,
-            prime=prime, n_values=n_values, n_seg=n_seg, nnz=nnz,
-            nodes=nodes, modeled_s=float(sum(n.modeled_s for n in nodes)),
-            executor="kernels"))
-
-    def _replay_chunk(self, graph, d_elements, d_indptr, *, a, b, prime, s,
-                      salts, seg_ids, n_values, out_fps, out_top, label):
-        """Replay a captured dense-output chunk: one batched accounting pass."""
-        elements = d_elements.device_view()
-        indptr = d_indptr.device_view().astype(np.int64, copy=False)
-        pool = self.scratch
-        t0 = time.perf_counter()
-        d_work, small, fps, d_top, d_fps, _, _ = self._chunk_kernels(
-            elements, indptr, a=a, b=b, prime=prime, s=s, salts=salts,
-            kernel=graph.kernel, seg_ids=seg_ids, n_values=n_values)
         t1 = time.perf_counter()
         self.breakdown.add(BUCKET_GPU, t1 - t0)
-        self._account_replay(graph, t0, t1, label=label, executor="kernels",
-                             extra={"kernel": graph.kernel, "trials": graph.t,
-                                    "nnz": graph.nnz, "n_seg": graph.n_seg})
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.record("device.shingle_chunk", t0, t1, proc=self.proc,
+                          attrs={"kernel": kernel, "trials": t, "nnz": nnz,
+                                 "n_seg": n_seg, "label": label})
+        transform_s = self.spec.kernels.seconds_for("transform", t * nnz)
+        select_s = self.spec.kernels.seconds_for(
+            kernel_class,
+            kernels.count_kernel_elements(kernel_class, t, nnz, n_seg, s))
+        reduce_s = self.spec.kernels.seconds_for(
+            "reduce",
+            kernels.count_kernel_elements("reduce", t, nnz, n_seg, s))
+        modeled_gpu = n_transforms * transform_s + select_s + reduce_s
+        # The unfused transform stands for two physical launches (hash +
+        # pack): charge and count both (the launch-latency rule in
+        # timingmodels.KernelCostModel).
+        self._record_kernel("fused_transform" if kernel == "fused" else
+                            "hash+pack_transform",
+                            n_transforms * t * nnz, n_transforms * transform_s,
+                            n_launches=n_transforms)
+        self._record_kernel(f"top_s_{kernel_class}", t * nnz * s, select_s)
+        self._record_kernel("fingerprint_fold", t * n_seg * s, reduce_s)
+        self.breakdown.add_modeled(BUCKET_GPU, modeled_gpu)
+        if self.timeline is not None:
+            self.timeline.record(BUCKET_GPU, label, modeled_gpu)
+
+        # Transfer this round's shingles back immediately (synchronous).
         if out_top is None:
             out_top = self.download(d_top)
         else:
@@ -590,32 +446,6 @@ class SimulatedDevice:
         self.free(d_work, d_top, d_fps)
         pool.give(fps, *small)
         return out_fps, out_top
-
-    def _account_replay(self, graph, t0: float, t1: float, *, label: str,
-                        executor: str, extra: dict) -> None:
-        """One batched metrics/tracer update for a whole replayed graph.
-
-        The same per-kernel counters as the eager path advance (so
-        ``kernel_stats``/``profile()`` keep their shapes), but the modeled
-        seconds follow the graph charging rule: each node contributes its
-        rate term only, and the single ``launch_latency_s`` of the graph
-        launch is folded into the first node at capture.  Instead of one
-        span per launch, a single ``device.graph_replay`` span carries the
-        per-node breakdown.
-        """
-        for node in graph.nodes:
-            self._record_kernel(node.name, node.elements, node.modeled_s)
-        self.breakdown.add_modeled(BUCKET_GPU, graph.modeled_s)
-        if self.timeline is not None:
-            self.timeline.record(BUCKET_GPU, label, graph.modeled_s)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            attrs = {"graph": f"shingle_{graph.kind}", "executor": executor,
-                     "replay": graph.replays, "modeled_s": graph.modeled_s,
-                     "nodes": graph.node_summary(), "label": label}
-            attrs.update(extra)
-            tracer.record("device.graph_replay", t0, t1, proc=self.proc,
-                          attrs=attrs)
 
     def shingle_chunk_reduce(
         self,
@@ -630,13 +460,14 @@ class SimulatedDevice:
         salts: np.ndarray,
         seg_ids: np.ndarray | None = None,
         n_values: int | None = None,
+        tournament: kernels.TournamentPlan | None = None,
+        check: bool = False,
         resident: bool = False,
         label: str = "trial chunk",
     ) -> tuple:
         """One fused kernel round with on-device sort-dedup reduction.
 
-        Runs the fused hash + top-``s`` selection like
-        :meth:`shingle_chunk` with ``kernel="fused"``, then
+        Hashes and selects each segment's top-``s`` ids, then runs
         :func:`repro.device.kernels.chunk_reduce` on the device: the raw
         ``(t, n_seg, s)`` occurrence block is sorted and deduplicated
         *before* transfer, so the host downloads a compacted
@@ -644,6 +475,16 @@ class SimulatedDevice:
         occurrence member rows and ready-made generator lists) instead of
         the dense arrays — cutting g2c bytes from O(t*n*(s+1)*8) to
         roughly O(t*n*4 + k*(8+4*s+4)).
+
+        The selection is the binned tournament of ``tournament`` (the
+        pass's :func:`~repro.device.kernels.build_tournament_plan`).  With
+        no plan, or a zero hash coefficient (the affine map degenerates and
+        the distinct-keys proof fails), it is the eager ``fused_hash`` +
+        ``segmented_select_top_s`` sequence.  Either way the hash keys (the
+        tournament's table, the eager ``(t, nnz)`` buffer) and the selected
+        key and id blocks are charged to device memory.  ``check`` re-runs
+        the eager sequence after the timed region and raises
+        ``AssertionError`` if the tournament's ids differ.
 
         Requires pre-compacted input (every segment's length >= s, so no
         sentinel entries) and ``reduce_keys_fit(t, n_seg, s, n_values)`` —
@@ -663,42 +504,37 @@ class SimulatedDevice:
         n_seg = indptr.size - 1
         nnz = elements.size
         pool = self.scratch
-
-        graph_sig = None
-        if (self._graph_mode != launchgraph.LG_OFF and n_values is not None
-                and t > 0 and nnz > 0 and n_seg > 0):
-            graph_sig = launchgraph.chunk_signature(
-                "reduce", kernel="fused", t=t, s=s, prime=prime,
-                n_values=n_values, resident=bool(resident),
-                elements=elements, indptr=indptr,
-                gen_ids=d_gen_ids.device_view())
-            action, graph = self._graph_resolve(graph_sig)
-            if action == launchgraph.ACTION_REPLAY:
-                return self._replay_chunk_reduce(
-                    graph, d_elements, d_indptr, d_gen_ids, a=a, b=b,
-                    prime=prime, s=s, salts=salts, seg_ids=seg_ids,
-                    resident=resident, label=label)
-            if action != launchgraph.ACTION_CAPTURE:
-                graph_sig = None
+        if tournament is not None and np.any(np.asarray(a) == 0):
+            tournament = None
 
         t0 = time.perf_counter()
-        keys = pool.take((t, nnz), np.uint32)
-        sel0 = time.perf_counter()
-        kernels.fused_hash(elements, a, b, prime, out=keys,
-                           scratch=pool, n_values=n_values)
-        d_work = self.memory.adopt(keys)
+        if tournament is not None:
+            table = kernels.tournament_table(tournament, a, b, prime,
+                                             scratch=pool)
+        else:
+            table = pool.take((t, nnz), np.uint32)
+            kernels.fused_hash(elements, a, b, prime, out=table,
+                               scratch=pool, n_values=n_values)
         top32 = pool.take((t, n_seg, s), np.uint32)
-        kernels.segmented_select_top_s(keys, indptr, s, scratch=pool,
-                                       seg_ids=seg_ids, out=top32, consume=True)
-        sel1 = time.perf_counter()
         top_ids = pool.take((t, n_seg, s), np.uint64)
+        # Working set on device: hash keys plus the selected key/id blocks.
+        d_work = [self.memory.adopt(arr) for arr in (table, top32, top_ids)]
+        if tournament is not None:
+            kernels.run_tournament(tournament, table, s, out=top32,
+                                   scratch=pool)
+            reduce_cols = {"col_ids": tournament.perm_cols,
+                           "col_to_row": tournament.col_to_row}
+        else:
+            kernels.segmented_select_top_s(table, indptr, s, scratch=pool,
+                                           seg_ids=seg_ids, out=top32,
+                                           consume=True)
+            reduce_cols = {}
         # Pre-compacted input (driver contract): no sentinel padding exists.
         kernels.recover_top_ids(top32, a, b, prime, out_ids=top_ids,
                                 scratch=pool, has_sentinels=False)
-        rec1 = time.perf_counter()
         fps, members, gen_counts, gens = kernels.chunk_reduce(
             top_ids, np.asarray(salts, dtype=np.uint64),
-            d_gen_ids.device_view(), n_values, scratch=pool)
+            d_gen_ids.device_view(), n_values, scratch=pool, **reduce_cols)
         d_out = [self.memory.adopt(arr)
                  for arr in (fps, members, gen_counts, gens)]
         t1 = time.perf_counter()
@@ -707,7 +543,9 @@ class SimulatedDevice:
         if tracer.enabled:
             tracer.record("device.shingle_chunk_reduce", t0, t1, proc=self.proc,
                           attrs={"trials": t, "nnz": nnz, "n_seg": n_seg,
-                                 "k_chunk": int(fps.size), "label": label})
+                                 "k_chunk": int(fps.size), "label": label,
+                                 "select": ("tournament" if tournament
+                                            is not None else "eager")})
         transform_s = self.spec.kernels.seconds_for("transform", t * nnz)
         select_s = self.spec.kernels.seconds_for(
             "select", kernels.count_kernel_elements("select", t, nnz, n_seg, s))
@@ -723,191 +561,29 @@ class SimulatedDevice:
         self.breakdown.add_modeled(BUCKET_GPU, modeled_gpu)
         if self.timeline is not None:
             self.timeline.record(BUCKET_GPU, label, modeled_gpu)
-        if graph_sig is not None:
-            self._capture_reduce_graph(
-                graph_sig, elements=elements, indptr=indptr, t=t, nnz=nnz,
-                n_seg=n_seg, s=s, prime=prime, n_values=n_values, a=a, b=b,
-                eager_top32=top32, eager_top_ids=top_ids,
-                eager_select_s=sel1 - sel0, eager_recover_s=rec1 - sel1)
+        if check and tournament is not None:
+            # Host-side verification, outside the timed kernel region.
+            with self.breakdown.timing(BUCKET_CPU):
+                eager_ids = kernels.recover_top_ids(
+                    kernels.segmented_select_top_s(
+                        kernels.fused_hash(elements, a, b, prime,
+                                           n_values=n_values), indptr, s),
+                    a, b, prime, has_sentinels=False)[0]
+                same = np.array_equal(top_ids,
+                                      eager_ids[:, tournament.perm, :])
+            if not same:
+                raise AssertionError(
+                    f"tournament selection differs from the eager select "
+                    f"({label})")
 
+        self.free(*d_work)
+        pool.give(table, top32, top_ids)
         if resident:
-            # The partial stays device-resident for aggregate_merge; only
-            # the kernel working set is released.
-            self.free(d_work)
-            pool.give(keys, top32, top_ids)
+            # The partial stays device-resident for aggregate_merge.
             return tuple(d_out)
         # The compacted partial is all that crosses the PCIe link.
         host = tuple(self.download(buf) for buf in d_out)
-        self.free(d_work, *d_out)
-        pool.give(keys, top32, top_ids)
-        return host
-
-    def _capture_reduce_graph(self, signature, *, elements, indptr, t, nnz,
-                              n_seg, s, prime, n_values, a, b, eager_top32,
-                              eager_top_ids, eager_select_s,
-                              eager_recover_s) -> None:
-        """Instantiate + auto-tune the reduce-chunk graph (capture time).
-
-        Builds the binned tournament plan, replays its selection once
-        against the capturing chunk's inputs in both key space and rank
-        space, and verifies each bit-identical against the eager output
-        (modulo the plan's known column permutation).  The cheapest
-        verified executor wins — candidates are compared on the work they
-        replace, so the key tournament and eager select both carry the id
-        recovery the rank tournament skips.  Any mismatch or out-of-scope
-        geometry pins the graph to the eager kernel sequence.  Runs outside
-        the chunk's timed GPU region — capture is host-side instantiation
-        work, charged to the ``cpu`` bucket and traced separately as a
-        ``device.graph_capture`` span, once per shape class per process.
-        """
-        c0 = time.perf_counter()
-        committed = False
-        try:
-            executor = "kernels"
-            tournament_s = None
-            rank_s = None
-            plan = launchgraph.build_tournament_plan(
-                elements, indptr, s, n_values)
-            if plan is not None and not np.any(np.asarray(a) == 0):
-                pool = self.scratch
-                trial32 = pool.take((t, n_seg, s), np.uint32)
-                s0 = time.perf_counter()
-                launchgraph.run_tournament(plan, pool, a, b, prime, s,
-                                           out32=trial32)
-                tournament_s = time.perf_counter() - s0
-                identical = bool(
-                    np.array_equal(trial32, eager_top32[:, plan.perm, :]))
-                pool.give(trial32)
-                trial_ids = pool.take((t, n_seg, s), np.uint64)
-                s1 = time.perf_counter()
-                launchgraph.run_tournament_ids(plan, pool, a, b, prime, s,
-                                               out_ids=trial_ids)
-                rank_s = time.perf_counter() - s1
-                rank_identical = bool(np.array_equal(
-                    trial_ids, eager_top_ids[:, plan.perm, :]))
-                pool.give(trial_ids)
-                candidates = [("kernels", eager_select_s + eager_recover_s)]
-                if identical:
-                    candidates.append(
-                        ("tournament", tournament_s + eager_recover_s))
-                if rank_identical:
-                    candidates.append(("rank_tournament", rank_s))
-                if not identical and not rank_identical:
-                    plan = None
-                else:
-                    executor = min(candidates, key=lambda c: c[1])[0]
-            km = self.spec.kernels
-            nodes = (
-                launchgraph.GraphNode(
-                    "fused_transform", t * nnz,
-                    km.launch_latency_s
-                    + km.rate_seconds_for("transform", t * nnz)),
-                launchgraph.GraphNode(
-                    "top_s_select", t * nnz * s,
-                    km.rate_seconds_for("select", kernels.count_kernel_elements(
-                        "select", t, nnz, n_seg, s))),
-                launchgraph.GraphNode(
-                    "chunk_reduce_sort", t * n_seg,
-                    km.rate_seconds_for("sort", kernels.count_kernel_elements(
-                        "chunk_reduce", t, nnz, n_seg, s))),
-                launchgraph.GraphNode(
-                    "chunk_reduce_fold", t * n_seg * s,
-                    km.rate_seconds_for("reduce", kernels.count_kernel_elements(
-                        "reduce", t, nnz, n_seg, s))),
-            )
-            launchgraph.GRAPH_CACHE.commit(launchgraph.LaunchGraph(
-                signature=signature, kind="reduce", kernel="fused", t=t, s=s,
-                prime=prime, n_values=n_values, n_seg=n_seg, nnz=nnz,
-                nodes=nodes, modeled_s=float(sum(n.modeled_s for n in nodes)),
-                executor=executor, plan=plan))
-            committed = True
-        finally:
-            if not committed:
-                launchgraph.GRAPH_CACHE.abort_capture(signature)
-            c1 = time.perf_counter()
-            self.breakdown.add(BUCKET_CPU, c1 - c0)
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                tracer.record(
-                    "device.graph_capture", c0, c1, proc=self.proc,
-                    attrs={"graph": "shingle_reduce", "trials": t, "nnz": nnz,
-                           "n_seg": n_seg,
-                           "executor": executor if committed else "aborted",
-                           "eager_select_s": eager_select_s,
-                           "eager_recover_s": eager_recover_s,
-                           "tournament_s": tournament_s,
-                           "rank_tournament_s": rank_s})
-
-    def _replay_chunk_reduce(self, graph, d_elements, d_indptr, d_gen_ids, *,
-                             a, b, prime, s, salts, seg_ids, resident, label):
-        """Replay a captured reduce-chunk graph with pre-resolved bindings."""
-        pool = self.scratch
-        t, n_seg, nnz = graph.t, graph.n_seg, graph.nnz
-        n_values = graph.n_values
-        gen_view = d_gen_ids.device_view()
-        salts64 = np.asarray(salts, dtype=np.uint64)
-        plan = graph.plan
-        d_work = None
-        t0 = time.perf_counter()
-        # a == 0 breaks the distinct-keys proof (the affine map degenerates);
-        # hash pairs never contain it, but guard the replay regardless.
-        if (graph.executor == "rank_tournament" and plan is not None
-                and not np.any(np.asarray(a) == 0)):
-            executor = "rank_tournament"
-            top_ids = pool.take((t, n_seg, s), np.uint64)
-            launchgraph.run_tournament_ids(plan, pool, a, b, prime, s,
-                                           out_ids=top_ids)
-            fps, members, gen_counts, gens = kernels.chunk_reduce(
-                top_ids, salts64, gen_view, n_values, scratch=pool,
-                col_ids=plan.perm_cols, col_to_row=plan.col_to_row)
-            small = (top_ids,)
-        elif (graph.executor == "tournament" and plan is not None
-                and not np.any(np.asarray(a) == 0)):
-            executor = "tournament"
-            top32 = pool.take((t, n_seg, s), np.uint32)
-            launchgraph.run_tournament(plan, pool, a, b, prime, s, out32=top32)
-            top_ids = pool.take((t, n_seg, s), np.uint64)
-            kernels.recover_top_ids(top32, a, b, prime, out_ids=top_ids,
-                                    scratch=pool, has_sentinels=False)
-            fps, members, gen_counts, gens = kernels.chunk_reduce(
-                top_ids, salts64, gen_view, n_values, scratch=pool,
-                col_ids=plan.perm_cols, col_to_row=plan.col_to_row)
-            small = (top32, top_ids)
-        else:
-            executor = "kernels"
-            elements = d_elements.device_view()
-            indptr = d_indptr.device_view().astype(np.int64, copy=False)
-            keys = pool.take((t, nnz), np.uint32)
-            kernels.fused_hash(elements, a, b, prime, out=keys,
-                               scratch=pool, n_values=n_values)
-            d_work = self.memory.adopt(keys)
-            top32 = pool.take((t, n_seg, s), np.uint32)
-            kernels.segmented_select_top_s(keys, indptr, s, scratch=pool,
-                                           seg_ids=seg_ids, out=top32,
-                                           consume=True)
-            top_ids = pool.take((t, n_seg, s), np.uint64)
-            kernels.recover_top_ids(top32, a, b, prime, out_ids=top_ids,
-                                    scratch=pool, has_sentinels=False)
-            fps, members, gen_counts, gens = kernels.chunk_reduce(
-                top_ids, salts64, gen_view, n_values, scratch=pool)
-            small = (keys, top32, top_ids)
-        d_out = [self.memory.adopt(arr)
-                 for arr in (fps, members, gen_counts, gens)]
-        t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_GPU, t1 - t0)
-        self._account_replay(graph, t0, t1, label=label, executor=executor,
-                             extra={"trials": t, "nnz": nnz, "n_seg": n_seg,
-                                    "k_chunk": int(fps.size)})
-        if resident:
-            if d_work is not None:
-                self.free(d_work)
-            pool.give(*small)
-            return tuple(d_out)
-        host = tuple(self.download(buf) for buf in d_out)
-        if d_work is not None:
-            self.free(d_work)
         self.free(*d_out)
-        pool.give(*small)
         return host
 
     # ------------------------------------------------------------------ #

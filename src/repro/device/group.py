@@ -183,17 +183,6 @@ class DeviceGroup:
         for member in self.members:
             member.set_breakdown(breakdown)
 
-    def configure_launch_graph(self, mode: str) -> None:
-        """Fan the launch-graph mode out to every member.
-
-        Each member keeps its own hit/miss/capture counters (reported under
-        its ``device{i}`` metric prefix); the underlying graph cache is
-        shared process-wide, so a shape class captured on one member replays
-        on its siblings too.
-        """
-        for member in self.members:
-            member.configure_launch_graph(mode)
-
     # ------------------------------------------------------------------ #
     # Transfers
     # ------------------------------------------------------------------ #

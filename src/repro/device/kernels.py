@@ -46,6 +46,12 @@ Kernel inventory
 ``fold_fingerprints``
     ``thrust::transform`` analogue folding each segment's top-``s`` ids into
     a 64-bit shingle fingerprint.
+``build_tournament_plan`` / ``tournament_table`` / ``run_tournament``
+    The fused reduce path's top-``s`` selection: per-segment min
+    tournaments over a ``(T, n_values + 1)`` hash table, with segments
+    binned by padded length.  The plan is built once per pass from the batch
+    geometry; equal to ``fused_hash`` + ``segmented_select_top_s`` whenever
+    no id repeats within a segment (which the plan build proves).
 ``segment_element_ids``
     Auxiliary iota: the segment id of every element — computed once per
     batch and reused by every selection round.
@@ -65,6 +71,8 @@ Kernel inventory
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -444,6 +452,164 @@ def _ranks_within(counts: np.ndarray) -> np.ndarray:
     return idx - seg_start
 
 
+@dataclass(frozen=True)
+class TournamentPlan:
+    """Per-pass constants of the binned tournament selection.
+
+    ``bins`` holds ``(pos0, idx)`` entries: ``idx`` is an ``(L, m)`` gather
+    table whose row ``j`` maps bin columns to element values (pad slots
+    point at the sentinel column ``n_values`` of the extended hash table);
+    the bin's segments occupy permuted columns ``pos0:pos0+m``.  ``perm``
+    maps permuted columns to original segments; ``perm_cols`` /
+    ``col_to_row`` let :func:`chunk_reduce` consume the permuted block
+    directly — packed keys carry original column ids, so its global sort
+    restores the unpermuted order without an inverse scatter.
+    """
+
+    n_seg: int
+    n_values: int
+    iota: np.ndarray          # (n_values+1,) uint64
+    bins: list
+    perm: np.ndarray          # (n_seg,) int64, permuted -> original
+    perm_cols: np.ndarray     # (n_seg,) uint64 original column ids
+    col_to_row: np.ndarray    # (n_seg,) int64, original -> permuted
+
+
+def _distinct_within_segments(elements: np.ndarray, indptr: np.ndarray,
+                              n_values: int) -> bool:
+    """True when no id repeats inside any segment (all must be non-empty).
+
+    Adjacency lists usually arrive sorted, so an O(nnz) "strictly rising
+    within every segment" scan settles most inputs; only when it fails does
+    one packed ``(segment, value)`` sort decide.
+    """
+    if elements.size < 2:
+        return True
+    rising = elements[1:] > elements[:-1]
+    # Pairs that straddle a segment boundary do not count.
+    rising[indptr[1:-1] - 1] = True
+    if rising.all():
+        return True
+    lengths = np.diff(indptr)
+    packed = np.repeat(np.arange(lengths.size, dtype=np.uint64), lengths)
+    packed *= np.uint64(n_values)
+    packed += elements.astype(np.uint64)
+    packed.sort()
+    return not np.any(packed[1:] == packed[:-1])
+
+
+def build_tournament_plan(elements: np.ndarray, indptr: np.ndarray,
+                          s: int, n_values: int) -> TournamentPlan | None:
+    """Bin one batch geometry for :func:`run_tournament`.
+
+    Segments are grouped by ``ceil(log2(length))`` so each bin pads to at
+    most twice its shortest member.  Returns ``None`` (the caller falls back
+    to the eager kernel sequence) when the geometry is out of scope: a
+    segment shorter than ``s`` (sentinel padding would be needed) or an id
+    repeated within a segment (the tournament computes multiset top-``s``,
+    the eager masking select deduplicates — only distinctness makes them
+    provably identical for every hash coefficient).
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    elements = np.asarray(elements, dtype=np.int64)
+    lengths = np.diff(indptr)
+    n_seg = lengths.size
+    if n_seg == 0 or elements.size == 0 or int(lengths.min()) < max(s, 1):
+        return None
+    if not _distinct_within_segments(elements, indptr, n_values):
+        return None
+
+    # frexp's exponent of (length - 1) is its bit length: the log2 bucket.
+    buckets = np.frexp(lengths - 1)[1]
+    perm = np.argsort(buckets, kind="stable")
+    col_to_row = np.empty(n_seg, dtype=np.int64)
+    col_to_row[perm] = np.arange(n_seg, dtype=np.int64)
+    sorted_buckets = buckets[perm]
+    edges = np.concatenate(
+        ([0], np.flatnonzero(sorted_buckets[1:] != sorted_buckets[:-1]) + 1,
+         [n_seg]))
+    # Every element in bin order, with its rank inside its segment.
+    perm_lengths = lengths[perm]
+    rank = _ranks_within(perm_lengths)
+    values = elements[np.repeat(indptr[perm], perm_lengths) + rank]
+    ends = np.cumsum(perm_lengths)
+    bins = []
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        seg_lengths = perm_lengths[lo:hi]
+        m = hi - lo
+        idx = np.full((int(seg_lengths.max()), m), n_values, dtype=np.int64)
+        a, b = int(ends[lo] - seg_lengths[0]), int(ends[hi - 1])
+        col = np.repeat(np.arange(m, dtype=np.int64), seg_lengths)
+        idx.reshape(-1)[rank[a:b] * m + col] = values[a:b]
+        bins.append((lo, idx))
+    return TournamentPlan(
+        n_seg=n_seg, n_values=n_values,
+        iota=np.arange(n_values + 1, dtype=np.uint64), bins=bins, perm=perm,
+        perm_cols=perm.astype(np.uint64), col_to_row=col_to_row)
+
+
+def tournament_table(plan: TournamentPlan, a: np.ndarray, b: np.ndarray,
+                     prime: int, scratch: ScratchPool | None = None
+                     ) -> np.ndarray:
+    """The tournament's hash table: ``(T, n_values + 1)`` uint32 keys.
+
+    Column ``v`` holds every trial's ``(a*v + b) mod P``; the extra last
+    column is the ``SENTINEL32`` that pad slots gather.
+    """
+    a = np.asarray(a, dtype=np.uint64).reshape(-1, 1)
+    b = np.asarray(b, dtype=np.uint64).reshape(-1, 1)
+    nv = plan.n_values
+    table64 = _take(scratch, (a.shape[0], nv + 1), np.uint64)
+    with np.errstate(over="ignore"):
+        np.multiply(a, plan.iota, out=table64)
+        np.add(table64, b, out=table64)
+        np.remainder(table64, np.uint64(prime), out=table64)
+    table = _take(scratch, (a.shape[0], nv + 1), np.uint32)
+    np.copyto(table, table64, casting="unsafe")
+    table[:, nv] = SENTINEL32
+    _give(scratch, table64)
+    return table
+
+
+def run_tournament(plan: TournamentPlan, table: np.ndarray, s: int,
+                   out: np.ndarray, scratch: ScratchPool | None = None
+                   ) -> np.ndarray:
+    """Binned min tournaments: every segment's ascending top-``s`` keys.
+
+    ``table`` is :func:`tournament_table`'s output.  Writes ``(T, n_seg,
+    s)`` keys into ``out`` in the plan's bin-permuted segment order
+    (``out[:, i]`` belongs to segment ``plan.perm[i]``).  Each bin keeps
+    ``s`` running registers and folds its gather rows through a min/max
+    insertion chain; the last register's displaced maximum is never read,
+    so its ``maximum`` is skipped.
+    """
+    t = table.shape[0]
+    fill = np.iinfo(table.dtype).max
+    for pos0, idx in plan.bins:
+        rows, m = idx.shape
+        regs = [_take(scratch, (t, m), table.dtype) for _ in range(s)]
+        np.take(table, idx[0], axis=1, out=regs[0], mode="clip")
+        for r in range(1, s):
+            regs[r].fill(fill)
+        if rows > 1:
+            x = _take(scratch, (t, m), table.dtype)
+            swap = _take(scratch, (t, m), table.dtype)
+            for j in range(1, rows):
+                np.take(table, idx[j], axis=1, out=x, mode="clip")
+                cur, spare = x, swap
+                for r in range(s):
+                    if r < s - 1:
+                        np.maximum(regs[r], cur, out=spare)
+                    np.minimum(regs[r], cur, out=regs[r])
+                    if r < s - 1:
+                        cur, spare = spare, cur
+            _give(scratch, x, swap)
+        for r in range(s):
+            out[:, pos0:pos0 + m, r] = regs[r]
+        _give(scratch, *regs)
+    return out
+
+
 def fold_fingerprints(top_ids: np.ndarray, salts: np.ndarray,
                       scratch: ScratchPool | None = None,
                       out: np.ndarray | None = None) -> np.ndarray:
@@ -513,8 +679,8 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     n_values:
         Exclusive upper bound on member ids (the tuple-key base).
     col_ids, col_to_row:
-        Launch-graph replay support for *column-permuted* ``top_ids``
-        blocks: ``col_ids`` (``(n,)`` uint64) supplies the ORIGINAL column
+        Support for *column-permuted* ``top_ids`` blocks (the tournament's
+        bin order): ``col_ids`` (``(n,)`` uint64) supplies the ORIGINAL column
         id of each permuted position for the packed key (instead of
         ``arange(n)``), and ``col_to_row`` (``(n,)`` int64) maps an original
         column back to its permuted row for the member gather.  Because the
@@ -576,7 +742,9 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     trial = (gkey[run_start] // m_pow_s).astype(np.int64)
     flatpos = trial * n + col
     gather_pos = flatpos if col_to_row is None else trial * n + col_to_row[col]
-    members = top_ids.reshape(total, s)[gather_pos]
+    # ``take`` along axis 0 moves whole rows; fancy indexing is several
+    # times slower for narrow rows.
+    members = np.take(top_ids.reshape(total, s), gather_pos, axis=0)
     fps = fold_fingerprint_array(members, salts[trial])
 
     # Column -> generator id for every occurrence, still in key order (runs
@@ -591,7 +759,7 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     counts_o, gens = _permute_runs(gens_all, run_start, counts, order)
     # Narrow before the row gather: ids fit uint32, so permuting the
     # narrowed rows moves half the bytes of permute-then-cast.
-    members_o = members.astype(np.uint32)[order]
+    members_o = np.take(members.astype(np.uint32), order, axis=0)
     _give(scratch, key, gkey_buf)
 
     if k > 1 and np.any(fps_sorted[1:] == fps_sorted[:-1]):

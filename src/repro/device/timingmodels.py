@@ -55,19 +55,12 @@ class KernelCostModel:
     one hooking round) and ``cc_jump`` (the ``labels[labels]`` gather of one
     pointer-jumping round).
 
-    **Launch-latency charging rule** (the PR 10 double-charge audit):
-    ``launch_latency_s`` models the *per-launch* host dispatch cost, so
-
-    * an **eager** kernel launch charges it once per launch —
-      :meth:`seconds_for` = latency + rate term.  A fused eager step that
-      stands for ``k`` physical launches (e.g. the unfused hash+pack
-      transform pair) must charge ``k * seconds_for(...)``, i.e. ``k``
-      latencies, and record ``k`` launches;
-    * a **replayed launch graph** charges it once per *graph*, not once per
-      node: the whole captured DAG goes through one host dispatch, exactly
-      like a CUDA graph launch.  Replay node costs therefore use
-      :meth:`rate_seconds_for`, with the single latency charge folded into
-      the graph's first node (see ``repro.device.launchgraph``).
+    **Launch-latency charging rule:** ``launch_latency_s`` models the
+    *per-launch* host dispatch cost, so every kernel launch charges it once
+    — :meth:`seconds_for` = latency + rate term.  A fused step that stands
+    for ``k`` physical launches (e.g. the unfused hash+pack transform pair)
+    must charge ``k * seconds_for(...)``, i.e. ``k`` latencies, and record
+    ``k`` launches.
     """
 
     launch_latency_s: float = 5e-6
@@ -100,23 +93,14 @@ class KernelCostModel:
             object.__setattr__(self, "_rates_cache", rates)
         return rates
 
-    def rate_seconds_for(self, kernel: str, n_elements: int) -> float:
-        """The pure throughput term — NO launch latency.
-
-        This is the per-node cost inside a replayed launch graph (the graph
-        charges ``launch_latency_s`` exactly once; see the class docstring's
-        charging rule).
-        """
+    def seconds_for(self, kernel: str, n_elements: int) -> float:
+        """Modeled seconds for one launch: latency + rate term."""
         rates = self._rates()
         if kernel not in rates:
             raise ValueError(f"unknown kernel class {kernel!r}")
         if n_elements < 0:
             raise ValueError("n_elements must be >= 0")
-        return n_elements / rates[kernel]
-
-    def seconds_for(self, kernel: str, n_elements: int) -> float:
-        """Modeled seconds for one *eager* launch: latency + rate term."""
-        return self.launch_latency_s + self.rate_seconds_for(kernel, n_elements)
+        return self.launch_latency_s + n_elements / rates[kernel]
 
 
 @dataclass(frozen=True)

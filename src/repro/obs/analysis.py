@@ -55,8 +55,7 @@ CLASS_SPAN_PREFIXES = {
     "alignment": ("device.align_bin", "device.align"),
     "aggregate": ("device.aggregate",),
     "cc": ("device.cc.",),
-    "shingle": ("device.shingle", "exec.shingle_pass",
-                "device.graph_replay", "device.graph_capture"),
+    "shingle": ("device.shingle", "exec.shingle_pass"),
 }
 
 #: Transfer spans: busy time that is link occupancy, not kernel work.
@@ -377,8 +376,7 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
         traffic: gap seconds minus the transfer-span overlap with the
         class's own intervals (modeled contention lives inside the
         transfer spans, so it is subtracted with them).  What remains is
-        host-side dispatch — Python replanning, per-launch accounting —
-        which is exactly what launch-graph replay removes.
+        host-side dispatch — Python replanning, per-launch accounting.
     ``host_link_contention``
         Modeled seconds added by PCIe oversubscription
         (``group.host_link.contended_modeled_s``).

@@ -1,0 +1,285 @@
+"""Tournament selection: the fused reduce path's top-``s`` select.
+
+The tournament must be invisible in every output: for any geometry the
+plan accepts, tournament + id recovery equals the eager ``fused_hash`` +
+``segmented_select_top_s`` + recovery under the plan's column permutation,
+and ``chunk_reduce`` over the permuted block equals the unpermuted call.
+Geometries the plan rejects fall back to the eager select.  The
+single-batch fast path of ``plan_batches`` must build exactly the greedy
+loop's plan.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import device_exec
+from repro.core.device_exec import device_shingle_pass
+from repro.core.params import ShinglingParams
+from repro.core.serial import serial_shingle_pass
+from repro.device import kernels
+from repro.device.batching import _greedy_batches, plan_batches
+from repro.device.device import SimulatedDevice
+from repro.device.kernels import (build_tournament_plan, chunk_reduce,
+                                  fused_hash, recover_top_ids, run_tournament,
+                                  segmented_select_top_s, tournament_table)
+from repro.device.memory import ScratchPool
+from repro.util.primes import DEFAULT_PRIME
+
+PRIME = DEFAULT_PRIME
+
+
+def _csr(segments):
+    lengths = np.array([len(seg) for seg in segments], dtype=np.int64)
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    elements = (np.concatenate(segments) if segments
+                else np.empty(0)).astype(np.int64)
+    return elements, indptr
+
+
+def _random_geometry(rng, n_seg, s, n_values, long_every=0):
+    """Distinct-id segments of length >= s; every ``long_every``-th segment
+    is long enough that its bin pads past 1000 rows."""
+    segments = []
+    for i in range(n_seg):
+        if long_every and i % long_every == 0:
+            length = int(rng.integers(1001, min(n_values, 1400) + 1))
+        else:
+            length = int(rng.integers(s, min(n_values, 12) + 1))
+        ids = rng.choice(n_values, size=length, replace=False)
+        if rng.random() < 0.5:
+            ids.sort()  # sorted lists take the plan's O(nnz) proof
+        segments.append(ids)
+    return _csr(segments)
+
+
+def _tournament_ids(plan, a, b, s):
+    table = tournament_table(plan, a, b, PRIME)
+    top32 = np.empty((a.size, plan.n_seg, s), dtype=np.uint32)
+    run_tournament(plan, table, s, out=top32, scratch=ScratchPool())
+    return recover_top_ids(top32, a, b, PRIME, has_sentinels=False)[0]
+
+
+def _eager_ids(elements, indptr, a, b, s, n_values):
+    keys = fused_hash(elements, a, b, PRIME, n_values=n_values)
+    top32 = segmented_select_top_s(keys, indptr, s)
+    return recover_top_ids(top32, a, b, PRIME, has_sentinels=False)[0]
+
+
+def _brute_force_ids(elements, indptr, a, b, s):
+    out = np.empty((a.size, indptr.size - 1, s), dtype=np.uint64)
+    for i in range(a.size):
+        for seg in range(indptr.size - 1):
+            ids = elements[indptr[seg]:indptr[seg + 1]].astype(np.uint64)
+            keys = (a[i] * ids + b[i]) % np.uint64(PRIME)
+            out[i, seg] = ids[np.argsort(keys)][:s]
+    return out
+
+
+@st.composite
+def geometries(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    s = draw(st.integers(1, 4))
+    n_seg = draw(st.integers(1, 30))
+    long_every = draw(st.sampled_from([0, 0, 7]))
+    n_values = draw(st.integers(1001, 1500) if long_every
+                    else st.integers(max(s, 2), 60))
+    t = draw(st.integers(1, 4))
+    a = draw(st.lists(st.integers(1, PRIME - 1), min_size=t, max_size=t))
+    b = draw(st.lists(st.integers(0, PRIME - 1), min_size=t, max_size=t))
+    return seed, s, n_seg, n_values, long_every, a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometries())
+def test_tournament_equals_eager_select(geometry):
+    seed, s, n_seg, n_values, long_every, a, b = geometry
+    rng = np.random.default_rng(seed)
+    elements, indptr = _random_geometry(rng, n_seg, s, n_values,
+                                        long_every=long_every)
+    a = np.array(a, dtype=np.uint64)
+    b = np.array(b, dtype=np.uint64)
+    plan = build_tournament_plan(elements, indptr, s, n_values)
+    assert plan is not None
+    got = _tournament_ids(plan, a, b, s)
+    expected = _eager_ids(elements, indptr, a, b, s, n_values)
+    assert np.array_equal(got, expected[:, plan.perm, :])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tournament_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    s, n_values = 2, 101
+    elements, indptr = _random_geometry(rng, 17, s, n_values)
+    plan = build_tournament_plan(elements, indptr, s, n_values)
+    a = rng.integers(1, PRIME, 5).astype(np.uint64)
+    b = rng.integers(0, PRIME, 5).astype(np.uint64)
+    expected = _brute_force_ids(elements, indptr, a, b, s)
+    assert np.array_equal(_tournament_ids(plan, a, b, s),
+                          expected[:, plan.perm, :])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_chunk_reduce_permuted_equals_unpermuted(seed, s):
+    rng = np.random.default_rng(seed)
+    n_values = int(rng.integers(s + 1, 30))
+    elements, indptr = _random_geometry(rng, int(rng.integers(1, 25)), s,
+                                        n_values)
+    plan = build_tournament_plan(elements, indptr, s, n_values)
+    t = int(rng.integers(1, 4))
+    a = rng.integers(1, PRIME, t).astype(np.uint64)
+    b = rng.integers(0, PRIME, t).astype(np.uint64)
+    salts = rng.integers(0, 2**63, t).astype(np.uint64)
+    gen_ids = np.sort(rng.choice(1000, size=plan.n_seg, replace=False)
+                      ).astype(np.uint32)
+    ref = chunk_reduce(_eager_ids(elements, indptr, a, b, s, n_values),
+                       salts, gen_ids, n_values)
+    got = chunk_reduce(_tournament_ids(plan, a, b, s), salts, gen_ids,
+                       n_values, col_ids=plan.perm_cols,
+                       col_to_row=plan.col_to_row)
+    for want, have in zip(ref, got):
+        assert want.dtype == have.dtype
+        assert np.array_equal(want, have)
+
+
+class TestPlanRejects:
+    def test_short_segment(self):
+        elements, indptr = _csr([[3], [0, 1, 2]])
+        assert build_tournament_plan(elements, indptr, 2, 10) is None
+
+    def test_duplicate_ids(self):
+        elements, indptr = _csr([[1, 2], [4, 5, 4]])
+        assert build_tournament_plan(elements, indptr, 2, 10) is None
+
+    def test_duplicate_in_sorted_segment(self):
+        # Non-decreasing but not strictly rising: the packed sort decides.
+        elements, indptr = _csr([[1, 2, 2], [0, 7]])
+        assert build_tournament_plan(elements, indptr, 2, 10) is None
+
+    def test_empty(self):
+        assert build_tournament_plan(np.empty(0, np.int64),
+                                     np.zeros(1, np.int64), 2, 10) is None
+
+    def test_unsorted_distinct_segments_accepted(self):
+        elements, indptr = _csr([[5, 1, 3], [9, 0]])
+        assert build_tournament_plan(elements, indptr, 2, 10) is not None
+
+    def test_short_segments_match_serial(self):
+        """Short segments never reach the plan: the driver compacts them
+        away, plans the rest, and still matches the serial pass."""
+        rng = np.random.default_rng(5)
+        segments = [rng.choice(40, size=int(rng.integers(0, 8)),
+                               replace=False) for _ in range(30)]
+        elements, indptr = _csr(segments)
+        params = ShinglingParams(c1=7, c2=4, seed=3, trial_chunk=3)
+        config = params.pass_config(1)
+        ref = serial_shingle_pass(indptr, elements, config)
+        got = device_shingle_pass(indptr, elements, config, SimulatedDevice(),
+                                  kernel="fused", trial_chunk=3)
+        assert got == ref
+
+    def test_duplicates_fall_back_to_eager_select(self, monkeypatch):
+        """A repeated id defeats the plan; the pass then runs the eager
+        select.  The serial reference requires duplicate-free lists, so the
+        eager ``select`` kernel is the reference here."""
+        segments = [[1, 2, 2, 5], [0, 3, 7], [4, 4, 6, 8]]
+        elements, indptr = _csr(segments)
+        seen = []
+        real_build = device_exec.build_tournament_plan
+
+        def spy(*args):
+            plan = real_build(*args)
+            seen.append(plan)
+            return plan
+
+        monkeypatch.setattr(device_exec, "build_tournament_plan", spy)
+        config = ShinglingParams(c1=6, c2=4, seed=2).pass_config(1)
+        got = device_shingle_pass(indptr, elements, config, SimulatedDevice(),
+                                  kernel="fused", trial_chunk=2)
+        ref = device_shingle_pass(indptr, elements, config, SimulatedDevice(),
+                                  kernel="select", trial_chunk=2)
+        assert seen == [None]
+        assert got == ref
+
+
+class TestDevicePath:
+    def _setup(self, rng, s=2, n_values=50):
+        elements, indptr = _random_geometry(rng, 20, s, n_values)
+        device = SimulatedDevice()
+        d_elems = device.upload(elements)
+        d_indptr = device.upload(indptr)
+        d_gens = device.upload(np.arange(indptr.size - 1, dtype=np.uint32))
+        plan = build_tournament_plan(elements, indptr, s, n_values)
+        return device, (d_elems, d_indptr, d_gens), plan, n_values
+
+    def _call(self, device, bufs, plan, n_values, a, b, **kw):
+        salts = np.arange(1, a.size + 1, dtype=np.uint64)
+        return device.shingle_chunk_reduce(
+            *bufs, a=a, b=b, prime=PRIME, s=2, salts=salts,
+            n_values=n_values, tournament=plan, **kw)
+
+    def test_tournament_call_equals_eager_call(self):
+        rng = np.random.default_rng(11)
+        device, bufs, plan, n_values = self._setup(rng)
+        a = rng.integers(1, PRIME, 4).astype(np.uint64)
+        b = rng.integers(0, PRIME, 4).astype(np.uint64)
+        got = self._call(device, bufs, plan, n_values, a, b, check=True)
+        ref = self._call(device, bufs, None, n_values, a, b)
+        for want, have in zip(ref, got):
+            assert np.array_equal(want, have)
+
+    def test_zero_coefficient_takes_the_eager_select(self):
+        rng = np.random.default_rng(12)
+        device, bufs, plan, n_values = self._setup(rng)
+        a = np.array([0, 5], dtype=np.uint64)
+        b = np.array([3, 9], dtype=np.uint64)
+        got = self._call(device, bufs, plan, n_values, a, b, check=True)
+        ref = self._call(device, bufs, None, n_values, a, b)
+        for want, have in zip(ref, got):
+            assert np.array_equal(want, have)
+
+    def test_working_set_is_charged(self):
+        rng = np.random.default_rng(13)
+        device, bufs, plan, n_values = self._setup(rng)
+        resident = device.memory.used_bytes
+        a = rng.integers(1, PRIME, 3).astype(np.uint64)
+        b = rng.integers(0, PRIME, 3).astype(np.uint64)
+        self._call(device, bufs, plan, n_values, a, b)
+        table_bytes = 3 * (n_values + 1) * 4
+        block_bytes = 3 * plan.n_seg * 2 * (4 + 8)
+        assert device.memory.peak_bytes >= resident + table_bytes + block_bytes
+        assert device.memory.used_bytes == resident
+
+    def test_check_catches_a_wrong_selection(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        device, bufs, plan, n_values = self._setup(rng)
+        real_run = kernels.run_tournament
+
+        def corrupt(plan, table, s, out, scratch=None):
+            real_run(plan, table, s, out, scratch)
+            out[:, [0, -1]] = out[:, [-1, 0]]
+            return out
+
+        monkeypatch.setattr(kernels, "run_tournament", corrupt)
+        a = rng.integers(1, PRIME, 2).astype(np.uint64)
+        b = rng.integers(0, PRIME, 2).astype(np.uint64)
+        with pytest.raises(AssertionError, match="tournament"):
+            self._call(device, bufs, plan, n_values, a, b, check=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=0, max_size=25),
+       st.integers(1, 120))
+def test_plan_batches_fast_path_equals_greedy(lengths, max_elements):
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    got = plan_batches(indptr, max_elements).batches
+    want = _greedy_batches(indptr, max_elements)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.element_lo, g.element_hi) == (w.element_lo, w.element_hi)
+        for field in ("local_indptr", "segment_ids", "is_split"):
+            assert getattr(g, field).dtype == getattr(w, field).dtype
+            assert np.array_equal(getattr(g, field), getattr(w, field))
