@@ -29,7 +29,10 @@ these artifacts under ``benchmarks/results/``:
 
 The script also asserts the tracer's own accounting: the root
 ``gpclust.run`` span must reconcile with the pipeline's reported wall time
-within 5%, and both trace documents must pass schema validation.  Exits
+within 5%, and both trace documents must pass schema validation.  It
+asserts that the partition run fed pass II straight into Phase III: the
+trace has a ``phase3.union`` span, and no ``exec.chunk_aggregate`` or
+``exec.merge_partials`` span lies inside ``gpclust.pass2``.  Exits
 non-zero on any violation.
 
 Usage::
@@ -221,6 +224,20 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"root span {root_s:.4f}s does not reconcile with reported "
                 f"wall time {reported_s:.4f}s (drift {drift:.2%})")
+
+    # --- pass II fed straight into Phase III ----------------------------
+    # Partition mode never builds G_II: pass II folds its chunks into the
+    # Phase III union and runs no inter-pass aggregation.
+    if not any(r.name == "phase3.union" for r in records):
+        failures.append("trace has no phase3.union span")
+    for p2 in (r for r in records if r.name == "gpclust.pass2"):
+        inside = {r.name for r in records
+                  if p2.start <= r.start and r.end <= p2.end}
+        built = inside & {"exec.chunk_aggregate", "exec.merge_partials"}
+        if built:
+            failures.append(
+                f"gpclust.pass2 holds {sorted(built)} spans (pass II built "
+                f"G_II instead of feeding Phase III directly)")
 
     # --- aggregation/Phase III offload spans ----------------------------
     if args.aggregate_backend == "device":

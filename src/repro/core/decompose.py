@@ -145,14 +145,13 @@ def cluster_by_components(
     merged = np.arange(graph.n_vertices, dtype=np.int64)
     offset = graph.n_vertices
     timings = TimeBreakdown()
-    k1 = k2 = 0
+    k1 = 0
     for vertices, result in zip(buckets, results):
         assert result.labels is not None
         merged[vertices] = result.labels[vertices] + offset
         offset += int(result.labels.max()) + 1
         timings.merge(result.timings)
         k1 += result.n_first_level_shingles
-        k2 += result.n_second_level_shingles
 
     return ClusterResult(
         n_vertices=graph.n_vertices,
@@ -161,5 +160,4 @@ def cluster_by_components(
         labels=canonicalize_labels(merged),
         timings=timings,
         n_first_level_shingles=k1,
-        n_second_level_shingles=k2,
     )

@@ -25,6 +25,10 @@ batches, per-batch scatter requires the full accumulators (bounded by the
 same device-capacity math as before); the streaming path resumes once a
 batch covers the input.
 
+Partition mode's pass II skips even the streaming aggregation:
+:func:`device_union_pass` folds each chunk's top-``s`` ids straight into
+the Phase III union, so ``G_II`` is never built.
+
 Every step is charged to the right Table-I bucket: batch planning and
 aggregation to ``cpu``, kernel work to ``gpu`` (inside the device facade),
 transfers to ``data_c2g``/``data_g2c``.  All modes produce results
@@ -36,6 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +51,9 @@ from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
                                  ExecutionPlan, trial_chunks)
 from repro.core.params import AGG_AUTO, AGG_HOST, KERNEL_FUSED, PassConfig
 from repro.core.passresult import PassResult
-from repro.device.batching import max_batch_elements, plan_batches
+from repro.core.report import PartitionFold
+from repro.device.batching import (BatchPlan, max_batch_elements,
+                                   plan_batches)
 from repro.device.device import SimulatedDevice
 from repro.device.group import DeviceGroup, least_loaded_assignment
 from repro.device.kernels import (SENTINEL, build_tournament_plan,
@@ -101,44 +108,21 @@ def device_shingle_pass(
     """
     if plan is None:
         plan = ExecutionPlan(EXEC_PREFETCH if prefetch else EXEC_SYNC)
-    indptr = np.asarray(indptr, dtype=np.int64)
-    elements = np.asarray(elements, dtype=np.int64)
-    breakdown = device.breakdown
     s, c = config.s, config.c
     t_start = time.perf_counter()
-
-    with breakdown.timing(BUCKET_CPU):
-        if max_elements is None:
-            max_elements = max_batch_elements(
-                device.spec.memory_capacity_bytes, trial_chunk, s)
-        max_elements = max(max_elements // plan.resident_factor, 1)
-        all_lengths = np.diff(indptr)
-        n_seg = all_lengths.size
-        # CPU-side compaction: segments shorter than s generate no
-        # shingles (Section III-B: shingles exist only for "any vertex
-        # ... that has at least s links"), so they never ship to the
-        # device.  The serial reference skips them the same way.
-        valid = all_lengths >= s
-        valid_ids = np.flatnonzero(valid)
-        lengths = all_lengths[valid_ids]
-        elements = elements[np.repeat(valid, all_lengths)]
-        compact_indptr = np.zeros(valid_ids.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=compact_indptr[1:])
-        # Exclusive element-id bound; sizes the fused kernel's hash
-        # table and the on-device reduction's packed keys.
-        n_values = int(elements.max()) + 1 if elements.size else 1
-
-        batch_plan = plan_batches(compact_indptr, max_elements)
-        chunks = trial_chunks(c, trial_chunk)
+    inp = _compact_input(indptr, elements, config, device, trial_chunk,
+                         max_elements, plan)
+    elements, lengths, valid_ids = inp.elements, inp.lengths, inp.valid_ids
+    batch_plan, chunks, n_seg = inp.batch_plan, inp.chunks, inp.n_seg
 
     if batch_plan.n_batches == 1:
         result = _single_batch_streaming(
             device, elements, batch_plan.batches[0], chunks, config, kernel,
-            plan, lengths, valid_ids, n_seg, n_values)
+            plan, lengths, valid_ids, n_seg, inp.n_values)
     else:
         result = _multi_batch_accumulate(
             device, elements, batch_plan, chunks, config, kernel, plan,
-            lengths, valid_ids, n_seg, n_values)
+            lengths, valid_ids, n_seg, inp.n_values)
 
     # Dedup accounting: how many (trial, segment) shingle occurrence slots
     # collapsed into distinct fingerprints this pass (the shingle dedup
@@ -154,6 +138,149 @@ def device_shingle_pass(
                              "n_batches": batch_plan.n_batches,
                              "n_shingles": int(result.n_shingles)})
     return result
+
+
+class _PassInput(NamedTuple):
+    """One pass's input after CPU-side compaction and batch planning."""
+
+    elements: np.ndarray      # elements of the valid segments only
+    lengths: np.ndarray       # (n_valid,) their lengths
+    valid_ids: np.ndarray     # (n_valid,) their original segment ids
+    n_seg: int                # segment count before compaction
+    n_values: int             # exclusive element-id bound
+    batch_plan: BatchPlan
+    chunks: list[tuple[int, int]]
+
+
+def _compact_input(indptr, elements, config: PassConfig, device,
+                   trial_chunk: int, max_elements: int | None,
+                   plan: ExecutionPlan) -> _PassInput:
+    """Drop short segments and plan the device batches (cpu bucket)."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    elements = np.asarray(elements, dtype=np.int64)
+    s = config.s
+    with device.breakdown.timing(BUCKET_CPU):
+        if max_elements is None:
+            max_elements = max_batch_elements(
+                device.spec.memory_capacity_bytes, trial_chunk, s)
+        max_elements = max(max_elements // plan.resident_factor, 1)
+        all_lengths = np.diff(indptr)
+        # CPU-side compaction: segments shorter than s generate no
+        # shingles (Section III-B: shingles exist only for "any vertex
+        # ... that has at least s links"), so they never ship to the
+        # device.  The serial reference skips them the same way.
+        valid = all_lengths >= s
+        valid_ids = np.flatnonzero(valid)
+        lengths = all_lengths[valid_ids]
+        elements = elements[np.repeat(valid, all_lengths)]
+        compact_indptr = np.zeros(valid_ids.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=compact_indptr[1:])
+        # Exclusive element-id bound; sizes the fused kernel's hash
+        # table and the on-device reduction's packed keys.
+        n_values = int(elements.max()) + 1 if elements.size else 1
+        return _PassInput(elements, lengths, valid_ids, all_lengths.size,
+                          n_values, plan_batches(compact_indptr, max_elements),
+                          trial_chunks(config.c, trial_chunk))
+
+
+def device_union_pass(
+    indptr: np.ndarray,
+    elements: np.ndarray,
+    config: PassConfig,
+    device: SimulatedDevice | DeviceGroup,
+    *,
+    members1: np.ndarray,
+    n_vertices: int,
+    include_generators: bool = False,
+    device_cc: bool = False,
+    trial_chunk: int = 16,
+    max_elements: int | None = None,
+    plan: ExecutionPlan | None = None,
+) -> PartitionFold | None:
+    """Pass II fed straight into the Phase III partition union.
+
+    Partition mode needs only the vertex components ``G_II`` induces, so
+    this pass never builds ``G_II``: each trial chunk runs the fused
+    kernel's tournament select plus id recovery
+    (:meth:`~repro.device.device.SimulatedDevice.shingle_chunk_ids`), and
+    its occurrence slots go straight into a
+    :class:`~repro.core.report.PartitionFold` as edges.  Slot ``(j, f)``
+    with top ids ``m_0..m_{s-1}`` links ``members1[f, 0]`` to every
+    ``m_i``; once per pass, every first-level shingle ``f`` with an input
+    list of at least ``s`` generators links ``members1[f, 0]`` to the rest
+    of its members (and, with ``include_generators``, to every generator on
+    its list).  These connect exactly what the star edges of
+    :func:`~repro.core.report._phase3_edges` connect, with every
+    second-level shingle repeated once per occurrence, so the components —
+    and the labels — are the same.
+
+    ``indptr``/``elements`` are pass II's input (pass I's generator lists)
+    and ``members1`` pass I's ``(k1, s1)`` members.  ``device_cc`` runs the
+    unions as the device's CC kernels.  Every exec mode works: chunks run
+    through :func:`_run_chunks` and fold under the fold's lock.
+
+    Returns the fold of every chunk's edges (its :meth:`~PartitionFold.
+    labels` are the partition), or ``None`` when the pass needs several
+    batches or the tournament plan rejects its geometry — the caller then
+    builds ``G_II`` with :func:`device_shingle_pass`.
+    """
+    if plan is None:
+        plan = ExecutionPlan()
+    inp = _compact_input(indptr, elements, config, device, trial_chunk,
+                         max_elements, plan)
+    breakdown = device.breakdown
+    tracer = device.obs.tracer
+    fold = PartitionFold(n_vertices, breakdown, tracer,
+                         device=device if device_cc else None)
+    if inp.valid_ids.size == 0 or not inp.chunks:
+        return fold  # no second-level shingle: nothing to union
+    if inp.batch_plan.n_batches != 1:
+        return None
+    s = config.s
+    batch = inp.batch_plan.batches[0]
+    with breakdown.timing(BUCKET_CPU):
+        batch_elements = batch.slice_elements(inp.elements)
+        tournament = build_tournament_plan(batch_elements, batch.local_indptr,
+                                           s, inp.n_values)
+    if tournament is None:
+        return None
+
+    group_members = _members_of(device)
+    multi = plan.mode == EXEC_MULTIDEVICE and len(group_members) > 1
+    a, b = config.a_array, config.b_array
+    with breakdown.timing(BUCKET_CPU):
+        f_members = members1[inp.valid_ids]
+        lead1 = f_members[:, :1]
+        lead_perm = lead1[tournament.perm]
+    # Once per pass: every f's members (and generators) join its leader.
+    fold.fold(lead1, f_members[:, 1:])
+    if include_generators:
+        fold.fold(np.repeat(lead1[:, 0], inp.lengths), batch_elements)
+    check_lo = inp.chunks[0][0] if debug_checks_enabled() else None
+
+    d_elems = _broadcast(device, group_members, multi, batch_elements)
+    d_indptrs = _broadcast(device, group_members, multi, batch.local_indptr)
+
+    def run_chunk(lo: int, hi: int, dev: int) -> None:
+        ids, perm = group_members[dev].shingle_chunk_ids(
+            d_elems[dev], d_indptrs[dev],
+            a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
+            n_values=inp.n_values, tournament=tournament,
+            check=lo == check_lo, label=f"trials {lo}-{hi - 1}")
+        # Columns are in the plan's order, or in segment order when a zero
+        # hash coefficient sent the chunk to the eager select.
+        lead = lead1 if perm is None else lead_perm
+        # One trial at a time: once the first trials have merged the big
+        # components, most later edges map to self-loops and drop before
+        # the union.
+        for trial_ids in ids:
+            fold.fold(lead, trial_ids)
+
+    try:
+        _run_chunks(plan, inp.chunks, run_chunk, members=group_members)
+    finally:
+        device.free(*(d_elems + d_indptrs))
+    return fold
 
 
 def _members_of(device) -> list[SimulatedDevice]:

@@ -18,12 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.device_exec import device_shingle_pass
+from repro.core.device_exec import device_shingle_pass, device_union_pass
 from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
                                  ExecutionPlan)
 from repro.core.params import (
     AGG_HOST,
     GROUPING_ONE_SHINGLE,
+    KERNEL_FUSED,
     REPORT_PARTITION,
     UNION_UNIONFIND,
     UNION_VECTORIZED,
@@ -94,8 +95,7 @@ class SerialPClust:
                           attrs={"n_vertices": graph.n_vertices})
 
         return _make_result(graph.n_vertices, params, "serial", output,
-                            breakdown, pass1.n_shingles,
-                            pass2.n_shingles if pass2 is not None else 0)
+                            breakdown, pass1.n_shingles)
 
 
 class GpClust:
@@ -140,10 +140,13 @@ class GpClust:
             device.set_breakdown(breakdown)
         tracer = device.obs.tracer
         t_start = time.perf_counter()
+        with breakdown.timing(BUCKET_CPU):
+            config1 = params.pass_config(1)
+            config2 = params.pass_config(2)
 
         with tracer.span("gpclust.pass1"):
             pass1 = device_shingle_pass(
-                graph.indptr, graph.indices, params.pass_config(1), device,
+                graph.indptr, graph.indices, config1, device,
                 kernel=params.kernel, trial_chunk=params.trial_chunk,
                 max_elements=self.max_batch_elements, plan=self.plan)
         if params.grouping == GROUPING_ONE_SHINGLE:
@@ -154,26 +157,42 @@ class GpClust:
             device.sync_metrics()
             self._record_run(tracer, t_start, graph)
             return _make_result(graph.n_vertices, params, "device", output,
-                                breakdown, pass1.n_shingles, 0)
+                                breakdown, pass1.n_shingles)
 
         with breakdown.timing(BUCKET_CPU), \
                 tracer.span("gpclust.pass2_input"):
             indptr2, elements2 = pass1.next_pass_input()
-        with tracer.span("gpclust.pass2"):
-            pass2 = device_shingle_pass(
-                indptr2, elements2, params.pass_config(2), device,
-                kernel=params.kernel, trial_chunk=params.trial_chunk,
-                max_elements=self.max_batch_elements, plan=self.plan)
-
         # Phase III on the device: vectorized partition-mode union runs as
         # the hooking/pointer-jumping kernels (bit-identical labels).  The
         # scalar union-find backend and overlapping mode stay the host
-        # fallback.  No blanket cpu timing around the device path — it
-        # charges its own cpu/gpu/transfer buckets internally.
-        use_device_cc = (params.aggregate_backend != AGG_HOST
-                         and params.report_mode == REPORT_PARTITION
-                         and params.union_backend == UNION_VECTORIZED)
-        if use_device_cc:
+        # fallback.
+        partition = (params.report_mode == REPORT_PARTITION
+                     and params.union_backend == UNION_VECTORIZED)
+        use_device_cc = partition and params.aggregate_backend != AGG_HOST
+        fold = None
+        with tracer.span("gpclust.pass2") as span:
+            if partition and params.kernel == KERNEL_FUSED:
+                # Partition mode needs only G_II's vertex components: feed
+                # the pass straight into the union when it can.
+                fold = device_union_pass(
+                    indptr2, elements2, config2, device,
+                    members1=pass1.members, n_vertices=graph.n_vertices,
+                    include_generators=params.include_generators,
+                    device_cc=use_device_cc, trial_chunk=params.trial_chunk,
+                    max_elements=self.max_batch_elements, plan=self.plan)
+            span.set(direct=fold is not None)
+            if fold is None:
+                pass2 = device_shingle_pass(
+                    indptr2, elements2, config2, device,
+                    kernel=params.kernel, trial_chunk=params.trial_chunk,
+                    max_elements=self.max_batch_elements, plan=self.plan)
+
+        # No blanket cpu timing around the device paths — they charge their
+        # own cpu/gpu/transfer buckets internally.
+        if fold is not None:
+            with breakdown.timing(BUCKET_CPU), tracer.span("phase3.report"):
+                output = fold.labels()
+        elif use_device_cc:
             with tracer.span("phase3.report"):
                 output = report_clusters(
                     pass1, pass2, graph.n_vertices,
@@ -192,10 +211,11 @@ class GpClust:
         # Flush gauge-backed device accounting (transfer bytes, scratch
         # pool) so a traced run's embedded metrics
         # snapshot carries the whole device picture.
-        device.sync_metrics()
+        with breakdown.timing(BUCKET_CPU):
+            device.sync_metrics()
         self._record_run(tracer, t_start, graph)
         return _make_result(graph.n_vertices, params, "device", output,
-                            breakdown, pass1.n_shingles, pass2.n_shingles)
+                            breakdown, pass1.n_shingles)
 
     @staticmethod
     def _record_run(tracer, t_start: float, graph: CSRGraph) -> None:
@@ -207,17 +227,16 @@ class GpClust:
 
 
 def _make_result(n_vertices: int, params: ShinglingParams, backend: str,
-                 output, breakdown: TimeBreakdown,
-                 k1: int, k2: int) -> ClusterResult:
+                 output, breakdown: TimeBreakdown, k1: int) -> ClusterResult:
     if params.report_mode == REPORT_PARTITION:
         return ClusterResult(
             n_vertices=n_vertices, params=params, backend=backend,
             labels=np.asarray(output, dtype=np.int64), timings=breakdown,
-            n_first_level_shingles=k1, n_second_level_shingles=k2)
+            n_first_level_shingles=k1)
     return ClusterResult(
         n_vertices=n_vertices, params=params, backend=backend,
         overlapping=list(output), timings=breakdown,
-        n_first_level_shingles=k1, n_second_level_shingles=k2)
+        n_first_level_shingles=k1)
 
 
 def cluster_graph(graph: CSRGraph | str | Path,

@@ -17,6 +17,8 @@ label-propagation bulk union.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.core.params import (
@@ -155,6 +157,59 @@ def _canonical_labels(roots: np.ndarray) -> np.ndarray:
     roots = np.asarray(roots, dtype=np.int64)
     rank = np.cumsum(roots == np.arange(roots.size, dtype=np.int64)) - 1
     return rank[roots].astype(np.int64, copy=False)
+
+
+class PartitionFold:
+    """Phase III partition labels, folded in one edge batch at a time.
+
+    Holds a running min-vertex root per vertex.  Each :meth:`fold` maps
+    both endpoints of its edges through the current roots, drops the edges
+    that became self-loops, unions the rest, and composes the result into
+    the roots — so no caller ever holds every batch's edges at once, and
+    once the first batches have merged the big components most later
+    edges cost only the gather.  Labels depend only on the union of all
+    folded edges, never on fold order; :meth:`fold` is thread-safe.
+
+    With a ``device``, each union runs as the device's hooking + pointer-
+    jumping kernels (see :func:`~repro.graph.unionfind.union_edge_keys`);
+    host work is charged to the cpu bucket of ``breakdown``.
+    """
+
+    def __init__(self, n_vertices: int, breakdown, tracer,
+                 device=None) -> None:
+        self.n_vertices = int(n_vertices)
+        self.roots = np.arange(self.n_vertices, dtype=np.int64)
+        self._breakdown = breakdown
+        self._tracer = tracer
+        self._device = device
+        self._lock = threading.Lock()
+
+    def fold(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Union the edges ``src -> dst`` (broadcast-compatible vertex-id
+        arrays)."""
+        n = self.n_vertices
+        cpu = self._breakdown.timing
+        with self._lock:
+            with cpu(BUCKET_CPU):
+                roots = self.roots
+                rs, rd = np.broadcast_arrays(roots[src], roots[dst])
+                keep = rs != rd
+                keys = rs[keep] * n + rd[keep]
+            if keys.size == 0:
+                return
+            with self._tracer.span("phase3.union", backend=UNION_VECTORIZED,
+                                   n_vertices=n, n_union_edges=int(keys.size)):
+                if self._device is not None:
+                    merged = union_edge_keys(n, keys, device=self._device)
+                else:
+                    with cpu(BUCKET_CPU):
+                        merged = union_edge_keys(n, keys)
+            with cpu(BUCKET_CPU):
+                self.roots = merged[roots]
+
+    def labels(self) -> np.ndarray:
+        """Canonical dense labels of the roots folded so far."""
+        return _canonical_labels(self.roots)
 
 
 def partition_labels(pass1: PassResult, pass2: PassResult, n_vertices: int,

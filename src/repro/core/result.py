@@ -25,7 +25,6 @@ class ClusterResult:
     overlapping: list[np.ndarray] | None = None
     timings: TimeBreakdown = field(default_factory=TimeBreakdown)
     n_first_level_shingles: int = 0
-    n_second_level_shingles: int = 0
 
     def __post_init__(self) -> None:
         if self.params.report_mode == REPORT_PARTITION:
@@ -89,6 +88,5 @@ class ClusterResult:
             "n_clusters(>=2)": int(sizes.size),
             "largest_cluster": int(sizes[0]) if sizes.size else 0,
             "n_first_level_shingles": self.n_first_level_shingles,
-            "n_second_level_shingles": self.n_second_level_shingles,
             "total_seconds": self.timings.total,
         }

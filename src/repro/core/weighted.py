@@ -155,13 +155,11 @@ class WeightedGpClust:
                 n_vertices=wgraph.n_vertices, params=params,
                 backend="weighted", labels=np.asarray(output, dtype=np.int64),
                 timings=breakdown,
-                n_first_level_shingles=pass1.n_shingles,
-                n_second_level_shingles=pass2.n_shingles)
+                n_first_level_shingles=pass1.n_shingles)
         return ClusterResult(
             n_vertices=wgraph.n_vertices, params=params, backend="weighted",
             overlapping=list(output), timings=breakdown,
-            n_first_level_shingles=pass1.n_shingles,
-            n_second_level_shingles=pass2.n_shingles)
+            n_first_level_shingles=pass1.n_shingles)
 
 
 def winner_probabilities(weights: np.ndarray, salt_count: int = 20_000,

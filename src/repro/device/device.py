@@ -504,34 +504,14 @@ class SimulatedDevice:
         n_seg = indptr.size - 1
         nnz = elements.size
         pool = self.scratch
-        if tournament is not None and np.any(np.asarray(a) == 0):
-            tournament = None
 
         t0 = time.perf_counter()
-        if tournament is not None:
-            table = kernels.tournament_table(tournament, a, b, prime,
-                                             scratch=pool)
-        else:
-            table = pool.take((t, nnz), np.uint32)
-            kernels.fused_hash(elements, a, b, prime, out=table,
-                               scratch=pool, n_values=n_values)
-        top32 = pool.take((t, n_seg, s), np.uint32)
-        top_ids = pool.take((t, n_seg, s), np.uint64)
-        # Working set on device: hash keys plus the selected key/id blocks.
-        d_work = [self.memory.adopt(arr) for arr in (table, top32, top_ids)]
-        if tournament is not None:
-            kernels.run_tournament(tournament, table, s, out=top32,
-                                   scratch=pool)
-            reduce_cols = {"col_ids": tournament.perm_cols,
-                           "col_to_row": tournament.col_to_row}
-        else:
-            kernels.segmented_select_top_s(table, indptr, s, scratch=pool,
-                                           seg_ids=seg_ids, out=top32,
-                                           consume=True)
-            reduce_cols = {}
-        # Pre-compacted input (driver contract): no sentinel padding exists.
-        kernels.recover_top_ids(top32, a, b, prime, out_ids=top_ids,
-                                scratch=pool, has_sentinels=False)
+        tournament, table, top32, top_ids, d_work = self._select_top_ids(
+            elements, indptr, a=a, b=b, prime=prime, s=s, seg_ids=seg_ids,
+            n_values=n_values, tournament=tournament)
+        reduce_cols = ({"col_ids": tournament.perm_cols,
+                        "col_to_row": tournament.col_to_row}
+                       if tournament is not None else {})
         fps, members, gen_counts, gens = kernels.chunk_reduce(
             top_ids, np.asarray(salts, dtype=np.uint64),
             d_gen_ids.device_view(), n_values, scratch=pool, **reduce_cols)
@@ -546,35 +526,18 @@ class SimulatedDevice:
                                  "k_chunk": int(fps.size), "label": label,
                                  "select": ("tournament" if tournament
                                             is not None else "eager")})
-        transform_s = self.spec.kernels.seconds_for("transform", t * nnz)
-        select_s = self.spec.kernels.seconds_for(
-            "select", kernels.count_kernel_elements("select", t, nnz, n_seg, s))
+        select_s = self._charge_select(t, nnz, n_seg, s)
         sort_s = self.spec.kernels.seconds_for(
             "sort", kernels.count_kernel_elements("chunk_reduce", t, nnz, n_seg, s))
         reduce_s = self.spec.kernels.seconds_for(
             "reduce", kernels.count_kernel_elements("reduce", t, nnz, n_seg, s))
-        modeled_gpu = transform_s + select_s + sort_s + reduce_s
-        self._record_kernel("fused_transform", t * nnz, transform_s)
-        self._record_kernel("top_s_select", t * nnz * s, select_s)
         self._record_kernel("chunk_reduce_sort", t * n_seg, sort_s)
         self._record_kernel("chunk_reduce_fold", t * n_seg * s, reduce_s)
-        self.breakdown.add_modeled(BUCKET_GPU, modeled_gpu)
-        if self.timeline is not None:
-            self.timeline.record(BUCKET_GPU, label, modeled_gpu)
+        self._charge_modeled(select_s + sort_s + reduce_s, label)
         if check and tournament is not None:
-            # Host-side verification, outside the timed kernel region.
-            with self.breakdown.timing(BUCKET_CPU):
-                eager_ids = kernels.recover_top_ids(
-                    kernels.segmented_select_top_s(
-                        kernels.fused_hash(elements, a, b, prime,
-                                           n_values=n_values), indptr, s),
-                    a, b, prime, has_sentinels=False)[0]
-                same = np.array_equal(top_ids,
-                                      eager_ids[:, tournament.perm, :])
-            if not same:
-                raise AssertionError(
-                    f"tournament selection differs from the eager select "
-                    f"({label})")
+            self._check_selection(elements, indptr, top_ids, tournament,
+                                  a=a, b=b, prime=prime, s=s,
+                                  n_values=n_values, label=label)
 
         self.free(*d_work)
         pool.give(table, top32, top_ids)
@@ -585,6 +548,149 @@ class SimulatedDevice:
         host = tuple(self.download(buf) for buf in d_out)
         self.free(*d_out)
         return host
+
+    def shingle_chunk_ids(
+        self,
+        d_elements: DeviceBuffer,
+        d_indptr: DeviceBuffer,
+        *,
+        a: np.ndarray,
+        b: np.ndarray,
+        prime: int,
+        s: int,
+        n_values: int,
+        tournament: kernels.TournamentPlan,
+        check: bool = False,
+        label: str = "trial chunk",
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """One fused kernel round that returns only the top-``s`` ids.
+
+        The hash + select + id recovery of :meth:`shingle_chunk_reduce`,
+        without the fingerprint fold or the reduction: Phase III's
+        partition union needs each occurrence slot's member ids, not the
+        distinct shingles.  Same input contract, working-set charge and
+        ``check`` as :meth:`shingle_chunk_reduce`.
+
+        Returns ``(ids, perm)``: the ``(t, n_seg, s)`` uint32 id block,
+        downloaded, and the plan's column permutation (``ids[:, i]``
+        belongs to segment ``perm[i]``) — ``None`` when a zero hash
+        coefficient sent the chunk to the eager select, whose columns are
+        in segment order.
+        """
+        t = len(a)
+        elements = d_elements.device_view()
+        indptr = d_indptr.device_view().astype(np.int64, copy=False)
+        n_seg = indptr.size - 1
+        nnz = elements.size
+        pool = self.scratch
+
+        t0 = time.perf_counter()
+        used, table, top32, top_ids, d_work = self._select_top_ids(
+            elements, indptr, a=a, b=b, prime=prime, s=s, seg_ids=None,
+            n_values=n_values, tournament=tournament)
+        # Ids fit 32 bits; the narrower block halves the download.
+        ids = pool.take((t, n_seg, s), np.uint32)
+        np.copyto(ids, top_ids, casting="unsafe")
+        d_ids = self.memory.adopt(ids)
+        t1 = time.perf_counter()
+        self.breakdown.add(BUCKET_GPU, t1 - t0)
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.record("device.shingle_chunk", t0, t1, proc=self.proc,
+                          attrs={"kernel": "fused", "trials": t, "nnz": nnz,
+                                 "n_seg": n_seg, "label": label,
+                                 "select": ("tournament" if used is not None
+                                            else "eager")})
+        self._charge_modeled(self._charge_select(t, nnz, n_seg, s), label)
+        if check and used is not None:
+            self._check_selection(elements, indptr, top_ids, used,
+                                  a=a, b=b, prime=prime, s=s,
+                                  n_values=n_values, label=label)
+
+        self.free(*d_work)
+        pool.give(table, top32, top_ids)
+        host = self.download(d_ids)
+        self.free(d_ids)
+        pool.give(ids)
+        return host, (used.perm if used is not None else None)
+
+    def _select_top_ids(self, elements, indptr, *, a, b, prime, s, seg_ids,
+                        n_values, tournament):
+        """Hash, select and recover each segment's top-``s`` ids.
+
+        The shared front half of the fused chunk rounds, timed by the
+        caller.  A zero hash coefficient (the affine map degenerates and the
+        distinct-keys proof fails) drops the tournament for the eager
+        ``fused_hash`` + ``segmented_select_top_s`` sequence.  Either way
+        the hash keys (the tournament's table, the eager ``(t, nnz)``
+        buffer) and the selected key and id blocks are charged to device
+        memory.
+
+        Returns ``(tournament, table, top32, top_ids, d_work)``: the plan
+        actually used (``None`` for the eager select), the scratch arrays
+        to give back, and the working-set buffers to free.
+        """
+        t, nnz, n_seg = len(a), elements.size, indptr.size - 1
+        pool = self.scratch
+        if tournament is not None and np.any(np.asarray(a) == 0):
+            tournament = None
+        if tournament is not None:
+            table = kernels.tournament_table(tournament, a, b, prime,
+                                             scratch=pool)
+        else:
+            table = pool.take((t, nnz), np.uint32)
+            kernels.fused_hash(elements, a, b, prime, out=table,
+                               scratch=pool, n_values=n_values)
+        top32 = pool.take((t, n_seg, s), np.uint32)
+        top_ids = pool.take((t, n_seg, s), np.uint64)
+        # Working set on device: hash keys plus the selected key/id blocks.
+        d_work = [self.memory.adopt(arr) for arr in (table, top32, top_ids)]
+        if tournament is not None:
+            kernels.run_tournament(tournament, table, s, out=top32,
+                                   scratch=pool)
+        else:
+            kernels.segmented_select_top_s(table, indptr, s, scratch=pool,
+                                           seg_ids=seg_ids, out=top32,
+                                           consume=True)
+        # Pre-compacted input (driver contract): no sentinel padding exists.
+        kernels.recover_top_ids(top32, a, b, prime, out_ids=top_ids,
+                                scratch=pool, has_sentinels=False)
+        return tournament, table, top32, top_ids, d_work
+
+    def _charge_select(self, t: int, nnz: int, n_seg: int, s: int) -> float:
+        """Count the fused transform + select launches of one chunk round;
+        returns their modeled seconds."""
+        transform_s = self.spec.kernels.seconds_for("transform", t * nnz)
+        select_s = self.spec.kernels.seconds_for(
+            "select", kernels.count_kernel_elements("select", t, nnz, n_seg, s))
+        self._record_kernel("fused_transform", t * nnz, transform_s)
+        self._record_kernel("top_s_select", t * nnz * s, select_s)
+        return transform_s + select_s
+
+    def _charge_modeled(self, modeled_gpu: float, label: str) -> None:
+        """Charge one chunk round's modeled kernel seconds."""
+        self.breakdown.add_modeled(BUCKET_GPU, modeled_gpu)
+        if self.timeline is not None:
+            self.timeline.record(BUCKET_GPU, label, modeled_gpu)
+
+    def _check_selection(self, elements, indptr, top_ids, tournament, *, a,
+                         b, prime, s, n_values, label) -> None:
+        """Re-run the eager select on the host and compare with the
+        tournament's ids; raises ``AssertionError`` on a mismatch.
+
+        Host-side verification, outside the timed kernel region.
+        """
+        with self.breakdown.timing(BUCKET_CPU):
+            eager_ids = kernels.recover_top_ids(
+                kernels.segmented_select_top_s(
+                    kernels.fused_hash(elements, a, b, prime,
+                                       n_values=n_values), indptr, s),
+                a, b, prime, has_sentinels=False)[0]
+            same = np.array_equal(top_ids, eager_ids[:, tournament.perm, :])
+        if not same:
+            raise AssertionError(
+                f"tournament selection differs from the eager select "
+                f"({label})")
 
     # ------------------------------------------------------------------ #
     # Inter-pass aggregation (device-resident group-by merge)

@@ -51,13 +51,14 @@ class CSRGraph:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= n:
                 raise ValueError("neighbor id out of range")
-        # sorted + dedup within each list: check via segment-wise diff
+        # sorted + dedup within each list: every adjacent pair rises,
+        # except the pairs that straddle a list boundary
         if self.indices.size:
-            starts = self.indptr[:-1]
-            interior = np.ones(self.indices.size, dtype=bool)
-            interior[starts[starts < self.indices.size]] = False
-            diffs_ok = np.diff(self.indices) > 0
-            if not np.all(diffs_ok[interior[1:]]):
+            rising = self.indices[1:] > self.indices[:-1]
+            bounds = self.indptr[1:-1]
+            bounds = bounds[(bounds > 0) & (bounds < self.indices.size)]
+            rising[bounds - 1] = True
+            if not rising.all():
                 raise ValueError("neighbor lists must be sorted and duplicate-free")
             # no self-loops
             owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))

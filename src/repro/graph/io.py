@@ -65,9 +65,20 @@ def save_npz(graph: CSRGraph, path: str | Path) -> None:
 
 
 def load_npz(path: str | Path) -> CSRGraph:
-    """Read a graph written by :func:`save_npz`."""
-    with np.load(Path(path)) as data:
-        return CSRGraph(data["indptr"], data["indices"], validate=False)
+    """Read a graph written by :func:`save_npz`.
+
+    The arrays get :class:`CSRGraph`'s O(nnz) checks (offsets, id range,
+    sorted duplicate-free lists, no self-loops) but not the O(m log m)
+    symmetry check, so a malformed file fails here with a ``ValueError``
+    rather than deep inside the pipeline.
+    """
+    path = Path(path)
+    with np.load(path) as data:
+        indptr, indices = data["indptr"], data["indices"]
+    try:
+        return CSRGraph(indptr, indices)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed graph: {exc}") from None
 
 
 def save_binary_edges(graph: CSRGraph, path: str | Path,

@@ -243,12 +243,15 @@ def _dedup_edges(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Resulting labels are invariant under edge multiplicity (hooking takes
     minima), but ``np.minimum.at`` is a buffered scatter whose cost is linear
     in the edge count *per propagation round* — and shingle tables repeat the
-    same (leader, member) pair tens of times.  Small universes dedup through
-    an ``n*n`` presence bitmap (one linear scatter + scan); larger ones sort
-    the keys in place; few edges pass through unchanged.  Returns the
+    same (leader, member) pair tens of times.  Dense keys over a small
+    universe (at least one key per 16 cells) dedup through an ``n*n``
+    presence bitmap (one linear scatter + scan); otherwise the keys are
+    sorted in place, since scanning a sparse bitmap costs more than the
+    sort; few edges pass through unchanged.  Returns the
     ``(src, dst)`` arrays, ordered by key after a dedup.
     """
-    if n * n <= _BITMAP_DEDUP_CELLS:
+    cells = n * n
+    if cells <= _BITMAP_DEDUP_CELLS and keys.size * 16 >= cells:
         seen = np.zeros(n * n, dtype=bool)
         seen[keys] = True
         keys = np.flatnonzero(seen)

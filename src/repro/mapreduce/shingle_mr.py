@@ -133,7 +133,6 @@ class MapReducePClust:
         result = ClusterResult(
             n_vertices=graph.n_vertices, params=params, backend="mapreduce",
             labels=np.asarray(output, dtype=np.int64), timings=breakdown,
-            n_first_level_shingles=pass1.n_shingles,
-            n_second_level_shingles=pass2.n_shingles)
+            n_first_level_shingles=pass1.n_shingles)
         result.mr_stats = stats_total  # type: ignore[attr-defined]
         return result

@@ -46,8 +46,6 @@ class TestPipelinesWithGrouping:
         serial = SerialPClust(params).run(g)
         device = GpClust(params).run(g)
         assert np.array_equal(serial.labels, device.labels)
-        assert serial.n_second_level_shingles == 0
-        assert device.n_second_level_shingles == 0
 
     def test_one_shingle_merges_at_least_as_much(self):
         """Sharing ONE shingle is a weaker requirement than sharing a

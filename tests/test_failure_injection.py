@@ -7,6 +7,7 @@ pipeline configurations — errors a downstream user will actually hit.
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, cluster_graph
 from repro.device.device import SimulatedDevice
@@ -78,9 +79,30 @@ class TestCorruptInputs:
     def test_inconsistent_npz_graph(self, tmp_path):
         path = tmp_path / "incoherent.npz"
         np.savez(path, indptr=np.array([0, 5]), indices=np.array([1, 2]))
-        graph = load_npz(path)  # loads without validation...
-        with pytest.raises(ValueError):
-            CSRGraph(graph.indptr, graph.indices)  # ...but validation catches it
+        with pytest.raises(ValueError, match="indptr must end"):
+            load_npz(path)  # validated on load
+
+    def test_npz_with_repeated_neighbor(self, tmp_path):
+        """Vertex 0 lists vertex 1 twice: fails on load, not mid-pipeline."""
+        path = tmp_path / "repeated.npz"
+        np.savez(path, indptr=np.array([0, 2, 3, 4, 5, 6]),
+                 indices=np.array([1, 1, 0, 3, 2, 1]))
+        with pytest.raises(ValueError, match="duplicate-free"):
+            load_npz(path)
+        with pytest.raises(ValueError, match="duplicate-free"):
+            cli_main(["cluster", str(path), "--c1", "4", "--c2", "2"])
+
+    @pytest.mark.parametrize("indptr,indices,match", [
+        ([0, 1, 2], [1, 5], "out of range"),
+        ([0, 2, 1, 3], [1, 2, 0], "nondecreasing"),
+        ([0, 1, 2], [0, 0], "self-loops"),
+    ])
+    def test_malformed_npz_raises_value_error(self, tmp_path, indptr,
+                                              indices, match):
+        path = tmp_path / "malformed.npz"
+        np.savez(path, indptr=np.array(indptr), indices=np.array(indices))
+        with pytest.raises(ValueError, match=match):
+            load_npz(path)
 
     def test_fasta_binary_garbage(self, tmp_path):
         path = tmp_path / "bin.fasta"

@@ -4,7 +4,10 @@ earlier in the process.
 Two back-to-back ``GpClust(params).run(graph)`` calls in one process must
 produce the same labels, the same per-kernel launch/element/modeled-second
 counters and the same modeled GPU seconds as each other, and as a fresh
-interpreter running the same call.
+interpreter running the same call.  Every cluster labeling and PassResult
+must equal the serial reference on a cold start and on every warm re-run —
+one device reused, or one process running the pipeline again — across
+execution modes and aggregate backends.
 """
 
 import json
@@ -14,10 +17,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.core.device_exec import device_shingle_pass
+from repro.core.execplan import ExecutionPlan
 from repro.core.params import ShinglingParams
-from repro.core.pipeline import GpClust
+from repro.core.pipeline import GpClust, SerialPClust
+from repro.core.serial import serial_shingle_pass
 from repro.device.device import SimulatedDevice
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 from repro.util.timer import BUCKET_GPU
@@ -61,3 +69,107 @@ def test_fresh_process_matches_warm_process():
     assert fresh["labels"] == warm["labels"]
     assert fresh["kernels"] == warm["kernels"]
     assert fresh["modeled_gpu_s"] == warm["modeled_gpu_s"]
+
+
+@pytest.fixture(scope="module")
+def planted():
+    return planted_family_graph(PlantedFamilyConfig(n_families=8), seed=11)
+
+
+@pytest.fixture(scope="module")
+def serial_labels(planted):
+    return SerialPClust(BASE).run(planted.graph).labels
+
+
+BASE = ShinglingParams(s1=2, c1=8, s2=2, c2=6, trial_chunk=2)
+
+
+def _labels(graph, **overrides):
+    return GpClust(BASE.with_overrides(**overrides)).run(graph).labels
+
+
+class TestPipelineBitIdentity:
+    def test_modes_identical_labels(self, planted, serial_labels):
+        # Twice: the second run follows the first in the same process.
+        cold = _labels(planted.graph)
+        warm = _labels(planted.graph)
+        assert np.array_equal(cold, serial_labels)
+        assert np.array_equal(warm, serial_labels)
+        assert np.unique(cold).size > 1
+
+    @pytest.mark.parametrize("exec_mode", ["sync", "prefetch", "multistream"])
+    def test_exec_modes_identical(self, planted, serial_labels, exec_mode):
+        for _ in range(2):
+            got = _labels(planted.graph, exec_mode=exec_mode)
+            assert np.array_equal(got, serial_labels)
+
+    @pytest.mark.parametrize("backend", ["host", "device"])
+    def test_aggregate_backends_identical(self, planted, serial_labels,
+                                          backend):
+        for _ in range(2):
+            got = _labels(planted.graph, aggregate_backend=backend)
+            assert np.array_equal(got, serial_labels)
+
+    def test_pass_result_identical_warm_replay(self, planted):
+        graph = planted.graph
+        config = BASE.pass_config(1)
+        ref = serial_shingle_pass(graph.indptr, graph.indices, config)
+        plan = BASE.execution_plan()
+        device = SimulatedDevice()
+        counts = []
+        for _ in range(2):  # cold device, then the same device warm
+            got = device_shingle_pass(graph.indptr, graph.indices, config,
+                                      device, kernel="fused", trial_chunk=2,
+                                      plan=plan)
+            assert got == ref
+            counts.append({name: (v["launches"], v["elements"])
+                           for name, v in device.kernel_stats.items()})
+        # The warm pass launches exactly what the cold one did.
+        first, total = counts
+        assert set(first) == set(total)
+        for name, (launches, elements) in first.items():
+            assert total[name] == (2 * launches, 2 * elements)
+
+
+def _random_pass(rng, n_seg, max_len, n_values):
+    # Valid CSR adjacency: neighbor ids are unique within a segment (the
+    # per-segment hash table relies on that, like real adjacency lists).
+    lengths = rng.integers(0, min(max_len, n_values) + 1, n_seg)
+    indptr = np.zeros(n_seg + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    elements = np.concatenate([
+        rng.choice(n_values, size=length, replace=False)
+        for length in lengths
+    ] or [np.empty(0)]).astype(np.int64)
+    return indptr, elements
+
+
+def _counts(device):
+    return {name: (v["launches"], v["elements"])
+            for name, v in device.kernel_stats.items()}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_repeated_shape_replays_stay_identical(seed, trial_chunk):
+    """Same shape re-run many times on one device: all runs equal."""
+    rng = np.random.default_rng(seed)
+    indptr, elements = _random_pass(rng, 10, 6, 40)
+    params = ShinglingParams(s1=2, c1=8, s2=2, c2=6, seed=int(seed % 997),
+                             trial_chunk=trial_chunk)
+    config = params.pass_config(1)
+
+    ref = serial_shingle_pass(indptr, elements, config)
+    device = SimulatedDevice()
+    plan = ExecutionPlan()
+    first = None
+    for run in range(1, 5):
+        got = device_shingle_pass(indptr, elements, config, device,
+                                  kernel="fused", trial_chunk=trial_chunk,
+                                  plan=plan)
+        assert got == ref
+        if first is None:
+            first = _counts(device)
+        assert _counts(device) == {
+            name: (run * launches, run * elements_)
+            for name, (launches, elements_) in first.items()}

@@ -252,6 +252,33 @@ class TestDevicePath:
         assert device.memory.peak_bytes >= resident + table_bytes + block_bytes
         assert device.memory.used_bytes == resident
 
+    def test_ids_call_equals_eager_ids(self):
+        rng = np.random.default_rng(15)
+        device, (d_elems, d_indptr, _), plan, n_values = self._setup(rng)
+        elements = d_elems.device_view()
+        indptr = d_indptr.device_view()
+        resident = device.memory.used_bytes
+        d2h = device.memory.bytes_to_host
+        for a in (rng.integers(1, PRIME, 3).astype(np.uint64),
+                  np.array([0, 5, 7], dtype=np.uint64)):
+            b = rng.integers(0, PRIME, 3).astype(np.uint64)
+            ids, perm = device.shingle_chunk_ids(
+                d_elems, d_indptr, a=a, b=b, prime=PRIME, s=2,
+                n_values=n_values, tournament=plan, check=True)
+            eager = recover_top_ids(
+                segmented_select_top_s(fused_hash(elements, a, b, PRIME),
+                                       indptr, 2),
+                a, b, PRIME, has_sentinels=False)[0]
+            if a[0]:
+                assert np.array_equal(perm, plan.perm)
+                eager = eager[:, perm]
+            else:  # a zero coefficient: eager select, segment order
+                assert perm is None
+            assert ids.dtype == np.uint32
+            assert np.array_equal(ids, eager)
+        assert device.memory.used_bytes == resident
+        assert device.memory.bytes_to_host - d2h == 2 * 3 * plan.n_seg * 2 * 4
+
     def test_check_catches_a_wrong_selection(self, monkeypatch):
         rng = np.random.default_rng(14)
         device, bufs, plan, n_values = self._setup(rng)
