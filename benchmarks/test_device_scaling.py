@@ -103,13 +103,7 @@ def test_device_scaling(report_writer, scale):
     base_params = workload_params(scale)
 
     def run_cluster(n_devices):
-        # Pin host aggregation: this benchmark gates how the *sharded*
-        # shingling work scales with member count, and the aggregation/CC
-        # offload serializes its merge on the primary member (measured by
-        # benchmarks/test_aggregate_offload.py instead), which would dilute
-        # the modeled speedup ratio guarded here.
-        params = base_params.with_overrides(devices=n_devices,
-                                            aggregate_backend="host")
+        params = base_params.with_overrides(devices=n_devices)
         device = _make_device(n_devices)
         GpClust(params).run(pg.graph, device=device)  # warm-up
         device = _make_device(n_devices)

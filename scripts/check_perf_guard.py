@@ -42,7 +42,7 @@ Usage::
         --max-overhead-pct 2
     python scripts/check_perf_guard.py \
         --measured benchmarks/results/attribution_2m.json \
-        --reference BENCH_PR9.json --bottleneck-row traced_2m_dev1
+        --reference BENCH_PR9.json --bottleneck-row 2m_dev1
 """
 
 from __future__ import annotations

@@ -44,11 +44,6 @@ With ``--devices N > 1`` both runs go through a ``DeviceGroup``: the
 clustering workload switches to ``exec_mode=multidevice`` and the traced
 documents must then carry per-device processes (``device0`` ..
 ``device{N-1}``), which this script asserts.
-
-With ``--aggregate-backend device`` the clustering run offloads the
-inter-pass aggregation and Phase III, and the 2m trace must then carry a
-``device.aggregate`` span and ``device.cc.*`` spans — asserted here so CI
-notices if the offload silently degrades to the host path.
 """
 
 from __future__ import annotations
@@ -107,11 +102,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--devices", type=int, default=1,
                         help="simulated devices; >1 runs both workloads "
                              "on a DeviceGroup (multidevice exec mode)")
-    parser.add_argument("--aggregate-backend", default="auto",
-                        choices=["auto", "host", "device"],
-                        help="inter-pass aggregation + Phase III backend "
-                             "for the clustering run; 'device' asserts the "
-                             "offload spans appear in the trace")
     parser.add_argument("--out-dir", default=str(RESULTS_DIR),
                         help="artifact directory")
     args = parser.parse_args(argv)
@@ -120,12 +110,10 @@ def main(argv: list[str] | None = None) -> int:
 
     scale = get_scale()
     graph = make_runtime_workload(WORKLOAD, scale).graph
-    params = workload_params(scale).with_overrides(
-        devices=args.devices, aggregate_backend=args.aggregate_backend)
+    params = workload_params(scale).with_overrides(devices=args.devices)
     print(f"workload {WORKLOAD} (scale={scale}): "
           f"{graph.n_vertices} vertices, {graph.n_edges} edges, "
-          f"devices={args.devices}, "
-          f"aggregate_backend={args.aggregate_backend}")
+          f"devices={args.devices}")
 
     GpClust(params).run(graph)  # warm-up: page in buffers, prime pools
     off_s = _best_of(args.repeats, lambda: GpClust(params).run(graph))
@@ -239,18 +227,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"gpclust.pass2 holds {sorted(built)} spans (pass II built "
                 f"G_II instead of feeding Phase III directly)")
 
-    # --- aggregation/Phase III offload spans ----------------------------
-    if args.aggregate_backend == "device":
-        span_names = {r.name for r in records}
-        if "device.aggregate" not in span_names:
-            failures.append(
-                "device-aggregation trace has no device.aggregate span "
-                "(the inter-pass merge did not run on the device)")
-        if not any(name.startswith("device.cc.") for name in span_names):
-            failures.append(
-                "device-aggregation trace has no device.cc.* span "
-                "(Phase III did not run as the CC kernels)")
-
     # --- homology build on the device alignment backend -----------------
     import dataclasses
 
@@ -316,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"overhead report written to {out_dir / 'trace_overhead.json'}")
 
     # --- performance ledger ---------------------------------------------
-    row_name = f"2m_dev{args.devices}_agg{args.aggregate_backend}"
+    row_name = f"2m_dev{args.devices}"
     ledger_row = {
         "traced_off_s": round(off_s, 6),
         "traced_on_s": round(on_s, 6),
@@ -333,8 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir / "ledger", "traced_smoke", {row_name: ledger_row},
         config={"workload": WORKLOAD, "scale": scale,
                 "devices": args.devices,
-                "align_backend": args.align_backend,
-                "aggregate_backend": args.aggregate_backend},
+                "align_backend": args.align_backend},
         host_cores=os.cpu_count())
     print(f"ledger row {row_name} appended under {out_dir / 'ledger'}")
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.components import _canonicalize, _cc_label_propagation
 from repro.graph.csr import CSRGraph
+from repro.graph.unionfind import canonical_labels, union_edges
 
 
 def shared_neighbor_counts(graph: CSRGraph, edges: np.ndarray | None = None) -> np.ndarray:
@@ -56,5 +56,5 @@ def gos_kneighbor_clustering(graph: CSRGraph, k: int = 10) -> np.ndarray:
     edges = graph.edges()
     counts = shared_neighbor_counts(graph, edges)
     linked = edges[counts >= k]
-    raw = _cc_label_propagation(graph.n_vertices, linked[:, 0], linked[:, 1])
-    return _canonicalize(raw)
+    return canonical_labels(
+        union_edges(graph.n_vertices, linked[:, 0], linked[:, 1]))

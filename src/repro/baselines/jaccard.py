@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.components import _canonicalize, _cc_label_propagation
 from repro.graph.csr import CSRGraph
+from repro.graph.unionfind import canonical_labels, union_edges
 
 #: Refuse to go quadratic beyond this many vertices.
 MAX_BRUTE_FORCE_VERTICES = 20_000
@@ -75,5 +75,5 @@ def jaccard_bruteforce_clustering(graph: CSRGraph, threshold: float = 0.5,
         adj = np.zeros(j.shape, dtype=bool)
         adj[owner, graph.indices] = True
         linked &= adj[iu, ju]
-    raw = _cc_label_propagation(graph.n_vertices, iu[linked], ju[linked])
-    return _canonicalize(raw)
+    return canonical_labels(
+        union_edges(graph.n_vertices, iu[linked], ju[linked]))

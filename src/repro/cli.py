@@ -67,8 +67,7 @@ def _params_from_args(args: argparse.Namespace) -> ShinglingParams:
     return ShinglingParams(s1=args.s1, c1=args.c1, s2=args.s2, c2=args.c2,
                            seed=args.seed, kernel=args.kernel,
                            exec_mode=args.exec_mode, streams=args.streams,
-                           devices=args.devices,
-                           aggregate_backend=args.aggregate_backend)
+                           devices=args.devices)
 
 
 def _make_device(params: ShinglingParams):
@@ -178,13 +177,6 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
                         help="simulated device count; more than one runs "
                              "the multidevice schedule over a device group "
                              "(output is identical for every count)")
-    parser.add_argument("--aggregate-backend",
-                        choices=["auto", "host", "device"], default="auto",
-                        help="where inter-pass aggregation and Phase III "
-                             "connected components run: auto offloads to "
-                             "the device when prerequisites hold, host "
-                             "forces the CPU paths, device prefers the "
-                             "offloads (all bit-identical)")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

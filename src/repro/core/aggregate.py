@@ -25,7 +25,6 @@ from repro.device.kernels import SENTINEL, agg_merge, union_runs, unpack_pairs
 from repro.graph.bipartite import BipartiteCSR
 from repro.obs import get_obs
 from repro.util.mixhash import fold_fingerprint_array
-from repro.util.timer import BUCKET_CPU
 
 _U32_MAX = np.uint64(0xFFFFFFFF)
 
@@ -240,22 +239,12 @@ class StreamingAggregator:
     containing a fingerprint holds its globally-first occurrence — exactly
     the row ``np.unique(..., return_index=True)`` would have picked — and
     generator lists merge as sorted unions.  ``add`` is thread-safe.
-
-    With a ``device``, the aggregator additionally accepts *device-resident*
-    partials (:meth:`add_resident`): the 4-tuple of buffers
-    ``shingle_chunk_reduce(..., resident=True)`` leaves on the device.  The
-    same merge function then runs on the device and only the final merged
-    bipartite CSR crosses the PCIe link — bit-identical output to the host
-    merge, without the per-chunk host round-trip.  A single aggregator uses
-    one mode or the other per pass (the pass executor decides up front).
     """
 
-    def __init__(self, s: int, n_segments: int, device=None) -> None:
+    def __init__(self, s: int, n_segments: int) -> None:
         self.s = int(s)
         self.n_segments = int(n_segments)
-        self._device = device
         self._parts: list[tuple[int, PassResult]] = []
-        self._resident_parts: list[tuple[int, object, tuple]] = []
         self._lock = threading.Lock()
 
     def add(self, trial_lo: int, partial: PassResult) -> None:
@@ -263,31 +252,15 @@ class StreamingAggregator:
         with self._lock:
             self._parts.append((int(trial_lo), partial))
 
-    def add_resident(self, trial_lo: int, owner, buffers: tuple) -> None:
-        """Record a device-resident chunk partial.
-
-        ``owner`` is the device (group member) holding ``buffers`` — the
-        4-tuple of ``chunk_reduce`` wire buffers.  Thread-safe, like
-        :meth:`add`.
-        """
-        with self._lock:
-            self._resident_parts.append((int(trial_lo), owner, buffers))
-
     @property
     def n_partials(self) -> int:
         with self._lock:
-            return len(self._parts) + len(self._resident_parts)
+            return len(self._parts)
 
     def result(self) -> PassResult:
         """Merge all partials into the whole-pass result."""
         with self._lock:
             parts = [p for _, p in sorted(self._parts, key=lambda kv: kv[0])]
-            resident = sorted(self._resident_parts, key=lambda kv: kv[0])
-        if resident:
-            if parts:
-                raise ValueError(
-                    "cannot mix host and device-resident partials")
-            return self._merge_device(resident)
         if not parts:
             raise ValueError("no partial results to merge")
         if len(parts) == 1:
@@ -295,23 +268,6 @@ class StreamingAggregator:
         with get_obs().tracer.span("aggregate.merge_partials",
                                    n_partials=len(parts)):
             return self._merge(parts)
-
-    def _merge_device(self, resident: list[tuple[int, object, tuple]]
-                      ) -> PassResult:
-        """Merge resident partials on the device; download only the result.
-
-        The device runs the same :func:`~repro.device.kernels.agg_merge` as
-        :meth:`_merge`, so the returned :class:`PassResult` is
-        bit-identical; only the final ``PassResult``/CSR assembly from the
-        downloaded wire arrays is host work, charged to the cpu bucket.
-        """
-        device = self._device
-        parts = [(owner, bufs) for _, owner, bufs in resident]
-        with get_obs().tracer.span("aggregate.merge_partials",
-                                   n_partials=len(parts), backend="device"):
-            wire = device.aggregate_merge(parts, s=self.s)
-            with device.breakdown.timing(BUCKET_CPU):
-                return pass_result_from_wire(*wire, n_segments=self.n_segments)
 
     def _merge(self, parts: list[PassResult]) -> PassResult:
         """Merge host partials (ascending trial order) with ``agg_merge``."""

@@ -49,7 +49,7 @@ from repro.core.aggregate import (StreamingAggregator, aggregate_pass,
                                   pass_result_from_wire)
 from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
                                  ExecutionPlan, trial_chunks)
-from repro.core.params import AGG_AUTO, AGG_HOST, KERNEL_FUSED, PassConfig
+from repro.core.params import KERNEL_FUSED, PassConfig
 from repro.core.passresult import PassResult
 from repro.core.report import PartitionFold
 from repro.device.batching import (BatchPlan, max_batch_elements,
@@ -192,7 +192,6 @@ def device_union_pass(
     members1: np.ndarray,
     n_vertices: int,
     include_generators: bool = False,
-    device_cc: bool = False,
     trial_chunk: int = 16,
     max_elements: int | None = None,
     plan: ExecutionPlan | None = None,
@@ -215,9 +214,8 @@ def device_union_pass(
     and the labels — are the same.
 
     ``indptr``/``elements`` are pass II's input (pass I's generator lists)
-    and ``members1`` pass I's ``(k1, s1)`` members.  ``device_cc`` runs the
-    unions as the device's CC kernels.  Every exec mode works: chunks run
-    through :func:`_run_chunks` and fold under the fold's lock.
+    and ``members1`` pass I's ``(k1, s1)`` members.  Every exec mode works:
+    chunks run through :func:`_run_chunks` and fold under the fold's lock.
 
     Returns the fold of every chunk's edges (its :meth:`~PartitionFold.
     labels` are the partition), or ``None`` when the pass needs several
@@ -230,8 +228,7 @@ def device_union_pass(
                          max_elements, plan)
     breakdown = device.breakdown
     tracer = device.obs.tracer
-    fold = PartitionFold(n_vertices, breakdown, tracer,
-                         device=device if device_cc else None)
+    fold = PartitionFold(n_vertices, breakdown, tracer)
     if inp.valid_ids.size == 0 or not inp.chunks:
         return fold  # no second-level shingle: nothing to union
     if inp.batch_plan.n_batches != 1:
@@ -387,19 +384,6 @@ def _single_batch_streaming(
     # requires; the only other gate is the 63-bit key-packing bound.
     use_reduce = (kernel == KERNEL_FUSED
                   and reduce_keys_fit(t_max, n_rows, s, n_values))
-    # Device-backed aggregation: keep every chunk's compacted partial
-    # resident and merge on-device (group-by kernels), downloading only the
-    # final bipartite CSR.  Requires the on-device reduction (the partials
-    # must exist on the device in wire form) and that the worst-case
-    # resident partial volume — every chunk fully distinct — fits device
-    # memory with headroom for the merge working set.  Both "auto" and a
-    # forced "device" degrade to the host merge when a prerequisite is
-    # missing; results are bit-identical either way.
-    agg_backend = getattr(config, "aggregate_backend", AGG_AUTO)
-    c_total = sum(hi - lo for lo, hi in chunks)
-    resident_fits = (3 * c_total * n_rows * (16 + 4 * s)
-                     < device.spec.memory_capacity_bytes)
-    use_dev_agg = (use_reduce and agg_backend != AGG_HOST and resident_fits)
 
     batch_elements = batch.slice_elements(elements)
     with breakdown.timing(BUCKET_CPU):
@@ -409,8 +393,7 @@ def _single_batch_streaming(
         # The per-element segment ids only feed the eager select.
         seg_ids_table = (segment_element_ids(batch.local_indptr)
                          if tournament is None else None)
-        aggregator = StreamingAggregator(
-            s, n_seg, device=device if use_dev_agg else None)
+        aggregator = StreamingAggregator(s, n_seg)
         host_pool = ScratchPool()  # reused download staging across chunks
 
     d_elems = _broadcast(device, group_members, multi, batch_elements)
@@ -423,18 +406,12 @@ def _single_batch_streaming(
     check_lo = chunks[0][0] if chunks and debug_checks_enabled() else None
 
     def run_chunk_reduce(lo: int, hi: int, dev: int) -> None:
-        member = group_members[dev]
-        out = member.shingle_chunk_reduce(
+        out = group_members[dev].shingle_chunk_reduce(
             d_elems[dev], d_indptrs[dev], d_gens[dev],
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
             salts=salts[lo:hi], seg_ids=seg_ids_table, n_values=n_values,
             tournament=tournament, check=lo == check_lo,
-            resident=use_dev_agg, label=f"trials {lo}-{hi - 1}")
-        if use_dev_agg:
-            # The partial never leaves the device: record the resident
-            # buffers and move on (no per-chunk host aggregation at all).
-            aggregator.add_resident(lo, member, out)
-            return
+            label=f"trials {lo}-{hi - 1}")
         with breakdown.timing(BUCKET_CPU), \
                 tracer.span("exec.chunk_aggregate"):
             aggregator.add(lo, pass_result_from_wire(*out, n_segments=n_seg))
@@ -462,12 +439,6 @@ def _single_batch_streaming(
                     members=group_members)
     finally:
         device.free(*(d_elems + d_indptrs + d_gens))
-
-    if use_dev_agg and aggregator.n_partials:
-        # The device merge charges its own gpu/g2c/cpu buckets internally —
-        # no blanket cpu timing here, or those seconds would double-count.
-        with tracer.span("exec.merge_partials"):
-            return aggregator.result()
 
     with breakdown.timing(BUCKET_CPU), tracer.span("exec.merge_partials"):
         if aggregator.n_partials == 0:

@@ -23,10 +23,8 @@ under three plans:
     each stream holds its own working set on the device.
 
 ``multidevice``
-    Chunk sharding across a :class:`~repro.device.group.DeviceGroup`.  When
-    device-backed aggregation is active, each member's chunk partials stay
-    resident and are gathered onto member 0 over the p2p fabric before the
-    on-device merge.
+    Chunk sharding across a :class:`~repro.device.group.DeviceGroup`.  Each
+    member downloads its own chunk partials; the host merges them.
 
 All plans produce bit-identical :class:`~repro.core.passresult.PassResult`s;
 only the schedule (and therefore the wall-clock overlap) differs.  Table-I

@@ -32,12 +32,6 @@ KERNELS = (KERNEL_SELECT, KERNEL_SORT, KERNEL_FUSED)
 UNION_VECTORIZED = "vectorized"
 UNION_UNIONFIND = "unionfind"
 
-AGG_AUTO = "auto"
-AGG_HOST = "host"
-AGG_DEVICE = "device"
-
-AGGREGATE_BACKENDS = (AGG_AUTO, AGG_HOST, AGG_DEVICE)
-
 
 @dataclass(frozen=True)
 class ShinglingParams:
@@ -87,15 +81,6 @@ class ShinglingParams:
     union_backend:
         Phase III engine: ``"vectorized"`` label propagation or the scalar
         ``"unionfind"`` reference.  Identical results.
-    aggregate_backend:
-        Where inter-pass aggregation and Phase III connected components
-        run: ``"auto"`` (the default — offload to the device whenever the
-        fused kernel's resident partials fit device memory and the
-        vectorized Phase III engine is selected, host otherwise),
-        ``"host"`` (always the host paths) or ``"device"`` (prefer the
-        device offloads; still degrades to host where a prerequisite — the
-        fused reduction, resident capacity, the vectorized union backend —
-        is missing).  All backends produce bit-identical results.
     grouping:
         Vertex-grouping strategy.  ``"two_level"`` is the paper's middle
         ground (merge via shared *second-level* shingles).  ``"one_shingle"``
@@ -120,7 +105,6 @@ class ShinglingParams:
     include_generators: bool = False
     union_backend: str = UNION_VECTORIZED
     grouping: str = GROUPING_TWO_LEVEL
-    aggregate_backend: str = AGG_AUTO
 
     def __post_init__(self) -> None:
         for name in ("s1", "s2"):
@@ -147,9 +131,6 @@ class ShinglingParams:
             raise ValueError(f"unknown union_backend {self.union_backend!r}")
         if self.grouping not in (GROUPING_TWO_LEVEL, GROUPING_ONE_SHINGLE):
             raise ValueError(f"unknown grouping {self.grouping!r}")
-        if self.aggregate_backend not in AGGREGATE_BACKENDS:
-            raise ValueError(
-                f"unknown aggregate_backend {self.aggregate_backend!r}")
         if self.grouping == GROUPING_ONE_SHINGLE and self.report_mode != REPORT_PARTITION:
             raise ValueError("one_shingle grouping supports partition mode only")
 
@@ -183,8 +164,7 @@ class ShinglingParams:
         pairs = make_hash_pairs(c, rng, prime=self.prime)
         salts = np.array([trial_salt(pass_id, j) for j in range(c)], dtype=np.uint64)
         return PassConfig(pass_id=pass_id, s=s, c=c, prime=self.prime,
-                          hash_pairs=pairs, salts=salts,
-                          aggregate_backend=self.aggregate_backend)
+                          hash_pairs=pairs, salts=salts)
 
 
 @dataclass(frozen=True)
@@ -197,7 +177,6 @@ class PassConfig:
     prime: int
     hash_pairs: list[HashPair] = field(repr=False)
     salts: np.ndarray = field(repr=False)
-    aggregate_backend: str = AGG_AUTO
 
     @property
     def a_array(self) -> np.ndarray:

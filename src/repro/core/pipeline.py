@@ -22,7 +22,6 @@ from repro.core.device_exec import device_shingle_pass, device_union_pass
 from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
                                  ExecutionPlan)
 from repro.core.params import (
-    AGG_HOST,
     GROUPING_ONE_SHINGLE,
     KERNEL_FUSED,
     REPORT_PARTITION,
@@ -162,23 +161,18 @@ class GpClust:
         with breakdown.timing(BUCKET_CPU), \
                 tracer.span("gpclust.pass2_input"):
             indptr2, elements2 = pass1.next_pass_input()
-        # Phase III on the device: vectorized partition-mode union runs as
-        # the hooking/pointer-jumping kernels (bit-identical labels).  The
-        # scalar union-find backend and overlapping mode stay the host
-        # fallback.
-        partition = (params.report_mode == REPORT_PARTITION
-                     and params.union_backend == UNION_VECTORIZED)
-        use_device_cc = partition and params.aggregate_backend != AGG_HOST
         fold = None
         with tracer.span("gpclust.pass2") as span:
-            if partition and params.kernel == KERNEL_FUSED:
+            if (params.report_mode == REPORT_PARTITION
+                    and params.union_backend == UNION_VECTORIZED
+                    and params.kernel == KERNEL_FUSED):
                 # Partition mode needs only G_II's vertex components: feed
                 # the pass straight into the union when it can.
                 fold = device_union_pass(
                     indptr2, elements2, config2, device,
                     members1=pass1.members, n_vertices=graph.n_vertices,
                     include_generators=params.include_generators,
-                    device_cc=use_device_cc, trial_chunk=params.trial_chunk,
+                    trial_chunk=params.trial_chunk,
                     max_elements=self.max_batch_elements, plan=self.plan)
             span.set(direct=fold is not None)
             if fold is None:
@@ -187,21 +181,10 @@ class GpClust:
                     kernel=params.kernel, trial_chunk=params.trial_chunk,
                     max_elements=self.max_batch_elements, plan=self.plan)
 
-        # No blanket cpu timing around the device paths — they charge their
-        # own cpu/gpu/transfer buckets internally.
-        if fold is not None:
-            with breakdown.timing(BUCKET_CPU), tracer.span("phase3.report"):
+        with breakdown.timing(BUCKET_CPU), tracer.span("phase3.report"):
+            if fold is not None:
                 output = fold.labels()
-        elif use_device_cc:
-            with tracer.span("phase3.report"):
-                output = report_clusters(
-                    pass1, pass2, graph.n_vertices,
-                    mode=params.report_mode,
-                    backend=params.union_backend,
-                    include_generators=params.include_generators,
-                    device=device)
-        else:
-            with breakdown.timing(BUCKET_CPU), tracer.span("phase3.report"):
+            else:
                 output = report_clusters(
                     pass1, pass2, graph.n_vertices,
                     mode=params.report_mode,

@@ -29,7 +29,8 @@ from repro.core.params import (
 )
 from repro.core.passresult import PassResult
 from repro.graph.components import bipartite_components
-from repro.graph.unionfind import UnionFind, union_edge_keys, union_groups
+from repro.graph.unionfind import (UnionFind, canonical_labels,
+                                  union_edge_keys, union_groups)
 from repro.obs import get_obs
 from repro.util.timer import BUCKET_CPU
 
@@ -146,19 +147,6 @@ def _phase3_edges(pass1: PassResult, pass2: PassResult,
     return keys
 
 
-def _canonical_labels(roots: np.ndarray) -> np.ndarray:
-    """Dense set labels from min-vertex roots, in O(n).
-
-    ``roots[i]`` is the smallest vertex id of i's set, so the sets' roots
-    are exactly the ``i`` with ``roots[i] == i``.  Numbering them in id
-    order (a running count) equals order of first appearance, and gives
-    ``np.unique(roots, return_inverse=True)``'s inverse without a sort.
-    """
-    roots = np.asarray(roots, dtype=np.int64)
-    rank = np.cumsum(roots == np.arange(roots.size, dtype=np.int64)) - 1
-    return rank[roots].astype(np.int64, copy=False)
-
-
 class PartitionFold:
     """Phase III partition labels, folded in one edge batch at a time.
 
@@ -168,20 +156,15 @@ class PartitionFold:
     the roots — so no caller ever holds every batch's edges at once, and
     once the first batches have merged the big components most later
     edges cost only the gather.  Labels depend only on the union of all
-    folded edges, never on fold order; :meth:`fold` is thread-safe.
-
-    With a ``device``, each union runs as the device's hooking + pointer-
-    jumping kernels (see :func:`~repro.graph.unionfind.union_edge_keys`);
-    host work is charged to the cpu bucket of ``breakdown``.
+    folded edges, never on fold order; :meth:`fold` is thread-safe.  All
+    of it is host work, charged to the cpu bucket of ``breakdown``.
     """
 
-    def __init__(self, n_vertices: int, breakdown, tracer,
-                 device=None) -> None:
+    def __init__(self, n_vertices: int, breakdown, tracer) -> None:
         self.n_vertices = int(n_vertices)
         self.roots = np.arange(self.n_vertices, dtype=np.int64)
         self._breakdown = breakdown
         self._tracer = tracer
-        self._device = device
         self._lock = threading.Lock()
 
     def fold(self, src: np.ndarray, dst: np.ndarray) -> None:
@@ -198,52 +181,32 @@ class PartitionFold:
             if keys.size == 0:
                 return
             with self._tracer.span("phase3.union", backend=UNION_VECTORIZED,
-                                   n_vertices=n, n_union_edges=int(keys.size)):
-                if self._device is not None:
-                    merged = union_edge_keys(n, keys, device=self._device)
-                else:
-                    with cpu(BUCKET_CPU):
-                        merged = union_edge_keys(n, keys)
-            with cpu(BUCKET_CPU):
-                self.roots = merged[roots]
+                                   n_vertices=n,
+                                   n_union_edges=int(keys.size)), \
+                    cpu(BUCKET_CPU):
+                self.roots = union_edge_keys(n, keys)[roots]
 
     def labels(self) -> np.ndarray:
         """Canonical dense labels of the roots folded so far."""
-        return _canonical_labels(self.roots)
+        return canonical_labels(self.roots)
 
 
 def partition_labels(pass1: PassResult, pass2: PassResult, n_vertices: int,
                      backend: str = UNION_VECTORIZED,
-                     include_generators: bool = False,
-                     device=None) -> np.ndarray:
+                     include_generators: bool = False) -> np.ndarray:
     """Phase III partition mode: dense per-vertex cluster labels.
 
     Unclustered vertices end up in singleton clusters.  Labels are canonical
     (sets ordered by their smallest vertex id == order of first appearance),
     so both backends return identical arrays.
-
-    With a ``device`` and the vectorized backend, the union fixpoint runs
-    as the device's hooking + pointer-jumping kernels (bit-identical
-    labels); edge construction and canonicalization stay host work, charged
-    to the cpu bucket so the Table-I accounting still reconciles.
     """
     tracer = get_obs().tracer
     if backend == UNION_VECTORIZED:
-        if device is not None:
-            with device.breakdown.timing(BUCKET_CPU):
-                keys = _phase3_edges(pass1, pass2, include_generators,
-                                     n_vertices)
-            with tracer.span("phase3.union", backend=backend,
-                             n_vertices=n_vertices,
-                             n_union_edges=int(keys.size)):
-                roots = union_edge_keys(n_vertices, keys, device=device)
-            with device.breakdown.timing(BUCKET_CPU):
-                return _canonical_labels(roots)
         keys = _phase3_edges(pass1, pass2, include_generators, n_vertices)
         with tracer.span("phase3.union", backend=backend,
                          n_vertices=n_vertices, n_union_edges=int(keys.size)):
             roots = union_edge_keys(n_vertices, keys)
-        return _canonical_labels(roots)
+        return canonical_labels(roots)
     offsets, flat = _phase3_groups(pass1, pass2, include_generators)
     if backend == UNION_UNIONFIND:
         with tracer.span("phase3.union", backend=backend,
@@ -313,7 +276,7 @@ def one_shingle_labels(pass1: PassResult, n_vertices: int,
     flat = gens.indices[mask]
 
     if backend == UNION_VECTORIZED:
-        return _canonical_labels(union_groups(n_vertices, offsets, flat))
+        return canonical_labels(union_groups(n_vertices, offsets, flat))
     if backend == UNION_UNIONFIND:
         uf = UnionFind(n_vertices)
         flat_list = flat.tolist()
@@ -327,19 +290,16 @@ def one_shingle_labels(pass1: PassResult, n_vertices: int,
 def report_clusters(pass1: PassResult, pass2: PassResult, n_vertices: int, *,
                     mode: str = REPORT_PARTITION,
                     backend: str = UNION_VECTORIZED,
-                    include_generators: bool = False,
-                    device=None):
+                    include_generators: bool = False):
     """Dispatch to the requested Phase III formulation.
 
     Returns a label array (partition mode) or a list of vertex-id arrays
-    (overlapping mode).  ``device`` offloads the partition-mode union (see
-    :func:`partition_labels`); overlapping mode always runs on the host.
+    (overlapping mode).
     """
     if mode == REPORT_PARTITION:
         return partition_labels(pass1, pass2, n_vertices,
                                 backend=backend,
-                                include_generators=include_generators,
-                                device=device)
+                                include_generators=include_generators)
     if mode == REPORT_OVERLAPPING:
         return overlapping_clusters(pass1, pass2,
                                     include_generators=include_generators)

@@ -9,10 +9,7 @@ followed by fingerprint-keyed aggregation into the shingle graph.
 It is deliberately *not* vectorized: it plays the role of the paper's serial
 baseline in Table I, and it is the ground truth the device path is validated
 against — both must produce identical :class:`PassResult` objects for the
-same hash pairs.  The ``aggregate_backend`` switch never applies here: the
-serial path always aggregates and unions on the host, which is precisely
-what makes it the reference the device aggregation/Phase-III offloads are
-checked against for bit-identity.
+same hash pairs.
 """
 
 from __future__ import annotations

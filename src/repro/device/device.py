@@ -462,7 +462,6 @@ class SimulatedDevice:
         n_values: int | None = None,
         tournament: kernels.TournamentPlan | None = None,
         check: bool = False,
-        resident: bool = False,
         label: str = "trial chunk",
     ) -> tuple:
         """One fused kernel round with on-device sort-dedup reduction.
@@ -492,11 +491,7 @@ class SimulatedDevice:
         table mapping columns to original segment ids.
 
         Returns host arrays ``(fps, members, gen_counts, gens)`` in the
-        wire dtypes of ``chunk_reduce`` (uint64/uint32).  With
-        ``resident=True`` the four outputs stay on the device and their
-        :class:`DeviceBuffer` handles are returned instead — nothing crosses
-        the PCIe link; :meth:`aggregate_merge` later consumes (and frees)
-        the resident partials and downloads only the final merged result.
+        wire dtypes of ``chunk_reduce`` (uint64/uint32).
         """
         t = len(a)
         elements = d_elements.device_view()
@@ -541,9 +536,6 @@ class SimulatedDevice:
 
         self.free(*d_work)
         pool.give(table, top32, top_ids)
-        if resident:
-            # The partial stays device-resident for aggregate_merge.
-            return tuple(d_out)
         # The compacted partial is all that crosses the PCIe link.
         host = tuple(self.download(buf) for buf in d_out)
         self.free(*d_out)
@@ -691,170 +683,3 @@ class SimulatedDevice:
             raise AssertionError(
                 f"tournament selection differs from the eager select "
                 f"({label})")
-
-    # ------------------------------------------------------------------ #
-    # Inter-pass aggregation (device-resident group-by merge)
-    # ------------------------------------------------------------------ #
-
-    def aggregate_merge(
-        self,
-        parts: list,
-        *,
-        s: int,
-        label: str = "aggregate",
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Merge device-resident ``chunk_reduce`` partials on the device.
-
-        ``parts`` is a list of ``(owner, buffers)`` tuples in ascending
-        trial order, where ``buffers`` is the 4-tuple of resident
-        :class:`DeviceBuffer` handles returned by
-        :meth:`shingle_chunk_reduce` with ``resident=True`` (``owner`` is
-        the producing device — ignored here, used by
-        :class:`~repro.device.group.DeviceGroup`).  Runs
-        :func:`~repro.device.kernels.agg_merge` (accounted as the
-        ``agg_sort``/``agg_boundaries``/``agg_invert`` kernels) over the
-        resident partials and downloads only the merged result, so the
-        per-chunk partial bytes never cross the PCIe link.  The host
-        StreamingAggregator runs the same merge function, so the output is
-        bit-identical by construction.
-
-        Returns host arrays ``(fps, members, gen_counts, gens)`` in the
-        ``chunk_reduce`` wire dtypes; all input buffers are freed.
-        """
-        bufs = [part[1] for part in parts]
-        part_bytes = sum(b.nbytes for part in bufs for b in part)
-        fp_parts = [part[0].device_view() for part in bufs]
-        k_in = sum(fp.size for fp in fp_parts)
-        tracer = self.obs.tracer
-        if k_in == 0:
-            for part in bufs:
-                self.free(*part)
-            return (np.empty(0, dtype=np.uint64),
-                    np.empty((0, s), dtype=np.uint32),
-                    np.empty(0, dtype=np.uint32),
-                    np.empty(0, dtype=np.uint32))
-        if len(bufs) == 1:
-            # Single partial: nothing to merge, the deferred download is the
-            # only remaining work.
-            host = tuple(self.download(b) for b in bufs[0])
-            self.free(*bufs[0])
-            if tracer.enabled:
-                t_now = time.perf_counter()
-                tracer.record("device.aggregate", t_now, t_now,
-                              proc=self.proc,
-                              attrs={"parts": 1, "k_in": k_in,
-                                     "k_out": k_in, "bytes_saved": 0,
-                                     "label": label})
-            return host
-
-        member_parts = [part[1].device_view() for part in bufs]
-        count_parts = [part[2].device_view() for part in bufs]
-        gen_parts = [part[3].device_view() for part in bufs]
-        nnz_in = sum(g.size for g in gen_parts)
-
-        t0 = time.perf_counter()
-        uniq, members, gen_counts, gens = kernels.agg_merge(
-            fp_parts, member_parts, count_parts, gen_parts)
-        d_out = [self.memory.adopt(arr)
-                 for arr in (uniq, members, gen_counts, gens)]
-        for part in bufs:
-            self.free(*part)
-        t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_GPU, t1 - t0)
-
-        sort_s = self.spec.kernels.seconds_for("agg_sort", k_in)
-        bounds_s = self.spec.kernels.seconds_for("agg_boundaries", k_in)
-        invert_s = self.spec.kernels.seconds_for("agg_invert", nnz_in)
-        self._record_kernel("agg_sort", k_in, sort_s)
-        self._record_kernel("agg_boundaries", k_in, bounds_s)
-        self._record_kernel("agg_invert", nnz_in, invert_s)
-        modeled_gpu = sort_s + bounds_s + invert_s
-        self.breakdown.add_modeled(BUCKET_GPU, modeled_gpu)
-        if self.timeline is not None:
-            self.timeline.record(BUCKET_GPU, label, modeled_gpu)
-
-        final_bytes = sum(b.nbytes for b in d_out)
-        bytes_saved = max(0, part_bytes - final_bytes)
-        self.obs.metrics.counter(
-            f"{self.metric_prefix}.aggregate.bytes_saved").add(bytes_saved)
-        if tracer.enabled:
-            tracer.record("device.aggregate", t0, t1, proc=self.proc,
-                          attrs={"parts": len(bufs), "k_in": k_in,
-                                 "k_out": int(uniq.size),
-                                 "bytes_saved": bytes_saved, "label": label})
-        host = tuple(self.download(buf) for buf in d_out)
-        self.free(*d_out)
-        return host
-
-    # ------------------------------------------------------------------ #
-    # Phase III connected components (hooking + pointer jumping)
-    # ------------------------------------------------------------------ #
-
-    def cc_round(self, labels: np.ndarray, src: np.ndarray,
-                 dst: np.ndarray, jumped: np.ndarray) -> None:
-        """One hooking round plus pointer jumping to a local fixpoint.
-
-        Mutates ``labels`` in place (``jumped`` is caller-provided scratch
-        of the same shape).  Charges modeled seconds and kernel counters
-        only — the *measured* GPU wall time is charged once by the caller
-        around its whole solve loop, so per-round timing overhead never
-        double-counts against the breakdown buckets.
-        """
-        kernels.cc_hook(labels, src, dst)
-        jumps = 1
-        while kernels.cc_jump(labels, jumped):
-            np.copyto(labels, jumped)
-            jumps += 1
-        hook_s = self.spec.kernels.seconds_for("cc_hook", src.size)
-        jump_s = self.spec.kernels.seconds_for("cc_jump", jumps * labels.size)
-        self._record_kernel("cc_hook", src.size, hook_s)
-        self._record_kernel("cc_jump", jumps * labels.size, jump_s)
-        self.breakdown.add_modeled(BUCKET_GPU, hook_s + jump_s)
-
-    def connected_components(self, src: np.ndarray, dst: np.ndarray,
-                             n: int, label: str = "phase3") -> np.ndarray:
-        """Min-label connected components over an edge list, on the device.
-
-        Uploads the edge list, iterates :meth:`cc_round` (hooking +
-        pointer jumping) until the labels reach a fixpoint, and downloads
-        the result.  Labels are monotonically non-increasing with
-        ``labels[x] <= x`` as an invariant, so the unique fixpoint is the
-        canonical min-vertex labeling — bit-identical to the host
-        ``union_edges`` output regardless of edge order or sharding.
-
-        Returns the ``(n,)`` int64 label array.
-        """
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        d_src = self.upload(src)
-        d_dst = self.upload(dst)
-        labels = np.arange(n, dtype=np.int64)
-        d_labels = self.memory.adopt(labels)
-        pool = self.scratch
-        before = pool.take((n,), np.int64)
-        jumped = pool.take((n,), np.int64)
-        srcv = d_src.device_view()
-        dstv = d_dst.device_view()
-        rounds = 0
-        t0 = time.perf_counter()
-        while True:
-            np.copyto(before, labels)
-            self.cc_round(labels, srcv, dstv, jumped)
-            rounds += 1
-            if np.array_equal(labels, before):
-                break
-        t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_GPU, t1 - t0)
-        metrics = self.obs.metrics
-        prefix = self.metric_prefix
-        metrics.counter(f"{prefix}.cc.rounds").add(rounds)
-        metrics.counter(f"{prefix}.cc.edges").add(int(src.size))
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.cc.solve", t0, t1, proc=self.proc,
-                          attrs={"rounds": rounds, "edges": int(src.size),
-                                 "n": int(n), "label": label})
-        out = self.download(d_labels)
-        self.free(d_src, d_dst, d_labels)
-        pool.give(before, jumped)
-        return out

@@ -43,7 +43,7 @@ from repro.device.device import SimulatedDevice
 from repro.device.memory import DeviceBuffer
 from repro.device.timingmodels import DeviceSpec, TransferModel
 from repro.obs import MetricsRegistry, ObsContext, get_obs
-from repro.util.timer import BUCKET_GPU, BUCKET_P2P, TimeBreakdown
+from repro.util.timer import BUCKET_P2P, TimeBreakdown
 
 #: Default peer-to-peer link: twice the PCIe-2.0 host bandwidth at half the
 #: latency — the class of advantage direct GPU<->GPU copies show over a
@@ -211,31 +211,6 @@ class DeviceGroup:
                           attrs={"bytes": data.nbytes, "modeled_s": modeled})
         return buf
 
-    def peer_copy_into(self, src_buffer: DeviceBuffer,
-                       dst_buffer: DeviceBuffer,
-                       dst_member: SimulatedDevice) -> DeviceBuffer:
-        """Device->device copy into an existing destination buffer.
-
-        Same ``data_p2p`` accounting as :meth:`peer_copy`, but the
-        destination capacity is already reserved — the per-round label
-        redistribution of the sharded connected-components solve reuses one
-        resident buffer per member instead of reallocating every round.
-        """
-        t0 = time.perf_counter()
-        np.copyto(dst_buffer.device_view(), src_buffer.device_view())
-        t1 = time.perf_counter()
-        nbytes = src_buffer.nbytes
-        modeled = self.topology.p2p.seconds_for(nbytes)
-        self.breakdown.add(BUCKET_P2P, t1 - t0)
-        self.breakdown.add_modeled(BUCKET_P2P, modeled)
-        with self._p2p_lock:
-            self.p2p_bytes += nbytes
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.p2p_copy", t0, t1, proc=dst_member.proc,
-                          attrs={"bytes": nbytes, "modeled_s": modeled})
-        return dst_buffer
-
     def broadcast(self, host_array: np.ndarray) -> list[DeviceBuffer]:
         """Replicate a host array onto every member.
 
@@ -252,111 +227,6 @@ class DeviceGroup:
     def free(self, *buffers: DeviceBuffer) -> None:
         for buf in buffers:
             buf.free()
-
-    # ------------------------------------------------------------------ #
-    # Inter-pass aggregation + Phase III (group-aware offloads)
-    # ------------------------------------------------------------------ #
-
-    def aggregate_merge(self, parts: list, *, s: int,
-                        label: str = "aggregate"):
-        """Merge resident chunk partials produced across the group.
-
-        Partials owned by siblings are gathered onto member 0 over the
-        peer fabric (the whole point: per-chunk bytes cross the cheap p2p
-        link, never the host link), then member 0 runs the same group-by
-        merge a single device would.  ``parts`` entries are
-        ``(owner_device, buffers)`` in ascending trial order.
-        """
-        primary = self.members[0]
-        gathered = []
-        for owner, bufs in parts:
-            if owner is primary or owner is None:
-                gathered.append((primary, bufs))
-            else:
-                moved = tuple(self.peer_copy(b, primary) for b in bufs)
-                self.free(*bufs)
-                gathered.append((primary, moved))
-        return primary.aggregate_merge(gathered, s=s, label=label)
-
-    def connected_components(self, src: np.ndarray, dst: np.ndarray,
-                             n: int, label: str = "phase3") -> np.ndarray:
-        """Sharded min-label connected components across the group.
-
-        Edge blocks are sharded contiguously across members; every round,
-        each member runs one hooking + pointer-jumping round over its shard
-        against its local label copy, the per-member labels are min-combined
-        onto member 0 over the p2p fabric, and (if anything changed) the
-        combined labels are redistributed for the next round.
-
-        Because every label array is monotonically non-increasing with
-        ``labels[x] <= x`` invariant, the min-combine of member copies that
-        all started the round from the same labels equals each copy exactly
-        when nothing changed — so the fixpoint test on the combined array is
-        exact, and the fixpoint itself is the canonical min-vertex labeling:
-        bit-identical to the host ``union_edges`` and to the single-device
-        solve, independent of how edges were sharded.
-        """
-        if self.n_devices == 1:
-            return self.members[0].connected_components(src, dst, n,
-                                                        label=label)
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        m = self.n_devices
-        e = int(src.size)
-        bounds = [e * i // m for i in range(m + 1)]
-        shards = []
-        for i, member in enumerate(self.members):
-            lo, hi = bounds[i], bounds[i + 1]
-            shards.append((member, member.upload(src[lo:hi]),
-                           member.upload(dst[lo:hi])))
-        label_bufs = self.broadcast(np.arange(n, dtype=np.int64))
-        jump_tmps = [member.scratch.take((n,), np.int64)
-                     for member in self.members]
-        primary = self.members[0]
-        combined = label_bufs[0].device_view()
-        prev = primary.scratch.take((n,), np.int64)
-        kernels_model = primary.spec.kernels
-        rounds = 0
-        t0 = time.perf_counter()
-        while True:
-            np.copyto(prev, combined)
-            for i, (member, d_s, d_d) in enumerate(shards):
-                member.cc_round(label_bufs[i].device_view(),
-                                d_s.device_view(), d_d.device_view(),
-                                jump_tmps[i])
-            # Min-combine sibling label copies onto member 0's array.
-            for i in range(1, m):
-                tmp = self.peer_copy(label_bufs[i], primary)
-                np.minimum(combined, tmp.device_view(), out=combined)
-                self.free(tmp)
-            combine_s = kernels_model.seconds_for("cc_jump", n * (m - 1))
-            primary._record_kernel("cc_exchange_min", n * (m - 1), combine_s)
-            self.breakdown.add_modeled(BUCKET_GPU, combine_s)
-            rounds += 1
-            if np.array_equal(combined, prev):
-                break
-            # Redistribute the combined labels for the next round.
-            for i in range(1, m):
-                self.peer_copy_into(label_bufs[0], label_bufs[i],
-                                    self.members[i])
-        t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_GPU, t1 - t0)
-        metrics = self.obs.metrics
-        metrics.counter("group.cc.rounds").add(rounds)
-        metrics.counter("group.cc.edges").add(e)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.cc.solve", t0, t1, proc=primary.proc,
-                          attrs={"rounds": rounds, "edges": e, "n": int(n),
-                                 "devices": m, "label": label})
-        out = primary.download(label_bufs[0])
-        for member, d_s, d_d in shards:
-            self.free(d_s, d_d)
-        self.free(*label_bufs)
-        for member, tmp in zip(self.members, jump_tmps):
-            member.scratch.give(tmp)
-        primary.scratch.give(prev)
-        return out
 
     # ------------------------------------------------------------------ #
     # Observability

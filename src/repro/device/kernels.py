@@ -60,14 +60,8 @@ Kernel inventory
     ``chunk_reduce`` into one pass result (stable argsort over the
     concatenated fingerprints, then one gather of members and generator
     runs; an exact group-by union only on a cross-chunk fingerprint
-    collision).  Shared by the device merge and the host
-    StreamingAggregator; accounted as the ``agg_sort`` / ``agg_boundaries``
-    / ``agg_invert`` kernel classes.
-``cc_hook`` / ``cc_jump``
-    Phase III connected components: one min-label hooking round (atomic-min
-    scatter over the edge list) and one pointer-jumping round
-    (``labels[labels]`` gather).  Iterated to a fixpoint, these converge to
-    the canonical min-vertex labeling of each component.
+    collision).  Runs on the host, in the StreamingAggregator: the paper
+    gives inter-pass aggregation to the CPU.
 """
 
 from __future__ import annotations
@@ -885,29 +879,6 @@ def agg_merge(fp_parts: list[np.ndarray], member_parts: list[np.ndarray],
                                   run_starts.size)
     return (fp_sorted[run_starts], members_cat[order[run_starts]],
             gen_counts.astype(counts_cat.dtype), gens.astype(gens_cat.dtype))
-
-
-def cc_hook(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-    """One min-label hooking round over an edge list, in place.
-
-    Every edge pulls both endpoints down to the smaller of their current
-    labels — the atomic-min scatter of a GPU hooking kernel
-    (``np.minimum.at`` is the unordered-atomic analogue).
-    """
-    lo = np.minimum(labels[src], labels[dst])
-    np.minimum.at(labels, src, lo)
-    np.minimum.at(labels, dst, lo)
-
-
-def cc_jump(labels: np.ndarray, out: np.ndarray) -> bool:
-    """One pointer-jumping round: ``out = labels[labels]``.
-
-    Returns True when the round changed anything (the caller copies ``out``
-    back into ``labels`` and iterates until False — at most O(log n)
-    rounds since every jump at least halves the pointer-chain depth).
-    """
-    np.take(labels, labels, out=out)
-    return not np.array_equal(out, labels)
 
 
 def count_kernel_elements(kernel: str, n_trials: int, nnz: int, n_seg: int, s: int) -> int:

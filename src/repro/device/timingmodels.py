@@ -47,14 +47,6 @@ class KernelCostModel:
     ``scan`` block-parallel prefix scans (the alignment kernels' left-gap
     chain runs one max-plus scan per DP row).
 
-    The inter-pass aggregation and Phase III offloads add their own classes:
-    ``agg_sort`` (merging already-sorted fingerprint runs — cheaper than a
-    from-scratch radix sort), ``agg_boundaries`` (run-boundary flags plus the
-    inverse scatter, a scan-class pass), ``agg_invert`` (the generator-list
-    re-key + sort + dedup group-by), ``cc_hook`` (atomic-min edge scatter of
-    one hooking round) and ``cc_jump`` (the ``labels[labels]`` gather of one
-    pointer-jumping round).
-
     **Launch-latency charging rule:** ``launch_latency_s`` models the
     *per-launch* host dispatch cost, so every kernel launch charges it once
     — :meth:`seconds_for` = latency + rate term.  A fused step that stands
@@ -69,11 +61,6 @@ class KernelCostModel:
     select_eps: float = 8e9
     reduce_eps: float = 20e9
     scan_eps: float = 10e9
-    agg_sort_eps: float = 1.2e9
-    agg_scan_eps: float = 10e9
-    agg_invert_eps: float = 1.5e9
-    cc_hook_eps: float = 2.0e9
-    cc_jump_eps: float = 8.0e9
 
     def _rates(self) -> dict[str, float]:
         rates = self.__dict__.get("_rates_cache")
@@ -84,11 +71,6 @@ class KernelCostModel:
                 "select": self.select_eps,
                 "reduce": self.reduce_eps,
                 "scan": self.scan_eps,
-                "agg_sort": self.agg_sort_eps,
-                "agg_boundaries": self.agg_scan_eps,
-                "agg_invert": self.agg_invert_eps,
-                "cc_hook": self.cc_hook_eps,
-                "cc_jump": self.cc_jump_eps,
             }
             object.__setattr__(self, "_rates_cache", rates)
         return rates

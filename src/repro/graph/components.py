@@ -10,8 +10,9 @@ Used twice in the pipeline:
 
 Two interchangeable algorithms are provided and cross-validated by tests:
 
-* ``method="label_propagation"`` — a vectorized Shiloach-Vishkin-style
-  min-label hooking + pointer jumping loop.  This is the data-parallel
+* ``method="label_propagation"`` — the vectorized Shiloach-Vishkin-style
+  min-label hooking + pointer jumping loop of
+  :func:`~repro.graph.unionfind.union_edges`.  This is the data-parallel
   formulation (O(log n) rounds of whole-array NumPy ops), matching the
   HPC idiom of keeping hot loops out of the interpreter.
 * ``method="bfs"`` — a classic iterative BFS sweep, the straightforward
@@ -23,28 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-
-
-def _cc_label_propagation(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Min-label hooking over an edge list; returns per-vertex labels."""
-    labels = np.arange(n, dtype=np.int64)
-    if src.size == 0:
-        return labels
-    while True:
-        before = labels
-        lo = np.minimum(labels[src], labels[dst])
-        labels = labels.copy()
-        np.minimum.at(labels, src, lo)
-        np.minimum.at(labels, dst, lo)
-        # Pointer jumping until labels are self-consistent.
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        if np.array_equal(labels, before):
-            break
-    return labels
+from repro.graph.unionfind import canonical_labels, union_edges
 
 
 def _cc_bfs(graph: CSRGraph) -> np.ndarray:
@@ -70,38 +50,19 @@ def _cc_bfs(graph: CSRGraph) -> np.ndarray:
     return labels
 
 
-def _canonicalize(labels: np.ndarray) -> np.ndarray:
-    """Relabel components densely in order of first appearance."""
-    seen: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for i, lab in enumerate(labels.tolist()):
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out[i] = seen[lab]
-    return out
-
-
-def connected_components(graph: CSRGraph, method: str = "label_propagation",
-                         device=None) -> np.ndarray:
+def connected_components(graph: CSRGraph,
+                         method: str = "label_propagation") -> np.ndarray:
     """Per-vertex component labels, dense in ``[0, n_components)``.
 
     Labels are canonical (order of first vertex appearance), so both methods
-    return identical arrays for the same graph.  A ``device`` runs the
-    label-propagation fixpoint as the device's ``cc_hook``/``cc_jump``
-    kernels — the raw min-vertex labels are identical, so the canonical
-    output is too.
+    return identical arrays for the same graph.
     """
     if method == "bfs":
         return _cc_bfs(graph)
     if method == "label_propagation":
         edges = graph.edges()
-        if device is not None:
-            raw = device.connected_components(edges[:, 0], edges[:, 1],
-                                              graph.n_vertices)
-        else:
-            raw = _cc_label_propagation(graph.n_vertices,
-                                        edges[:, 0], edges[:, 1])
-        return _canonicalize(raw)
+        return canonical_labels(
+            union_edges(graph.n_vertices, edges[:, 0], edges[:, 1]))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -110,15 +71,15 @@ def bipartite_components(indptr: np.ndarray, indices: np.ndarray, n_right: int) 
 
     Returns ``(left_labels, right_labels)`` where a left node and a right node
     share a label iff they are in the same connected component.  Labels are
-    dense but *not* canonicalized (use for grouping only).  Isolated right
-    nodes (never referenced) get their own singleton labels.
+    min-node roots, neither dense nor canonical (use for grouping only).
+    Isolated right nodes (never referenced) get their own singleton labels.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     n_left = indptr.size - 1
     # Model left node i as vertex i, right node j as vertex n_left + j.
     owner = np.repeat(np.arange(n_left, dtype=np.int64), np.diff(indptr))
-    labels = _cc_label_propagation(n_left + n_right, owner, indices + n_left)
+    labels = union_edges(n_left + n_right, owner, indices + n_left)
     return labels[:n_left], labels[n_left:]
 
 

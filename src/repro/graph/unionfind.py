@@ -169,50 +169,51 @@ def union_groups(n: int, group_offsets: np.ndarray, group_members: np.ndarray) -
     return union_edges(n, leaders, group_members)
 
 
-def union_edges(n: int, src: np.ndarray, dst: np.ndarray,
-                device=None) -> np.ndarray:
+def union_edges(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Min-label propagation over explicit edges; returns root labels.
 
     The engine behind :func:`union_groups` for callers that already hold an
     edge list: packs each edge as ``src * n + dst`` and runs
-    :func:`union_edge_keys`.
+    :func:`union_edge_keys`.  ``roots[i]`` is the smallest vertex id of
+    i's component, so :func:`canonical_labels` turns the result into dense
+    labels.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    return union_edge_keys(n, src * n + dst, device=device)
+    return union_edge_keys(n, src * n + dst)
+
+
+def canonical_labels(roots: np.ndarray) -> np.ndarray:
+    """Dense set labels from min-vertex roots, in O(n).
+
+    ``roots[i]`` is the smallest vertex id of i's set, so the sets' roots
+    are exactly the ``i`` with ``roots[i] == i``.  Numbering them in id
+    order (a running count) equals order of first appearance, and gives
+    ``np.unique(roots, return_inverse=True)``'s inverse without a sort.
+    """
+    roots = np.asarray(roots, dtype=np.int64)
+    rank = np.cumsum(roots == np.arange(roots.size, dtype=np.int64)) - 1
+    return rank[roots].astype(np.int64, copy=False)
 
 
 #: Largest universe whose packed ``src * n + dst`` keys fit int64.
 _MAX_KEYED_N = 3_037_000_499
 
 
-def union_edge_keys(n: int, keys: np.ndarray, device=None) -> np.ndarray:
+def union_edge_keys(n: int, keys: np.ndarray) -> np.ndarray:
     """Min-label propagation over packed ``src * n + dst`` edge keys.
 
     Edges are deduplicated once up front (labels are invariant under edge
     multiplicity, and the shingle tables repeat pairs heavily), then
     hooking + pointer jumping run to fixpoint.  ``keys`` (int64) may be
-    sorted in place.
-
-    With a ``device`` (a :class:`~repro.device.device.SimulatedDevice` or
-    :class:`~repro.device.group.DeviceGroup`), the fixpoint iteration runs
-    as the device's ``cc_hook``/``cc_jump`` kernels instead of the host
-    loop; the result is bit-identical (any fixpoint of min-label hooking is
-    the unique min-vertex-per-component labeling).  Dedup stays on the host
-    and is charged to the cpu bucket.
+    sorted in place.  The fixpoint is the unique min-vertex-per-component
+    labeling, whatever the edge order.
     """
     if n > _MAX_KEYED_N:
         raise ValueError(f"n={n} too large for packed int64 edge keys")
     labels = np.arange(n, dtype=np.int64)
     if keys.size == 0:
         return labels
-    if device is not None:
-        from repro.util.timer import BUCKET_CPU
-        with device.breakdown.timing(BUCKET_CPU):
-            src, dst = _dedup_edges(n, keys)
-        if src.size == 0:
-            return labels
-        return device.connected_components(src, dst, n)
     src, dst = _dedup_edges(n, keys)
 
     while True:

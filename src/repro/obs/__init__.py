@@ -9,10 +9,7 @@ Table I component split and Figure 4 kernel decomposition, generalized):
   process-pool workers and kernel streams as separate tracks);
 * :class:`MetricsRegistry` — counters/gauges/histograms (kernel launches,
   transfer bytes, scratch hits/misses, pairs kept/dropped, dedup ratios,
-  peak RSS) with a single :meth:`~MetricsRegistry.snapshot`.  The device
-  aggregation/Phase-III offloads add ``device.aggregate`` and
-  ``device.cc.solve`` spans plus ``*.aggregate.bytes_saved``,
-  ``*.cc.rounds``/``*.cc.edges`` and ``group.cc.*`` counters;
+  peak RSS) with a single :meth:`~MetricsRegistry.snapshot`;
 * :func:`observe` / :func:`use_obs` / :func:`get_obs` — the ambient
   context instrumented layers consult; :data:`NULL_OBS` (the default)
   makes every instrumentation site a near-free no-op.

@@ -45,16 +45,12 @@ from repro.util.tables import format_table
 #: ``shingle`` (the Table-I device path).
 KERNEL_CLASS_PREFIXES = (
     ("sw_", "alignment"),
-    ("agg_", "aggregate"),
-    ("cc_", "cc"),
 )
 
 #: Span names whose wall time is charged to each kernel class when
 #: computing the modeled-vs-wall roofline gap.
 CLASS_SPAN_PREFIXES = {
     "alignment": ("device.align_bin", "device.align"),
-    "aggregate": ("device.aggregate",),
-    "cc": ("device.cc.",),
     "shingle": ("device.shingle", "exec.shingle_pass"),
 }
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.unionfind import UnionFind, union_groups
+from repro.graph.unionfind import (UnionFind, canonical_labels, union_edges,
+                                  union_groups)
 
 
 class TestUnionFind:
@@ -141,3 +142,45 @@ class TestUnionGroups:
             uf.union_group(g)
         _, vec_labels = np.unique(roots, return_inverse=True)
         assert np.array_equal(vec_labels, uf.labels())
+
+
+class TestUnionEdges:
+    """The one min-label fixpoint behind Phase III, ``graph.components``
+    and the baselines, on the edge shapes they produce."""
+
+    def test_empty_edge_list(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert np.array_equal(union_edges(7, empty, empty), np.arange(7))
+
+    def test_zero_vertices(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert union_edges(0, empty, empty).size == 0
+
+    def test_singleton_components_between_edges(self):
+        # Vertices 2, 5 are isolated; components {0,1}, {3,4}, {6,7}.
+        got = union_edges(8, np.array([0, 3, 6]), np.array([1, 4, 7]))
+        assert np.array_equal(got, [0, 0, 2, 3, 3, 5, 6, 6])
+
+    def test_single_chain(self):
+        n = 64
+        src = np.arange(n - 1, dtype=np.int64)
+        got = union_edges(n, src, src + 1)
+        assert np.array_equal(got, np.zeros(n, dtype=np.int64))
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_unionfind_on_random_bipartite(self, data):
+        n_left = data.draw(st.integers(1, 12), label="n_left")
+        n_right = data.draw(st.integers(1, 12), label="n_right")
+        n = n_left + n_right
+        n_edges = data.draw(st.integers(0, 40), label="n_edges")
+        src = np.array(data.draw(st.lists(
+            st.integers(0, n_left - 1),
+            min_size=n_edges, max_size=n_edges)), dtype=np.int64)
+        dst = np.array(data.draw(st.lists(
+            st.integers(n_left, n - 1),
+            min_size=n_edges, max_size=n_edges)), dtype=np.int64)
+        uf = UnionFind(n)
+        uf.union_many(src, dst)
+        assert np.array_equal(canonical_labels(union_edges(n, src, dst)),
+                              uf.labels())
