@@ -7,6 +7,9 @@ import pytest
 
 from repro.core.aggregate import set_debug_checks
 from repro.core.params import ShinglingParams
+from repro.core.pipeline import GpClust, cluster_graph
+from repro.device.device import SimulatedDevice
+from repro.device.group import DeviceGroup
 from repro.graph.csr import CSRGraph
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 
@@ -81,3 +84,22 @@ def planted_small():
     """A small calibrated planted-family instance (session-cached)."""
     return planted_family_graph(
         PlantedFamilyConfig(n_families=12, family_size_median=90.0), seed=5)
+
+
+def cluster_via(how: str, graph: CSRGraph, params: ShinglingParams):
+    """Cluster ``graph`` on the device pipeline, reached one of three ways.
+
+    ``"auto"``: :class:`GpClust` provisions its own device (or device
+    group) from ``params``.  ``"device"``: the caller builds a fresh device
+    of the same shape and hands it in.  ``"host"``: the one-call
+    :func:`cluster_graph` API.
+    """
+    if how == "auto":
+        return GpClust(params).run(graph)
+    if how == "device":
+        device = (DeviceGroup(params.devices) if params.devices > 1
+                  else SimulatedDevice())
+        return GpClust(params).run(graph, device=device)
+    if how == "host":
+        return cluster_graph(graph, params)
+    raise ValueError(f"unknown way to reach the pipeline {how!r}")
