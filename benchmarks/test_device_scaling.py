@@ -4,7 +4,7 @@ across ``--devices 1/2/4``.
 Two workloads, each run on one, two and four simulated devices:
 
 * **2m** — the Table-I 2M-analogue clustering pipeline (``GpClust`` with
-  ``exec_mode=multidevice``), trial chunks sharded across the group by the
+  ``devices=N``), trial chunks sharded across the group by the
   least-loaded dispatcher and merged through the StreamingAggregator;
 * **homology** — homology-graph construction at ``align_backend=device``,
   length-binned alignment bins distributed across the group.

@@ -12,7 +12,7 @@ measures every scoring backend on the same workload:
 * **pool** — ``align_backend=pool``, ``n_jobs=4`` (sharded alignment over
   a shared-memory arena);
 * **device** — ``align_backend=device`` (length-binned packing + ramped
-  row-scan kernels on the simulated device, prefetch overlap);
+  row-scan kernels on the simulated device, double-buffered bins);
 * **auto** — ``align_backend=auto``, ``n_jobs=0`` (the hybrid scheduler
   picks; by this point it schedules from this run's measured rates).
 

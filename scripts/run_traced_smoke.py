@@ -41,7 +41,7 @@ Usage::
         [--align-backend device] [--devices 2]
 
 With ``--devices N > 1`` both runs go through a ``DeviceGroup``: the
-clustering workload switches to ``exec_mode=multidevice`` and the traced
+clustering workload runs with ``devices=N`` and the traced
 documents must then carry per-device processes (``device0`` ..
 ``device{N-1}``), which this script asserts.
 """
@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
                              "run (auto/host/pool/device)")
     parser.add_argument("--devices", type=int, default=1,
                         help="simulated devices; >1 runs both workloads "
-                             "on a DeviceGroup (multidevice exec mode)")
+                             "on a DeviceGroup (devices=N)")
     parser.add_argument("--out-dir", default=str(RESULTS_DIR),
                         help="artifact directory")
     args = parser.parse_args(argv)

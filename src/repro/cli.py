@@ -63,11 +63,15 @@ from repro.util.tables import format_percent, format_seconds, format_table
 PROFILE_SCHEMA_VERSION = 2
 
 
-def _params_from_args(args: argparse.Namespace) -> ShinglingParams:
-    return ShinglingParams(s1=args.s1, c1=args.c1, s2=args.s2, c2=args.c2,
-                           seed=args.seed, kernel=args.kernel,
-                           exec_mode=args.exec_mode, streams=args.streams,
-                           devices=args.devices)
+def _params_from_args(args: argparse.Namespace,
+                      parser: argparse.ArgumentParser) -> ShinglingParams:
+    """The run's parameters; a rejected value is a usage error (exit 2)."""
+    try:
+        return ShinglingParams(s1=args.s1, c1=args.c1, s2=args.s2,
+                               c2=args.c2, seed=args.seed, kernel=args.kernel,
+                               streams=args.streams, devices=args.devices)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _make_device(params: ShinglingParams):
@@ -163,20 +167,15 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
                         default="fused",
                         help="device top-s kernel (fused = single-launch "
                              "hash+pack with on-device dedup reduction)")
-    parser.add_argument("--exec-mode", dest="exec_mode",
-                        choices=["sync", "prefetch", "multistream",
-                                 "multidevice"],
-                        default="sync",
-                        help="device-path schedule: synchronous, double-"
-                             "buffered uploads, concurrent trial-chunk "
-                             "streams, or trial chunks sharded over a "
-                             "device group (all bit-identical)")
-    parser.add_argument("--streams", type=int, default=2,
-                        help="worker count for --exec-mode multistream")
+    parser.add_argument("--streams", type=int, default=1,
+                        help="trial chunks in flight at once on one device "
+                             "(1 = the paper's synchronous pipeline; output "
+                             "is identical for every count)")
     parser.add_argument("--devices", type=int, default=1,
-                        help="simulated device count; more than one runs "
-                             "the multidevice schedule over a device group "
-                             "(output is identical for every count)")
+                        help="simulated device count; more than one shards "
+                             "trial chunks over a device group (not with "
+                             "--streams > 1; output is identical for every "
+                             "count)")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -204,7 +203,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    params = args.params
     if args.profile is not None and args.backend != "device":
         print("--profile requires --backend device; ignoring",
               file=sys.stderr)
@@ -259,7 +258,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         with np.load(args.labels) as data:
             test = Partition(data["labels"])
     else:
-        params = _params_from_args(args)
+        params = args.params
         result = cluster_graph(args.graph, params, backend=args.backend)
         test = Partition(result.labels)
 
@@ -295,7 +294,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
               file=sys.stderr)
         args.profile = None
     ctx = _make_obs(args)
-    params = _params_from_args(args)
+    params = args.params
     homology_config = HomologyConfig(pair_filter=args.pair_filter,
                                      min_normalized_score=args.min_score,
                                      n_jobs=args.jobs,
@@ -572,7 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "s1"):  # a command that clusters
+        args.params = _params_from_args(args, parser)
     return args.func(args)
 
 

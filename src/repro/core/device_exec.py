@@ -6,17 +6,18 @@ batches, uploads them, launches the shingle-extraction kernels, and
 aggregates the downloaded shingles — including the merge of adjacency lists
 that were split across batches.
 
-The schedule is pluggable via :class:`repro.core.execplan.ExecutionPlan`:
+The schedule follows from the device and a ``streams`` count:
 
-* ``sync`` — the paper-faithful synchronous pipeline;
-* ``prefetch`` — double-buffered uploads (next batch's transfer overlaps the
-  current batch's kernels on a copy thread);
-* ``multistream`` — trial-chunk streams: each pass's ``c`` trials split into
-  independent chunks executed concurrently on a worker pool.  NumPy kernels
-  release the GIL, so streams overlap with each other and with CPU-side
-  aggregation.
+* a :class:`~repro.device.group.DeviceGroup` with more than one member
+  shards each batch's trial chunks across its members, one driver thread
+  per member (:func:`~repro.device.group.run_sharded`);
+* otherwise ``streams=1`` (the default) is the paper-faithful synchronous
+  pipeline, and ``streams > 1`` runs that many trial chunks concurrently on
+  a worker pool.  NumPy kernels release the GIL, so streams overlap with
+  each other and with CPU-side aggregation; the batch element budget is
+  divided by ``streams`` because each stream holds its own working set.
 
-In the dominant single-batch regime every mode aggregates **streamingly**:
+In the dominant single-batch regime every schedule aggregates **streamingly**:
 each trial chunk's ``(t, n, s)`` block is folded into a partial result and
 dropped as soon as its kernels finish (see
 :class:`repro.core.aggregate.StreamingAggregator`), so peak host memory is
@@ -31,13 +32,12 @@ the Phase III union, so ``G_II`` is never built.
 
 Every step is charged to the right Table-I bucket: batch planning and
 aggregation to ``cpu``, kernel work to ``gpu`` (inside the device facade),
-transfers to ``data_c2g``/``data_g2c``.  All modes produce results
+transfers to ``data_c2g``/``data_g2c``.  Every schedule produces results
 bit-identical to :func:`repro.core.serial.serial_shingle_pass`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
@@ -47,15 +47,14 @@ import numpy as np
 from repro.core.aggregate import (StreamingAggregator, aggregate_pass,
                                   debug_checks_enabled, merge_splits_into,
                                   pass_result_from_wire)
-from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
-                                 ExecutionPlan, trial_chunks)
+from repro.core.execplan import trial_chunks
 from repro.core.params import KERNEL_FUSED, PassConfig
 from repro.core.passresult import PassResult
 from repro.core.report import PartitionFold
 from repro.device.batching import (BatchPlan, max_batch_elements,
                                    plan_batches)
 from repro.device.device import SimulatedDevice
-from repro.device.group import DeviceGroup, least_loaded_assignment
+from repro.device.group import DeviceGroup, run_sharded
 from repro.device.kernels import (SENTINEL, build_tournament_plan,
                                   reduce_keys_fit, segment_element_ids)
 from repro.device.memory import ScratchPool
@@ -71,8 +70,7 @@ def device_shingle_pass(
     kernel: str = "select",
     trial_chunk: int = 16,
     max_elements: int | None = None,
-    prefetch: bool = False,
-    plan: ExecutionPlan | None = None,
+    streams: int = 1,
 ) -> PassResult:
     """Run one full shingling pass through the simulated device.
 
@@ -83,45 +81,40 @@ def device_shingle_pass(
     config:
         Pass configuration (s, c, hash pairs, salts).
     device:
-        The simulated device — or a :class:`DeviceGroup`, whose members the
-        ``multidevice`` plan shards trial chunks across (shared inputs are
+        The simulated device — or a :class:`DeviceGroup`, whose members
+        share the trial chunks when there are several (shared inputs are
         broadcast once over PCIe and fanned out peer-to-peer); the
         breakdown accumulates component times either way.
     kernel, trial_chunk:
         Kernel selection and trials-per-round (see :class:`SimulatedDevice`).
     max_elements:
         Batch element budget override; by default derived from the device's
-        memory capacity and divided by the plan's resident factor (double
-        buffering keeps two batches resident; ``k`` streams keep ``k``
-        kernel working sets resident).
-    prefetch:
-        Back-compat alias for ``plan=ExecutionPlan("prefetch")``; ignored
-        when ``plan`` is given.
-    plan:
-        The execution schedule (defaults to synchronous).
+        memory capacity.  Either way it is divided by ``streams`` on a
+        single device, which keeps ``streams`` kernel working sets resident.
+    streams:
+        Trial chunks in flight at once on a single device (ignored by a
+        group of several members, which runs one chunk per member).
 
     Returns
     -------
     PassResult
         Identical to :func:`repro.core.serial.serial_shingle_pass` on the
-        same inputs and configuration, in every mode.
+        same inputs and configuration, under every schedule.
     """
-    if plan is None:
-        plan = ExecutionPlan(EXEC_PREFETCH if prefetch else EXEC_SYNC)
     s, c = config.s, config.c
     t_start = time.perf_counter()
     inp = _compact_input(indptr, elements, config, device, trial_chunk,
-                         max_elements, plan)
+                         max_elements, streams)
     elements, lengths, valid_ids = inp.elements, inp.lengths, inp.valid_ids
     batch_plan, chunks, n_seg = inp.batch_plan, inp.chunks, inp.n_seg
 
     if batch_plan.n_batches == 1:
         result = _single_batch_streaming(
             device, elements, batch_plan.batches[0], chunks, config, kernel,
-            plan, lengths, valid_ids, n_seg, inp.n_values)
+            streams, lengths, valid_ids, n_seg, inp.n_values)
     else:
         result = _multi_batch_accumulate(
-            device, elements, batch_plan, chunks, config, kernel, plan,
+            device, elements, batch_plan, chunks, config, kernel, streams,
             lengths, valid_ids, n_seg, inp.n_values)
 
     # Dedup accounting: how many (trial, segment) shingle occurrence slots
@@ -133,7 +126,9 @@ def device_shingle_pass(
     tracer = device.obs.tracer
     if tracer.enabled:
         tracer.record("exec.shingle_pass", t_start, time.perf_counter(),
-                      attrs={"mode": plan.mode, "kernel": kernel, "c": c,
+                      attrs={"streams": streams,
+                             "devices": len(_members_of(device)),
+                             "kernel": kernel, "c": c,
                              "s": s, "n_segments": n_seg,
                              "n_batches": batch_plan.n_batches,
                              "n_shingles": int(result.n_shingles)})
@@ -154,8 +149,10 @@ class _PassInput(NamedTuple):
 
 def _compact_input(indptr, elements, config: PassConfig, device,
                    trial_chunk: int, max_elements: int | None,
-                   plan: ExecutionPlan) -> _PassInput:
+                   streams: int) -> _PassInput:
     """Drop short segments and plan the device batches (cpu bucket)."""
+    if streams < 1:
+        raise ValueError("streams must be >= 1")
     indptr = np.asarray(indptr, dtype=np.int64)
     elements = np.asarray(elements, dtype=np.int64)
     s = config.s
@@ -163,7 +160,8 @@ def _compact_input(indptr, elements, config: PassConfig, device,
         if max_elements is None:
             max_elements = max_batch_elements(
                 device.spec.memory_capacity_bytes, trial_chunk, s)
-        max_elements = max(max_elements // plan.resident_factor, 1)
+        if len(_members_of(device)) == 1:
+            max_elements = max(max_elements // streams, 1)
         all_lengths = np.diff(indptr)
         # CPU-side compaction: segments shorter than s generate no
         # shingles (Section III-B: shingles exist only for "any vertex
@@ -194,7 +192,7 @@ def device_union_pass(
     include_generators: bool = False,
     trial_chunk: int = 16,
     max_elements: int | None = None,
-    plan: ExecutionPlan | None = None,
+    streams: int = 1,
 ) -> PartitionFold | None:
     """Pass II fed straight into the Phase III partition union.
 
@@ -214,7 +212,7 @@ def device_union_pass(
     and the labels — are the same.
 
     ``indptr``/``elements`` are pass II's input (pass I's generator lists)
-    and ``members1`` pass I's ``(k1, s1)`` members.  Every exec mode works:
+    and ``members1`` pass I's ``(k1, s1)`` members.  Every schedule works:
     chunks run through :func:`_run_chunks` and fold under the fold's lock.
 
     Returns the fold of every chunk's edges (its :meth:`~PartitionFold.
@@ -222,10 +220,8 @@ def device_union_pass(
     batches or the tournament plan rejects its geometry — the caller then
     builds ``G_II`` with :func:`device_shingle_pass`.
     """
-    if plan is None:
-        plan = ExecutionPlan()
     inp = _compact_input(indptr, elements, config, device, trial_chunk,
-                         max_elements, plan)
+                         max_elements, streams)
     breakdown = device.breakdown
     tracer = device.obs.tracer
     fold = PartitionFold(n_vertices, breakdown, tracer)
@@ -243,7 +239,7 @@ def device_union_pass(
         return None
 
     group_members = _members_of(device)
-    multi = plan.mode == EXEC_MULTIDEVICE and len(group_members) > 1
+    multi = len(group_members) > 1
     a, b = config.a_array, config.b_array
     with breakdown.timing(BUCKET_CPU):
         f_members = members1[inp.valid_ids]
@@ -274,7 +270,7 @@ def device_union_pass(
             fold.fold(lead, trial_ids)
 
     try:
-        _run_chunks(plan, inp.chunks, run_chunk, members=group_members)
+        _run_chunks(inp.chunks, run_chunk, group_members, streams)
     finally:
         device.free(*(d_elems + d_indptrs))
     return fold
@@ -291,51 +287,29 @@ def _broadcast(device, members, multi: bool, host_array: np.ndarray):
     return [members[0].upload(host_array)]
 
 
-def _run_chunks(plan: ExecutionPlan, chunks, work,
-                members: list[SimulatedDevice] | None = None) -> None:
-    """Execute ``work(lo, hi, dev)`` for every trial chunk under the plan.
+def _run_chunks(chunks, work, members: list[SimulatedDevice],
+                streams: int) -> None:
+    """Execute ``work(lo, hi, dev)`` for every trial chunk.
 
-    ``multidevice`` with several members statically assigns chunks to the
-    least-loaded member by trial count (nnz is constant within a batch, so
-    trials are proportional to modeled kernel cost) and runs one driver
-    thread per member — named ``dev{i}`` so each device's kernel rounds
-    render as their own trace track.  Static-by-cost assignment keeps every
-    member's kernel stream deterministic; the out-of-order-tolerant
-    aggregation downstream makes completion order immaterial.
+    Several members shard the chunks with
+    :func:`~repro.device.group.run_sharded`, assigned to the least-loaded
+    member by trial count (nnz is constant within a batch, so trials are
+    proportional to modeled kernel cost).  Static-by-cost assignment keeps
+    every member's kernel stream deterministic; the out-of-order-tolerant
+    aggregation downstream makes completion order immaterial.  One device
+    runs the chunks inline, or on ``streams`` concurrent workers.
     """
-    if (plan.mode == EXEC_MULTIDEVICE and members is not None
-            and len(members) > 1):
-        owners = least_loaded_assignment([hi - lo for lo, hi in chunks],
-                                         len(members))
-        per_dev: list[list[tuple[int, int]]] = [[] for _ in members]
-        for chunk, owner in zip(chunks, owners):
-            per_dev[owner].append(chunk)
-        errors: list[BaseException] = []
-
-        def runner(idx: int) -> None:
-            try:
-                for lo, hi in per_dev[idx]:
-                    work(lo, hi, idx)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=runner, args=(i,), name=f"dev{i}")
-                   for i in range(len(members)) if per_dev[i]]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+    if len(members) > 1:
+        run_sharded(chunks, [hi - lo for lo, hi in chunks],
+                    lambda chunk, dev: work(*chunk, dev), len(members))
         return
-    if (plan.n_workers == 1 or len(chunks) <= 1
-            or plan.mode == EXEC_MULTIDEVICE):
+    if streams == 1 or len(chunks) <= 1:
         for lo, hi in chunks:
             work(lo, hi, 0)
         return
     # The prefix names each worker's spans' track ("stream_0", "stream_1",
     # ...) so concurrent kernel rounds render as separate trace tracks.
-    with ThreadPoolExecutor(max_workers=plan.n_workers,
+    with ThreadPoolExecutor(max_workers=streams,
                             thread_name_prefix="stream") as executor:
         futures = [executor.submit(work, lo, hi, 0) for lo, hi in chunks]
         for future in futures:
@@ -349,7 +323,7 @@ def _single_batch_streaming(
     chunks,
     config: PassConfig,
     kernel: str,
-    plan: ExecutionPlan,
+    streams: int,
     lengths: np.ndarray,
     valid_ids: np.ndarray,
     n_seg: int,
@@ -374,7 +348,7 @@ def _single_batch_streaming(
     """
     breakdown = device.breakdown
     group_members = _members_of(device)
-    multi = plan.mode == EXEC_MULTIDEVICE and len(group_members) > 1
+    multi = len(group_members) > 1
     s = config.s
     a, b, salts = config.a_array, config.b_array, config.salts
     n_rows = batch.n_segments
@@ -434,9 +408,8 @@ def _single_batch_streaming(
         host_pool.give(fps_buf, top_buf)
 
     try:
-        _run_chunks(plan, chunks,
-                    run_chunk_reduce if use_reduce else run_chunk,
-                    members=group_members)
+        _run_chunks(chunks, run_chunk_reduce if use_reduce else run_chunk,
+                    group_members, streams)
     finally:
         device.free(*(d_elems + d_indptrs + d_gens))
 
@@ -457,7 +430,7 @@ def _multi_batch_accumulate(
     chunks,
     config: PassConfig,
     kernel: str,
-    plan: ExecutionPlan,
+    streams: int,
     lengths: np.ndarray,
     valid_ids: np.ndarray,
     n_seg: int,
@@ -465,14 +438,14 @@ def _multi_batch_accumulate(
 ) -> PassResult:
     """General path: several batches, scatter into pass-level accumulators.
 
-    Batch uploads may double-buffer (``prefetch``), each batch's trial
-    chunks may run on concurrent streams (``multistream``) or shard across
-    a device group (``multidevice``, batches broadcast member-to-member);
-    the final aggregation happens once, after split lists are merged.
+    Batches upload one at a time; each batch's trial chunks may run on
+    concurrent streams or shard across a device group (batches broadcast
+    member-to-member).  The final aggregation happens once, after split
+    lists are merged.
     """
     breakdown = device.breakdown
     group_members = _members_of(device)
-    multi = plan.mode == EXEC_MULTIDEVICE and len(group_members) > 1
+    multi = len(group_members) > 1
     s, c = config.s, config.c
     a, b, salts = config.a_array, config.b_array, config.salts
 
@@ -483,57 +456,40 @@ def _multi_batch_accumulate(
         # compact row id -> list of (c, s) packed top-s arrays, one per chunk
         split_chunks: dict[int, list[np.ndarray]] = {}
 
-    def _upload(batch):
-        return (_broadcast(device, group_members, multi,
-                           batch.slice_elements(elements)),
-                _broadcast(device, group_members, multi, batch.local_indptr))
-
     tracer = device.obs.tracer
-    uploader = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="copy")
-                if plan.mode == EXEC_PREFETCH else None)
-    pending = None
-    try:
-        for bi, batch in enumerate(batch_plan):
-            if uploader is None:
-                d_elems, d_indptrs = _upload(batch)
-            else:
-                # Double buffering: this batch was prefetched during the
-                # previous batch's kernels; kick off the next one now.
-                d_elems, d_indptrs = (pending.result() if pending is not None
-                                      else _upload(batch))
-                pending = (uploader.submit(_upload, batch_plan.batches[bi + 1])
-                           if bi + 1 < batch_plan.n_batches else None)
+    for bi, batch in enumerate(batch_plan):
+        d_elems = _broadcast(device, group_members, multi,
+                             batch.slice_elements(elements))
+        d_indptrs = _broadcast(device, group_members, multi,
+                               batch.local_indptr)
 
-            n_b = batch.n_segments
-            with breakdown.timing(BUCKET_CPU):
-                seg_ids_table = segment_element_ids(batch.local_indptr)
-                fps_b = np.empty((c, n_b), dtype=np.uint64)
-                top_b = np.empty((c, n_b, s), dtype=np.uint64)
+        n_b = batch.n_segments
+        with breakdown.timing(BUCKET_CPU):
+            seg_ids_table = segment_element_ids(batch.local_indptr)
+            fps_b = np.empty((c, n_b), dtype=np.uint64)
+            top_b = np.empty((c, n_b, s), dtype=np.uint64)
 
-            def run_chunk(lo: int, hi: int, dev: int) -> None:
-                group_members[dev].shingle_chunk(
-                    d_elems[dev], d_indptrs[dev],
-                    a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
-                    salts=salts[lo:hi], kernel=kernel, seg_ids=seg_ids_table,
-                    n_values=n_values,
-                    out_fps=fps_b[lo:hi], out_top=top_b[lo:hi],
-                    label=f"batch {bi} trials {lo}-{hi - 1}")
+        def run_chunk(lo: int, hi: int, dev: int) -> None:
+            group_members[dev].shingle_chunk(
+                d_elems[dev], d_indptrs[dev],
+                a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
+                salts=salts[lo:hi], kernel=kernel, seg_ids=seg_ids_table,
+                n_values=n_values,
+                out_fps=fps_b[lo:hi], out_top=top_b[lo:hi],
+                label=f"batch {bi} trials {lo}-{hi - 1}")
 
-            _run_chunks(plan, chunks, run_chunk, members=group_members)
-            device.free(*(d_elems + d_indptrs))
+        _run_chunks(chunks, run_chunk, group_members, streams)
+        device.free(*(d_elems + d_indptrs))
 
-            with breakdown.timing(BUCKET_CPU):
-                whole = ~batch.is_split
-                if whole.any():
-                    seg_ids = batch.segment_ids[whole]
-                    fps_all[:, seg_ids] = fps_b[:, whole]
-                    top_all[:, seg_ids, :] = top_b[:, whole, :]
-                for local_idx in np.flatnonzero(batch.is_split):
-                    src = int(batch.segment_ids[local_idx])
-                    split_chunks.setdefault(src, []).append(top_b[:, local_idx, :])
-    finally:
-        if uploader is not None:
-            uploader.shutdown(wait=True)
+        with breakdown.timing(BUCKET_CPU):
+            whole = ~batch.is_split
+            if whole.any():
+                seg_ids = batch.segment_ids[whole]
+                fps_all[:, seg_ids] = fps_b[:, whole]
+                top_all[:, seg_ids, :] = top_b[:, whole, :]
+            for local_idx in np.flatnonzero(batch.is_split):
+                src = int(batch.segment_ids[local_idx])
+                split_chunks.setdefault(src, []).append(top_b[:, local_idx, :])
 
     with breakdown.timing(BUCKET_CPU), \
             tracer.span("exec.aggregate", n_splits=len(split_chunks)):

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.execplan import (EXEC_MODES, EXEC_MULTIDEVICE, EXEC_SYNC,
-                                 ExecutionPlan)
 from repro.util.mixhash import trial_salt
 from repro.util.primes import DEFAULT_PRIME, is_probable_prime
 from repro.util.rng import HashPair, make_hash_pairs, spawn_rng
@@ -56,20 +54,15 @@ class ShinglingParams:
         (Thrust-faithful full segmented sort).  All bit-identical.
     trial_chunk:
         Trials per device kernel round (bounds device working memory).
-    exec_mode:
-        Device-path schedule: ``"sync"`` (paper-faithful synchronous),
-        ``"prefetch"`` (double-buffered batch uploads), ``"multistream"``
-        (concurrent trial-chunk streams) or ``"multidevice"`` (trial chunks
-        sharded across a simulated device group).  All modes are
-        bit-identical.
     streams:
-        Worker count for ``"multistream"`` (ignored otherwise).
+        Trial chunks in flight at once on one device.  ``1`` (the default)
+        is the paper's synchronous pipeline; more runs that many chunks
+        concurrently, dividing the batch element budget by ``streams``.
     devices:
-        Simulated device count.  ``devices > 1`` selects the
-        ``"multidevice"`` schedule (overriding ``exec_mode``) and shards
-        each pass's trial chunks across a
-        :class:`repro.device.group.DeviceGroup` of this size; output is
-        bit-identical for every count.
+        Simulated device count.  ``devices > 1`` shards each pass's trial
+        chunks across a :class:`repro.device.group.DeviceGroup` of this
+        size, one chunk per member at a time, so it cannot be combined
+        with ``streams > 1``.  Every schedule is bit-identical.
     report_mode:
         Phase III output: ``"partition"`` (union-find, the paper's choice —
         no vertex in two clusters) or ``"overlapping"`` (per-component
@@ -98,8 +91,7 @@ class ShinglingParams:
     seed: int = 0
     kernel: str = KERNEL_FUSED
     trial_chunk: int = 16
-    exec_mode: str = EXEC_SYNC
-    streams: int = 2
+    streams: int = 1
     devices: int = 1
     report_mode: str = REPORT_PARTITION
     include_generators: bool = False
@@ -119,12 +111,12 @@ class ShinglingParams:
             raise ValueError("prime too large: products must fit in uint64")
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.exec_mode not in EXEC_MODES:
-            raise ValueError(f"unknown exec_mode {self.exec_mode!r}")
         if self.streams < 1:
             raise ValueError("streams must be >= 1")
         if self.devices < 1:
             raise ValueError("devices must be >= 1")
+        if self.streams > 1 and self.devices > 1:
+            raise ValueError("streams > 1 cannot be combined with devices > 1")
         if self.report_mode not in (REPORT_PARTITION, REPORT_OVERLAPPING):
             raise ValueError(f"unknown report_mode {self.report_mode!r}")
         if self.union_backend not in (UNION_VECTORIZED, UNION_UNIONFIND):
@@ -137,16 +129,6 @@ class ShinglingParams:
     def with_overrides(self, **kwargs) -> "ShinglingParams":
         """A copy with some fields replaced."""
         return replace(self, **kwargs)
-
-    def execution_plan(self) -> ExecutionPlan:
-        """The :class:`ExecutionPlan` these parameters select.
-
-        ``devices > 1`` always selects the multidevice schedule — the other
-        modes have no way to use more than one device.
-        """
-        mode = EXEC_MULTIDEVICE if self.devices > 1 else self.exec_mode
-        return ExecutionPlan(mode=mode, streams=self.streams,
-                             devices=self.devices)
 
     # ------------------------------------------------------------------ #
     # Derived per-pass configuration

@@ -19,8 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.device_exec import device_shingle_pass, device_union_pass
-from repro.core.execplan import (EXEC_MULTIDEVICE, EXEC_PREFETCH, EXEC_SYNC,
-                                 ExecutionPlan)
 from repro.core.params import (
     GROUPING_ONE_SHINGLE,
     KERNEL_FUSED,
@@ -102,19 +100,10 @@ class GpClust:
 
     def __init__(self, params: ShinglingParams | None = None,
                  device_spec: DeviceSpec | None = None,
-                 max_batch_elements: int | None = None,
-                 prefetch: bool = False) -> None:
+                 max_batch_elements: int | None = None) -> None:
         self.params = params or ShinglingParams()
         self.device_spec = device_spec or DeviceSpec()
         self.max_batch_elements = max_batch_elements
-        # Schedule comes from params.exec_mode; the legacy ``prefetch`` flag
-        # upgrades a sync plan to double buffering (the paper's future work —
-        # off by default to match the synchronous Thrust 1.5 implementation).
-        plan = self.params.execution_plan()
-        if prefetch and plan.mode == EXEC_SYNC:
-            plan = ExecutionPlan(mode=EXEC_PREFETCH)
-        self.plan = plan
-        self.prefetch = plan.mode == EXEC_PREFETCH
 
     def run(self, graph: CSRGraph, io_seconds: float = 0.0,
             device: SimulatedDevice | DeviceGroup | None = None
@@ -122,16 +111,16 @@ class GpClust:
         """Cluster ``graph`` through the simulated device (or device group).
 
         A fresh device (and fresh component breakdown) is created per run
-        unless one is supplied; a ``multidevice`` plan with more than one
-        device builds a :class:`DeviceGroup` instead.
+        unless one is supplied; ``params.devices > 1`` builds a
+        :class:`DeviceGroup` of that size instead.
         """
         params = self.params
         breakdown = TimeBreakdown()
         if io_seconds:
             breakdown.add(BUCKET_IO, io_seconds)
         if device is None:
-            if self.plan.mode == EXEC_MULTIDEVICE and self.plan.devices > 1:
-                device = DeviceGroup(self.plan.devices, self.device_spec,
+            if params.devices > 1:
+                device = DeviceGroup(params.devices, self.device_spec,
                                      breakdown)
             else:
                 device = SimulatedDevice(self.device_spec, breakdown)
@@ -147,7 +136,8 @@ class GpClust:
             pass1 = device_shingle_pass(
                 graph.indptr, graph.indices, config1, device,
                 kernel=params.kernel, trial_chunk=params.trial_chunk,
-                max_elements=self.max_batch_elements, plan=self.plan)
+                max_elements=self.max_batch_elements,
+                streams=params.streams)
         if params.grouping == GROUPING_ONE_SHINGLE:
             with breakdown.timing(BUCKET_CPU), \
                     tracer.span("phase3.report"):
@@ -173,13 +163,15 @@ class GpClust:
                     members1=pass1.members, n_vertices=graph.n_vertices,
                     include_generators=params.include_generators,
                     trial_chunk=params.trial_chunk,
-                    max_elements=self.max_batch_elements, plan=self.plan)
+                    max_elements=self.max_batch_elements,
+                    streams=params.streams)
             span.set(direct=fold is not None)
             if fold is None:
                 pass2 = device_shingle_pass(
                     indptr2, elements2, config2, device,
                     kernel=params.kernel, trial_chunk=params.trial_chunk,
-                    max_elements=self.max_batch_elements, plan=self.plan)
+                    max_elements=self.max_batch_elements,
+                    streams=params.streams)
 
         with breakdown.timing(BUCKET_CPU), tracer.span("phase3.report"):
             if fold is not None:

@@ -19,12 +19,11 @@ shingling offload end to end:
   the steady state — with every launch costed through the
   :class:`~repro.device.timingmodels.KernelCostModel` and every transfer
   through the PCIe model;
-* bins are scheduled by an :class:`~repro.core.execplan.ExecutionPlan`:
-  ``sync`` (one bin at a time), ``prefetch`` (pack bin *i+1* on a copy
-  thread while bin *i* scores, via
-  :func:`~repro.core.execplan.double_buffer`) or ``multistream``
-  (concurrent bins on disjoint output slices).  All plans are
-  bit-identical.
+* on one device the bins are double-buffered: bin *i+1* packs on a copy
+  thread while bin *i* scores (:func:`~repro.core.execplan.double_buffer`);
+  a :class:`~repro.device.group.DeviceGroup` shards them across its
+  members instead (:func:`~repro.device.group.run_sharded`).  Both
+  schedules are bit-identical.
 
 The kernels themselves are a *ramped-domain* reformulation of the host
 row scan (:mod:`repro.sequence.smith_waterman`): keeping
@@ -42,21 +41,14 @@ on the shared :func:`~repro.sequence.smith_waterman.dp_dtype` rule.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.execplan import (
-    EXEC_MULTISTREAM,
-    EXEC_PREFETCH,
-    ExecutionPlan,
-    double_buffer,
-)
+from repro.core.execplan import double_buffer
 from repro.device.batching import AlignmentBin, AlignmentBinPlan, plan_alignment_bins
 from repro.device.device import SimulatedDevice
-from repro.device.group import DeviceGroup, least_loaded_assignment
+from repro.device.group import DeviceGroup, run_sharded
 from repro.device.memory import ScratchPool
 from repro.sequence.alphabet import ALPHABET_SIZE
 from repro.sequence.arena import flatten_sequences
@@ -291,7 +283,6 @@ class DeviceAligner:
 
     def __init__(self, device: SimulatedDevice | DeviceGroup | None = None, *,
                  matrix: np.ndarray = BLOSUM62,
-                 plan: ExecutionPlan | None = None,
                  max_pairs_per_bin: int = 384,
                  max_waste: float = 0.25,
                  min_pairs_per_bin: int = 32) -> None:
@@ -306,7 +297,6 @@ class DeviceAligner:
             self.group = None
             self.device = device if device is not None else SimulatedDevice()
         self.matrix = matrix
-        self.plan = plan if plan is not None else ExecutionPlan()
         self.max_pairs_per_bin = max_pairs_per_bin
         self.max_waste = max_waste
         self.min_pairs_per_bin = min_pairs_per_bin
@@ -384,11 +374,12 @@ class DeviceAligner:
 
         ``pairs`` is ``(n, 2)`` sequence ids.  Returns ``(n,)`` int64
         scores, bit-identical to the host batched kernels under the same
-        gap model.  Bins run under :attr:`plan`'s schedule on one device;
-        on a group they are statically assigned to the member with the
-        least accumulated padded-cell load and scored by one driver thread
-        per device — bins write disjoint ``out`` slices, so distribution
-        cannot reorder anything observable.
+        gap model.  On one device the bins are double-buffered (bin *i+1*
+        packs while bin *i* scores); on a group they are statically
+        assigned to the member with the least accumulated padded-cell load
+        and scored by one driver thread per device — bins write disjoint
+        ``out`` slices, so neither schedule can reorder anything
+        observable.
         """
         if not self._d_residues:
             raise RuntimeError("no sequences resident; call upload_sequences")
@@ -432,47 +423,13 @@ class DeviceAligner:
 
         try:
             if multi:
-                owners = least_loaded_assignment(
-                    [bin_.padded_cells for bin_ in plan.bins], len(members))
-                per_dev: list[list[AlignmentBin]] = [[] for _ in members]
-                for bin_, owner in zip(plan.bins, owners):
-                    per_dev[owner].append(bin_)
-                errors: list[BaseException] = []
-
-                def runner(dev: int) -> None:
-                    try:
-                        for bin_ in per_dev[dev]:
-                            score(bin_, pack(bin_, dev), dev)
-                    except BaseException as exc:  # noqa: BLE001
-                        errors.append(exc)
-
-                threads = [threading.Thread(target=runner, args=(i,),
-                                            name=f"dev{i}")
-                           for i in range(len(members)) if per_dev[i]]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                if errors:
-                    raise errors[0]
-            elif self.plan.mode == EXEC_PREFETCH and plan.n_bins > 1:
+                run_sharded(
+                    plan.bins, [bin_.padded_cells for bin_ in plan.bins],
+                    lambda bin_, dev: score(bin_, pack(bin_, dev), dev),
+                    len(members))
+            else:
                 for bin_, packed in double_buffer(plan.bins, pack):
                     score(bin_, packed)
-            elif self.plan.mode == EXEC_MULTISTREAM and plan.n_bins > 1:
-                # Bins write disjoint slices of ``out``; concurrent
-                # execution cannot reorder anything observable.
-                def run(bin_: AlignmentBin) -> None:
-                    score(bin_, pack(bin_))
-
-                with ThreadPoolExecutor(
-                        max_workers=self.plan.streams) as streams:
-                    futures = [streams.submit(run, bin_)
-                               for bin_ in plan.bins]
-                    for f in futures:
-                        f.result()
-            else:
-                for bin_ in plan.bins:
-                    score(bin_, pack(bin_))
         finally:
             for buf in d_pairs:
                 buf.free()

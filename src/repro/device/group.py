@@ -10,8 +10,8 @@ of ``repro.device`` models one board:
   counters (metric prefix ``device{i}``, Chrome-trace process coordinate
   ``device{i}``), while all members share one :class:`TimeBreakdown` and
   one obs context — so Table-I accounting and a single metrics snapshot
-  still see the whole pipeline, exactly like the multistream precedent
-  where concurrent streams accumulate busy seconds into shared buckets.
+  still see the whole pipeline, exactly like concurrent trial-chunk
+  streams on one device accumulate busy seconds into shared buckets.
 * :class:`GroupTopology` describes the transfer fabric: ``host_lanes``
   PCIe lanes shared by every member (a :class:`HostLink` stretches modeled
   transfer seconds when siblings copy concurrently — the oversubscription
@@ -24,6 +24,9 @@ of ``repro.device`` models one board:
   work stealing by wall clock) keeps every device's kernel stream — and
   therefore the modeled group timeline — deterministic for a fixed
   workload, which is what lets benchmarks assert modeled speedups exactly.
+  :func:`run_sharded` runs such an assignment, one driver thread per
+  member; the shingle pass shards trial chunks with it and the device
+  aligner shards alignment bins.
 
 Bit-identity across device counts holds by construction: the shingle pass
 merges per-device chunk partials through the order-tolerant
@@ -135,14 +138,46 @@ def least_loaded_assignment(costs, n_members: int) -> list[int]:
     return owners
 
 
+def run_sharded(items, costs, work, n_members: int) -> None:
+    """Run ``work(item, member)`` for every item, sharded across members.
+
+    Items go to members by :func:`least_loaded_assignment` over ``costs``.
+    Each member with work gets one driver thread that runs its items in
+    order, named ``dev{i}`` so its kernel rounds render as their own trace
+    track.  The first error any thread raised is re-raised after all of
+    them have joined.
+    """
+    owners = least_loaded_assignment(costs, n_members)
+    shards: list[list] = [[] for _ in range(n_members)]
+    for item, owner in zip(items, owners):
+        shards[owner].append(item)
+    errors: list[BaseException] = []
+
+    def runner(member: int) -> None:
+        try:
+            for item in shards[member]:
+                work(item, member)
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=runner, args=(i,), name=f"dev{i}")
+               for i in range(n_members) if shards[i]]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 class DeviceGroup:
     """N simulated devices presented as one accelerator.
 
-    Drivers that understand groups (the multidevice shingle path, the
-    device aligner) schedule work onto :attr:`members` directly; everything
-    else — breakdown plumbing, metrics flushing, profiling — goes through
-    the same method names :class:`SimulatedDevice` exposes, so ``GpClust``
-    and the CLI treat a group exactly like a device.
+    Drivers that understand groups (the shingle pass, the device aligner)
+    shard work across :attr:`members` directly; everything else —
+    breakdown plumbing, metrics flushing, profiling — goes through the same
+    method names :class:`SimulatedDevice` exposes, so ``GpClust`` and the
+    CLI treat a group exactly like a device.
     """
 
     def __init__(self, n_devices: int, spec: DeviceSpec | None = None,

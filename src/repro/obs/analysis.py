@@ -5,7 +5,7 @@ that *answers questions* with them, from the exported Chrome Trace
 document alone (plus the metrics snapshot embedded in its ``otherData``):
 
 * :func:`critical_path` — the longest dependency chain of span work over
-  the multi-track timeline (per-device procs, multistream/prefetch
+  the multi-track timeline (per-device procs, trial-chunk stream
   threads, Smith-Waterman pool workers): which spans bound the run, how
   much slack (idle waiting) separates them, and which proc/track carries
   the bounding share.

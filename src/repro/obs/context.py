@@ -12,7 +12,7 @@ one branch per instrumentation site.  Enable observation for a scope with::
     ctx.metrics.snapshot()             # every counter/gauge/histogram
 
 The context is intentionally a plain module global, not a thread-local:
-multistream worker threads spawned inside an observed run must see the
+trial-chunk stream threads spawned inside an observed run must see the
 same tracer as the driver thread.  Process-pool workers do not inherit it —
 they build their own worker tracer and ship records back with results (see
 :func:`repro.sequence.homology.build_homology_graph`).

@@ -371,8 +371,8 @@ def build_homology_graph(sequences: list[np.ndarray],
     default the aligner brings its own, a group of ``config.devices``
     members when that exceeds one.  When the device backend is in play, the
     sequence upload starts on a copy thread *before* the seed filter, so
-    the transfer overlaps candidate-pair discovery (the ``prefetch``
-    execution-plan idea applied across pipeline stages).
+    the transfer overlaps candidate-pair discovery (the aligner's own
+    double-buffered bin schedule, applied across pipeline stages).
     """
     config = config or HomologyConfig()
     timings = HomologyTimings()
@@ -387,15 +387,13 @@ def build_homology_graph(sequences: list[np.ndarray],
     upload = None
     if config.align_backend in ("auto", "device"):
         # Deferred import: host-only runs never touch the device package.
-        from repro.core.execplan import EXEC_PREFETCH, ExecutionPlan
         from repro.device.alignment import DeviceAligner
 
         if device is None and config.devices > 1:
             from repro.device.group import DeviceGroup
 
             device = DeviceGroup(config.devices)
-        aligner = DeviceAligner(device,
-                                plan=ExecutionPlan.from_mode(EXEC_PREFETCH))
+        aligner = DeviceAligner(device)
         uploader = ThreadPoolExecutor(max_workers=1,
                                       thread_name_prefix="align-copy")
         upload = uploader.submit(aligner.upload_sequences, sequences)

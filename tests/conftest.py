@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, cluster_graph
 from repro.device.device import SimulatedDevice
 from repro.device.group import DeviceGroup
+from repro.device.timingmodels import DeviceSpec
 from repro.graph.csr import CSRGraph
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 
@@ -86,7 +89,37 @@ def planted_small():
         PlantedFamilyConfig(n_families=12, family_size_median=90.0), seed=5)
 
 
-def cluster_via(how: str, graph: CSRGraph, params: ShinglingParams):
+#: Labels of the pass schedules the equivalence tests sweep.  ``sync`` is one
+#: stream; ``prefetch`` is one stream at half the element budget (what the
+#: retired double-buffered mode ran once its upload thread was gone);
+#: ``multistream`` is three concurrent streams; ``multidevice`` is a
+#: two-member device group.
+SCHEDULES = ("sync", "prefetch", "multistream", "multidevice")
+
+
+def schedule(label: str, params: ShinglingParams,
+             spec: DeviceSpec | None = None
+             ) -> tuple[ShinglingParams, DeviceSpec]:
+    """``params`` and ``spec`` set up for the schedule named ``label``.
+
+    ``prefetch`` halves the device memory, which halves the element budget
+    derived from it.
+    """
+    spec = spec or DeviceSpec()
+    if label == "prefetch":
+        return params, replace(
+            spec, memory_capacity_bytes=spec.memory_capacity_bytes // 2)
+    if label == "multistream":
+        return params.with_overrides(streams=3), spec
+    if label == "multidevice":
+        return params.with_overrides(devices=2), spec
+    if label != "sync":
+        raise ValueError(f"unknown schedule {label!r}")
+    return params, spec
+
+
+def cluster_via(how: str, graph: CSRGraph, params: ShinglingParams,
+                spec: DeviceSpec | None = None):
     """Cluster ``graph`` on the device pipeline, reached one of three ways.
 
     ``"auto"``: :class:`GpClust` provisions its own device (or device
@@ -95,11 +128,11 @@ def cluster_via(how: str, graph: CSRGraph, params: ShinglingParams):
     :func:`cluster_graph` API.
     """
     if how == "auto":
-        return GpClust(params).run(graph)
+        return GpClust(params, spec).run(graph)
     if how == "device":
-        device = (DeviceGroup(params.devices) if params.devices > 1
-                  else SimulatedDevice())
-        return GpClust(params).run(graph, device=device)
+        device = (DeviceGroup(params.devices, spec) if params.devices > 1
+                  else SimulatedDevice(spec))
+        return GpClust(params, spec).run(graph, device=device)
     if how == "host":
-        return cluster_graph(graph, params)
+        return cluster_graph(graph, params, device_spec=spec)
     raise ValueError(f"unknown way to reach the pipeline {how!r}")

@@ -21,7 +21,7 @@ from repro.device.group import DeviceGroup
 from repro.device.timingmodels import DeviceSpec
 from repro.obs import observe, use_obs
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
-from tests.conftest import cluster_via
+from tests.conftest import cluster_via, schedule
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +69,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("exec_mode", ["sync", "prefetch", "multistream"])
     def test_labels_identical_across_exec_modes(self, planted, exec_mode):
         ref = _run(planted)
-        got = cluster_via("device", planted.graph,
-                          BASE.with_overrides(exec_mode=exec_mode))
+        params, spec = schedule(exec_mode, BASE)
+        got = cluster_via("device", planted.graph, params, spec)
         assert np.array_equal(got.labels, ref.labels)
 
     @pytest.mark.parametrize("devices", [1, 2])
@@ -84,7 +84,7 @@ class TestBitIdentity:
         params = BASE.with_overrides(devices=devices)
         got = device_shingle_pass(
             graph.indptr, graph.indices, params.pass_config(1), device,
-            kernel="fused", trial_chunk=2, plan=params.execution_plan())
+            kernel="fused", trial_chunk=2, streams=params.streams)
         assert got == ref
 
 

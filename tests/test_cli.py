@@ -126,6 +126,22 @@ class TestParser:
             main(["cluster", str(bench_files.with_suffix(".npz")),
                   "--kernel", "bubble"])
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--streams", "0"], "streams must be >= 1"),
+        (["--devices", "0"], "devices must be >= 1"),
+        (["--c1", "0"], "c1 must be >= 1"),
+        (["--streams", "2", "--devices", "2"], "cannot be combined"),
+    ])
+    def test_bad_counts_are_usage_errors(self, bench_files, capsys, flags,
+                                         message):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", str(bench_files.with_suffix(".npz")), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("repro: error:") and message in last
+        assert "Traceback" not in err
+
 
 class TestProfileFlag:
     def test_profile_to_stdout(self, bench_files, capsys):

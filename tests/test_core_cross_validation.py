@@ -3,7 +3,7 @@
 This is the reproduction's central correctness property — the paper's GPU
 port must compute exactly what the serial algorithm computes.  Both passes
 and the final clustering are compared bit-for-bit, across batching regimes,
-kernels, trial chunkings, and prefetch modes.
+kernels, trial chunkings, and pass schedules.
 """
 
 import numpy as np
@@ -13,17 +13,19 @@ from hypothesis import strategies as st
 
 from repro.core.aggregate import StreamingAggregator, aggregate_pass
 from repro.core.device_exec import device_shingle_pass
-from repro.core.execplan import EXEC_MODES, ExecutionPlan
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.core.serial import serial_shingle_pass
 from repro.device.device import SimulatedDevice
+from repro.device.group import DeviceGroup
 from repro.device.timingmodels import DeviceSpec
 from repro.graph.csr import CSRGraph
-from tests.conftest import random_blocky_graph
+from tests.conftest import SCHEDULES, random_blocky_graph, schedule
+
+CAPACITY = 8 * 2**20
 
 
-def fresh_device(capacity=8 * 2**20):
+def fresh_device(capacity=CAPACITY):
     return SimulatedDevice(DeviceSpec(memory_capacity_bytes=capacity))
 
 
@@ -72,13 +74,13 @@ class TestPassEquivalence:
         assert got == ref
 
     def test_prefetch_invariance(self, blocky_graph, small_params):
+        """Half the element budget (what ``prefetch`` ran) changes nothing."""
         cfg = small_params.pass_config(1)
         sync = device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
                                    cfg, fresh_device(), max_elements=50)
-        pref = device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
-                                   cfg, fresh_device(), max_elements=50,
-                                   prefetch=True)
-        assert sync == pref
+        half = device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
+                                   cfg, fresh_device(), max_elements=25)
+        assert sync == half
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -96,46 +98,50 @@ class TestPassEquivalence:
         assert got == ref
 
 
-def _plan_for(mode: str) -> ExecutionPlan:
-    if mode == "multistream":
-        return ExecutionPlan(mode=mode, streams=3)
-    return ExecutionPlan(mode=mode)
+def _schedule_pass(label: str, indptr, elements, cfg,
+                   max_elements: int | None = None, **kwargs):
+    """One device pass under the schedule ``label`` names (``SCHEDULES``)."""
+    params, spec = schedule(label, ShinglingParams(),
+                            DeviceSpec(memory_capacity_bytes=CAPACITY))
+    device = (DeviceGroup(params.devices, spec) if params.devices > 1
+              else SimulatedDevice(spec))
+    if max_elements is not None and label == "prefetch":
+        max_elements //= 2
+    return device_shingle_pass(indptr, elements, cfg, device,
+                               max_elements=max_elements,
+                               streams=params.streams, **kwargs)
 
 
 class TestExecModeEquivalence:
     """Every execution schedule must be bit-identical to the serial pass."""
 
     @pytest.mark.parametrize("kernel", ["select", "sort", "fused"])
-    @pytest.mark.parametrize("mode", sorted(EXEC_MODES))
+    @pytest.mark.parametrize("mode", sorted(SCHEDULES))
     def test_modes_match_serial(self, blocky_graph, small_params, mode, kernel):
         cfg = small_params.pass_config(1)
         ref = serial_shingle_pass(blocky_graph.indptr, blocky_graph.indices, cfg)
-        got = device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
-                                  cfg, fresh_device(), kernel=kernel,
-                                  trial_chunk=4, plan=_plan_for(mode))
+        got = _schedule_pass(mode, blocky_graph.indptr, blocky_graph.indices,
+                             cfg, kernel=kernel, trial_chunk=4)
         assert got == ref
 
     @pytest.mark.parametrize("max_elements", [7, 23, 10_000])
-    @pytest.mark.parametrize("mode", sorted(EXEC_MODES))
+    @pytest.mark.parametrize("mode", sorted(SCHEDULES))
     def test_modes_match_serial_across_batch_sizes(self, blocky_graph,
                                                    small_params, mode,
                                                    max_elements):
         """Split-forcing batch sizes × schedules: still bit-identical."""
         cfg = small_params.pass_config(1)
         ref = serial_shingle_pass(blocky_graph.indptr, blocky_graph.indices, cfg)
-        got = device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
-                                  cfg, fresh_device(), trial_chunk=4,
-                                  max_elements=max_elements,
-                                  plan=_plan_for(mode))
+        got = _schedule_pass(mode, blocky_graph.indptr, blocky_graph.indices,
+                             cfg, trial_chunk=4, max_elements=max_elements)
         assert got == ref
 
-    @pytest.mark.parametrize("mode", sorted(EXEC_MODES))
+    @pytest.mark.parametrize("mode", sorted(SCHEDULES))
     def test_modes_with_trailing_empty_segments(self, small_params, mode):
         g = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)], n_vertices=9)
         cfg = small_params.pass_config(1)
         ref = serial_shingle_pass(g.indptr, g.indices, cfg)
-        got = device_shingle_pass(g.indptr, g.indices, cfg, fresh_device(),
-                                  trial_chunk=2, plan=_plan_for(mode))
+        got = _schedule_pass(mode, g.indptr, g.indices, cfg, trial_chunk=2)
         assert got == ref
 
     @pytest.mark.parametrize("streams", [1, 2, 5])
@@ -144,20 +150,49 @@ class TestExecModeEquivalence:
         ref = serial_shingle_pass(blocky_graph.indptr, blocky_graph.indices, cfg)
         got = device_shingle_pass(
             blocky_graph.indptr, blocky_graph.indices, cfg, fresh_device(),
-            trial_chunk=3,
-            plan=ExecutionPlan(mode="multistream", streams=streams))
+            trial_chunk=3, streams=streams)
         assert got == ref
+
+    @pytest.mark.parametrize("streams", [1, 2, 5])
+    def test_stream_count_invariance_multi_batch(self, blocky_graph,
+                                                 small_params, streams):
+        """Streams over several batches with split lists: still exact."""
+        cfg = small_params.pass_config(1)
+        ref = serial_shingle_pass(blocky_graph.indptr, blocky_graph.indices, cfg)
+        got = device_shingle_pass(
+            blocky_graph.indptr, blocky_graph.indices, cfg, fresh_device(),
+            trial_chunk=3, max_elements=23 * streams, streams=streams)
+        assert got == ref
+
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_streams_divide_the_element_budget(self, blocky_graph,
+                                               small_params, streams):
+        """``streams`` working sets share one device: the budget splits."""
+        from repro.device.batching import plan_batches
+        from repro.obs import observe, use_obs
+
+        cfg = small_params.pass_config(1)
+        lengths = np.diff(blocky_graph.indptr)
+        compact_indptr = np.concatenate(
+            [[0], np.cumsum(lengths[lengths >= cfg.s])])
+        ctx = observe()
+        with use_obs(ctx):
+            device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
+                                cfg, fresh_device(), max_elements=600,
+                                streams=streams)
+        (span,) = [r for r in ctx.tracer.records
+                   if r.name == "exec.shingle_pass"]
+        want = plan_batches(compact_indptr, 600 // streams).n_batches
+        assert span.attrs["n_batches"] == want
+        assert span.attrs["streams"] == streams
 
     def test_pipeline_exec_modes_identical(self, small_params):
         g = random_blocky_graph(seed=21)
-        runs = {
-            mode: GpClust(small_params.with_overrides(
-                exec_mode=mode, streams=3)).run(g)
-            for mode in sorted(EXEC_MODES)
-        }
-        baseline = runs["sync"]
-        for mode, result in runs.items():
-            assert np.array_equal(result.labels, baseline.labels), mode
+        serial = SerialPClust(small_params).run(g)
+        for mode in SCHEDULES:
+            params, spec = schedule(mode, small_params)
+            result = GpClust(params, spec).run(g)
+            assert np.array_equal(result.labels, serial.labels), mode
 
     @pytest.mark.parametrize("devices", [1, 2, 4])
     def test_pipeline_device_counts_identical(self, small_params, devices):
@@ -167,22 +202,17 @@ class TestExecModeEquivalence:
         got = GpClust(small_params.with_overrides(devices=devices)).run(g)
         assert np.array_equal(got.labels, serial.labels)
 
-    @pytest.mark.parametrize("mode", sorted(EXEC_MODES))
+    @pytest.mark.parametrize("mode", sorted(SCHEDULES))
     def test_device_counts_cross_modes_identical(self, blocky_graph,
                                                  small_params, mode):
-        """devices {2,4} x every exec mode: the multidevice schedule that
-        params.execution_plan() forces must match each single-device mode."""
-        from repro.device.group import DeviceGroup
-
+        """Groups of 2 and 4 members must match every other schedule."""
         cfg = small_params.pass_config(1)
-        ref = device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
-                                  cfg, fresh_device(), trial_chunk=4,
-                                  plan=_plan_for(mode))
+        ref = _schedule_pass(mode, blocky_graph.indptr, blocky_graph.indices,
+                             cfg, trial_chunk=4)
         for devices in (2, 4):
-            plan = ExecutionPlan(mode="multidevice", devices=devices)
             got = device_shingle_pass(
                 blocky_graph.indptr, blocky_graph.indices, cfg,
-                DeviceGroup(devices), trial_chunk=4, plan=plan)
+                DeviceGroup(devices), trial_chunk=4)
             assert got == ref, (mode, devices)
 
     def test_scratch_pool_zero_alloc_steady_state(self, blocky_graph,
@@ -206,7 +236,7 @@ class TestExecModeEquivalence:
 
 
 class TestMultiBatchMatrix:
-    """Adjacency lists split across >= 3 batches, every mode x kernel."""
+    """Adjacency lists split across >= 3 batches, every schedule x kernel."""
 
     MAX_ELEMENTS = 97  # forces many small batches with split lists
 
@@ -232,13 +262,11 @@ class TestMultiBatchMatrix:
         assert any(batch.is_split.any() for batch in plan)
 
     @pytest.mark.parametrize("kernel", ["select", "sort", "fused"])
-    @pytest.mark.parametrize("mode", sorted(EXEC_MODES))
+    @pytest.mark.parametrize("mode", sorted(SCHEDULES))
     def test_three_batch_split_matches_serial(self, small_params, mode, kernel):
         g, cfg, ref = self._reference_and_graph(small_params)
-        got = device_shingle_pass(g.indptr, g.indices, cfg, fresh_device(),
-                                  kernel=kernel, trial_chunk=4,
-                                  max_elements=self.MAX_ELEMENTS,
-                                  plan=_plan_for(mode))
+        got = _schedule_pass(mode, g.indptr, g.indices, cfg, kernel=kernel,
+                             trial_chunk=4, max_elements=self.MAX_ELEMENTS)
         assert got == ref
 
     @pytest.mark.parametrize("kernel", ["select", "sort", "fused"])

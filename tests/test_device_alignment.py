@@ -3,7 +3,7 @@
 The central contract is bit-identity: the device path (length-binned
 packing + ramped row-scan kernels) must reproduce the host batched
 Smith-Waterman scores exactly, for both gap models, every DP dtype the
-escalation rule can pick, every execution plan, and any bin geometry.
+escalation rule can pick, every bin schedule, and any bin geometry.
 """
 
 import dataclasses
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.execplan import EXEC_MODES, ExecutionPlan
 from repro.device import DeviceAligner, SimulatedDevice
 from repro.device.alignment import (
     _scan_blocked,
@@ -22,6 +21,7 @@ from repro.device.alignment import (
     rowscan_linear_binned,
 )
 from repro.device.batching import plan_alignment_bins
+from repro.device.group import DeviceGroup
 from repro.device.memory import ScratchPool
 from repro.sequence import homology as homology_mod
 from repro.sequence.arena import flatten_sequences
@@ -233,9 +233,19 @@ class TestKernels:
 # DeviceAligner facade
 # --------------------------------------------------------------------- #
 
+#: The aligner's bin schedules under the sweep's labels: one device
+#: double-buffers its bins (at two bin sizes), a group shards them.
+ALIGNER_SCHEDULES = {
+    "sync": (SimulatedDevice, 48),
+    "prefetch": (SimulatedDevice, 24),
+    "multistream": (lambda: DeviceGroup(1), 48),
+    "multidevice": (lambda: DeviceGroup(2), 48),
+}
+
+
 class TestDeviceAligner:
-    def make(self, **kw):
-        al = DeviceAligner(SimulatedDevice(), **kw)
+    def make(self, device=None, **kw):
+        al = DeviceAligner(device or SimulatedDevice(), **kw)
         rng = np.random.default_rng(8)
         seqs = random_seqs(rng, 50, len_max=60)
         pairs = random_pairs(rng, 50, 300)
@@ -259,10 +269,11 @@ class TestDeviceAligner:
         assert out.size == 0
         assert al.last_plan.n_bins == 0
 
-    @pytest.mark.parametrize("mode", EXEC_MODES)
+    @pytest.mark.parametrize("mode", ALIGNER_SCHEDULES)
     def test_exec_modes_bit_identical(self, mode):
-        al, seqs, pairs = self.make(plan=ExecutionPlan.from_mode(mode),
-                                    max_pairs_per_bin=48)
+        make_device, max_pairs = ALIGNER_SCHEDULES[mode]
+        al, seqs, pairs = self.make(make_device(),
+                                    max_pairs_per_bin=max_pairs)
         al.upload_sequences(seqs)
         got = al.batch_scores(pairs)
         ref = batch_smith_waterman([seqs[i] for i in pairs[:, 0]],

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.device_exec import device_shingle_pass
-from repro.core.execplan import EXEC_MULTIDEVICE, ExecutionPlan
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.core.serial import serial_shingle_pass
@@ -25,6 +24,7 @@ from repro.device.group import (
     GroupTopology,
     HostLink,
     least_loaded_assignment,
+    run_sharded,
 )
 from repro.device.timingmodels import TransferModel
 from repro.obs import observe, use_obs
@@ -51,6 +51,38 @@ class TestLeastLoadedAssignment:
     def test_rejects_zero_members(self):
         with pytest.raises(ValueError):
             least_loaded_assignment([1], 0)
+
+
+class TestRunSharded:
+    def test_items_run_in_order_on_their_members_thread(self):
+        costs = [16, 16, 16, 16, 16, 16, 4]
+        ran: list[tuple[int, int, str]] = []
+        lock = threading.Lock()
+
+        def work(item, member):
+            with lock:
+                ran.append((item, member, threading.current_thread().name))
+
+        run_sharded(range(len(costs)), costs, work, 3)
+        owners = least_loaded_assignment(costs, 3)
+        assert sorted(ran) == [(i, owners[i], f"dev{owners[i]}")
+                               for i in range(len(costs))]
+        for member in range(3):
+            mine = [item for item, owner, _ in ran if owner == member]
+            assert mine == sorted(mine)
+
+    def test_first_error_reraised_after_every_member_ran(self):
+        done = []
+
+        def work(item, member):
+            if item == 0:
+                raise RuntimeError("boom")
+            done.append(item)
+
+        with pytest.raises(RuntimeError, match="boom"):
+            run_sharded([0, 1, 2, 3], [1, 1, 1, 1], work, 2)
+        # Member 0's shard stops at its failing item; member 1's finishes.
+        assert sorted(done) == [1, 3]
 
 
 class TestHostLink:
@@ -237,10 +269,8 @@ class TestShinglePassBitIdentity:
         cfg = small_params.pass_config(1)
         ref = serial_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
                                   cfg)
-        plan = ExecutionPlan(mode=EXEC_MULTIDEVICE, devices=devices)
         got = device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
-                                  cfg, DeviceGroup(devices), trial_chunk=3,
-                                  plan=plan)
+                                  cfg, DeviceGroup(devices), trial_chunk=3)
         assert got == ref
 
     @pytest.mark.parametrize("devices", [2, 4])
@@ -250,23 +280,21 @@ class TestShinglePassBitIdentity:
         g = random_blocky_graph(seed=31)
         cfg = small_params.pass_config(1)
         ref = serial_shingle_pass(g.indptr, g.indices, cfg)
-        plan = ExecutionPlan(mode=EXEC_MULTIDEVICE, devices=devices)
         got = device_shingle_pass(g.indptr, g.indices, cfg,
                                   DeviceGroup(devices), trial_chunk=4,
-                                  max_elements=97, plan=plan)
+                                  max_elements=97)
         assert got == ref
 
     def test_plain_device_degrades_to_sync(self, blocky_graph, small_params):
-        """A multidevice plan over a plain SimulatedDevice must still work
-        (serial schedule) — the single-device degradation path."""
-        cfg = small_params.pass_config(1)
-        ref = serial_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
-                                  cfg)
-        plan = ExecutionPlan(mode=EXEC_MULTIDEVICE, devices=2)
-        got = device_shingle_pass(blocky_graph.indptr, blocky_graph.indices,
-                                  cfg, SimulatedDevice(), trial_chunk=3,
-                                  plan=plan)
-        assert got == ref
+        """``devices=2`` parameters over a caller's plain SimulatedDevice
+        run the single-device schedule on it, and still match."""
+        params = small_params.with_overrides(devices=2)
+        g = random_blocky_graph(seed=3)
+        ref = SerialPClust(params).run(g)
+        device = SimulatedDevice()
+        got = GpClust(params).run(g, device=device)
+        assert np.array_equal(got.labels, ref.labels)
+        assert sum(s["launches"] for s in device.kernel_stats.values()) > 0
 
     def test_full_pipeline_across_device_counts(self, small_params):
         g = random_blocky_graph(seed=23)
@@ -345,30 +373,41 @@ class TestAlignerOnGroup:
 
 class TestParamsWiring:
     def test_devices_forces_multidevice_plan(self):
-        plan = ShinglingParams(devices=3).execution_plan()
-        assert plan.mode == EXEC_MULTIDEVICE
-        assert plan.devices == 3
-        assert plan.n_workers == 3
-        assert plan.resident_factor == 1  # batch replicated, not divided
+        """``devices=3`` makes GpClust build and shard over a 3-group."""
+        ctx = observe(trace=False)
+        with use_obs(ctx):
+            GpClust(ShinglingParams(c1=12, c2=6, trial_chunk=4, devices=3)
+                    ).run(random_blocky_graph(seed=24))
+        gauges = ctx.metrics.snapshot()["gauges"]
+        assert gauges["group.n_devices"] == 3
+        # The batch is replicated onto every member, not divided.
+        assert gauges["group.p2p_bytes"] > 0
 
     def test_single_device_keeps_exec_mode(self):
-        plan = ShinglingParams(exec_mode="prefetch", devices=1).execution_plan()
-        assert plan.mode == "prefetch"
+        """On one device GpClust runs the passes at the given stream count."""
+        ctx = observe()
+        with use_obs(ctx):
+            GpClust(ShinglingParams(c1=12, c2=6, trial_chunk=4, streams=3)
+                    ).run(random_blocky_graph(seed=24))
+        passes = [r.attrs for r in ctx.tracer.records
+                  if r.name == "exec.shingle_pass"]
+        assert passes
+        assert all(a["streams"] == 3 and a["devices"] == 1 for a in passes)
+        assert any(r.track.startswith("stream") for r in ctx.tracer.records)
 
     def test_devices_validation(self):
         with pytest.raises(ValueError):
             ShinglingParams(devices=0)
-        with pytest.raises(ValueError):
-            ExecutionPlan(mode=EXEC_MULTIDEVICE, devices=0)
+        with pytest.raises(ValueError, match="streams"):
+            ShinglingParams(streams=2, devices=2)
 
     def test_cli_accepts_devices(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["cluster", "g.npz", "--devices", "2",
-             "--exec-mode", "multidevice"])
+            ["cluster", "g.npz", "--devices", "2"])
         assert args.devices == 2
-        assert args.exec_mode == "multidevice"
+        assert args.streams == 1
 
     def test_end_to_end_devices_override(self):
         from repro.pipeline.end_to_end import run_end_to_end

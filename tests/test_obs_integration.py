@@ -65,8 +65,7 @@ class TestTracedClustering:
 
     def test_multistream_spans_use_stream_tracks(self, graph):
         ctx = observe()
-        params = ShinglingParams(c1=30, c2=15, seed=0,
-                                 exec_mode="multistream", streams=2)
+        params = ShinglingParams(c1=30, c2=15, seed=0, streams=2)
         with use_obs(ctx):
             GpClust(params).run(graph)
         tracks = {r.track for r in ctx.tracer.records}

@@ -4,7 +4,7 @@ With the fused kernel, the vectorized union backend and a single pass-II
 batch whose geometry the tournament plan accepts, ``GpClust`` never builds
 ``G_II``: :func:`device_union_pass` folds every trial chunk's occurrence
 slots into a running root-label array.  Its labels must equal
-``SerialPClust``'s in every exec mode, device count and
+``SerialPClust``'s under every schedule, device count and
 ``include_generators`` setting — whether the pipeline provisions its own
 device, the caller hands one in, or the one-call API runs it — and every
 case that still needs ``G_II`` must fall back to it and match too.
@@ -24,11 +24,12 @@ from repro.core.report import PartitionFold, partition_labels
 from repro.core.serial import serial_shingle_pass
 from repro.device import kernels
 from repro.device.device import SimulatedDevice
+from repro.device.group import DeviceGroup
 from repro.graph.unionfind import union_edge_keys
 from repro.obs import get_obs, observe, use_obs
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 from repro.util.timer import TimeBreakdown
-from tests.conftest import cluster_via, random_blocky_graph
+from tests.conftest import cluster_via, random_blocky_graph, schedule
 
 BASE = ShinglingParams(s1=2, c1=10, s2=2, c2=7, trial_chunk=3, seed=5)
 
@@ -64,13 +65,27 @@ def _pass1(graph, params):
     ("sync", 1), ("prefetch", 1), ("multistream", 1), ("multidevice", 2)])
 def test_direct_path_matches_serial(planted, direct_calls, exec_mode, devices,
                                     via, include_generators):
-    params = BASE.with_overrides(exec_mode=exec_mode, devices=devices,
-                                 include_generators=include_generators)
+    params, spec = schedule(exec_mode, BASE.with_overrides(
+        include_generators=include_generators))
+    assert params.devices == devices
     want = SerialPClust(params).run(planted).labels
-    got = cluster_via(via, planted, params).labels
+    got = cluster_via(via, planted, params, spec).labels
     assert direct_calls == [True]
     assert np.array_equal(got, want)
     assert np.unique(got).size > 1
+
+
+@pytest.mark.parametrize("streams,members", [
+    (1, None), (2, None), (5, None), (1, 1), (1, 2), (1, 4)])
+def test_direct_path_streams_and_groups(planted, direct_calls, streams,
+                                        members):
+    """A plain device at 1, 2 and 5 streams; groups of 1, 2 and 4."""
+    params = BASE.with_overrides(streams=streams)
+    device = SimulatedDevice() if members is None else DeviceGroup(members)
+    want = SerialPClust(params).run(planted).labels
+    got = GpClust(params).run(planted, device=device).labels
+    assert direct_calls == [True]
+    assert np.array_equal(got, want)
 
 
 def test_direct_path_trace(planted):

@@ -22,13 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.device_exec import device_shingle_pass
-from repro.core.execplan import ExecutionPlan
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.core.serial import serial_shingle_pass
 from repro.device.device import SimulatedDevice
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 from repro.util.timer import BUCKET_GPU
+from tests.conftest import schedule
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(repro.__file__).resolve().parents[1]
@@ -84,8 +84,9 @@ def serial_labels(planted):
 BASE = ShinglingParams(s1=2, c1=8, s2=2, c2=6, trial_chunk=2)
 
 
-def _labels(graph, **overrides):
-    return GpClust(BASE.with_overrides(**overrides)).run(graph).labels
+def _labels(graph, label="sync"):
+    params, spec = schedule(label, BASE)
+    return GpClust(params, spec).run(graph).labels
 
 
 class TestPipelineBitIdentity:
@@ -100,20 +101,19 @@ class TestPipelineBitIdentity:
     @pytest.mark.parametrize("exec_mode", ["sync", "prefetch", "multistream"])
     def test_exec_modes_identical(self, planted, serial_labels, exec_mode):
         for _ in range(2):
-            got = _labels(planted.graph, exec_mode=exec_mode)
+            got = _labels(planted.graph, exec_mode)
             assert np.array_equal(got, serial_labels)
 
     def test_pass_result_identical_warm_replay(self, planted):
         graph = planted.graph
         config = BASE.pass_config(1)
         ref = serial_shingle_pass(graph.indptr, graph.indices, config)
-        plan = BASE.execution_plan()
         device = SimulatedDevice()
         counts = []
         for _ in range(2):  # cold device, then the same device warm
             got = device_shingle_pass(graph.indptr, graph.indices, config,
                                       device, kernel="fused", trial_chunk=2,
-                                      plan=plan)
+                                      streams=BASE.streams)
             assert got == ref
             counts.append({name: (v["launches"], v["elements"])
                            for name, v in device.kernel_stats.items()})
@@ -154,12 +154,10 @@ def test_repeated_shape_replays_stay_identical(seed, trial_chunk):
 
     ref = serial_shingle_pass(indptr, elements, config)
     device = SimulatedDevice()
-    plan = ExecutionPlan()
     first = None
     for run in range(1, 5):
         got = device_shingle_pass(indptr, elements, config, device,
-                                  kernel="fused", trial_chunk=trial_chunk,
-                                  plan=plan)
+                                  kernel="fused", trial_chunk=trial_chunk)
         assert got == ref
         if first is None:
             first = _counts(device)
