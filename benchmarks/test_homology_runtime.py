@@ -9,12 +9,12 @@ measures every scoring backend on the same workload:
   anti-diagonal wavefront aligner, eager self-scores for every sequence);
 * **host** — the current path at ``align_backend=host``, ``n_jobs=1``
   (vectorized seed filter, row-scan aligner, lazy self-scores);
-* **pool** — ``align_backend=pool``, ``n_jobs=4`` (sharded alignment over
-  a shared-memory arena);
-* **device** — ``align_backend=device`` (length-binned packing + ramped
-  row-scan kernels on the simulated device, double-buffered bins);
-* **auto** — ``align_backend=auto``, ``n_jobs=0`` (the hybrid scheduler
-  picks; by this point it schedules from this run's measured rates).
+* **pool** — ``n_jobs=4`` (sharded alignment over a shared-memory arena;
+  the pairs-per-worker floor is lifted so the row is the pool on any host);
+* **device** — ``n_jobs=1`` (length-binned packing + ramped row-scan
+  kernels on the simulated device, double-buffered bins);
+* **auto** — ``n_jobs=0`` (all cores: the pool when every worker gets
+  ``MIN_POOL_PAIRS_PER_WORKER`` pairs, else the device).
 
 Each variant reports per-stage wall clock (seed filter / self-scores /
 alignment / graph build); all must produce the identical graph.  The
@@ -29,8 +29,11 @@ row's ``alignment_s`` and ``padding_waste``
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +44,8 @@ from repro.pipeline.workloads import make_homology_workload
 from repro.sequence.kmer_filter import kmer_codes
 from repro.sequence.scoring import BLOSUM62
 from repro.sequence.smith_waterman import _extended_matrix, self_score
-from repro.sequence.homology import build_homology_graph
+from repro.sequence import homology
+from repro.sequence.homology import build_homology_graph, choose_align_backend
 from repro.util.tables import format_table, table_payload
 
 REPEATS = 2  # best-of; warm timings only
@@ -197,6 +201,16 @@ def _payload(stages):
     return out
 
 
+@contextlib.contextmanager
+def _pool_forced():
+    """Let ``auto`` reach the pool whatever this host's core count: no
+    pairs-per-worker floor, and at least two cores."""
+    cores = max(os.cpu_count() or 1, 2)
+    with mock.patch.object(homology, "MIN_POOL_PAIRS_PER_WORKER", 0), \
+            mock.patch.object(homology.os, "cpu_count", lambda: cores):
+        yield
+
+
 def test_homology_runtime(report_writer, scale):
     protein_set, base_config = make_homology_workload(scale)
     sequences = protein_set.sequences
@@ -205,7 +219,7 @@ def test_homology_runtime(report_writer, scale):
         lambda: _run_seed_path(sequences, base_config))
     seed_total = sum(seed_stages[s] for s in STAGES)
 
-    def run_current(n_jobs, align_backend):
+    def run_current(n_jobs, align_backend="auto"):
         config = dataclasses.replace(base_config, n_jobs=n_jobs,
                                      align_backend=align_backend)
         # Metrics-only observation (no tracer): counter increments are a
@@ -218,13 +232,15 @@ def test_homology_runtime(report_writer, scale):
         stages["_backend"] = result.align_backend
         return stages, result.graph
 
+    def run_pool():
+        with _pool_forced():
+            return run_current(PARALLEL_JOBS)
+
     variants = {
         "host": lambda: run_current(1, "host"),
-        f"pool_j{PARALLEL_JOBS}": lambda: run_current(PARALLEL_JOBS, "pool"),
-        "device": lambda: run_current(1, "device"),
-        # Runs last on purpose: the scheduler has this process's measured
-        # host/pool/device rates by now, so "auto" is an informed pick.
-        "auto": lambda: run_current(0, "auto"),
+        f"pool_j{PARALLEL_JOBS}": run_pool,
+        "device": lambda: run_current(1),
+        "auto": lambda: run_current(0),
     }
     stages_by, graphs, snapshots, resolved = {}, {}, {}, {}
     for name, fn in variants.items():
@@ -232,6 +248,12 @@ def test_homology_runtime(report_writer, scale):
         snapshots[name] = stages.pop("_snapshot")
         resolved[name] = stages.pop("_backend")
         stages_by[name], graphs[name] = stages, graph
+
+    # Each row ran the backend it names; auto follows the rule.
+    n_pairs = snapshots["host"]["counters"]["homology.candidate_pairs"]
+    assert resolved == {
+        "host": "host", f"pool_j{PARALLEL_JOBS}": "pool", "device": "device",
+        "auto": choose_align_backend("auto", n_pairs, 0)}, resolved
 
     # Every backend must build the identical graph.
     for name, graph in graphs.items():

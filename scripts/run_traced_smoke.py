@@ -23,8 +23,9 @@ these artifacts under ``benchmarks/results/``:
     critical-path seconds), keyed by the run configuration — the
     cross-run trajectory behind ``repro obs ledger``.
 ``trace_homology_device.json`` / ``trace_homology_device_summary.txt``
-    The Chrome Trace export (and rendering) of a homology-graph build run
-    with ``--align-backend device``: alignment bins must appear as
+    The Chrome Trace export (and rendering) of a homology-graph build
+    (``n_jobs=1``, so ``auto`` resolves to the device backend): the run
+    must resolve to ``device`` and alignment bins must appear as
     ``device.align_bin`` spans, which this script asserts.
 
 The script also asserts the tracer's own accounting: the root
@@ -38,7 +39,7 @@ non-zero on any violation.
 Usage::
 
     PYTHONPATH=src python scripts/run_traced_smoke.py [--repeats 3]
-        [--align-backend device] [--devices 2]
+        [--devices 2]
 
 With ``--devices N > 1`` both runs go through a ``DeviceGroup``: the
 clustering workload runs with ``devices=N`` and the traced
@@ -96,9 +97,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repetitions per mode (min is kept)")
-    parser.add_argument("--align-backend", default="device",
-                        help="alignment backend for the traced homology "
-                             "run (auto/host/pool/device)")
     parser.add_argument("--devices", type=int, default=1,
                         help="simulated devices; >1 runs both workloads "
                              "on a DeviceGroup (devices=N)")
@@ -234,9 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.sequence.homology import build_homology_graph
 
     protein_set, h_config = make_homology_workload(scale)
-    h_config = dataclasses.replace(h_config,
-                                   align_backend=args.align_backend,
-                                   devices=args.devices)
+    h_config = dataclasses.replace(h_config, devices=args.devices)
     h_ctx = observe()
     with use_obs(h_ctx):
         h_result = build_homology_graph(protein_set.sequences, h_config)
@@ -255,15 +251,14 @@ def main(argv: list[str] | None = None) -> int:
           f"{len(h_records)} spans, {len(bin_spans)} device.align_bin, "
           f"{h_result.n_edges} edges -> "
           f"{out_dir / 'trace_homology_device.json'}")
-    if args.align_backend == "device":
-        if h_result.align_backend != "device":
-            failures.append(
-                f"homology run resolved to {h_result.align_backend!r}, "
-                f"not 'device'")
-        if not bin_spans:
-            failures.append(
-                "device-backend homology trace has no device.align_bin "
-                "spans (alignment bins are not visible as device work)")
+    if h_result.align_backend != "device":
+        failures.append(
+            f"homology run resolved to {h_result.align_backend!r}, "
+            f"not 'device'")
+    if not bin_spans:
+        failures.append(
+            "device-backend homology trace has no device.align_bin "
+            "spans (alignment bins are not visible as device work)")
 
     # --- multi-device: every member must appear as its own process ------
     if args.devices > 1:
@@ -309,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir / "ledger", "traced_smoke", {row_name: ledger_row},
         config={"workload": WORKLOAD, "scale": scale,
                 "devices": args.devices,
-                "align_backend": args.align_backend},
+                "align_backend": h_result.align_backend},
         host_cores=os.cpu_count())
     print(f"ledger row {row_name} appended under {out_dir / 'ledger'}")
 

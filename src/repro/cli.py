@@ -74,6 +74,21 @@ def _params_from_args(args: argparse.Namespace,
         parser.error(str(exc))
 
 
+def _homology_config_from_args(args: argparse.Namespace,
+                               parser: argparse.ArgumentParser):
+    """The pipeline's homology config; a rejected value is a usage error."""
+    from repro.sequence.homology import HomologyConfig
+
+    try:
+        return HomologyConfig(pair_filter=args.pair_filter,
+                              min_normalized_score=args.min_score,
+                              n_jobs=args.jobs,
+                              align_backend=args.align_backend,
+                              devices=args.devices)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _make_device(params: ShinglingParams):
     """The run's explicit device: a group when more than one was asked."""
     from repro.device.device import SimulatedDevice
@@ -282,7 +297,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.sequence.alphabet import encode
     from repro.sequence.fasta import read_fasta
-    from repro.sequence.homology import HomologyConfig, build_homology_graph
+    from repro.sequence.homology import build_homology_graph
 
     records = read_fasta(args.fasta)
     sequences = [encode(seq) for _, seq in records]
@@ -295,11 +310,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         args.profile = None
     ctx = _make_obs(args)
     params = args.params
-    homology_config = HomologyConfig(pair_filter=args.pair_filter,
-                                     min_normalized_score=args.min_score,
-                                     n_jobs=args.jobs,
-                                     align_backend=args.align_backend,
-                                     devices=args.devices)
+    homology_config = args.homology_config
     if ctx is None:
         homology = build_homology_graph(sequences, homology_config)
         print(f"homology: {homology.n_candidate_pairs} candidate pairs -> "
@@ -312,7 +323,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         with use_obs(ctx):
             if args.backend == "device":
                 # One device (or group) for the whole run: the alignment
-                # offload (when --align-backend resolves to device) and the
+                # offload (when --align-backend auto resolves to it) and the
                 # clustering pass share its scratch pool, so --profile
                 # shows the sw_* kernels next to the shingling ones.
                 device = _make_device(params)
@@ -481,16 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--jobs", type=int, default=1,
                         help="alignment worker processes for homology-graph "
                              "construction (0 = all cores; results are "
-                             "identical for any value)")
+                             "identical for any value; cannot be combined "
+                             "with --devices > 1)")
     p_pipe.add_argument("--align-backend", dest="align_backend",
-                        choices=["auto", "host", "pool", "device"],
-                        default="auto",
-                        help="Smith-Waterman scoring backend: in-process "
-                             "(host), process pool (pool, uses --jobs), "
-                             "simulated-device offload with length-binned "
-                             "packing (device), or a cost-model choice "
-                             "(auto); scores and edges are identical for "
-                             "every backend")
+                        choices=["auto", "host"], default="auto",
+                        help="Smith-Waterman scoring backend: auto scores "
+                             "on a process pool when --jobs gives more than "
+                             "one worker and every worker gets enough pairs, "
+                             "else on the simulated device; host scores "
+                             "in-process (the serial reference); scores and "
+                             "edges are identical for both")
     p_pipe.add_argument("--profile", nargs="?", const="-", default=None,
                         metavar="PATH",
                         help="emit a JSON timing breakdown covering both "
@@ -575,6 +586,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "s1"):  # a command that clusters
         args.params = _params_from_args(args, parser)
+    if args.func is cmd_pipeline:
+        args.homology_config = _homology_config_from_args(args, parser)
     return args.func(args)
 
 

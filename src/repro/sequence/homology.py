@@ -5,8 +5,8 @@ Smith-Waterman on the surviving pairs, normalized-score thresholding, and
 assembly of the undirected similarity graph the clustering stage consumes.
 
 pGraph's central observation is that alignment dominates this stage, so it
-distributes alignment work across processors.  We go one step further with
-a *hybrid alignment scheduler* over three interchangeable backends:
+distributes alignment work across processors.  Alignment runs on one of
+three bit-identical backends:
 
 ``host``
     Batched row-scan kernels in-process (the serial reference).
@@ -19,20 +19,18 @@ a *hybrid alignment scheduler* over three interchangeable backends:
     length-binned packing and ramped row-scan kernels, with the sequence
     upload overlapped with the seed-filter stage on a copy thread.
 
-``HomologyConfig.align_backend`` picks one explicitly, or ``auto`` lets a
-cost model choose per workload from the pair count, the total DP cell
-volume, and measured per-backend throughput (an EMA updated after every
-run).  ``auto`` only considers the pool when every worker would get at
-least :data:`MIN_POOL_PAIRS_PER_WORKER` pairs — spawning processes for a
-workload that small loses to serial outright.  All backends are
-bit-identical; only the schedule differs.
+``HomologyConfig.align_backend`` is ``"host"`` (the serial oracle) or
+``"auto"``, which picks the backend from the config and the candidate
+pair count alone (:func:`choose_align_backend`): the pool when more than
+one worker is available and each gets at least
+:data:`MIN_POOL_PAIRS_PER_WORKER` pairs, the device otherwise.  No state
+carries over between runs, so the same input always takes the same path.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,15 +43,14 @@ from repro.sequence.kmer_filter import candidate_pairs
 from repro.sequence.scoring import BLOSUM62
 from repro.sequence.smith_waterman import (batch_self_scores,
                                            batch_smith_waterman,
-                                           batch_smith_waterman_affine,
-                                           orient_pair_lengths)
+                                           batch_smith_waterman_affine)
 
 #: Valid values of :attr:`HomologyConfig.align_backend`.
-ALIGN_BACKENDS = ("auto", "host", "pool", "device")
+ALIGN_BACKENDS = ("auto", "host")
 
-#: ``auto`` refuses to spawn a process pool unless every worker gets at
-#: least this many pairs — below it, fork + arena setup costs more than
-#: the whole serial alignment (the small-workload parallel regression).
+#: ``auto`` spawns a process pool only when every worker gets at least
+#: this many pairs — below it, fork + arena setup costs more than the
+#: whole serial alignment (the small-workload parallel regression).
 MIN_POOL_PAIRS_PER_WORKER = 2000
 
 
@@ -83,21 +80,22 @@ class HomologyConfig:
     chunk_size:
         Alignment batch size.
     n_jobs:
-        Alignment worker processes.  ``1`` scores shards in-process (the
-        default), ``0`` means ``os.cpu_count()``.  Results are identical
-        for every value.
+        Alignment worker processes for ``auto``; ``0`` means
+        ``os.cpu_count()``.  With more than one worker (capped by the
+        machine's cores) and at least :data:`MIN_POOL_PAIRS_PER_WORKER`
+        pairs per worker, the pairs are scored by a process pool; otherwise
+        on the device.  The default ``1`` always takes the device.
     align_backend:
-        ``"host"``, ``"pool"``, ``"device"``, or ``"auto"`` (default) to
-        let the scheduler choose (see :func:`choose_align_backend`).
-        ``"pool"`` additionally needs ``n_jobs`` workers to use; with one
-        worker it degrades to the host path.  Scores and edges are
-        bit-identical across all backends.
+        ``"auto"`` (default) resolves as described under ``n_jobs`` (see
+        :func:`choose_align_backend`); ``"host"`` scores every pair
+        in-process, the serial oracle.  Scores and edges are bit-identical
+        across all backends.
     devices:
         Simulated device count for the device backend.  ``devices > 1``
         runs the offload on a :class:`repro.device.group.DeviceGroup`,
-        distributing length-binned alignment bins across members; the
-        ``auto`` cost model divides the device throughput estimate by this
-        count.  Output is bit-identical for every value.
+        distributing length-binned alignment bins across members.  It
+        cannot be combined with ``n_jobs != 1``.  Output is bit-identical
+        for every value.
     """
 
     pair_filter: str = "kmer"
@@ -134,6 +132,8 @@ class HomologyConfig:
             raise ValueError("n_jobs must be >= 0 (0 = cpu_count)")
         if self.devices < 1:
             raise ValueError("devices must be >= 1")
+        if self.devices > 1 and self.n_jobs != 1:
+            raise ValueError("devices > 1 cannot be combined with n_jobs != 1")
 
 
 @dataclass
@@ -256,95 +256,25 @@ def _resolve_jobs(n_jobs: int) -> int:
     return n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
 
 
-# ---------------------------------------------------------------------- #
-# Hybrid alignment scheduler
-# ---------------------------------------------------------------------- #
-
-#: Priors for the scheduler's cost model, refined by measurement: DP cells
-#: per second for the in-process row scan and the device bins, fixed setup
-#: costs for the offload (upload + bin launches) and the pool (fork +
-#: arena), and the fraction of linear scaling a pool worker typically
-#: achieves (scatter/merge and memory-bandwidth sharing eat the rest).
-_HOST_CELLS_PER_S = 1.8e8
-_DEVICE_CELLS_PER_S = 3.0e8
-_DEVICE_FIXED_S = 3e-3
-_POOL_SPAWN_S = 0.25
-_POOL_EFFICIENCY = 0.7
-
-_throughput_lock = threading.Lock()
-_measured_cells_per_s: dict[str, float] = {}
-
-
-def observe_alignment_throughput(backend: str, cells: int,
-                                 seconds: float) -> None:
-    """Feed a measured alignment back into the scheduler's cost model.
-
-    Keeps an exponential moving average (alpha 0.5) of DP cells per second
-    per backend, so the second run on a machine schedules from measured
-    rates instead of priors.  Pool rates are aggregate (spawn included).
-    """
-    if cells <= 0 or seconds <= 0:
-        return
-    rate = cells / seconds
-    with _throughput_lock:
-        prev = _measured_cells_per_s.get(backend)
-        _measured_cells_per_s[backend] = (
-            rate if prev is None else 0.5 * (prev + rate))
-
-
-def _estimated_seconds(n_pairs: int, total_cells: int, n_jobs: int,
-                       n_devices: int = 1) -> dict[str, float]:
-    """Cost-model estimate per candidate backend, in seconds.
-
-    ``n_devices`` scales the device estimate: a group's bins score
-    concurrently, so throughput is roughly linear in the member count
-    while the fixed setup (upload broadcast + bin launches) stays flat.
-    """
-    with _throughput_lock:
-        measured = dict(_measured_cells_per_s)
-    host_rate = measured.get("host", _HOST_CELLS_PER_S)
-    device_rate = measured.get("device", _DEVICE_CELLS_PER_S)
-    est = {
-        "host": total_cells / host_rate,
-        "device": (_DEVICE_FIXED_S
-                   + total_cells / (device_rate * max(n_devices, 1))),
-    }
-    workers = min(_resolve_jobs(n_jobs), os.cpu_count() or 1)
-    # The pool must clear three gates: real workers, enough pairs per
-    # worker, and a serial runtime that dwarfs the spawn cost — a workload
-    # the host finishes in a few spawn-times can only lose by forking
-    # (the BENCH_PR6 pool-vs-host regression at small scale).
-    if (workers > 1
-            and n_pairs >= MIN_POOL_PAIRS_PER_WORKER * workers
-            and est["host"] > 4 * _POOL_SPAWN_S):
-        pool_rate = measured.get("pool")
-        est["pool"] = (total_cells / pool_rate if pool_rate else
-                       _POOL_SPAWN_S + total_cells
-                       / (host_rate * workers * _POOL_EFFICIENCY))
-    return est
-
-
-def choose_align_backend(backend: str, n_pairs: int, total_cells: int,
-                         n_jobs: int, n_devices: int = 1) -> str:
+def choose_align_backend(backend: str, n_pairs: int, n_jobs: int) -> str:
     """Resolve an ``align_backend`` setting to a concrete backend.
 
-    Explicit settings are honored verbatim.  ``auto`` picks the cheapest
-    backend under the cost model: total DP cells over (measured or prior)
-    per-backend throughput plus fixed setup costs.  The pool is a
-    candidate only when the *effective* worker count (``n_jobs`` capped by
-    the machine's cores) exceeds one, every worker would receive at least
-    :data:`MIN_POOL_PAIRS_PER_WORKER` pairs, and the serial estimate
-    itself is several multiples of the pool's spawn cost — so ``auto``
-    never forks for a workload small enough to lose to serial outright.
-    ``n_devices > 1`` credits the device backend with near-linear bin
-    throughput across the group.
+    ``host`` is honored verbatim.  ``auto`` takes the process pool when the
+    *effective* worker count (``n_jobs`` capped by the machine's cores)
+    exceeds one and every worker gets at least
+    :data:`MIN_POOL_PAIRS_PER_WORKER` pairs, and the device otherwise.  The
+    choice depends on nothing but the arguments and the core count, so
+    ``auto`` never forks for a workload small enough to lose to serial
+    outright, and no earlier run can change it.
     """
     if backend not in ALIGN_BACKENDS:
         raise ValueError(f"unknown align_backend {backend!r}")
-    if backend != "auto":
-        return backend
-    est = _estimated_seconds(n_pairs, total_cells, n_jobs, n_devices)
-    return min(est, key=est.get)
+    if backend == "host":
+        return "host"
+    workers = min(_resolve_jobs(n_jobs), os.cpu_count() or 1)
+    if workers > 1 and n_pairs >= MIN_POOL_PAIRS_PER_WORKER * workers:
+        return "pool"
+    return "device"
 
 
 # ---------------------------------------------------------------------- #
@@ -360,19 +290,20 @@ def build_homology_graph(sequences: list[np.ndarray],
 
     Every candidate pair from the seed filter is aligned; pairs whose
     normalized Smith-Waterman score reaches the threshold become undirected
-    edges.  ``config.align_backend`` selects the scoring backend (host /
-    pool / device, or ``auto`` for the cost model); output is bit-identical
-    across all of them.  With ``keep_scores=False`` only above-threshold
-    edges are retained as shards complete, never the full score vector.
+    edges.  ``config.align_backend`` selects the scoring backend (``host``,
+    or ``auto`` for pool / device by :func:`choose_align_backend`); output
+    is bit-identical across all of them.  With ``keep_scores=False`` only
+    above-threshold edges are retained as shards complete, never the full
+    score vector.
 
     ``device`` optionally supplies the :class:`repro.device.SimulatedDevice`
     (or :class:`repro.device.group.DeviceGroup`) the offload should run on
     (sharing its scratch pool, metrics and breakdown with other stages); by
     default the aligner brings its own, a group of ``config.devices``
-    members when that exceeds one.  When the device backend is in play, the
-    sequence upload starts on a copy thread *before* the seed filter, so
-    the transfer overlaps candidate-pair discovery (the aligner's own
-    double-buffered bin schedule, applied across pipeline stages).
+    members when that exceeds one.  Under ``auto`` the sequence upload
+    starts on a copy thread *before* the seed filter, so the transfer
+    overlaps candidate-pair discovery (the aligner's own double-buffered
+    bin schedule, applied across pipeline stages).
     """
     config = config or HomologyConfig()
     timings = HomologyTimings()
@@ -385,7 +316,7 @@ def build_homology_graph(sequences: list[np.ndarray],
     aligner = None
     uploader = None
     upload = None
-    if config.align_backend in ("auto", "device"):
+    if config.align_backend == "auto":
         # Deferred import: host-only runs never touch the device package.
         from repro.device.alignment import DeviceAligner
 
@@ -445,20 +376,8 @@ def _build_graph(sequences, config, matrix, keep_scores, aligner, upload,
 
     n_jobs = _resolve_jobs(config.n_jobs)
     shards = _shard_bounds(n_pairs, config.chunk_size, n_jobs)
-    lengths = np.fromiter((s.size for s in sequences), dtype=np.int64,
-                          count=n)
-    short_l, long_l = orient_pair_lengths(pairs, lengths)
-    total_cells = int((short_l.astype(np.int64) * long_l).sum())
-    n_devices = (aligner.group.n_devices
-                 if aligner is not None and aligner.group is not None else 1)
     backend = choose_align_backend(config.align_backend, n_pairs,
-                                   total_cells, config.n_jobs,
-                                   n_devices=n_devices)
-    if backend == "device" and aligner is None:
-        raise ValueError(
-            "align_backend resolved to 'device' without a device aligner")
-    if backend == "pool" and (n_jobs <= 1 or len(shards) <= 1):
-        backend = "host"
+                                   config.n_jobs)
 
     score_blocks: list[np.ndarray] = []
     edge_blocks: list[np.ndarray] = []
@@ -506,7 +425,6 @@ def _build_graph(sequences, config, matrix, keep_scores, aligner, upload,
                     score_blocks.append(block)
                 edge_blocks.append(kept_pairs)
     timings.alignment_s = stage.elapsed
-    observe_alignment_throughput(backend, total_cells, stage.elapsed)
 
     with timed(tracer, "homology.graph_build") as stage:
         edges = (np.concatenate(edge_blocks, axis=0) if edge_blocks

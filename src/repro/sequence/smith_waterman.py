@@ -123,42 +123,6 @@ def sw_score_affine(a: np.ndarray, b: np.ndarray,
     return best
 
 
-def sw_score_banded(a: np.ndarray, b: np.ndarray, band: int,
-                    matrix: np.ndarray = BLOSUM62, gap: int = 8) -> int:
-    """Banded Smith-Waterman: only cells with ``|i - j| <= band`` computed.
-
-    The standard shortcut for pairs expected to align near the diagonal
-    (family members of similar length).  Cells outside the band are treated
-    as zero, so the score is a lower bound on the full DP and equals it
-    whenever the optimal path stays inside the band; widening the band can
-    only increase the score.
-    """
-    if band < 0:
-        raise ValueError("band must be >= 0")
-    if gap < 0:
-        raise ValueError("gap penalty must be >= 0")
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return 0
-    prev = [0] * (lb + 1)
-    best = 0
-    mat = matrix.tolist()
-    b_list = b.tolist()
-    for i in range(1, la + 1):
-        row_scores = mat[a[i - 1]]
-        cur = [0] * (lb + 1)
-        j_lo = max(1, i - band)
-        j_hi = min(lb, i + band)
-        for j in range(j_lo, j_hi + 1):
-            h = prev[j - 1] + row_scores[b_list[j - 1]]
-            v = max(0, h, prev[j] - gap, cur[j - 1] - gap)
-            cur[j] = v
-            if v > best:
-                best = v
-        prev = cur
-    return best
-
-
 def sw_align(a: np.ndarray, b: np.ndarray, matrix: np.ndarray = BLOSUM62,
              gap: int = 8) -> tuple[int, list[tuple[int, int]]]:
     """Smith-Waterman with traceback (linear gaps).
@@ -428,50 +392,6 @@ def _rowscan_affine(seqs_short: list[np.ndarray], seqs_long: list[np.ndarray],
     return hmax.max(axis=0).astype(np.int64)
 
 
-def _chunk_scores_banded(seqs_a: list[np.ndarray], seqs_b: list[np.ndarray],
-                         mat: np.ndarray, gap: int, band: int) -> np.ndarray:
-    """Anti-diagonal DP over one padded chunk, band-restricted.
-
-    The legacy wavefront kernel, kept for the banded mode: the band windows
-    break the left-chain scan invariant the row kernels rely on.
-    """
-    a = _pad_block(seqs_a)          # (B, La)
-    b = _pad_block(seqs_b)          # (B, Lb)
-    n_pairs, la = a.shape
-    lb = b.shape[1]
-    if n_pairs == 0:
-        return np.zeros(0, dtype=np.int64)
-
-    # H diagonals indexed by i in [0, la]; H_d[:, i] == H[i, d - i].
-    h_prev2 = np.zeros((n_pairs, la + 1), dtype=np.int64)   # diagonal d-2
-    h_prev1 = np.zeros((n_pairs, la + 1), dtype=np.int64)   # diagonal d-1
-    best = np.zeros(n_pairs, dtype=np.int64)
-
-    for d in range(2, la + lb + 1):
-        i_lo = max(1, d - lb)
-        i_hi = min(la, d - 1)
-        # |i - j| <= band with j = d - i  =>  (d - band)/2 <= i <= (d + band)/2
-        i_lo = max(i_lo, -((band - d) // 2))   # ceil((d - band) / 2)
-        i_hi = min(i_hi, (d + band) // 2)
-        if i_lo > i_hi:
-            # Nothing inside the band on this diagonal: its H values are all
-            # zero, but the buffers must still rotate or later diagonals
-            # would read stale predecessors.
-            h_prev2, h_prev1 = h_prev1, np.zeros_like(h_prev1)
-            continue
-        i_range = np.arange(i_lo, i_hi + 1)
-        sub = mat[a[:, i_range - 1], b[:, d - i_range - 1]]
-        diag = h_prev2[:, i_range - 1] + sub
-        up = h_prev1[:, i_range - 1] - gap     # from (i-1, j): gap in b
-        left = h_prev1[:, i_range] - gap       # from (i, j-1): gap in a
-        h_cur_vals = np.maximum(np.maximum(diag, up), np.maximum(left, 0))
-        h_cur = np.zeros((n_pairs, la + 1), dtype=np.int64)
-        h_cur[:, i_range] = h_cur_vals
-        np.maximum(best, h_cur_vals.max(axis=1), out=best)
-        h_prev2, h_prev1 = h_prev1, h_cur
-    return best
-
-
 def _chunk_order(seqs_short: list[np.ndarray],
                  seqs_long: list[np.ndarray]) -> np.ndarray:
     """Length-sorted processing order so chunks pad homogeneously.
@@ -485,37 +405,20 @@ def _chunk_order(seqs_short: list[np.ndarray],
 
 def batch_smith_waterman(seqs_a: list[np.ndarray], seqs_b: list[np.ndarray],
                          matrix: np.ndarray = BLOSUM62, gap: int = 8,
-                         chunk_size: int = 256,
-                         band: int | None = None) -> np.ndarray:
+                         chunk_size: int = 256) -> np.ndarray:
     """Scores of ``len(seqs_a)`` alignments, vectorized across pairs.
 
     Pairs are grouped into length-sorted chunks; within a chunk the
     row-scan DP advances with whole-chunk array operations (see the module
     docstring).  Equal elementwise to calling :func:`sw_score_linear` per
     pair.
-
-    With ``band`` set, only cells within ``band`` of the main diagonal are
-    computed (see :func:`sw_score_banded`) via the legacy anti-diagonal
-    kernel.
     """
     if len(seqs_a) != len(seqs_b):
         raise ValueError("seqs_a and seqs_b must have equal length")
     if gap < 0:
         raise ValueError("gap penalty must be >= 0")
-    if band is not None and band < 0:
-        raise ValueError("band must be >= 0")
     n = len(seqs_a)
     out = np.zeros(n, dtype=np.int64)
-    if band is not None:
-        mat = _extended_matrix(matrix)
-        order = np.argsort([len(a) + len(b) for a, b in zip(seqs_a, seqs_b)],
-                           kind="stable")
-        for lo in range(0, n, chunk_size):
-            idx = order[lo:lo + chunk_size]
-            chunk_a = [np.asarray(seqs_a[i], dtype=np.uint8) for i in idx]
-            chunk_b = [np.asarray(seqs_b[i], dtype=np.uint8) for i in idx]
-            out[idx] = _chunk_scores_banded(chunk_a, chunk_b, mat, gap, band)
-        return out
     short, long_ = _swap_short_long(
         [np.asarray(a, dtype=np.uint8) for a in seqs_a],
         [np.asarray(b, dtype=np.uint8) for b in seqs_b])

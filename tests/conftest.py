@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from repro.device.device import SimulatedDevice
 from repro.device.group import DeviceGroup
 from repro.device.timingmodels import DeviceSpec
 from repro.graph.csr import CSRGraph
+from repro.sequence import homology
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 
 
@@ -136,3 +140,16 @@ def cluster_via(how: str, graph: CSRGraph, params: ShinglingParams,
     if how == "host":
         return cluster_graph(graph, params, device_spec=spec)
     raise ValueError(f"unknown way to reach the pipeline {how!r}")
+
+
+@contextlib.contextmanager
+def pool_alignment():
+    """Let ``align_backend="auto"`` reach the process pool on tiny inputs.
+
+    Drops the pairs-per-worker floor and reports at least two cores, so
+    any ``n_jobs != 1`` resolves to the pool on every machine.
+    """
+    cores = max(os.cpu_count() or 1, 2)
+    with mock.patch.object(homology, "MIN_POOL_PAIRS_PER_WORKER", 0), \
+            mock.patch.object(homology.os, "cpu_count", lambda: cores):
+        yield

@@ -142,6 +142,30 @@ class TestParser:
         assert last.startswith("repro: error:") and message in last
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--jobs", "-1"], "n_jobs must be >= 0"),
+        (["--min-score", "0"], "min_normalized_score"),
+        (["--jobs", "2", "--devices", "2"], "cannot be combined"),
+        (["--jobs", "0", "--devices", "3"], "cannot be combined"),
+    ])
+    def test_bad_homology_config_is_usage_error(self, tmp_path, capsys,
+                                                flags, message):
+        # Rejected before the FASTA is read: the file need not exist.
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", str(tmp_path / "x.fasta"), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("repro: error:") and message in last
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("backend", ["pool", "device"])
+    def test_retired_align_backends_rejected(self, tmp_path, backend):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", str(tmp_path / "x.fasta"),
+                  "--align-backend", backend])
+        assert exc.value.code == 2
+
 
 class TestProfileFlag:
     def test_profile_to_stdout(self, bench_files, capsys):

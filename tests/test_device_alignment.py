@@ -26,10 +26,10 @@ from repro.device.memory import ScratchPool
 from repro.sequence import homology as homology_mod
 from repro.sequence.arena import flatten_sequences
 from repro.sequence.homology import (
+    MIN_POOL_PAIRS_PER_WORKER,
     HomologyConfig,
     build_homology_graph,
     choose_align_backend,
-    observe_alignment_throughput,
 )
 from repro.sequence.scoring import BLOSUM62
 from repro.sequence.smith_waterman import (
@@ -330,87 +330,71 @@ class TestDeviceAligner:
 
 
 # --------------------------------------------------------------------- #
-# Hybrid scheduler
+# Backend rule
 # --------------------------------------------------------------------- #
 
-@pytest.fixture
-def fresh_cost_model(monkeypatch):
-    """Scheduler tests run from priors, not other tests' measurements."""
-    monkeypatch.setattr(homology_mod, "_measured_cells_per_s", {})
+#: Effective pool workers per ``(n_jobs, cpu_count)``: ``n_jobs`` (0 = all
+#: cores) capped by the machine's cores.
+_WORKERS = {(0, 1): 1, (0, 2): 2, (0, 8): 8,
+            (1, 1): 1, (1, 2): 1, (1, 8): 1,
+            (2, 1): 1, (2, 2): 2, (2, 8): 2,
+            (4, 1): 1, (4, 2): 2, (4, 8): 4}
 
 
 class TestScheduler:
-    def test_explicit_backends_honored(self, fresh_cost_model):
-        for be in ("host", "pool", "device"):
-            assert choose_align_backend(be, 10, 100, 4) == be
+    @pytest.mark.parametrize("n_jobs,cores", sorted(_WORKERS))
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_auto_rule_table(self, monkeypatch, n_jobs, cores, offset):
+        """Pool iff more than one effective worker and at least
+        ``MIN_POOL_PAIRS_PER_WORKER`` pairs each; device otherwise."""
+        monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: cores)
+        workers = _WORKERS[n_jobs, cores]
+        n_pairs = MIN_POOL_PAIRS_PER_WORKER * max(workers, 2) + offset
+        expected = "pool" if workers > 1 and offset >= 0 else "device"
+        assert choose_align_backend("auto", n_pairs, n_jobs) == expected
+
+    def test_explicit_backends_honored(self, monkeypatch):
+        monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
+        for n_pairs in (0, 10, 10**6):
+            for n_jobs in (0, 1, 4):
+                assert choose_align_backend("host", n_pairs, n_jobs) == "host"
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="align_backend"):
-            choose_align_backend("gpu", 10, 100, 1)
+        for backend in ("gpu", "pool", "device"):
+            with pytest.raises(ValueError, match="align_backend"):
+                choose_align_backend(backend, 10, 1)
 
-    def test_auto_small_workload_never_spawns_pool(self, fresh_cost_model,
-                                                   monkeypatch):
+    def test_auto_small_workload_never_spawns_pool(self, monkeypatch):
         # The small-workload parallel regression: --jobs 0 on a many-core
         # machine must not fork for a few hundred pairs.
         monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
-        choice = choose_align_backend("auto", 500, 500 * 40 * 40, 0)
-        assert choice != "pool"
+        assert choose_align_backend("auto", 500, 0) == "device"
 
-    def test_auto_large_workload_may_pool(self, fresh_cost_model,
-                                          monkeypatch):
+    def test_auto_large_workload_may_pool(self, monkeypatch):
         monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
-        # Device deliberately measured slow so the pool's linear scaling
-        # wins once every worker has enough pairs.
-        observe_alignment_throughput("device", 10**6, 100.0)
-        choice = choose_align_backend("auto", 100_000, 2 * 10**8, 0)
-        assert choice == "pool"
+        assert choose_align_backend("auto", 100_000, 0) == "pool"
 
-    def test_auto_tiny_cells_prefers_host(self, fresh_cost_model):
-        # Below the device's fixed setup cost the host path wins.
-        assert choose_align_backend("auto", 50, 10_000, 1) == "host"
-
-    def test_measured_throughput_feeds_back(self, fresh_cost_model):
-        # Make the device look 100x faster than the host prior; auto must
-        # follow the measurement even at modest scale.
-        observe_alignment_throughput("device", 10**9, 0.05)
-        assert choose_align_backend("auto", 10_000, 10**7, 1) == "device"
-        # ...and an EMA, not a last-write-wins.
-        before = homology_mod._measured_cells_per_s["device"]
-        observe_alignment_throughput("device", 10**6, 100.0)
-        after = homology_mod._measured_cells_per_s["device"]
-        assert 1e4 < after < before
-
-    def test_observe_ignores_degenerate_samples(self, fresh_cost_model):
-        observe_alignment_throughput("host", 0, 1.0)
-        observe_alignment_throughput("host", 100, 0.0)
-        assert "host" not in homology_mod._measured_cells_per_s
-
-    def test_auto_never_pools_below_spawn_amortization(self, fresh_cost_model,
-                                                       monkeypatch):
-        # The BENCH_PR6 regression pin: plenty of pairs but a sub-second
-        # host estimate means the fork cost can never amortize, so the
-        # pool must not even be a candidate.
+    def test_auto_never_pools_below_spawn_amortization(self, monkeypatch):
+        # Enough pairs for four workers is not enough for eight: the
+        # floor is per worker, so a wider pool needs a bigger workload.
         monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
-        small_cells = int(0.9 * 4 * homology_mod._POOL_SPAWN_S
-                          * homology_mod._HOST_CELLS_PER_S)
-        est = homology_mod._estimated_seconds(100_000, small_cells, 0)
-        assert "pool" not in est
-
-    def test_device_estimate_scales_with_device_count(self, fresh_cost_model):
-        one = homology_mod._estimated_seconds(1000, 10**8, 1, n_devices=1)
-        four = homology_mod._estimated_seconds(1000, 10**8, 1, n_devices=4)
-        assert four["device"] < one["device"]
-        # More devices shift auto toward the device backend.
-        assert choose_align_backend("auto", 1000, 10**8, 1,
-                                    n_devices=4) == "device"
+        n_pairs = 4 * MIN_POOL_PAIRS_PER_WORKER
+        assert choose_align_backend("auto", n_pairs, 4) == "pool"
+        assert choose_align_backend("auto", n_pairs, 0) == "device"
 
     def test_config_validates_backend(self):
-        with pytest.raises(ValueError, match="align_backend"):
-            HomologyConfig(align_backend="gpu")
+        for backend in ("gpu", "pool", "device"):
+            with pytest.raises(ValueError, match="align_backend"):
+                HomologyConfig(align_backend=backend)
+        assert HomologyConfig(align_backend="host").align_backend == "host"
 
     def test_config_validates_devices(self):
         with pytest.raises(ValueError, match="devices"):
             HomologyConfig(devices=0)
+        for n_jobs in (0, 2):
+            with pytest.raises(ValueError, match="cannot be combined"):
+                HomologyConfig(devices=2, n_jobs=n_jobs)
+        assert HomologyConfig(devices=2).devices == 2
 
 
 class TestHomologyBackends:
@@ -425,8 +409,7 @@ class TestHomologyBackends:
         base = HomologyConfig(gap_model=gap_model)
         ref = build_homology_graph(
             small_set, dataclasses.replace(base, align_backend="host"))
-        got = build_homology_graph(
-            small_set, dataclasses.replace(base, align_backend="device"))
+        got = build_homology_graph(small_set, base)
         assert got.align_backend == "device"
         assert ref.align_backend == "host"
         assert got.n_edges == ref.n_edges
@@ -435,31 +418,31 @@ class TestHomologyBackends:
         assert np.array_equal(got.normalized_scores, ref.normalized_scores)
 
     def test_device_backend_keep_scores_false(self, small_set):
-        cfg = HomologyConfig(align_backend="device")
+        cfg = HomologyConfig()
         ref = build_homology_graph(small_set, cfg)
         got = build_homology_graph(small_set, cfg, keep_scores=False)
+        assert ref.align_backend == got.align_backend == "device"
         assert got.n_edges == ref.n_edges
         assert got.normalized_scores.size == 0
         assert got.pairs.size == 0
 
     def test_shared_device_accumulates(self, small_set):
         device = SimulatedDevice()
-        cfg = HomologyConfig(align_backend="device")
-        build_homology_graph(small_set, cfg, device=device)
+        build_homology_graph(small_set, HomologyConfig(), device=device)
         assert device.kernel_stats["sw_rowscan"]["launches"] >= 1
         assert device.memory.used_bytes == 0    # everything released
 
     def test_auto_small_scale_matches_serial_choice(self, small_set,
                                                     monkeypatch):
-        # Regression pin for the satellite: auto with --jobs 0 on a small
-        # workload must resolve to an in-process backend (host or device),
-        # never the pool, and produce the serial result.
+        # Regression pin: auto with --jobs 0 on a small workload must
+        # resolve to the device, never the pool, and produce the serial
+        # result.
         monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
         ref = build_homology_graph(
             small_set, HomologyConfig(align_backend="host"))
         got = build_homology_graph(
             small_set, HomologyConfig(align_backend="auto", n_jobs=0))
-        assert got.align_backend in ("host", "device")
+        assert got.align_backend == "device"
         assert got.n_edges == ref.n_edges
         assert np.array_equal(got.normalized_scores, ref.normalized_scores)
 
@@ -491,7 +474,7 @@ class TestBackendIdentityProperties:
                              **penalties)
         ref = build_homology_graph(seqs, cfg, keep_scores=keep_scores)
 
-        device_cfg = dataclasses.replace(cfg, align_backend="device")
+        device_cfg = dataclasses.replace(cfg, align_backend="auto")
         # Route the build through an aligner with the sampled bin edges.
         orig_init = DeviceAligner.__init__
 
@@ -506,6 +489,8 @@ class TestBackendIdentityProperties:
                                        keep_scores=keep_scores)
         finally:
             DeviceAligner.__init__ = orig_init
+        assert got.align_backend == ("device" if got.n_candidate_pairs
+                                     else None)
         assert got.n_edges == ref.n_edges
         assert np.array_equal(got.graph.indptr, ref.graph.indptr)
         assert np.array_equal(got.graph.indices, ref.graph.indices)

@@ -360,11 +360,13 @@ class TestAlignerOnGroup:
         from repro.sequence.homology import HomologyConfig, build_homology_graph
 
         ps = generate_protein_families(seed=13)
-        base = HomologyConfig(align_backend="device")
-        ref = build_homology_graph(ps.sequences, base)
-        for devices in (2, 4):
+        base = HomologyConfig()
+        ref = build_homology_graph(
+            ps.sequences, dataclasses.replace(base, align_backend="host"))
+        for devices in (1, 2, 4):
             got = build_homology_graph(
                 ps.sequences, dataclasses.replace(base, devices=devices))
+            assert got.align_backend == "device"
             assert np.array_equal(got.graph.indptr, ref.graph.indptr)
             assert np.array_equal(got.graph.indices, ref.graph.indices)
             assert np.array_equal(got.normalized_scores,

@@ -20,6 +20,7 @@ from repro.obs import observe, to_chrome_trace, use_obs, validate_chrome_trace
 from repro.sequence.generator import SequenceFamilyConfig, generate_protein_families
 from repro.sequence.homology import HomologyConfig, build_homology_graph
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
+from tests.conftest import pool_alignment
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +126,17 @@ class TestHomologyWorkerSpans:
     def test_pool_tracing_is_bit_identical(self, protein_set):
         """Tracing on vs off, serial vs pool: same graph, same scores."""
         config = HomologyConfig(n_jobs=2, chunk_size=16)
-        plain = build_homology_graph(protein_set.sequences, config)
-        with use_obs(observe()):
-            traced = build_homology_graph(protein_set.sequences, config)
+        serial = build_homology_graph(
+            protein_set.sequences,
+            HomologyConfig(chunk_size=16, align_backend="host"))
+        with pool_alignment():
+            plain = build_homology_graph(protein_set.sequences, config)
+            with use_obs(observe()):
+                traced = build_homology_graph(protein_set.sequences, config)
+        assert plain.align_backend == traced.align_backend == "pool"
+        assert np.array_equal(serial.graph.indices, plain.graph.indices)
+        assert np.array_equal(serial.normalized_scores,
+                              plain.normalized_scores)
         assert np.array_equal(plain.graph.indptr, traced.graph.indptr)
         assert np.array_equal(plain.graph.indices, traced.graph.indices)
         assert np.array_equal(plain.normalized_scores,
@@ -135,11 +144,10 @@ class TestHomologyWorkerSpans:
 
     def test_worker_spans_merge_onto_parent(self, protein_set):
         ctx = observe()
-        with use_obs(ctx):
-            build_homology_graph(
-                protein_set.sequences,
-                HomologyConfig(n_jobs=2, chunk_size=16,
-                               align_backend="pool"))
+        with pool_alignment(), use_obs(ctx):
+            result = build_homology_graph(
+                protein_set.sequences, HomologyConfig(n_jobs=2, chunk_size=16))
+        assert result.align_backend == "pool"
         records = ctx.tracer.records
         shard_spans = [r for r in records
                        if r.name == "homology.align.shard"]

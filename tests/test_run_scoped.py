@@ -26,6 +26,9 @@ from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.core.serial import serial_shingle_pass
 from repro.device.device import SimulatedDevice
+from repro.sequence.generator import (SequenceFamilyConfig,
+                                      generate_protein_families)
+from repro.sequence.homology import HomologyConfig, build_homology_graph
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 from repro.util.timer import BUCKET_GPU
 from tests.conftest import schedule
@@ -53,6 +56,28 @@ def test_back_to_back_runs_identical():
     assert first["kernels"] == second["kernels"]
     assert first["modeled_gpu_s"] == second["modeled_gpu_s"]
     assert np.unique(first["labels"]).size > 1
+
+
+def test_homology_backend_choice_is_run_scoped():
+    """``auto`` resolves from the config and the input alone: a ``host``
+    run and ``auto`` runs on another input earlier in the process change
+    neither the backend nor the graph of a later call."""
+    fixed = generate_protein_families(
+        SequenceFamilyConfig(n_families=4, family_size_median=8.0),
+        seed=2).sequences
+    other = generate_protein_families(
+        SequenceFamilyConfig(n_families=6, family_size_median=10.0),
+        seed=5).sequences
+    first = build_homology_graph(fixed, HomologyConfig())
+    for earlier in (HomologyConfig(align_backend="host"), HomologyConfig(),
+                    HomologyConfig(n_jobs=2)):
+        build_homology_graph(other, earlier)
+        again = build_homology_graph(fixed, HomologyConfig())
+        assert again.align_backend == first.align_backend == "device"
+        assert np.array_equal(again.graph.indptr, first.graph.indptr)
+        assert np.array_equal(again.graph.indices, first.graph.indices)
+        assert np.array_equal(again.normalized_scores,
+                              first.normalized_scores)
 
 
 def test_fresh_process_matches_warm_process():

@@ -22,6 +22,7 @@ from repro.sequence.homology import (
     build_homology_graph,
 )
 from repro.sequence.smith_waterman import batch_self_scores, self_score
+from tests.conftest import pool_alignment
 
 
 def random_sequences(seed: int, n_max: int = 30, len_max: int = 60):
@@ -52,11 +53,15 @@ class TestParallelDeterminism:
         # Tiny chunks force several shards even on small inputs, so the
         # pool path genuinely splits the work.
         base = HomologyConfig(pair_filter=pair_filter, gap_model=gap_model,
-                              min_match_len=4, chunk_size=8)
+                              min_match_len=4, chunk_size=8,
+                              align_backend="host")
         serial = build_homology_graph(sequences, base)
-        parallel = build_homology_graph(
-            sequences, dataclasses.replace(base, n_jobs=n_jobs,
-                                           align_backend="pool"))
+        with pool_alignment():
+            parallel = build_homology_graph(
+                sequences, dataclasses.replace(base, n_jobs=n_jobs,
+                                               align_backend="auto"))
+        if parallel.n_candidate_pairs:
+            assert parallel.align_backend == "pool"
         assert_results_identical(serial, parallel)
 
     def test_family_workload_parallel_identical(self):
@@ -64,11 +69,13 @@ class TestParallelDeterminism:
             SequenceFamilyConfig(n_families=6, family_size_median=10.0),
             seed=5)
         base = HomologyConfig(chunk_size=64)
-        serial = build_homology_graph(ps.sequences, base)
+        serial = build_homology_graph(
+            ps.sequences, dataclasses.replace(base, align_backend="host"))
         for jobs in (2, 4):
-            parallel = build_homology_graph(
-                ps.sequences, dataclasses.replace(base, n_jobs=jobs,
-                                                  align_backend="pool"))
+            with pool_alignment():
+                parallel = build_homology_graph(
+                    ps.sequences, dataclasses.replace(base, n_jobs=jobs))
+            assert parallel.align_backend == "pool"
             assert_results_identical(serial, parallel)
 
     def test_streaming_mode_same_graph_no_scores(self):
@@ -76,14 +83,14 @@ class TestParallelDeterminism:
             SequenceFamilyConfig(n_families=5, family_size_median=9.0),
             seed=8)
         base = HomologyConfig(chunk_size=64)
-        full = build_homology_graph(ps.sequences, base)
-        for jobs in (1, 2):
-            backend = "pool" if jobs > 1 else "host"
-            streamed = build_homology_graph(
-                ps.sequences,
-                dataclasses.replace(base, n_jobs=jobs,
-                                    align_backend=backend),
-                keep_scores=False)
+        host = dataclasses.replace(base, align_backend="host")
+        full = build_homology_graph(ps.sequences, host)
+        for config, backend in ((host, "host"),
+                                (dataclasses.replace(base, n_jobs=2), "pool")):
+            with pool_alignment():
+                streamed = build_homology_graph(ps.sequences, config,
+                                                keep_scores=False)
+            assert streamed.align_backend == backend
             assert np.array_equal(full.graph.indptr, streamed.graph.indptr)
             assert np.array_equal(full.graph.indices, streamed.graph.indices)
             assert streamed.n_candidate_pairs == full.n_candidate_pairs
