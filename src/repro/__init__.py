@@ -25,38 +25,24 @@ Quickstart::
     print(result.summary())
 """
 
-import repro.baselines as baselines
-import repro.eval as eval  # noqa: A004 - deliberate subpackage re-export
-import repro.pipeline as pipeline
-import repro.sequence as sequence
-import repro.synthdata as synthdata
-from repro.core import (
-    ClusterResult,
-    GpClust,
-    SerialPClust,
-    ShinglingParams,
-    cluster_by_components,
-    cluster_graph,
-)
-from repro.device import DeviceSpec, SimulatedDevice
-from repro.graph import CSRGraph
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CSRGraph",
-    "ClusterResult",
-    "DeviceSpec",
-    "GpClust",
-    "SerialPClust",
-    "ShinglingParams",
-    "SimulatedDevice",
-    "baselines",
-    "cluster_by_components",
-    "cluster_graph",
-    "eval",
-    "pipeline",
-    "sequence",
-    "synthdata",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CSRGraph": ".graph.csr",
+    "ClusterResult": ".core.result",
+    "DeviceSpec": ".device.timingmodels",
+    "GpClust": ".core.pipeline",
+    "SerialPClust": ".core.pipeline",
+    "ShinglingParams": ".core.params",
+    "SimulatedDevice": ".device.device",
+    "baselines": ".baselines",
+    "cluster_by_components": ".core.decompose",
+    "cluster_graph": ".core.pipeline",
+    "eval": ".eval",
+    "pipeline": ".pipeline",
+    "sequence": ".sequence",
+    "synthdata": ".synthdata",
+})
+__all__.append("__version__")

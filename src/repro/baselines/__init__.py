@@ -8,14 +8,12 @@
   trivial lower bound (and pClust's decomposition step).
 """
 
-from repro.baselines.gos_kneighbor import gos_kneighbor_clustering, shared_neighbor_counts
-from repro.baselines.jaccard import jaccard_bruteforce_clustering, jaccard_matrix
-from repro.baselines.single_linkage import single_linkage_clustering
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "gos_kneighbor_clustering",
-    "jaccard_bruteforce_clustering",
-    "jaccard_matrix",
-    "shared_neighbor_counts",
-    "single_linkage_clustering",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "gos_kneighbor_clustering": ".gos_kneighbor",
+    "jaccard_bruteforce_clustering": ".jaccard",
+    "jaccard_matrix": ".jaccard",
+    "shared_neighbor_counts": ".gos_kneighbor",
+    "single_linkage_clustering": ".single_linkage",
+})

@@ -46,14 +46,7 @@ import numpy as np
 
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import cluster_graph
-from repro.eval.confusion import quality_scores
-from repro.eval.density import density_summary
-from repro.eval.partition import Partition, partition_stats
 from repro.graph.io import save_npz, timed_load
-from repro.graph.stats import compute_graph_stats
-from repro.sequence.fasta import write_fasta
-from repro.sequence.generator import SequenceFamilyConfig, generate_protein_families
-from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 from repro.util.tables import format_percent, format_seconds, format_table
 
 
@@ -194,6 +187,12 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.sequence.fasta import write_fasta
+    from repro.sequence.generator import (SequenceFamilyConfig,
+                                          generate_protein_families)
+    from repro.synthdata.planted import (PlantedFamilyConfig,
+                                         planted_family_graph)
+
     out = Path(args.out)
     if args.fasta:
         protein_set = generate_protein_families(
@@ -258,6 +257,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from repro.graph.stats import compute_graph_stats
+
     graph, io_seconds = timed_load(args.graph)
     stats = compute_graph_stats(graph)
     print(stats.render())
@@ -267,6 +268,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.eval.confusion import quality_scores
+    from repro.eval.density import density_summary
+    from repro.eval.partition import Partition, partition_stats
+
     with np.load(args.benchmark) as data:
         benchmark = Partition(data["labels"])
     if args.labels:

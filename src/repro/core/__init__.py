@@ -8,38 +8,25 @@ Public entry points:
 * :class:`ShinglingParams` — algorithm parameters (paper defaults).
 """
 
-from repro.core.decompose import canonicalize_labels, cluster_by_components
-from repro.core.minhash import (
-    estimate_jaccard,
-    estimate_jaccard_matrix,
-    exact_jaccard,
-    minhash_signatures,
-)
-from repro.core.params import PassConfig, ShinglingParams
-from repro.core.passresult import PassResult
-from repro.core.pipeline import GpClust, SerialPClust, cluster_graph
-from repro.core.report import overlapping_clusters, partition_labels, report_clusters
-from repro.core.result import ClusterResult
-from repro.core.serial import serial_shingle_pass
-from repro.core.device_exec import device_shingle_pass
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterResult",
-    "GpClust",
-    "PassConfig",
-    "PassResult",
-    "SerialPClust",
-    "ShinglingParams",
-    "canonicalize_labels",
-    "cluster_by_components",
-    "cluster_graph",
-    "device_shingle_pass",
-    "estimate_jaccard",
-    "estimate_jaccard_matrix",
-    "exact_jaccard",
-    "minhash_signatures",
-    "overlapping_clusters",
-    "partition_labels",
-    "report_clusters",
-    "serial_shingle_pass",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ClusterResult": ".result",
+    "GpClust": ".pipeline",
+    "PassConfig": ".params",
+    "PassResult": ".passresult",
+    "SerialPClust": ".pipeline",
+    "ShinglingParams": ".params",
+    "canonicalize_labels": ".decompose",
+    "cluster_by_components": ".decompose",
+    "cluster_graph": ".pipeline",
+    "device_shingle_pass": ".device_exec",
+    "estimate_jaccard": ".minhash",
+    "estimate_jaccard_matrix": ".minhash",
+    "exact_jaccard": ".minhash",
+    "minhash_signatures": ".minhash",
+    "overlapping_clusters": ".report",
+    "partition_labels": ".report",
+    "report_clusters": ".report",
+    "serial_shingle_pass": ".serial",
+})

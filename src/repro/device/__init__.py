@@ -19,42 +19,25 @@ equivalent that exercises the same code paths:
   stated future work) execution streams.
 """
 
-from repro.device.alignment import DeviceAligner
-from repro.device.batching import (
-    AlignmentBin,
-    AlignmentBinPlan,
-    Batch,
-    BatchPlan,
-    plan_alignment_bins,
-    plan_batches,
-)
-from repro.device.device import SimulatedDevice
-from repro.device.group import (
-    DeviceGroup,
-    GroupTopology,
-    HostLink,
-    least_loaded_assignment,
-)
-from repro.device.memory import DeviceBuffer, DeviceMemory, DeviceMemoryError
-from repro.device.timingmodels import DeviceSpec, KernelCostModel, TransferModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlignmentBin",
-    "AlignmentBinPlan",
-    "Batch",
-    "BatchPlan",
-    "DeviceAligner",
-    "DeviceBuffer",
-    "DeviceGroup",
-    "DeviceMemory",
-    "DeviceMemoryError",
-    "DeviceSpec",
-    "GroupTopology",
-    "HostLink",
-    "KernelCostModel",
-    "SimulatedDevice",
-    "TransferModel",
-    "least_loaded_assignment",
-    "plan_alignment_bins",
-    "plan_batches",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AlignmentBin": ".batching",
+    "AlignmentBinPlan": ".batching",
+    "Batch": ".batching",
+    "BatchPlan": ".batching",
+    "DeviceAligner": ".alignment",
+    "DeviceBuffer": ".memory",
+    "DeviceGroup": ".group",
+    "DeviceMemory": ".memory",
+    "DeviceMemoryError": ".memory",
+    "DeviceSpec": ".timingmodels",
+    "GroupTopology": ".group",
+    "HostLink": ".group",
+    "KernelCostModel": ".timingmodels",
+    "SimulatedDevice": ".device",
+    "TransferModel": ".timingmodels",
+    "least_loaded_assignment": ".group",
+    "plan_alignment_bins": ".batching",
+    "plan_batches": ".batching",
+})

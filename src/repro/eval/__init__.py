@@ -10,33 +10,23 @@
 * :func:`partition_stats` — the Table IV partition statistics.
 """
 
-from repro.eval.confusion import PairConfusion, QualityScores, pair_confusion, quality_scores
-from repro.eval.density import cluster_densities, density_summary
-from repro.eval.distribution import FIG5_BINS, size_distribution
-from repro.eval.external import (
-    adjusted_rand_index,
-    normalized_mutual_information,
-    pair_f1,
-    purity,
-)
-from repro.eval.partition import Partition, partition_stats
-from repro.eval.report import ComparisonReport, MethodReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ComparisonReport",
-    "FIG5_BINS",
-    "MethodReport",
-    "PairConfusion",
-    "Partition",
-    "QualityScores",
-    "adjusted_rand_index",
-    "cluster_densities",
-    "density_summary",
-    "normalized_mutual_information",
-    "pair_confusion",
-    "pair_f1",
-    "partition_stats",
-    "purity",
-    "quality_scores",
-    "size_distribution",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ComparisonReport": ".report",
+    "FIG5_BINS": ".distribution",
+    "MethodReport": ".report",
+    "PairConfusion": ".confusion",
+    "Partition": ".partition",
+    "QualityScores": ".confusion",
+    "adjusted_rand_index": ".external",
+    "cluster_densities": ".density",
+    "density_summary": ".density",
+    "normalized_mutual_information": ".external",
+    "pair_confusion": ".confusion",
+    "pair_f1": ".external",
+    "partition_stats": ".partition",
+    "purity": ".external",
+    "quality_scores": ".confusion",
+    "size_distribution": ".distribution",
+})

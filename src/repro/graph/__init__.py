@@ -6,36 +6,23 @@ the connected-component and union-find machinery used by Phase III of the
 algorithm and by the evaluation code.
 """
 
-from repro.graph.bipartite import BipartiteCSR
-from repro.graph.components import connected_components, largest_component_size
-from repro.graph.csr import CSRGraph
-from repro.graph.io import (
-    load_edge_list,
-    load_npz,
-    save_edge_list,
-    save_npz,
-    timed_load,
-)
-from repro.graph.kcore import core_filter, core_numbers, k_core
-from repro.graph.stats import GraphStats, compute_graph_stats
-from repro.graph.unionfind import UnionFind
-from repro.graph.weighted import WeightedCSRGraph
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BipartiteCSR",
-    "CSRGraph",
-    "GraphStats",
-    "UnionFind",
-    "WeightedCSRGraph",
-    "core_filter",
-    "core_numbers",
-    "k_core",
-    "compute_graph_stats",
-    "connected_components",
-    "largest_component_size",
-    "load_edge_list",
-    "load_npz",
-    "save_edge_list",
-    "save_npz",
-    "timed_load",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BipartiteCSR": ".bipartite",
+    "CSRGraph": ".csr",
+    "GraphStats": ".stats",
+    "UnionFind": ".unionfind",
+    "WeightedCSRGraph": ".weighted",
+    "core_filter": ".kcore",
+    "core_numbers": ".kcore",
+    "k_core": ".kcore",
+    "compute_graph_stats": ".stats",
+    "connected_components": ".components",
+    "largest_component_size": ".components",
+    "load_edge_list": ".io",
+    "load_npz": ".io",
+    "save_edge_list": ".io",
+    "save_npz": ".io",
+    "timed_load": ".io",
+})

@@ -17,12 +17,11 @@ while its per-record serialization and spill I/O make it dramatically
 slower, exactly the effect the paper cites.
 """
 
-from repro.mapreduce.engine import JobStats, MapReduceEngine
-from repro.mapreduce.shingle_mr import MapReducePClust, mr_shingle_pass
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobStats",
-    "MapReduceEngine",
-    "MapReducePClust",
-    "mr_shingle_pass",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "JobStats": ".engine",
+    "MapReduceEngine": ".engine",
+    "MapReducePClust": ".shingle_mr",
+    "mr_shingle_pass": ".shingle_mr",
+})

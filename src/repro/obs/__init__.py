@@ -18,111 +18,54 @@ See ``docs/OBSERVABILITY.md`` for the API walkthrough and how to read a
 Perfetto trace of a Table-I run.
 """
 
-from repro.obs.analysis import (
-    attribute,
-    critical_path,
-    diff_traces,
-    render_attribution,
-    render_critical_path,
-    render_diff,
-    trace_spans,
-    track_busy_seconds,
-)
-from repro.obs.chrome_trace import (
-    load_trace,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.context import (
-    NULL_OBS,
-    ObsContext,
-    get_obs,
-    observe,
-    set_obs,
-    use_obs,
-)
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    peak_rss_bytes,
-)
-from repro.obs.ledger import (
-    append_ledger,
-    compare_rows,
-    config_fingerprint,
-    detect_drift,
-    ledger_report,
-    load_ledger,
-    parse_metric_spec,
-    render_deltas,
-    render_ledger_report,
-    rows_from,
-    skipped_wall_note,
-)
-from repro.obs.summary import render_summary, summarize_trace
-from repro.obs.tracer import (
-    NULL_TRACER,
-    SUMMARY_SCHEMA_VERSION,
-    NullTracer,
-    Span,
-    SpanRecord,
-    Tracer,
-    timed,
-    traced,
-    worker_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_OBS",
-    "NULL_TRACER",
-    "NullMetrics",
-    "NullTracer",
-    "ObsContext",
-    "SUMMARY_SCHEMA_VERSION",
-    "Span",
-    "SpanRecord",
-    "Tracer",
-    "append_ledger",
-    "attribute",
-    "compare_rows",
-    "config_fingerprint",
-    "critical_path",
-    "detect_drift",
-    "diff_traces",
-    "get_obs",
-    "ledger_report",
-    "load_ledger",
-    "load_trace",
-    "observe",
-    "parse_metric_spec",
-    "peak_rss_bytes",
-    "render_attribution",
-    "render_critical_path",
-    "render_deltas",
-    "render_diff",
-    "render_ledger_report",
-    "render_summary",
-    "rows_from",
-    "set_obs",
-    "skipped_wall_note",
-    "summarize_trace",
-    "timed",
-    "to_chrome_trace",
-    "trace_spans",
-    "traced",
-    "track_busy_seconds",
-    "use_obs",
-    "validate_chrome_trace",
-    "worker_tracer",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "NULL_METRICS": ".metrics",
+    "NULL_OBS": ".context",
+    "NULL_TRACER": ".tracer",
+    "NullMetrics": ".metrics",
+    "NullTracer": ".tracer",
+    "ObsContext": ".context",
+    "SUMMARY_SCHEMA_VERSION": ".tracer",
+    "Span": ".tracer",
+    "SpanRecord": ".tracer",
+    "Tracer": ".tracer",
+    "append_ledger": ".ledger",
+    "attribute": ".analysis",
+    "compare_rows": ".ledger",
+    "config_fingerprint": ".ledger",
+    "critical_path": ".analysis",
+    "detect_drift": ".ledger",
+    "diff_traces": ".analysis",
+    "get_obs": ".context",
+    "ledger_report": ".ledger",
+    "load_ledger": ".ledger",
+    "load_trace": ".chrome_trace",
+    "observe": ".context",
+    "parse_metric_spec": ".ledger",
+    "peak_rss_bytes": ".metrics",
+    "render_attribution": ".analysis",
+    "render_critical_path": ".analysis",
+    "render_deltas": ".ledger",
+    "render_diff": ".analysis",
+    "render_ledger_report": ".ledger",
+    "render_summary": ".summary",
+    "rows_from": ".ledger",
+    "set_obs": ".context",
+    "skipped_wall_note": ".ledger",
+    "summarize_trace": ".summary",
+    "timed": ".tracer",
+    "to_chrome_trace": ".chrome_trace",
+    "trace_spans": ".analysis",
+    "traced": ".tracer",
+    "track_busy_seconds": ".analysis",
+    "use_obs": ".context",
+    "validate_chrome_trace": ".chrome_trace",
+    "worker_tracer": ".tracer",
+    "write_chrome_trace": ".chrome_trace",
+})

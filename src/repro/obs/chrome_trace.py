@@ -16,6 +16,8 @@ relative to the tracer's epoch, so every track shares one timeline.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 
 from repro.obs.tracer import SpanRecord
@@ -100,9 +102,23 @@ def _jsonable(value):
 
 def write_chrome_trace(path: str | Path, records: list[SpanRecord],
                        t0: float, metadata: dict | None = None) -> dict:
-    """Export and write the trace document; returns it."""
+    """Export and write the trace document; returns it.
+
+    The document goes to a temporary file in the same directory, which
+    then replaces ``path`` in one step: an interrupted write leaves any
+    previous trace intact and no partial file behind.
+    """
     doc = to_chrome_trace(records, t0, metadata=metadata)
-    Path(path).write_text(json.dumps(doc) + "\n")
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(doc) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return doc
 
 

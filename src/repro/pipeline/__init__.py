@@ -6,23 +6,15 @@ default; ``paper`` for the closest laptop-feasible analogue of the paper's
 dataset sizes).
 """
 
-from repro.pipeline.end_to_end import EndToEndReport, run_end_to_end
-from repro.pipeline.workloads import (
-    WORKLOADS,
-    Workload,
-    get_scale,
-    make_quality_workload,
-    make_runtime_workload,
-    workload_params,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EndToEndReport",
-    "WORKLOADS",
-    "Workload",
-    "get_scale",
-    "make_quality_workload",
-    "make_runtime_workload",
-    "run_end_to_end",
-    "workload_params",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "EndToEndReport": ".end_to_end",
+    "WORKLOADS": ".workloads",
+    "Workload": ".workloads",
+    "get_scale": ".workloads",
+    "make_quality_workload": ".workloads",
+    "make_runtime_workload": ".workloads",
+    "run_end_to_end": ".end_to_end",
+    "workload_params": ".workloads",
+})

@@ -27,59 +27,34 @@ implements the full equivalent pipeline from scratch:
   (:mod:`repro.sequence.homology`).
 """
 
-from repro.sequence.alphabet import AMINO_ACIDS, decode, encode
-from repro.sequence.arena import SequenceArena
-from repro.sequence.fasta import read_fasta, write_fasta
-from repro.sequence.generator import SequenceFamilyConfig, SyntheticProteinSet, generate_protein_families
-from repro.sequence.homology import (
-    HomologyConfig,
-    HomologyResult,
-    HomologyTimings,
-    build_homology_graph,
-)
-from repro.sequence.kmer_filter import candidate_pairs
-from repro.sequence.profile import (
-    Profile,
-    build_profile,
-    expand_cluster,
-    profile_score,
-)
-from repro.sequence.scoring import BLOSUM62, blosum62_matrix
-from repro.sequence.suffix import GeneralizedSuffixArray, candidate_pairs_suffix
-from repro.sequence.smith_waterman import (
-    batch_self_scores,
-    batch_smith_waterman,
-    sw_score_affine,
-    sw_score_linear,
-    sw_align,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AMINO_ACIDS",
-    "BLOSUM62",
-    "GeneralizedSuffixArray",
-    "HomologyConfig",
-    "HomologyResult",
-    "HomologyTimings",
-    "Profile",
-    "SequenceArena",
-    "SequenceFamilyConfig",
-    "SyntheticProteinSet",
-    "batch_self_scores",
-    "batch_smith_waterman",
-    "blosum62_matrix",
-    "build_homology_graph",
-    "build_profile",
-    "candidate_pairs",
-    "candidate_pairs_suffix",
-    "decode",
-    "encode",
-    "expand_cluster",
-    "generate_protein_families",
-    "profile_score",
-    "read_fasta",
-    "sw_align",
-    "sw_score_affine",
-    "sw_score_linear",
-    "write_fasta",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AMINO_ACIDS": ".alphabet",
+    "BLOSUM62": ".scoring",
+    "GeneralizedSuffixArray": ".suffix",
+    "HomologyConfig": ".homology",
+    "HomologyResult": ".homology",
+    "HomologyTimings": ".homology",
+    "Profile": ".profile",
+    "SequenceArena": ".arena",
+    "SequenceFamilyConfig": ".generator",
+    "SyntheticProteinSet": ".generator",
+    "batch_self_scores": ".smith_waterman",
+    "batch_smith_waterman": ".smith_waterman",
+    "blosum62_matrix": ".scoring",
+    "build_homology_graph": ".homology",
+    "build_profile": ".profile",
+    "candidate_pairs": ".kmer_filter",
+    "candidate_pairs_suffix": ".suffix",
+    "decode": ".alphabet",
+    "encode": ".alphabet",
+    "expand_cluster": ".profile",
+    "generate_protein_families": ".generator",
+    "profile_score": ".profile",
+    "read_fasta": ".fasta",
+    "sw_align": ".smith_waterman",
+    "sw_score_affine": ".smith_waterman",
+    "sw_score_linear": ".smith_waterman",
+    "write_fasta": ".fasta",
+})

@@ -31,11 +31,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.device.alignment import DeviceAligner
+from repro.device.group import DeviceGroup
 from repro.graph.csr import CSRGraph
 from repro.obs import get_obs, timed, worker_tracer
 from repro.sequence.arena import SequenceArena
@@ -317,12 +320,7 @@ def build_homology_graph(sequences: list[np.ndarray],
     uploader = None
     upload = None
     if config.align_backend == "auto":
-        # Deferred import: host-only runs never touch the device package.
-        from repro.device.alignment import DeviceAligner
-
         if device is None and config.devices > 1:
-            from repro.device.group import DeviceGroup
-
             device = DeviceGroup(config.devices)
         aligner = DeviceAligner(device)
         uploader = ThreadPoolExecutor(max_workers=1,
@@ -400,20 +398,27 @@ def _build_graph(sequences, config, matrix, keep_scores, aligner, upload,
             ctx = (multiprocessing.get_context("fork")
                    if "fork" in multiprocessing.get_all_start_methods()
                    else multiprocessing.get_context())
-            with SequenceArena.pack(sequences) as arena:
-                with ctx.Pool(processes=min(n_jobs, len(shards)),
-                              initializer=_init_worker,
-                              initargs=(arena.name, n, matrix, config,
-                                        keep_scores,
-                                        tracer.enabled)) as pool:
-                    # imap preserves shard order: deterministic merge.
-                    for block, kept_pairs, _, spans in pool.imap(
+            with SequenceArena.pack(sequences) as arena, \
+                    ProcessPoolExecutor(
+                        max_workers=min(n_jobs, len(shards)),
+                        mp_context=ctx, initializer=_init_worker,
+                        initargs=(arena.name, n, matrix, config,
+                                  keep_scores, tracer.enabled)) as pool:
+                try:
+                    # map yields in shard order: deterministic merge.  A
+                    # worker that dies breaks the pool instead of leaving
+                    # its shard's result pending forever.
+                    for block, kept_pairs, _, spans in pool.map(
                             _score_shard_remote, tasks):
                         if spans:
                             tracer.absorb(spans)
                         if keep_scores:
                             score_blocks.append(block)
                         edge_blocks.append(kept_pairs)
+                except BrokenProcessPool as exc:
+                    raise RuntimeError(
+                        "homology alignment failed: a pool worker died "
+                        "before returning its shard") from exc
         else:
             for i, (lo, hi) in enumerate(shards):
                 with tracer.span("homology.align.shard", shard=i,

@@ -20,21 +20,15 @@ available.  This package generates similarity graphs with the same
 Also provides generic random graphs (G(n,p), R-MAT) for scale testing.
 """
 
-from repro.synthdata.bundle import BenchmarkBundle, load_bundle, save_bundle
-from repro.synthdata.planted import (
-    PlantedFamilyConfig,
-    PlantedGraph,
-    planted_family_graph,
-)
-from repro.synthdata.random_graphs import gnp_graph, rmat_graph
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkBundle",
-    "PlantedFamilyConfig",
-    "PlantedGraph",
-    "gnp_graph",
-    "load_bundle",
-    "planted_family_graph",
-    "rmat_graph",
-    "save_bundle",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BenchmarkBundle": ".bundle",
+    "PlantedFamilyConfig": ".planted",
+    "PlantedGraph": ".planted",
+    "gnp_graph": ".random_graphs",
+    "load_bundle": ".bundle",
+    "planted_family_graph": ".planted",
+    "rmat_graph": ".random_graphs",
+    "save_bundle": ".bundle",
+})

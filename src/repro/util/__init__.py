@@ -4,20 +4,17 @@ These are the lowest-level building blocks of the reproduction; every other
 subpackage may depend on :mod:`repro.util` but never the other way around.
 """
 
-from repro.util.primes import is_probable_prime, next_prime, random_prime
-from repro.util.rng import HashPair, make_hash_pairs, spawn_rng
-from repro.util.tables import format_table, format_seconds
-from repro.util.timer import Stopwatch, TimeBreakdown
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HashPair",
-    "Stopwatch",
-    "TimeBreakdown",
-    "format_seconds",
-    "format_table",
-    "is_probable_prime",
-    "make_hash_pairs",
-    "next_prime",
-    "random_prime",
-    "spawn_rng",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "HashPair": ".rng",
+    "Stopwatch": ".timer",
+    "TimeBreakdown": ".timer",
+    "format_seconds": ".tables",
+    "format_table": ".tables",
+    "is_probable_prime": ".primes",
+    "make_hash_pairs": ".rng",
+    "next_prime": ".primes",
+    "random_prime": ".primes",
+    "spawn_rng": ".rng",
+})

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+# NumPy loads ``np.random`` on first access; import it with this module so
+# the first clustering call (which draws its hash pairs here) does not.
+import numpy.random  # noqa: F401
 
 from repro.util.primes import DEFAULT_PRIME
 

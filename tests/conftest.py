@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -153,3 +159,31 @@ def pool_alignment():
     with mock.patch.object(homology, "MIN_POOL_PAIRS_PER_WORKER", 0), \
             mock.patch.object(homology.os, "cpu_count", lambda: cores):
         yield
+
+
+def run_isolated(script: str, timeout: float = 300) -> dict:
+    """Run ``script`` in a fresh interpreter; return its last stdout line
+    parsed as JSON.
+
+    The interpreter sees ``src/`` and the repository root (for
+    ``tests.conftest``) and runs in its own process group.  A run that
+    outlives ``timeout`` fails the test, and the whole group (pool
+    workers too) is killed rather than left hanging.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(script)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, cwd=root,
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"still running after {timeout:.0f}s")
+    assert proc.returncode == 0, stderr
+    return json.loads(stdout.strip().splitlines()[-1])

@@ -1,8 +1,13 @@
 """Failure injection: the pipeline must fail loudly and cleanly.
 
-Covers device OOM regimes, corrupt/malformed input files, and invalid
-pipeline configurations — errors a downstream user will actually hit.
+Covers device OOM regimes, corrupt/malformed input files, invalid
+pipeline configurations, a pool worker dying mid-shard and an interrupted
+trace write — errors a downstream user will actually hit.
 """
+
+import errno
+import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +20,10 @@ from repro.device.memory import DeviceMemoryError
 from repro.device.timingmodels import DeviceSpec
 from repro.graph.csr import CSRGraph
 from repro.graph.io import load_edge_list, load_npz
+from repro.obs.chrome_trace import load_trace, write_chrome_trace
+from repro.obs.tracer import Tracer
 from repro.sequence.fasta import read_fasta
-from tests.conftest import random_blocky_graph
+from tests.conftest import random_blocky_graph, run_isolated
 
 
 class TestDeviceOOM:
@@ -161,3 +168,104 @@ class TestDegenerateInputs:
         result = GpClust(ShinglingParams(c1=20, c2=10, seed=3)).run(g)
         clique_labels = result.labels[70:78]
         assert np.unique(clique_labels).size == 1
+
+
+class TestInterruptedWork:
+    def test_pool_worker_death_raises(self):
+        """A pool worker that dies mid-shard fails the build instead of
+        hanging it, and the shared-memory arena is still released."""
+        out = run_isolated("""
+            import json, os
+            from multiprocessing import shared_memory
+            from repro.sequence import homology
+            from repro.sequence.arena import SequenceArena
+            from repro.sequence.generator import (SequenceFamilyConfig,
+                                                  generate_protein_families)
+            from tests.conftest import pool_alignment
+
+            arenas = []
+            pack = SequenceArena.pack.__func__
+
+            def recording_pack(cls, sequences):
+                arena = pack(cls, sequences)
+                arenas.append(arena.name)
+                return arena
+
+            SequenceArena.pack = classmethod(recording_pack)
+            score = homology._score_shard_remote
+
+            def dying(task):
+                if task[0] == 1:
+                    os._exit(1)
+                return score(task)
+
+            homology._score_shard_remote = dying
+            proteins = generate_protein_families(
+                SequenceFamilyConfig(n_families=6, family_size_median=10.0),
+                seed=5)
+            error = None
+            try:
+                with pool_alignment():
+                    homology.build_homology_graph(
+                        proteins.sequences,
+                        homology.HomologyConfig(chunk_size=64, n_jobs=2))
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            released = []
+            for name in arenas:
+                try:
+                    shared_memory.SharedMemory(name=name).close()
+                    released.append(False)
+                except FileNotFoundError:
+                    released.append(True)
+            print(json.dumps({"error": error, "released": released}))
+        """, timeout=120)
+        assert out["error"] is not None
+        assert out["error"].startswith("RuntimeError")
+        assert "pool worker died" in out["error"]
+        assert out["released"] == [True]
+
+    def test_interrupted_trace_write_keeps_old_trace(self, tmp_path):
+        """The disk fills partway through a trace write: the previous
+        trace survives whole and no temporary file is left behind."""
+        tracer = Tracer()
+        with tracer.span("first"):
+            pass
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, tracer.records, 0.0)
+        before = path.read_text()
+
+        real_open = io.open
+
+        class DiskFull:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, text):
+                self._fh.write(text[:len(text) // 2])
+                self._fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return DiskFull(fh) if "w" in mode else fh
+
+        with tracer.span("second"):
+            pass
+        with mock.patch("io.open", failing_open), \
+                pytest.raises(OSError, match="No space"):
+            write_chrome_trace(path, tracer.records, 0.0)
+        assert path.read_text() == before
+        assert [event["name"] for event in load_trace(path)["traceEvents"]
+                if event["ph"] == "X"] == ["first"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
+
