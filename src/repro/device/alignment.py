@@ -30,9 +30,10 @@ The kernels themselves are a *ramped-domain* reformulation of the host
 row scan (:mod:`repro.sequence.smith_waterman`): keeping
 ``H'[j] = H[j] + step * j`` bakes the left-gap ramp into the score matrix,
 so the per-row ramp-add / ramp-subtract / shift passes disappear and the
-left-gap chain is a plain prefix max — computed by a work-efficient
-two-level blocked scan (the standard GPU scan shape: intra-block upsweep,
-sequential block carry, carry application).  Substitution scores come
+left-gap chain is a plain prefix max — the host kernels' own
+:func:`~repro.sequence.smith_waterman.prefix_max`, a doubling scan that
+alternates between the candidate row and the dead previous row so no pass
+reads and writes overlapping memory.  Substitution scores come
 from a per-bin *query profile* (Farrar's striped SW uses the same idea):
 each bin builds, in one ``take``, the ramped matrix row of every residue
 code against each of its distinct long sequences, so a DP row copies ``B``
@@ -69,14 +70,17 @@ from repro.sequence.smith_waterman import (
     _score_matrix,
     dp_dtype,
     orient_pair_lengths,
+    prefix_max,
 )
 from repro.util.timer import BUCKET_GPU
 
 _PAD = ALPHABET_SIZE
 _MAT_DIM = ALPHABET_SIZE + 1
 
-#: Rows per scan block of the two-level prefix max (one "thread block").
-BLK = 32
+#: Row bucket of the kernels' pooled state buffers: a bin's ``(lb, B)``
+#: arrays are the first ``lb`` rows of ``(round_up(lb, ROW_BUCKET), B)``
+#: blocks, so neighbouring bins share them.
+ROW_BUCKET = 32
 
 #: Byte budget of one bin's query profile (:func:`_query_profile`).  The
 #: bin planner caps a bin's pairs so that its profile fits, even with no
@@ -139,29 +143,6 @@ def _gather_padded(residues: np.ndarray, offsets: np.ndarray,
     return block
 
 
-def _scan_blocked(v: np.ndarray, carry: np.ndarray) -> None:
-    """Two-level blocked prefix max down the row axis, in place.
-
-    ``v`` is the DP row reshaped ``(nb, BLK, B)``; ``carry`` is ``(nb, B)``
-    scratch.  Level 1 runs the doubling scan inside each block
-    (``log2(BLK)`` whole-array passes); level 2 accumulates block totals
-    sequentially and applies ``carry[i-1]`` to block ``i`` — exactly
-    ``np.maximum.accumulate`` down axis 0 of the flat view, but every pass
-    is a contiguous SIMD maximum instead of a strided scalar scan.
-    Padding rows live only in the final block (the caller pads to a BLK
-    multiple), and a prefix max only flows forward, so their garbage never
-    reaches real rows.
-    """
-    k = 1
-    while k < BLK:
-        np.maximum(v[:, k:], v[:, :-k], out=v[:, k:])
-        k <<= 1
-    np.copyto(carry, v[:, -1])
-    for i in range(1, carry.shape[0]):
-        np.maximum(carry[i], carry[i - 1], out=carry[i])
-    np.maximum(v[1:], carry[:-1, None, :], out=v[1:])
-
-
 def _query_profile(arow: np.ndarray, bt: np.ndarray, long_col: np.ndarray,
                    m: np.ndarray, pool: ScratchPool
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,21 +172,37 @@ def _query_profile(arow: np.ndarray, bt: np.ndarray, long_col: np.ndarray,
     return store, prof.reshape(_MAT_DIM * n_long, lb), rows
 
 
+def _state_buffers(pool: ScratchPool, n: int, lb: int, n_pairs: int,
+                   dtype: np.dtype) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``n`` pooled ``(lb, B)`` state arrays, and the blocks behind them.
+
+    Each block is ``(round_up(lb, ROW_BUCKET), B)`` and the kernel works on
+    its first ``lb`` rows, so bins whose ``lb`` differ by a few residues
+    reuse one set of buffers instead of each allocating its own.  The
+    blocks (second list) go back to the pool.
+    """
+    rows = -(-lb // ROW_BUCKET) * ROW_BUCKET
+    blocks = [pool.take((rows, n_pairs), dtype) for _ in range(n)]
+    return [b[:lb] for b in blocks], blocks
+
+
 def rowscan_linear_binned(arow: np.ndarray, bt: np.ndarray,
                           long_col: np.ndarray, matrix: np.ndarray, gap: int,
                           dtype: np.dtype, pool: ScratchPool) -> np.ndarray:
     """Ramped-domain linear-gap row scan over one packed bin.
 
     ``(arow, bt, long_col)`` is a :func:`pack_bin_blocks` bin.  State is
-    ``H'[j] = H[j] + gap * j`` transposed to ``(pad_lb, B)``:
+    ``H'[j] = H[j] + gap * j`` transposed to ``(lb, B)``:
 
     * diagonal candidate: ``H'[i-1][j-1] + (sub[j] + gap)`` — the ``+gap``
       is baked into the matrix (:func:`ramped_score_matrix`), and ``sub``
       is DP row ``i``'s ``B`` query-profile rows (:func:`_query_profile`)
-      transposed into the scan layout;
+      transposed straight into the candidate row;
     * up candidate: ``H'[i-1][j] - gap``;
-    * zero candidate: the ramp itself;
-    * left chain: a plain prefix max (:func:`_scan_blocked`).
+    * zero candidate: the ramp itself, filled once per bin;
+    * left chain: a plain prefix max
+      (:func:`~repro.sequence.smith_waterman.prefix_max`), which
+      alternates between the candidate row and the dead ``H'[i-1]``.
 
     ``hmax`` tracks the pre-scan candidates only — sound because an optimal
     local alignment never ends in a gap — and the final scores are
@@ -215,40 +212,31 @@ def rowscan_linear_binned(arow: np.ndarray, bt: np.ndarray,
     m = ramped_score_matrix(matrix, dtype, gap)
     la, n_pairs = arow.shape
     lb = bt.shape[0]
-    nb = -(-lb // BLK)
-    pad_lb = nb * BLK
     g = dtype.type(gap)
-    neg = _neg_floor(dtype)
-    ramp = (np.arange(pad_lb) * gap).astype(dtype)[:, None]
 
     store, prof, rows = _query_profile(arow, bt, long_col, m, pool)
-    h_prev = pool.take((pad_lb, n_pairs), dtype)
-    hmax = pool.take((pad_lb, n_pairs), dtype)
-    tmp = pool.take((pad_lb, n_pairs), dtype)
-    carry = pool.take((nb, n_pairs), dtype)
-    picked = pool.take((lb, n_pairs), dtype)
-    sub = pool.take((lb, n_pairs), dtype)
-    row_prof = picked.reshape(n_pairs, lb)
+    (ramp, h_prev, hmax, tmp, picked), blocks = _state_buffers(
+        pool, 5, lb, n_pairs, dtype)
+    row_prof = picked.reshape(n_pairs, lb)    # leading rows: contiguous
 
-    h_prev[:lb] = ramp[:lb]
-    h_prev[lb:] = neg
-    np.copyto(hmax, h_prev)
+    ramp[:] = (np.arange(lb) * gap).astype(dtype)[:, None]
+    np.copyto(h_prev, ramp)
+    np.copyto(hmax, ramp)
     for i in range(la):
         np.take(prof, rows[i], axis=0, out=row_prof, mode="clip")
-        np.copyto(sub, row_prof.T)
-        np.add(h_prev[:lb - 1], sub[1:], out=tmp[1:lb])   # diagonal'
-        np.subtract(sub[0], g, out=tmp[0])                # j=0: prev H is 0
-        np.subtract(h_prev[:lb], g, out=sub)              # up' (sub reused)
-        np.maximum(tmp[:lb], sub, out=tmp[:lb])
-        np.maximum(tmp[:lb], ramp[:lb], out=tmp[:lb])     # zero candidate
-        tmp[lb:] = neg
+        np.copyto(tmp, row_prof.T)                    # sub'
+        np.add(tmp[1:], h_prev[:-1], out=tmp[1:])     # diagonal'
+        np.subtract(tmp[0], g, out=tmp[0])            # j=0: prev H is 0
+        np.subtract(h_prev, g, out=picked)            # up' (picked is free)
+        np.maximum(tmp, picked, out=tmp)
+        np.maximum(tmp, ramp, out=tmp)                # zero candidate
         np.maximum(hmax, tmp, out=hmax)
-        _scan_blocked(tmp.reshape(nb, BLK, n_pairs), carry)
-        h_prev, tmp = tmp, h_prev
-    np.subtract(hmax[:lb], ramp[:lb], out=hmax[:lb])
-    scores = hmax[:lb].max(axis=0).astype(np.int64) if la else \
+        scan = prefix_max(tmp, h_prev)
+        h_prev, tmp = scan, (h_prev if scan is tmp else tmp)
+    np.subtract(hmax, ramp, out=hmax)
+    scores = hmax.max(axis=0).astype(np.int64) if la else \
         np.zeros(n_pairs, dtype=np.int64)
-    pool.give(store, rows, h_prev, hmax, tmp, carry, picked, sub)
+    pool.give(store, rows, *blocks)
     return scores
 
 
@@ -262,61 +250,50 @@ def rowscan_affine_binned(arow: np.ndarray, bt: np.ndarray,
     decay rate, see :func:`repro.sequence.smith_waterman._rowscan_affine`)
     and the same per-bin query profile: ``E`` stays elementwise per row in
     the ramped domain, the F chain is ``F'[j] = scan'[j-1] - (gap_open -
-    step)`` off the same blocked prefix max.  Bit-identical to the host
-    affine kernel.
+    step)`` off the same prefix max.  The scan keeps ``T'`` (it becomes
+    ``H'``) and alternates between the ``E`` scratch row and the dead
+    ``H'[i-1]``.  Bit-identical to the host affine kernel.
     """
     step = min(gap_open, gap_extend)
     m = ramped_score_matrix(matrix, dtype, step)
     la, n_pairs = arow.shape
     lb = bt.shape[0]
-    nb = -(-lb // BLK)
-    pad_lb = nb * BLK
     o = dtype.type(gap_open)
     e = dtype.type(gap_extend)
     st = dtype.type(step)
     fo = dtype.type(gap_open - step)
-    neg = _neg_floor(dtype)
-    ramp = (np.arange(pad_lb) * step).astype(dtype)[:, None]
 
     store, prof, rows = _query_profile(arow, bt, long_col, m, pool)
-    h_prev = pool.take((pad_lb, n_pairs), dtype)
-    hmax = pool.take((pad_lb, n_pairs), dtype)
-    tmp = pool.take((pad_lb, n_pairs), dtype)
-    scratch = pool.take((pad_lb, n_pairs), dtype)
-    e_row = pool.take((pad_lb, n_pairs), dtype)
-    carry = pool.take((nb, n_pairs), dtype)
-    picked = pool.take((lb, n_pairs), dtype)
-    sub = pool.take((lb, n_pairs), dtype)
+    (ramp, h_prev, hmax, tmp, scratch, e_row, picked), blocks = \
+        _state_buffers(pool, 7, lb, n_pairs, dtype)
     row_prof = picked.reshape(n_pairs, lb)
 
-    h_prev[:lb] = ramp[:lb]
-    h_prev[lb:] = neg
-    np.copyto(hmax, h_prev)
-    e_row[:] = neg
+    ramp[:] = (np.arange(lb) * step).astype(dtype)[:, None]
+    np.copyto(h_prev, ramp)
+    np.copyto(hmax, ramp)
+    e_row[:] = _neg_floor(dtype)
     for i in range(la):
         np.take(prof, rows[i], axis=0, out=row_prof, mode="clip")
-        np.copyto(sub, row_prof.T)
+        np.copyto(tmp, row_prof.T)                    # sub'
         # E'[i] = max(E'[i-1] - extend, H'[i-1] - open)
-        np.subtract(e_row[:lb], e, out=e_row[:lb])
-        np.subtract(h_prev[:lb], o, out=scratch[:lb])
-        np.maximum(e_row[:lb], scratch[:lb], out=e_row[:lb])
-        np.add(h_prev[:lb - 1], sub[1:], out=tmp[1:lb])   # diagonal'
-        np.subtract(sub[0], st, out=tmp[0])
-        np.maximum(tmp[:lb], e_row[:lb], out=tmp[:lb])
-        np.maximum(tmp[:lb], ramp[:lb], out=tmp[:lb])     # T'[i]
-        tmp[lb:] = neg
+        np.subtract(e_row, e, out=e_row)
+        np.subtract(h_prev, o, out=scratch)
+        np.maximum(e_row, scratch, out=e_row)
+        np.add(tmp[1:], h_prev[:-1], out=tmp[1:])     # diagonal'
+        np.subtract(tmp[0], st, out=tmp[0])
+        np.maximum(tmp, e_row, out=tmp)
+        np.maximum(tmp, ramp, out=tmp)                # T'[i]
         np.maximum(hmax, tmp, out=hmax)
-        np.copyto(scratch, tmp)
-        _scan_blocked(scratch.reshape(nb, BLK, n_pairs), carry)
+        scan = prefix_max(tmp, scratch, h_prev)
+        # H' = max(T', F');  F'[j] = scan'[j-1] - (open - step).  With one
+        # column there is no F and ``scan`` is ``tmp`` itself.
+        np.subtract(scan[:-1], fo, out=scan[:-1])
+        np.maximum(tmp[1:], scan[:-1], out=tmp[1:])
         h_prev, tmp = tmp, h_prev
-        # H' = max(T', F');  F'[j] = scan'[j-1] - (open - step).
-        np.subtract(scratch[:lb - 1], fo, out=scratch[:lb - 1])
-        np.maximum(h_prev[1:lb], scratch[:lb - 1], out=h_prev[1:lb])
-    np.subtract(hmax[:lb], ramp[:lb], out=hmax[:lb])
-    scores = hmax[:lb].max(axis=0).astype(np.int64) if la else \
+    np.subtract(hmax, ramp, out=hmax)
+    scores = hmax.max(axis=0).astype(np.int64) if la else \
         np.zeros(n_pairs, dtype=np.int64)
-    pool.give(store, rows, h_prev, hmax, tmp, scratch, e_row, carry, picked,
-              sub)
+    pool.give(store, rows, *blocks)
     return scores
 
 

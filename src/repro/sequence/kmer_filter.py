@@ -55,7 +55,8 @@ def _concatenated_kmer_index(sequences: list[np.ndarray],
     Concatenates the set, packs every window with one matrix product, drops
     windows that straddle a sequence boundary (their first and last residue
     belong to different owners), and deduplicates per-sequence k-mer types
-    with a single code-major lexsort.
+    with one sort of the packed key ``code * n_seq + owner`` (a code-major
+    ``lexsort`` when that key could pass 63 bits).
 
     Returns ``(codes, owners)`` sorted by code then owner, duplicate-free.
     """
@@ -76,6 +77,16 @@ def _concatenated_kmer_index(sequences: list[np.ndarray],
     codes = codes[within]
     owners = owner_of_residue[:within.size][within]
 
+    n_seq = lengths.size
+    if ALPHABET_SIZE ** k * n_seq < 1 << 63:
+        key = codes * n_seq
+        key += owners
+        key.sort()
+        distinct = np.empty(key.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(key[1:], key[:-1], out=distinct[1:])
+        key = key[distinct]
+        return key // n_seq, key % n_seq
     order = np.lexsort((owners, codes))
     codes = codes[order]
     owners = owners[order]

@@ -20,8 +20,9 @@ unrolls exactly into a max-plus prefix scan,
              ``= accmax_j (T[i,k] + gap*k) - gap*j``,
 
 where ``T`` collects the non-left candidates (zero, diagonal, up), so each
-row is a handful of whole-chunk vector operations including one
-``np.maximum.accumulate``.  Compared to the wavefront this runs
+row is a handful of whole-chunk vector operations plus one prefix max
+(:func:`prefix_max`, shared with the device's binned kernels).  Compared
+to the wavefront this runs
 ``min(la, lb)`` long contiguous iterations instead of ``la + lb`` ragged
 ones, and the DP state is held in the narrowest integer dtype the score
 bounds allow (int16 where penalties and lengths permit, else int32/int64).
@@ -253,20 +254,40 @@ def _swap_short_long(seqs_a: list[np.ndarray], seqs_b: list[np.ndarray],
     return short, long_
 
 
-def _prefix_max_axis0(x: np.ndarray) -> None:
-    """In-place running maximum down axis 0, by repeated doubling.
+def prefix_max(x: np.ndarray, y: np.ndarray,
+               z: np.ndarray | None = None) -> np.ndarray:
+    """Running maximum of ``x`` down axis 0, by doubling between buffers.
 
-    Equivalent to ``np.maximum.accumulate(x, axis=0, out=x)`` but built
-    from whole-array maximums over contiguous slabs — ``log2(rows)`` SIMD
-    passes instead of a strided scalar scan.  Reading already-updated rows
-    is harmless: max is idempotent and monotone, so early propagation can
-    only reach the same fixed point.
+    Equal to ``np.maximum.accumulate(x, axis=0)``, built from
+    ``ceil(log2(rows))`` whole-array maximums: pass ``k`` writes
+    ``max(src[k:], src[:-k])`` into the *other* buffer, so no ufunc ever
+    reads and writes overlapping memory (NumPy would copy the input to a
+    temporary on every such pass).  Rows ``[0, k)`` are already final in
+    ``src``; the target only lacks ``[k/2, k)`` of them, because it was
+    the source two passes earlier, so only those rows are copied across.
+
+    Passes run ``x -> y -> z -> y -> z ...``.  ``z`` defaults to ``x``,
+    which is then clobbered; pass a third buffer to keep ``x``.  All three
+    must share ``x``'s shape and must not overlap each other (``z`` may
+    *be* ``x``).  Returns the buffer holding the result: ``x`` itself when
+    it has fewer than two rows, else ``y`` or ``z``.
     """
     n = x.shape[0]
-    k = 1
+    if n < 2:
+        return x
+    np.maximum(x[1:], x[:-1], out=y[1:])
+    y[0] = x[0]
+    src, dst = y, (x if z is None else z)
+    k = 2
     while k < n:
-        np.maximum(x[k:], x[:-k], out=x[k:])
+        np.maximum(src[k:], src[:-k], out=dst[k:])
+        # dst was last written two passes ago (shift k/4), so its rows
+        # [0, k/2) are final -- except on the first write into ``z``.
+        lo = k >> 1 if k > 2 else 0
+        dst[lo:k] = src[lo:k]
+        src, dst = dst, src
         k <<= 1
+    return src
 
 
 def _gather_blocks(seqs_short: list[np.ndarray],
@@ -321,8 +342,7 @@ def _rowscan_linear(seqs_short: list[np.ndarray], seqs_long: list[np.ndarray],
         np.maximum(hmax, tmp, out=hmax)
         # Left-chain scan: H[i,j] = accmax_j(T + gap*j) - gap*j.
         np.add(tmp, ramp, out=tmp)
-        _prefix_max_axis0(tmp)
-        np.subtract(tmp, ramp, out=h_prev)
+        np.subtract(prefix_max(tmp, up), ramp, out=h_prev)
     return hmax.max(axis=0).astype(np.int64)
 
 
@@ -353,6 +373,7 @@ def _rowscan_affine(seqs_short: list[np.ndarray], seqs_long: list[np.ndarray],
     arow, bt, mat_flat = _gather_blocks(seqs_short, seqs_long, mat)
     lb = bt.shape[0]
     ramp = (np.arange(lb) * step).astype(dtype)[:, None]
+    ramp_open = ramp[:-1] + dtype.type(gap_open)
 
     h_prev = np.zeros((lb, n_pairs), dtype=dtype)
     e_row = np.full((lb, n_pairs), neg, dtype=dtype)
@@ -374,13 +395,13 @@ def _rowscan_affine(seqs_short: list[np.ndarray], seqs_long: list[np.ndarray],
         np.maximum(tmp, e_row, out=tmp)
         np.maximum(tmp, dtype.type(0), out=tmp)       # T[i, :]
         np.maximum(hmax, tmp, out=hmax)
-        # F scan, then H = max(T, F); F[0] never beats T[0] >= 0.
+        # F scan, then H = max(T, F); F[0] never beats T[0] >= 0.  The
+        # old H row is dead by now and serves as the scan's second buffer.
         np.add(tmp, ramp, out=scratch)
-        _prefix_max_axis0(scratch)
-        np.subtract(scratch, ramp, out=scratch)
+        scan = prefix_max(scratch, h_prev)
+        np.subtract(scan[:-1], ramp_open, out=scan[:-1])
         h_prev, tmp = tmp, h_prev
-        h_prev[1:] = np.maximum(h_prev[1:],
-                                scratch[:-1] - dtype.type(gap_open))
+        np.maximum(h_prev[1:], scan[:-1], out=h_prev[1:])
     return hmax.max(axis=0).astype(np.int64)
 
 

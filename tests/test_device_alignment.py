@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.device import DeviceAligner, SimulatedDevice
 from repro.device import alignment as alignment_mod
 from repro.device.alignment import (
-    _scan_blocked,
+    ROW_BUCKET,
     pack_bin_blocks,
     rowscan_affine_binned,
     rowscan_linear_binned,
@@ -42,6 +42,7 @@ from repro.sequence.smith_waterman import (
     batch_smith_waterman,
     batch_smith_waterman_affine,
     dp_dtype,
+    prefix_max,
     sw_score_affine,
     sw_score_linear,
 )
@@ -215,6 +216,12 @@ class TestBinPlanner:
 # Pack + scan + rowscan kernels
 # --------------------------------------------------------------------- #
 
+#: Row counts the prefix-max property always tries: powers of two and
+#: their neighbours, where the doubling passes end.
+SCAN_ROWS = sorted({max(1, (1 << p) + d)
+                    for p in range(10) for d in (-1, 0, 1)})
+
+
 class TestKernels:
     def test_pack_blocks_match_naive(self):
         rng = np.random.default_rng(2)
@@ -251,16 +258,27 @@ class TestKernels:
         for col, j in enumerate(long_ids):
             assert np.array_equal(bt[:seqs[j].size, long_col[col]], seqs[j])
 
-    def test_blocked_scan_equals_accumulate(self):
-        rng = np.random.default_rng(3)
-        for rows in (32, 64, 96, 320):
-            x = rng.integers(-30000, 30000,
-                             size=(rows, 17)).astype(np.int16)
-            expect = np.maximum.accumulate(x, axis=0)
-            nb = rows // 32
-            carry = np.empty((nb, 17), dtype=np.int16)
-            _scan_blocked(x.reshape(nb, 32, 17), carry)
-            assert np.array_equal(x, expect)
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.one_of(st.sampled_from(SCAN_ROWS), st.integers(1, 600)),
+           cols=st.integers(1, 40),
+           dtype=st.sampled_from([np.int16, np.int32, np.int64]),
+           keep_input=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_prefix_max_equals_accumulate(self, rows, cols, dtype,
+                                          keep_input, seed):
+        info = np.iinfo(dtype)
+        x = np.random.default_rng(seed).integers(
+            info.min, info.max, size=(rows, cols), dtype=dtype,
+            endpoint=True)
+        expect = np.maximum.accumulate(x, axis=0)
+        before = x.copy()
+        y = np.empty_like(x)
+        z = np.empty_like(x) if keep_input else None
+        got = prefix_max(x, y, z)
+        assert got.dtype == dtype
+        assert np.array_equal(got, expect)
+        assert any(got is buf for buf in (x, y, z))
+        if keep_input:
+            assert np.array_equal(x, before)
 
     @pytest.mark.parametrize("gap", [0, 1, 8])
     def test_rowscan_linear_binned_matches_host(self, gap):
@@ -457,6 +475,76 @@ class TestProfileKernelOracles:
         assert got.tolist() == expect
         assert score_pairs_binned(residues, offsets,
                                   np.empty((0, 2))).size == 0
+
+    @pytest.mark.parametrize("lb", [1, 2, 33, 64, 65])
+    @pytest.mark.parametrize("gap_model,penalties",
+                             [("linear", (8,)), ("affine", (11, 1))])
+    def test_scan_edge_widths_match_scalar_oracle(self, lb, gap_model,
+                                                  penalties):
+        # Every long sequence is exactly ``lb`` residues, so every bin's
+        # prefix max runs over ``lb`` rows: one row (no pass), two, and
+        # either side of a power of two.
+        rng = np.random.default_rng(lb)
+        longs = [rng.integers(0, 21, size=lb).astype(np.uint8)
+                 for _ in range(3)]
+        # One long sequence is a family member of the first, so some
+        # alignments run long and their left gaps matter.
+        longs[1][::3] = longs[0][::3]
+        shorts = [longs[0][:n].copy() for n in sorted({0, 1, lb // 2, lb})]
+        shorts.append(rng.integers(0, 21, size=max(lb - 1, 1))
+                      .astype(np.uint8))
+        seqs = longs + shorts
+        pairs = np.array([(s, l) for s in range(len(seqs))
+                          for l in range(3)], dtype=np.int64)
+        expect = [self.oracle(gap_model, penalties, seqs[i], seqs[j])
+                  for i, j in pairs]
+        assert max(expect) > 0
+        kw = ({"gap": penalties[0]} if gap_model == "linear" else
+              {"gap_open": penalties[0], "gap_extend": penalties[1]})
+        seqs_a = [seqs[i] for i in pairs[:, 0]]
+        seqs_b = [seqs[j] for j in pairs[:, 1]]
+        host = (batch_smith_waterman if gap_model == "linear" else
+                batch_smith_waterman_affine)(seqs_a, seqs_b, **kw)
+        assert host.tolist() == expect
+        residues, offsets = flatten_sequences(seqs)
+        assert score_pairs_binned(residues, offsets, pairs,
+                                  gap_model=gap_model, **kw).tolist() == \
+            expect
+        al = DeviceAligner(SimulatedDevice())
+        al.upload_sequences(seqs)
+        assert al.batch_scores(pairs, gap_model=gap_model,
+                               **kw).tolist() == expect
+        assert {b.max_long for b in al.last_plan.bins} == {lb}
+
+    @pytest.mark.parametrize("gap_model,penalties",
+                             [("linear", (8,)), ("affine", (11, 1))])
+    def test_bins_in_one_row_bucket_share_state_buffers(self, gap_model,
+                                                        penalties):
+        # Two bins of the same width and short length whose long lengths
+        # differ but round up to the same ROW_BUCKET multiple (and whose
+        # query profiles, 22 * 4 * lb cells, round up to one power of
+        # two): the second bin takes every buffer from the pool.
+        rng = np.random.default_rng(23)
+        lbs = (ROW_BUCKET + 1, ROW_BUCKET + 14)
+        seqs = [rng.integers(0, 21, size=n).astype(np.uint8)
+                for n in (20,) * 8 + (lbs[0],) * 4 + (lbs[1],) * 4]
+        residues, offsets = flatten_sequences(seqs)
+        short_ids = np.arange(8)
+        pool = ScratchPool()
+        counts = []
+        for first_long, lb in zip((8, 12), lbs):
+            long_ids = first_long + np.arange(8) % 4
+            packed = pack_bin_blocks(residues, offsets, short_ids,
+                                     long_ids, 20, lb)
+            assert packed[1].shape == (lb, 4)
+            got = self.kernel(gap_model, penalties, packed,
+                              np.dtype(np.int16), pool)
+            assert got.tolist() == [
+                self.oracle(gap_model, penalties, seqs[i], seqs[j])
+                for i, j in zip(short_ids, long_ids)]
+            counts.append((pool.n_allocations, pool.bytes_allocated))
+        assert counts[1] == counts[0]
+        assert pool.n_reuses == counts[0][0]
 
 
 # --------------------------------------------------------------------- #

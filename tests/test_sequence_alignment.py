@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sequence.alphabet import AMINO_ACIDS, encode
-from repro.sequence.kmer_filter import candidate_pairs, kmer_codes
+from repro.sequence.kmer_filter import (
+    _concatenated_kmer_index,
+    candidate_pairs,
+    kmer_codes,
+)
 from repro.sequence.scoring import BLOSUM62
 from repro.sequence.smith_waterman import (
     batch_smith_waterman,
@@ -176,3 +180,24 @@ class TestKmerFilter:
         assert np.all(pairs[:, 0] < pairs[:, 1])
         keys = pairs[:, 0] * 8 + pairs[:, 1]
         assert np.unique(keys).size == keys.size
+
+    # k = 14 with 2 sequences keeps the packed code * n_seq + owner key
+    # just under 63 bits; with 3 it would pass them, so the index falls
+    # back to the two-key lexsort.
+    @pytest.mark.parametrize("k,n_seq", [(1, 5), (3, 9), (5, 40), (14, 2),
+                                         (14, 3)])
+    def test_kmer_index_matches_per_sequence_sets(self, rng, monkeypatch,
+                                                  k, n_seq):
+        seqs = [rng.integers(0, 4 if k < 5 else 21,
+                             size=int(rng.integers(0, 60))).astype(np.uint8)
+                for _ in range(n_seq)]
+        expect = sorted({(int(c), o) for o, s in enumerate(seqs)
+                         for c in kmer_codes(s, k)})
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: lexsorts.append(1) or lexsort(keys))
+        codes, owners = _concatenated_kmer_index(seqs, k)
+        assert codes.dtype == owners.dtype == np.int64
+        assert list(zip(codes.tolist(), owners.tolist())) == expect
+        assert bool(lexsorts) == (k == 14 and n_seq == 3)
