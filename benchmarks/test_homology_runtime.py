@@ -49,6 +49,9 @@ from repro.sequence.homology import build_homology_graph, choose_align_backend
 from repro.util.tables import format_table, table_payload
 
 REPEATS = 2  # best-of; warm timings only
+#: Alternating runs of ``auto`` and the best fixed row behind their
+#: median comparison.
+ALTERNATING_REPEATS = 5
 PARALLEL_JOBS = 4
 
 STAGES = ["seed_filter_s", "self_scores_s", "alignment_s", "graph_build_s"]
@@ -186,6 +189,19 @@ def _best_of(fn, repeats=REPEATS):
         if best is None or total < best[0]:
             best = (total, stages, graph)
     return best[1], best[2]
+
+
+def _alternating_medians(fns, repeats=ALTERNATING_REPEATS):
+    """Median stage total of each of ``fns`` over ``repeats`` rounds that
+    run them in alternating order, so a slow spell of the host lands on
+    both alike."""
+    names = list(fns)
+    totals = {name: [] for name in names}
+    for i in range(repeats):
+        for name in (names if i % 2 == 0 else names[::-1]):
+            stages, _ = fns[name]()
+            totals[name].append(sum(stages[s] for s in STAGES))
+    return {name: float(np.median(v)) for name, v in totals.items()}
 
 
 def _row(name, stages, seed_total):
@@ -326,8 +342,13 @@ def test_homology_runtime(report_writer, scale):
         f"device alignment speedup {device_gain:.2f}x < 1.5x vs host")
     assert padding_waste < 0.25, (
         f"padding waste {padding_waste:.3f} >= 0.25")
-    best_fixed = min(totals["host"], totals[f"pool_j{PARALLEL_JOBS}"],
-                     totals["device"])
-    assert totals["auto"] <= 1.1 * best_fixed, (
-        f"auto total {totals['auto']:.3f}s > 110% of best fixed backend "
-        f"({best_fixed:.3f}s, resolved to {resolved['auto']!r})")
+    # Two rows a few percent apart swap places from run to run, so this
+    # compares medians of alternating repeats, not two best-of-N samples.
+    best_name = min(("host", f"pool_j{PARALLEL_JOBS}", "device"),
+                    key=totals.get)
+    medians = _alternating_medians({"auto": variants["auto"],
+                                    best_name: variants[best_name]})
+    assert medians["auto"] <= 1.1 * medians[best_name], (
+        f"auto median total {medians['auto']:.3f}s > 110% of the best "
+        f"fixed backend's ({best_name}, {medians[best_name]:.3f}s; auto "
+        f"resolved to {resolved['auto']!r})")

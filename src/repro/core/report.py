@@ -172,12 +172,13 @@ class PartitionFold:
         arrays)."""
         n = self.n_vertices
         cpu = self._breakdown.timing
-        with self._lock:
+        with self._tracer.span("phase3.fold") as span, self._lock:
             with cpu(BUCKET_CPU):
                 roots = self.roots
                 rs, rd = np.broadcast_arrays(roots[src], roots[dst])
                 keep = rs != rd
                 keys = rs[keep] * n + rd[keep]
+            span.set(n_edges=int(keep.size), n_union_edges=int(keys.size))
             if keys.size == 0:
                 return
             with self._tracer.span("phase3.union", backend=UNION_VECTORIZED,

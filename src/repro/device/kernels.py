@@ -48,8 +48,9 @@ Kernel inventory
     a 64-bit shingle fingerprint.
 ``build_tournament_plan`` / ``tournament_table`` / ``run_tournament``
     The fused reduce path's top-``s`` selection: per-segment min
-    tournaments over a ``(T, n_values + 1)`` hash table, with segments
-    binned by padded length.  The plan is built once per pass from the batch
+    tournaments over a trial-minor ``(n_values + 1, T)`` hash table, with
+    segments binned by padded length and each bin's rows tree-reduced in
+    blocks.  The plan is built once per pass from the batch
     geometry; equal to ``fused_hash`` + ``segmented_select_top_s`` whenever
     no id repeats within a segment (which the plan build proves).
 ``segment_element_ids``
@@ -542,27 +543,88 @@ def build_tournament_plan(elements: np.ndarray, indptr: np.ndarray,
         perm_cols=perm.astype(np.uint64), col_to_row=col_to_row)
 
 
+#: Element budget of one tournament block.  A bin of ``m`` segments folds
+#: ``max(1, TOURNAMENT_BLOCK // (m * t))`` gather rows per step, so a tall,
+#: narrow bin (a hub of degree ~10k) tree-reduces thousands of rows per
+#: step while a wide bin still folds one row at a time, and a tall bin's
+#: block registers stay about one L2 cache (256 KiB of uint32 keys) each.
+TOURNAMENT_BLOCK = 1 << 16
+
+
 def tournament_table(plan: TournamentPlan, a: np.ndarray, b: np.ndarray,
                      prime: int, scratch: ScratchPool | None = None
                      ) -> np.ndarray:
-    """The tournament's hash table: ``(T, n_values + 1)`` uint32 keys.
+    """The tournament's hash table: ``(n_values + 1, T)`` uint32 keys.
 
-    Column ``v`` holds every trial's ``(a*v + b) mod P``; the extra last
-    column is the ``SENTINEL32`` that pad slots gather.
+    Row ``v`` holds every trial's ``(a*v + b) mod P``; the extra last row
+    is the ``SENTINEL32`` that pad slots gather.  Trial-minor, so one
+    element's gather fetches one contiguous row of all ``T`` keys.
     """
     a = np.asarray(a, dtype=np.uint64).reshape(-1, 1)
     b = np.asarray(b, dtype=np.uint64).reshape(-1, 1)
     nv = plan.n_values
+    # The arithmetic runs trial-major (long inner loops); the narrowing
+    # copy transposes.
     table64 = _take(scratch, (a.shape[0], nv + 1), np.uint64)
     with np.errstate(over="ignore"):
         np.multiply(a, plan.iota, out=table64)
         np.add(table64, b, out=table64)
         np.remainder(table64, np.uint64(prime), out=table64)
-    table = _take(scratch, (a.shape[0], nv + 1), np.uint32)
-    np.copyto(table, table64, casting="unsafe")
-    table[:, nv] = SENTINEL32
+    table = _take(scratch, (nv + 1, a.shape[0]), np.uint32)
+    np.copyto(table.T, table64, casting="unsafe")
+    table[nv] = SENTINEL32
     _give(scratch, table64)
     return table
+
+
+def _merge_top(regs: list, a: slice, b: slice, la: int, lb: int, s: int,
+               tmp: np.ndarray) -> int:
+    """Merge ascending key lists ``a`` and ``b`` (lengths ``la``, ``lb``)
+    into ``a``'s rows; returns the merged length ``min(la + lb, s)``.
+
+    ``regs[r][rows]`` is rank ``r`` of the lists at ``rows``.  Rank ``k``
+    of the union is the least, over every split taking ``i`` keys from
+    ``a`` and ``k + 1 - i`` from ``b``, of the larger of the two prefixes'
+    last keys.  It reads only ranks ``<= k`` of either list, so writing
+    ranks from the top down can overwrite ``a`` in place.
+    """
+    n = min(la + lb, s)
+    for k in range(n - 1, -1, -1):
+        dst = regs[k][a]
+        # The split taking k + 1 keys from a is a's own rank k, which dst
+        # already holds; a shorter a leaves dst empty for the first term.
+        empty = la <= k
+        for i in range(min(k, la), max(0, k + 1 - lb) - 1, -1):
+            if i:
+                term = dst if empty else tmp
+                np.maximum(regs[i - 1][a], regs[k - i][b], out=term)
+            else:
+                term = regs[k][b]
+                if empty:
+                    np.copyto(dst, term)
+            if not empty:
+                np.minimum(dst, term, out=dst)
+            empty = False
+    return n
+
+
+def _tree_top(regs: list, lo: int, k: int, s: int, tmp: np.ndarray,
+              fill) -> int:
+    """Reduce the ``k`` one-key lists in rows ``lo:lo+k`` to one ascending
+    top-``s`` list in row ``lo`` by log-depth pairwise merges; returns its
+    length.  An odd level leaves its middle row unpaired and pads its new
+    ranks with ``fill``."""
+    length = 1
+    while k > 1:
+        pairs, half = k // 2, (k + 1) // 2
+        new = min(2 * length, s)
+        if k % 2:
+            for r in range(length, new):
+                regs[r][lo + pairs].fill(fill)
+        _merge_top(regs, slice(lo, lo + pairs), slice(lo + half, lo + k),
+                   length, length, s, tmp[:pairs])
+        length, k = new, half
+    return length
 
 
 def run_tournament(plan: TournamentPlan, table: np.ndarray, s: int,
@@ -572,35 +634,43 @@ def run_tournament(plan: TournamentPlan, table: np.ndarray, s: int,
 
     ``table`` is :func:`tournament_table`'s output.  Writes ``(T, n_seg,
     s)`` keys into ``out`` in the plan's bin-permuted segment order
-    (``out[:, i]`` belongs to segment ``plan.perm[i]``).  Each bin keeps
-    ``s`` running registers and folds its gather rows through a min/max
-    insertion chain; the last register's displaced maximum is never read,
-    so its ``maximum`` is skipped.
+    (``out[:, i]`` belongs to segment ``plan.perm[i]``).  Each bin gathers
+    blocks of rows (see :data:`TOURNAMENT_BLOCK`) into ``s`` stacked
+    ``(rows, m, T)`` rank registers, tree-reduces every block to one
+    sorted top-``s`` list and merges that into the running list in row 0.
+    The registers of every bin are views of ``s + 1`` flat buffers sized
+    for the largest bin.
     """
-    t = table.shape[0]
+    t = table.shape[1]
     fill = np.iinfo(table.dtype).max
+    bins, size, tmp_size = [], 0, 0
     for pos0, idx in plan.bins:
         rows, m = idx.shape
-        regs = [_take(scratch, (t, m), table.dtype) for _ in range(s)]
-        np.take(table, idx[0], axis=1, out=regs[0], mode="clip")
-        for r in range(1, s):
-            regs[r].fill(fill)
-        if rows > 1:
-            x = _take(scratch, (t, m), table.dtype)
-            swap = _take(scratch, (t, m), table.dtype)
-            for j in range(1, rows):
-                np.take(table, idx[j], axis=1, out=x, mode="clip")
-                cur, spare = x, swap
-                for r in range(s):
-                    if r < s - 1:
-                        np.maximum(regs[r], cur, out=spare)
-                    np.minimum(regs[r], cur, out=regs[r])
-                    if r < s - 1:
-                        cur, spare = spare, cur
-            _give(scratch, x, swap)
+        block = max(1, TOURNAMENT_BLOCK // (m * t))
+        # The first block also fills row 0; later ones land in rows 1..
+        first = min(rows, block + 1)
+        half = max(first // 2, 1)
+        bins.append((pos0, idx, block, first, half))
+        size = max(size, first * m * t)
+        tmp_size = max(tmp_size, half * m * t)
+    flat = [_take(scratch, (size,), table.dtype) for _ in range(s)]
+    flat_tmp = _take(scratch, (tmp_size,), table.dtype)
+    for pos0, idx, block, first, half in bins:
+        rows, m = idx.shape
+        regs = [f[:first * m * t].reshape(first, m, t) for f in flat]
+        tmp = flat_tmp[:half * m * t].reshape(half, m, t)
+        np.take(table, idx[:first], axis=0, out=regs[0], mode="clip")
+        length = _tree_top(regs, 0, first, s, tmp, fill)
+        for j in range(first, rows, block):
+            k = min(block, rows - j)
+            np.take(table, idx[j:j + k], axis=0, out=regs[0][1:1 + k],
+                    mode="clip")
+            got = _tree_top(regs, 1, k, s, tmp, fill)
+            length = _merge_top(regs, slice(0, 1), slice(1, 2), length, got,
+                                s, tmp[:1])
         for r in range(s):
-            out[:, pos0:pos0 + m, r] = regs[r]
-        _give(scratch, *regs)
+            out[:, pos0:pos0 + m, r] = regs[r][0].T
+    _give(scratch, flat_tmp, *flat)
     return out
 
 

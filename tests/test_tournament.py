@@ -9,6 +9,8 @@ single-batch fast path of ``plan_batches`` must build exactly the greedy
 loop's plan.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,151 @@ def test_chunk_reduce_permuted_equals_unpermuted(seed, s):
     for want, have in zip(ref, got):
         assert want.dtype == have.dtype
         assert np.array_equal(want, have)
+
+
+@st.composite
+def tall_bins(draw):
+    """A bin of ``m`` equal-length segments whose row count sits at a
+    block boundary, among short segments, and the block size at which
+    that bin folds ``block`` rows per step."""
+    s = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([1, 1, 2, 3]))
+    block = draw(st.integers(1, 9))
+    n_blocks = draw(st.integers(0, 4))
+    # The first block holds block + 1 rows, later ones block rows: an
+    # offset of 0 ends on a boundary, -1 falls one short, 1 straddles it.
+    offset = draw(st.sampled_from([-1, 0, 1, 2]))
+    rows = max(s, 1 + n_blocks * block + offset)
+    n_short = draw(st.integers(0, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    a = draw(st.lists(st.integers(1, PRIME - 1), min_size=t, max_size=t))
+    b = draw(st.lists(st.integers(0, PRIME - 1), min_size=t, max_size=t))
+    return s, m, block, rows, n_short, seed, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_bins())
+def test_tall_bins_equal_brute_force_and_eager(case):
+    s, m, block, rows, n_short, seed, a, b = case
+    rng = np.random.default_rng(seed)
+    n_values = rows + 8
+    segments = [rng.choice(n_values, size=rows, replace=False)
+                for _ in range(m)]
+    short = min(rows, s + 2)
+    segments += [rng.choice(n_values, size=int(rng.integers(s, short + 1)),
+                            replace=False) for _ in range(n_short)]
+    order = rng.permutation(len(segments))
+    elements, indptr = _csr([segments[i] for i in order])
+    a = np.array(a, dtype=np.uint64)
+    b = np.array(b, dtype=np.uint64)
+    plan = build_tournament_plan(elements, indptr, s, n_values)
+    # Short segments may share the tall bin's log2 bucket and widen it.
+    (width,) = [idx.shape[1] for _, idx in plan.bins if idx.shape[0] == rows]
+    assert width >= m
+    with mock.patch.object(kernels, "TOURNAMENT_BLOCK",
+                           block * width * a.size):
+        got = _tournament_ids(plan, a, b, s)
+    expected = _brute_force_ids(elements, indptr, a, b, s)[:, plan.perm, :]
+    assert np.array_equal(got, expected)
+    eager = _eager_ids(elements, indptr, a, b, s, n_values)
+    assert np.array_equal(got, eager[:, plan.perm, :])
+
+
+def _hub_geometry(rng, hub, n_short, s, n_values):
+    """An R-MAT-like batch: one hub segment of ``hub`` ids among short,
+    power-law segments."""
+    lengths = np.minimum(s + rng.zipf(2.0, size=n_short) - 1, 200)
+    segments = [rng.choice(n_values, size=int(n), replace=False)
+                for n in lengths]
+    segments.insert(int(rng.integers(0, n_short + 1)),
+                    np.sort(rng.choice(n_values, size=hub, replace=False)))
+    return _csr(segments)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_hub_geometry_equals_brute_force_and_eager(s):
+    # Sixteen trials split the 10k-row hub into several blocks.
+    rng = np.random.default_rng(40 + s)
+    n_values = 12_000
+    elements, indptr = _hub_geometry(rng, 10_007, 60, s, n_values)
+    plan = build_tournament_plan(elements, indptr, s, n_values)
+    assert plan.bins[-1][1].shape == (10_007, 1)
+    a = rng.integers(1, PRIME, 16).astype(np.uint64)
+    b = rng.integers(0, PRIME, 16).astype(np.uint64)
+    got = _tournament_ids(plan, a, b, s)
+    expected = _brute_force_ids(elements, indptr, a, b, s)[:, plan.perm, :]
+    assert np.array_equal(got, expected)
+    eager = _eager_ids(elements, indptr, a, b, s, n_values)
+    assert np.array_equal(got, eager[:, plan.perm, :])
+
+
+class _CountingNumpy:
+    """Stands in for ``numpy`` inside the kernels module and counts the
+    gathers and element-wise ufunc calls made through it."""
+
+    COUNTED = ("take", "maximum", "minimum", "copyto")
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.COUNTED:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestHubBin:
+    ROWS = 9_669
+    INDPTR = np.array([0, ROWS])
+
+    def _hub(self, s):
+        rng = np.random.default_rng(7)
+        elements = rng.choice(20_000, size=self.ROWS, replace=False)
+        return elements, build_tournament_plan(elements, self.INDPTR, s,
+                                               20_000)
+
+    @pytest.mark.parametrize("s", [1, 2, 4])
+    def test_calls_grow_with_log_rows(self, monkeypatch, s):
+        """A single-hub bin folds in one block here (4 trials): its ufunc
+        calls follow the merge tree's depth, not the row count."""
+        elements, plan = self._hub(s)
+        rng = np.random.default_rng(8)
+        a = rng.integers(1, PRIME, 4).astype(np.uint64)
+        b = rng.integers(0, PRIME, 4).astype(np.uint64)
+        table = tournament_table(plan, a, b, PRIME)
+        top32 = np.empty((4, 1, s), dtype=np.uint32)
+        spy = _CountingNumpy()
+        monkeypatch.setattr(kernels, "np", spy)
+        run_tournament(plan, table, s, out=top32)
+        monkeypatch.undo()
+        depth = int(np.ceil(np.log2(self.ROWS)))
+        # One gather, then at most s * s ufunc calls per tree level.
+        assert 0 < spy.calls <= 1 + s * s * depth
+        assert np.array_equal(
+            recover_top_ids(top32, a, b, PRIME, has_sentinels=False)[0],
+            _brute_force_ids(elements, self.INDPTR, a, b, s))
+
+    def test_second_call_allocates_nothing(self):
+        _, plan = self._hub(2)
+        rng = np.random.default_rng(9)
+        pool = ScratchPool()
+        counts = []
+        for _ in range(2):
+            a = rng.integers(1, PRIME, 16).astype(np.uint64)
+            b = rng.integers(0, PRIME, 16).astype(np.uint64)
+            table = tournament_table(plan, a, b, PRIME, scratch=pool)
+            top32 = pool.take((16, 1, 2), np.uint32)
+            run_tournament(plan, table, 2, out=top32, scratch=pool)
+            pool.give(table, top32)
+            counts.append((pool.n_allocations, pool.bytes_allocated))
+        assert counts[1] == counts[0]
+        assert pool.n_reuses >= counts[0][0]
 
 
 class TestPlanRejects:
