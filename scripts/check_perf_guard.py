@@ -12,7 +12,7 @@ and the performance ledger (:mod:`repro.obs.ledger`).
 ``--reference-key`` selects which mapping of the reference file holds the
 guarded rows: ``table1_rows`` (clustering bench vs BENCH_PR2.json),
 ``homology_rows`` (homology-construction bench vs BENCH_PR6.json), or
-``device_alignment_rows`` (the device backend's alignment row, also in
+``device_alignment_rows`` (the in-process ``local`` alignment row, also in
 BENCH_PR6.json), or ``device_scaling_rows`` (the multi-device scaling
 bench vs BENCH_PR7.json).  ``--metric`` picks which per-row value is
 compared (default ``total_s``).  Metrics are lower-is-better unless the

@@ -2,8 +2,8 @@
 """CI traced smoke run: trace the Table-I "2m" config and bound the cost.
 
 Runs the 2M-analogue clustering workload twice — observation off, then on —
-then a traced homology build on the device alignment backend, and writes
-these artifacts under ``benchmarks/results/``:
+then a traced default-config homology build, and writes these artifacts
+under ``benchmarks/results/``:
 
 ``trace_2m.json``
     The Chrome Trace Event export of the traced run (Perfetto-loadable),
@@ -22,11 +22,12 @@ these artifacts under ``benchmarks/results/``:
     One performance-ledger entry per invocation (overhead, wall,
     critical-path seconds), keyed by the run configuration — the
     cross-run trajectory behind ``repro obs ledger``.
-``trace_homology_device.json`` / ``trace_homology_device_summary.txt``
+``trace_homology.json`` / ``trace_homology_summary.txt``
     The Chrome Trace export (and rendering) of a homology-graph build
-    (``n_jobs=1``, so ``auto`` resolves to the device backend): the run
-    must resolve to ``device`` and alignment bins must appear as
-    ``device.align_bin`` spans, which this script asserts.
+    (``n_jobs=1``, so ``auto`` scores in-process): the run must resolve to
+    ``local`` and its alignment must appear as a ``homology.alignment``
+    span holding a ``homology.align.shard`` span, which this script
+    asserts.
 
 The script also asserts the tracer's own accounting: the root
 ``gpclust.run`` span must reconcile with the pipeline's reported wall time
@@ -41,10 +42,10 @@ Usage::
     PYTHONPATH=src python scripts/run_traced_smoke.py [--repeats 3]
         [--devices 2]
 
-With ``--devices N > 1`` both runs go through a ``DeviceGroup``: the
-clustering workload runs with ``devices=N`` and the traced
-documents must then carry per-device processes (``device0`` ..
-``device{N-1}``), which this script asserts.
+With ``--devices N > 1`` the clustering workload runs on a
+``DeviceGroup`` (``devices=N``) and its trace must then carry per-device
+processes (``device0`` .. ``device{N-1}``), which this script asserts.
+The homology build runs on CPU cores whatever ``--devices`` says.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repetitions per mode (min is kept)")
     parser.add_argument("--devices", type=int, default=1,
-                        help="simulated devices; >1 runs both workloads "
-                             "on a DeviceGroup (devices=N)")
+                        help="simulated devices; >1 runs the clustering "
+                             "workload on a DeviceGroup (devices=N)")
     parser.add_argument("--out-dir", default=str(RESULTS_DIR),
                         help="artifact directory")
     args = parser.parse_args(argv)
@@ -225,51 +226,50 @@ def main(argv: list[str] | None = None) -> int:
                 f"gpclust.pass2 holds {sorted(built)} spans (pass II built "
                 f"G_II instead of feeding Phase III directly)")
 
-    # --- homology build on the device alignment backend -----------------
-    import dataclasses
-
+    # --- homology build, scored in-process ------------------------------
     from repro.pipeline.workloads import make_homology_workload
     from repro.sequence.homology import build_homology_graph
 
     protein_set, h_config = make_homology_workload(scale)
-    h_config = dataclasses.replace(h_config, devices=args.devices)
     h_ctx = observe()
     with use_obs(h_ctx):
         h_result = build_homology_graph(protein_set.sequences, h_config)
     h_records = h_ctx.tracer.records
     h_doc = write_chrome_trace(
-        out_dir / "trace_homology_device.json", h_records, h_ctx.tracer.t0,
+        out_dir / "trace_homology.json", h_records, h_ctx.tracer.t0,
         metadata={"workload": "homology", "scale": scale,
                   "align_backend": h_result.align_backend,
                   "metrics": h_ctx.metrics.snapshot(),
                   "spans": h_ctx.tracer.summary()})
     validate_chrome_trace(h_doc)
-    (out_dir / "trace_homology_device_summary.txt").write_text(
+    (out_dir / "trace_homology_summary.txt").write_text(
         render_summary(h_doc) + "\n")
-    bin_spans = [r for r in h_records if r.name == "device.align_bin"]
+    stages = [r for r in h_records if r.name == "homology.alignment"]
+    shards = [r for r in h_records if r.name == "homology.align.shard"]
     print(f"homology trace ({h_result.align_backend} backend): "
-          f"{len(h_records)} spans, {len(bin_spans)} device.align_bin, "
-          f"{h_result.n_edges} edges -> "
-          f"{out_dir / 'trace_homology_device.json'}")
-    if h_result.align_backend != "device":
+          f"{len(h_records)} spans, {len(shards)} homology.align.shard, "
+          f"{h_result.n_edges} edges -> {out_dir / 'trace_homology.json'}")
+    if h_result.align_backend != "local":
         failures.append(
             f"homology run resolved to {h_result.align_backend!r}, "
-            f"not 'device'")
-    if not bin_spans:
-        failures.append(
-            "device-backend homology trace has no device.align_bin "
-            "spans (alignment bins are not visible as device work)")
+            f"not 'local'")
+    if len(stages) != 1 or stages[0].attrs.get("backend") != "local":
+        failures.append("homology trace has no homology.alignment span "
+                        "with backend 'local'")
+    elif not any(stages[0].start <= r.start and r.end <= stages[0].end
+                 for r in shards):
+        failures.append("homology trace has no homology.align.shard span "
+                        "inside homology.alignment")
 
     # --- multi-device: every member must appear as its own process ------
     if args.devices > 1:
         want = {f"device{i}" for i in range(args.devices)}
-        for label, recs in (("2m", records), ("homology", h_records)):
-            procs = {r.proc for r in recs}
-            missing = want - procs
-            if missing:
-                failures.append(
-                    f"{label} trace is missing per-device processes "
-                    f"{sorted(missing)} (has {sorted(procs)})")
+        procs = {r.proc for r in records}
+        missing = want - procs
+        if missing:
+            failures.append(
+                f"2m trace is missing per-device processes "
+                f"{sorted(missing)} (has {sorted(procs)})")
 
     overhead_doc = {
         "name": "trace_overhead",

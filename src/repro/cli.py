@@ -76,8 +76,7 @@ def _homology_config_from_args(args: argparse.Namespace,
         return HomologyConfig(pair_filter=args.pair_filter,
                               min_normalized_score=args.min_score,
                               n_jobs=args.jobs,
-                              align_backend=args.align_backend,
-                              devices=args.devices)
+                              align_backend=args.align_backend)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -326,19 +325,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
         device = None
         with use_obs(ctx):
-            if args.backend == "device":
-                # One device (or group) for the whole run: the alignment
-                # offload (when --align-backend auto resolves to it) and the
-                # clustering pass share its scratch pool, so --profile
-                # shows the sw_* kernels next to the shingling ones.
-                device = _make_device(params)
-            homology = build_homology_graph(sequences, homology_config,
-                                            device=device)
+            homology = build_homology_graph(sequences, homology_config)
             print(f"homology: {homology.n_candidate_pairs} candidate pairs "
                   f"-> {homology.n_edges} edges")
             if args.backend == "device":
                 from repro.core.pipeline import GpClust
 
+                device = _make_device(params)
                 result = GpClust(params).run(homology.graph, device=device)
             else:
                 result = cluster_graph(homology.graph, params,
@@ -497,16 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--jobs", type=int, default=1,
                         help="alignment worker processes for homology-graph "
                              "construction (0 = all cores; results are "
-                             "identical for any value; cannot be combined "
-                             "with --devices > 1)")
+                             "identical for any value)")
     p_pipe.add_argument("--align-backend", dest="align_backend",
                         choices=["auto", "host"], default="auto",
-                        help="Smith-Waterman scoring backend: auto scores "
-                             "on a process pool when --jobs gives more than "
-                             "one worker and every worker gets enough pairs, "
-                             "else on the simulated device; host scores "
-                             "in-process (the serial reference); scores and "
-                             "edges are identical for both")
+                        help="Smith-Waterman scoring backend: auto runs the "
+                             "length-binned kernels on a process pool when "
+                             "--jobs gives more than one worker and every "
+                             "worker gets enough pairs, else in-process; "
+                             "host runs the host row-scan kernels in-process "
+                             "(the serial reference); scores and edges are "
+                             "identical for both")
     p_pipe.add_argument("--profile", nargs="?", const="-", default=None,
                         metavar="PATH",
                         help="emit a JSON timing breakdown covering both "

@@ -22,11 +22,8 @@ equivalent that exercises the same code paths:
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "AlignmentBin": ".batching",
-    "AlignmentBinPlan": ".batching",
     "Batch": ".batching",
     "BatchPlan": ".batching",
-    "DeviceAligner": ".alignment",
     "DeviceBuffer": ".memory",
     "DeviceGroup": ".group",
     "DeviceMemory": ".memory",
@@ -38,6 +35,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SimulatedDevice": ".device",
     "TransferModel": ".timingmodels",
     "least_loaded_assignment": ".group",
-    "plan_alignment_bins": ".batching",
     "plan_batches": ".batching",
 })

@@ -11,19 +11,11 @@ shingles into one correct copy for the split adjacency list." (Section III-C)
 slice of the flat CSR element buffer plus a local ``indptr``; a batch entry
 (*chunk*) records which source segment it came from and whether it is a split
 piece, so the aggregation step can merge split chunks correctly.
-
-:func:`plan_alignment_bins` is the same idea for the alignment offload:
-candidate pairs are grouped into *length bins* — dtype- and length-
-homogeneous groups whose padded DP rectangle wastes a bounded fraction of
-cells — so the batched Smith-Waterman kernels keep their vector lanes full
-(MetaCache-GPU's length-aware batching, applied to pairs instead of reads).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -194,168 +186,6 @@ def _greedy_batches(indptr: np.ndarray, max_elements: int) -> list[Batch]:
                 flush()
     flush()
     return batches
-
-
-# --------------------------------------------------------------------- #
-# Length-binned packing for the alignment offload
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class AlignmentBin:
-    """One dtype- and length-homogeneous group of candidate pairs.
-
-    Attributes
-    ----------
-    order_lo / order_hi:
-        Half-open range into the length-sorted pair order (see
-        :class:`AlignmentBinPlan.order`): the bin's members are
-        ``plan.order[order_lo:order_hi]``.
-    max_short / max_long:
-        Padded DP rectangle of the bin: every member pair is padded to
-        ``(max_short, max_long)``.
-    dtype:
-        DP state dtype shared by every member (the planner cuts a bin
-        whenever adding a pair would escalate the dtype).
-    padded_cells / actual_cells:
-        DP cells the padded rectangle computes vs. the cells the member
-        pairs actually need; their gap is the bin's padding waste.
-    """
-
-    order_lo: int
-    order_hi: int
-    max_short: int
-    max_long: int
-    dtype: np.dtype
-    padded_cells: int
-    actual_cells: int
-
-    @property
-    def n_pairs(self) -> int:
-        return self.order_hi - self.order_lo
-
-    @property
-    def padding_waste(self) -> float:
-        """Fraction of the padded rectangle spent on padding (0 = none)."""
-        if self.padded_cells == 0:
-            return 0.0
-        return 1.0 - self.actual_cells / self.padded_cells
-
-
-@dataclass(frozen=True)
-class AlignmentBinPlan:
-    """The full bin schedule for one alignment shard.
-
-    ``order`` is the length-sorted permutation of the shard's pair indices;
-    each bin addresses a contiguous slice of it.
-    """
-
-    bins: list[AlignmentBin]
-    order: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.bins)
-
-    @property
-    def padded_cells(self) -> int:
-        return sum(b.padded_cells for b in self.bins)
-
-    @property
-    def actual_cells(self) -> int:
-        return sum(b.actual_cells for b in self.bins)
-
-    @property
-    def padding_waste(self) -> float:
-        """Whole-plan wasted-cell fraction (the ``padding_waste`` metric)."""
-        padded = self.padded_cells
-        if padded == 0:
-            return 0.0
-        return 1.0 - self.actual_cells / padded
-
-    def __iter__(self):
-        return iter(self.bins)
-
-
-def plan_alignment_bins(short_lens: np.ndarray, long_lens: np.ndarray,
-                        dtype_for: Callable[[int, int], np.dtype],
-                        max_pairs: int = 384,
-                        max_waste: float = 0.25,
-                        min_pairs: int = 32,
-                        max_block_bytes: int | None = None
-                        ) -> AlignmentBinPlan:
-    """Group candidate pairs into length-homogeneous alignment bins.
-
-    Pairs are sorted by ``(long, short)`` length (so the padded rectangle
-    tracks its members tightly), then cut greedily: a bin closes when it
-    reaches ``max_pairs``, when admitting the next pair would push its
-    wasted-cell fraction past ``max_waste`` (once at least ``min_pairs``
-    members justify the per-bin launch overhead), or when the next pair
-    would escalate the bin's DP dtype — naive rectangular padding over an
-    unsorted chunk wastes 2-3x the cells on metagenomic length mixes.  With
-    ``max_block_bytes`` a bin also closes before its ``(max_long, n_pairs)``
-    block in the bin's dtype would exceed that many bytes (a single pair
-    always opens a bin), which bounds the kernels' per-bin buffers.
-
-    ``dtype_for(max_short, max_long)`` maps a bin's padded geometry to its
-    DP state dtype (see :func:`repro.sequence.smith_waterman.dp_dtype`);
-    it must be a pure function, since it runs once per distinct geometry.
-    Each bin's cut is found with array passes over its candidate window, so
-    the Python work is per bin, not per pair.
-    """
-    if max_pairs < 1:
-        raise ValueError("max_pairs must be >= 1")
-    if not 0.0 <= max_waste < 1.0:
-        raise ValueError("max_waste must be in [0, 1)")
-    short_lens = np.asarray(short_lens, dtype=np.int64)
-    long_lens = np.asarray(long_lens, dtype=np.int64)
-    n = short_lens.size
-    order = np.lexsort((short_lens, long_lens))
-    if n == 0:
-        return AlignmentBinPlan(bins=[], order=order)
-
-    ls = short_lens[order]
-    ll = long_lens[order]      # non-decreasing: the primary sort key
-    cum_cells = np.concatenate([[0], np.cumsum(ls * ll)])
-    # The rule runs once per distinct padded geometry, not once per pair.
-    dtype_of = functools.lru_cache(maxsize=None)(dtype_for)
-
-    bins: list[AlignmentBin] = []
-    lo = 0
-    while lo < n:
-        # Grow the bin over a window of at most max_pairs pairs; it closes
-        # before the first pair that would change its dtype, push its waste
-        # past max_waste or its block past max_block_bytes.  Entry k is the
-        # bin [lo, lo + k].
-        hi = min(lo + max_pairs, n)
-        max_s = np.maximum.accumulate(ls[lo:hi])
-        max_l = ll[lo:hi]
-        size = np.arange(1, hi - lo + 1)
-        padded = size * max_s * max_l
-        actual = cum_cells[lo + 1:hi + 1] - cum_cells[lo]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wasteful = ((size > min_pairs) & (padded > 0)
-                        & (1.0 - actual / padded > max_waste))
-        wasteful[0] = False     # the bin's first pair always opens it
-        cut = int(np.argmax(wasteful)) if wasteful.any() else hi - lo
-        dtype = dtype_of(int(max_s[0]), int(max_l[0]))
-        grows = (max_s[1:cut] != max_s[:cut - 1]) | \
-            (max_l[1:cut] != max_l[:cut - 1])
-        for k in np.flatnonzero(grows) + 1:
-            if dtype_of(int(max_s[k]), int(max_l[k])) != dtype:
-                cut = int(k)
-                break
-        if max_block_bytes is not None:
-            over = size[:cut] * max_l[:cut] * dtype.itemsize > max_block_bytes
-            over[0] = False
-            if over.any():
-                cut = int(np.argmax(over))
-        bins.append(AlignmentBin(
-            order_lo=lo, order_hi=lo + cut, max_short=int(max_s[cut - 1]),
-            max_long=int(max_l[cut - 1]), dtype=dtype,
-            padded_cells=int(padded[cut - 1]),
-            actual_cells=int(actual[cut - 1])))
-        lo += cut
-    return AlignmentBinPlan(bins=bins, order=order)
 
 
 def _validate_plan(plan: BatchPlan, indptr: np.ndarray, nnz: int) -> None:

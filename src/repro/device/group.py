@@ -25,13 +25,12 @@ of ``repro.device`` models one board:
   therefore the modeled group timeline — deterministic for a fixed
   workload, which is what lets benchmarks assert modeled speedups exactly.
   :func:`run_sharded` runs such an assignment, one driver thread per
-  member; the shingle pass shards trial chunks with it and the device
-  aligner shards alignment bins.
+  member; the shingle pass shards trial chunks with it.
 
 Bit-identity across device counts holds by construction: the shingle pass
 merges per-device chunk partials through the order-tolerant
-``StreamingAggregator`` and the aligner's bins write disjoint output
-slices, so *where* a unit of work ran never reaches the results.
+``StreamingAggregator``, so *where* a unit of work ran never reaches the
+results.
 """
 
 from __future__ import annotations
@@ -173,10 +172,9 @@ def run_sharded(items, costs, work, n_members: int) -> None:
 class DeviceGroup:
     """N simulated devices presented as one accelerator.
 
-    Drivers that understand groups (the shingle pass, the device aligner)
-    shard work across :attr:`members` directly; everything else —
-    breakdown plumbing, metrics flushing, profiling — goes through the same
-    method names :class:`SimulatedDevice` exposes, so ``GpClust`` and the
+    Drivers that understand groups (the shingle pass) shard work across
+    :attr:`members` directly; everything else — breakdown plumbing,
+    metrics flushing, profiling — goes through the same method names :class:`SimulatedDevice` exposes, so ``GpClust`` and the
     CLI treat a group exactly like a device.
     """
 

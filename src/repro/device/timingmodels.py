@@ -43,9 +43,7 @@ class KernelCostModel:
 
     ``transform`` covers the elementwise hash map; ``sort`` the segmented
     sort (Thrust radix-sort class throughput); ``select`` the segmented
-    top-s selection; ``reduce`` fingerprint folding and similar O(n) passes;
-    ``scan`` block-parallel prefix scans (the alignment kernels' left-gap
-    chain runs one max-plus scan per DP row).
+    top-s selection; ``reduce`` fingerprint folding and similar O(n) passes.
 
     **Launch-latency charging rule:** ``launch_latency_s`` models the
     *per-launch* host dispatch cost, so every kernel launch charges it once
@@ -60,7 +58,6 @@ class KernelCostModel:
     sort_eps: float = 1.0e9
     select_eps: float = 8e9
     reduce_eps: float = 20e9
-    scan_eps: float = 10e9
 
     def _rates(self) -> dict[str, float]:
         rates = self.__dict__.get("_rates_cache")
@@ -70,7 +67,6 @@ class KernelCostModel:
                 "sort": self.sort_eps,
                 "select": self.select_eps,
                 "reduce": self.reduce_eps,
-                "scan": self.scan_eps,
             }
             object.__setattr__(self, "_rates_cache", rates)
         return rates

@@ -10,10 +10,10 @@ document alone (plus the metrics snapshot embedded in its ``otherData``):
   much slack (idle waiting) separates them, and which proc/track carries
   the bounding share.
 * :func:`attribute` — bottleneck attribution: per-process utilization,
-  the modeled-vs-wall roofline gap per kernel class (``shingle`` /
-  ``alignment`` / ``aggregate`` / ``cc``), host-link contention share,
-  alignment padding waste, and a ranked "top places this run lost time"
-  diagnosis with machine-readable cause slugs.
+  the modeled-vs-wall roofline gap of the device kernels (class
+  ``shingle``), host-link contention share, alignment padding waste, and
+  a ranked "top places this run lost time" diagnosis with
+  machine-readable cause slugs.
 * :func:`diff_traces` — per-span-name and per-process deltas between two
   traced runs ("did PR N shift time from alignment into host-link
   contention?").
@@ -40,19 +40,16 @@ from __future__ import annotations
 
 from repro.util.tables import format_table
 
-#: Kernel-counter names (``<prefix>.kernel.<name>.*``) group into these
-#: classes for the roofline view; the class of everything unlisted is
-#: ``shingle`` (the Table-I device path).
-KERNEL_CLASS_PREFIXES = (
-    ("sw_", "alignment"),
-)
-
 #: Span names whose wall time is charged to each kernel class when
-#: computing the modeled-vs-wall roofline gap.
+#: computing the modeled-vs-wall roofline gap.  Every device kernel
+#: (``<prefix>.kernel.<name>.*`` counters) is in class ``shingle``, the
+#: Table-I device path.
 CLASS_SPAN_PREFIXES = {
-    "alignment": ("device.align_bin", "device.align"),
     "shingle": ("device.shingle", "exec.shingle_pass"),
 }
+
+#: Spans whose wall time the ``alignment_padding`` cause scales.
+ALIGNMENT_SPANS = ("homology.alignment",)
 
 #: Transfer spans: busy time that is link occupancy, not kernel work.
 TRANSFER_SPANS = ("device.upload", "device.download", "device.p2p_copy")
@@ -310,13 +307,6 @@ def render_critical_path(cp: dict, top_n: int = 25) -> str:
 # Bottleneck attribution
 # ------------------------------------------------------------------ #
 
-def _kernel_class(kernel: str) -> str:
-    for prefix, cls in KERNEL_CLASS_PREFIXES:
-        if kernel.startswith(prefix):
-            return cls
-    return "shingle"
-
-
 def _span_class(name: str) -> str | None:
     for cls, prefixes in CLASS_SPAN_PREFIXES.items():
         if any(name.startswith(p) for p in prefixes):
@@ -331,8 +321,7 @@ def modeled_seconds_by_class(metrics: dict) -> dict[str, float]:
         parts = key.split(".")
         if len(parts) < 4 or parts[-3] != "kernel" or parts[-1] != "modeled_s":
             continue
-        cls = _kernel_class(parts[-2])
-        out[cls] = out.get(cls, 0.0) + float(value)
+        out["shingle"] = out.get("shingle", 0.0) + float(value)
     return out
 
 
@@ -365,8 +354,7 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
         No track was busy: host-side scheduling/merge gaps.
     ``roofline_gap:<class>``
         Wall time of that kernel class's spans above its modeled device
-        seconds — the execution-efficiency gap for ``shingle`` /
-        ``alignment`` / ``aggregate`` / ``cc`` work.
+        seconds — the execution-efficiency gap of the device kernels.
     ``dispatch_overhead:<class>``
         The part of that class's roofline gap **not** explained by link
         traffic: gap seconds minus the transfer-span overlap with the
@@ -377,7 +365,8 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
         Modeled seconds added by PCIe oversubscription
         (``group.host_link.contended_modeled_s``).
     ``alignment_padding``
-        Alignment wall seconds spent on padded (wasted) DP cells.
+        Alignment wall seconds (``homology.alignment`` spans) spent on
+        padded (wasted) DP cells.
     ``transfer_occupancy``
         Busy seconds inside upload/download/p2p spans.
 
@@ -417,7 +406,8 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
     gauges = metrics.get("gauges", {})
     contended_s = float(gauges.get("group.host_link.contended_modeled_s", 0.0))
     padding_waste = float(gauges.get("device.align.padding_waste", 0.0))
-    align_wall = measured.get("alignment", 0.0)
+    align_wall = _union_seconds([(s["start"], s["end"]) for s in spans
+                                 if s["name"] in ALIGNMENT_SPANS])
     padding_s = padding_waste * align_wall
     transfer_s = _union_seconds(
         [(s["start"], s["end"]) for s in spans

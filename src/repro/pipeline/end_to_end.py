@@ -68,11 +68,10 @@ def run_end_to_end(
 
     ``min_cluster_size`` is the reporting filter for quality scoring — the
     paper uses 20 on its 2M-sequence data; synthetic sets here are smaller,
-    so the default is 3.  ``n_jobs`` / ``align_backend`` / ``devices``
-    (when given) override the homology config's alignment worker count,
-    scoring backend, and simulated device count — ``devices`` also applies
-    to the clustering params, so both stages run on a group of that size;
-    the result is identical either way.
+    so the default is 3.  ``n_jobs`` / ``align_backend`` (when given)
+    override the homology config's alignment worker count and scoring
+    backend; ``devices`` overrides the clustering params' simulated device
+    count.  The result is identical either way.
     """
     if protein_set is None:
         protein_set = generate_protein_families(sequence_config, seed=seed)
@@ -85,8 +84,6 @@ def run_end_to_end(
         overrides["n_jobs"] = n_jobs
     if align_backend is not None:
         overrides["align_backend"] = align_backend
-    if devices is not None:
-        overrides["devices"] = devices
     if overrides:
         homology_config = dataclasses.replace(
             homology_config or HomologyConfig(), **overrides)

@@ -15,7 +15,9 @@ implements the full equivalent pipeline from scratch:
   substitution/indel, optional shotgun-style fragmenting
   (:mod:`repro.sequence.generator`);
 * Smith-Waterman local alignment: scalar references and batched row-scan
-  vectorized implementations (:mod:`repro.sequence.smith_waterman`);
+  vectorized implementations (:mod:`repro.sequence.smith_waterman`), and
+  the length-binned query-profile kernels both alignment backends of
+  ``auto`` run (:mod:`repro.sequence.binned`);
 * a k-mer seed filter standing in for pGraph's suffix-tree maximal-match
   pair generation (:mod:`repro.sequence.kmer_filter`), sharing its
   group-to-pairs expansion with the suffix-array filter
@@ -31,6 +33,8 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "AMINO_ACIDS": ".alphabet",
+    "AlignmentBin": ".binned",
+    "AlignmentBinPlan": ".binned",
     "BLOSUM62": ".scoring",
     "GeneralizedSuffixArray": ".suffix",
     "HomologyConfig": ".homology",
@@ -51,8 +55,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "encode": ".alphabet",
     "expand_cluster": ".profile",
     "generate_protein_families": ".generator",
+    "plan_alignment_bins": ".binned",
     "profile_score": ".profile",
     "read_fasta": ".fasta",
+    "score_pairs_binned": ".binned",
     "sw_align": ".smith_waterman",
     "sw_score_affine": ".smith_waterman",
     "sw_score_linear": ".smith_waterman",

@@ -35,8 +35,8 @@ def flatten_sequences(
     ``residues`` is one contiguous ``uint8`` buffer, ``offsets`` the
     ``(n+1,)`` int64 boundary table (``offsets[i]:offsets[i+1]`` delimits
     sequence ``i``).  This is the arena's wire layout without the shared-
-    memory segment — the shape the device aligner uploads, and what
-    :meth:`SequenceArena.pack` writes into its block.
+    memory segment — what the ``local`` alignment backend scores from, and
+    what :meth:`SequenceArena.pack` writes into its block.
     """
     lengths = np.fromiter((s.size for s in sequences), dtype=_OFFSET_DTYPE,
                           count=len(sequences))

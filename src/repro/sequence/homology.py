@@ -5,46 +5,43 @@ Smith-Waterman on the surviving pairs, normalized-score thresholding, and
 assembly of the undirected similarity graph the clustering stage consumes.
 
 pGraph's central observation is that alignment dominates this stage, so it
-distributes alignment work across processors.  Alignment runs on one of
-three bit-identical backends:
+distributes alignment work across processors.  ``auto`` scores pairs with
+the length-binned profile kernels (:mod:`repro.sequence.binned`) on one of
+two backends:
 
-``host``
-    Batched row-scan kernels in-process (the serial reference).
+``local``
+    :func:`~repro.sequence.binned.score_pairs_binned` in the calling
+    process, on the flat CSR of the sequence set
+    (:func:`~repro.sequence.arena.flatten_sequences`).
 ``pool``
     Contiguous pair shards scored by a process pool whose workers read
     sequences from a shared-memory arena (:mod:`repro.sequence.arena`) —
     no sequence pickling, shard results stream back in order.  Workers run
-    the device's length-binned profile kernels in-process on the arena's
-    flat CSR (:func:`repro.device.alignment.score_pairs_binned`).
-``device``
-    The simulated-GPU offload (:class:`repro.device.alignment.DeviceAligner`):
-    length-binned packing and ramped row-scan kernels, with the sequence
-    upload overlapped with the seed-filter stage on a copy thread.
+    the same kernels on the arena's flat CSR.
 
-``HomologyConfig.align_backend`` is ``"host"`` (the serial oracle) or
-``"auto"``, which picks the backend from the config and the candidate
-pair count alone (:func:`choose_align_backend`): the pool when more than
-one worker is available and each gets at least
-:data:`MIN_POOL_PAIRS_PER_WORKER` pairs, the device otherwise.  No state
-carries over between runs, so the same input always takes the same path.
+It takes the pool when more than one worker is available and each gets
+at least :data:`MIN_POOL_PAIRS_PER_WORKER` pairs, and ``local`` otherwise
+(:func:`choose_align_backend`).  No state carries over between runs, so
+the same input always takes the same path.  ``align_backend="host"``
+instead runs the host batched row-scan kernels in-process, the serial
+oracle.  Scores are bit-identical across all three.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.device.alignment import DeviceAligner, score_pairs_binned
-from repro.device.group import DeviceGroup
 from repro.device.memory import ScratchPool
 from repro.graph.csr import CSRGraph
 from repro.obs import get_obs, timed, worker_tracer
-from repro.sequence.arena import SequenceArena
+from repro.sequence.arena import SequenceArena, flatten_sequences
+from repro.sequence.binned import score_pairs_binned
 from repro.sequence.kmer_filter import candidate_pairs
 from repro.sequence.scoring import BLOSUM62
 from repro.sequence.smith_waterman import (batch_self_scores,
@@ -85,27 +82,21 @@ class HomologyConfig:
         data.
     chunk_size:
         Pairs per host-kernel chunk of the ``host`` backend, and the
-        smallest shard the pool hands a worker.  The device backend and
-        the pool workers bin pairs by length instead, at most
-        :attr:`repro.device.alignment.DeviceAligner.max_pairs_per_bin`
-        per bin.
+        smallest shard the pool hands a worker.  The ``local`` backend and
+        the pool workers bin pairs by length instead
+        (:func:`repro.sequence.binned.plan_alignment_bins`).
     n_jobs:
         Alignment worker processes for ``auto``; ``0`` means
         ``os.cpu_count()``.  With more than one worker (capped by the
         machine's cores) and at least :data:`MIN_POOL_PAIRS_PER_WORKER`
         pairs per worker, the pairs are scored by a process pool; otherwise
-        on the device.  The default ``1`` always takes the device.
+        in the calling process (``local``).  The default ``1`` always
+        scores locally.
     align_backend:
         ``"auto"`` (default) resolves as described under ``n_jobs`` (see
         :func:`choose_align_backend`); ``"host"`` scores every pair
-        in-process, the serial oracle.  Scores and edges are bit-identical
-        across all backends.
-    devices:
-        Simulated device count for the device backend.  ``devices > 1``
-        runs the offload on a :class:`repro.device.group.DeviceGroup`,
-        distributing length-binned alignment bins across members.  It
-        cannot be combined with ``n_jobs != 1``.  Output is bit-identical
-        for every value.
+        in-process on the host row-scan kernels, the serial oracle.
+        Scores and edges are bit-identical across all backends.
     """
 
     pair_filter: str = "kmer"
@@ -121,7 +112,6 @@ class HomologyConfig:
     chunk_size: int = 256
     n_jobs: int = 1
     align_backend: str = "auto"
-    devices: int = 1
 
     def __post_init__(self) -> None:
         if self.pair_filter not in ("kmer", "suffix"):
@@ -140,10 +130,6 @@ class HomologyConfig:
             raise ValueError("min_match_len must be >= 1")
         if self.n_jobs < 0:
             raise ValueError("n_jobs must be >= 0 (0 = cpu_count)")
-        if self.devices < 1:
-            raise ValueError("devices must be >= 1")
-        if self.devices > 1 and self.n_jobs != 1:
-            raise ValueError("devices > 1 cannot be combined with n_jobs != 1")
 
 
 @dataclass
@@ -289,7 +275,7 @@ def choose_align_backend(backend: str, n_pairs: int, n_jobs: int) -> str:
     ``host`` is honored verbatim.  ``auto`` takes the process pool when the
     *effective* worker count (``n_jobs`` capped by the machine's cores)
     exceeds one and every worker gets at least
-    :data:`MIN_POOL_PAIRS_PER_WORKER` pairs, and the device otherwise.  The
+    :data:`MIN_POOL_PAIRS_PER_WORKER` pairs, and ``local`` otherwise.  The
     choice depends on nothing but the arguments and the core count, so
     ``auto`` never forks for a workload small enough to lose to serial
     outright, and no earlier run can change it.
@@ -301,7 +287,7 @@ def choose_align_backend(backend: str, n_pairs: int, n_jobs: int) -> str:
     workers = _effective_workers(n_jobs)
     if workers > 1 and n_pairs >= MIN_POOL_PAIRS_PER_WORKER * workers:
         return "pool"
-    return "device"
+    return "local"
 
 
 # ---------------------------------------------------------------------- #
@@ -311,29 +297,16 @@ def choose_align_backend(backend: str, n_pairs: int, n_jobs: int) -> str:
 def build_homology_graph(sequences: list[np.ndarray],
                          config: HomologyConfig | None = None,
                          matrix: np.ndarray = BLOSUM62,
-                         keep_scores: bool = True,
-                         device=None) -> HomologyResult:
+                         keep_scores: bool = True) -> HomologyResult:
     """Construct the similarity graph of a sequence set.
 
     Every candidate pair from the seed filter is aligned; pairs whose
     normalized Smith-Waterman score reaches the threshold become undirected
     edges.  ``config.align_backend`` selects the scoring backend (``host``,
-    or ``auto`` for pool / device by :func:`choose_align_backend`); output
+    or ``auto`` for pool / local by :func:`choose_align_backend`); output
     is bit-identical across all of them.  With ``keep_scores=False`` only
     above-threshold edges are retained as shards complete, never the full
     score vector.
-
-    ``device`` optionally supplies the :class:`repro.device.SimulatedDevice`
-    (or :class:`repro.device.group.DeviceGroup`) the offload should run on
-    (sharing its scratch pool, metrics and breakdown with other stages); by
-    default the aligner brings its own, a group of ``config.devices``
-    members when that exceeds one.  Under ``auto`` with at most one
-    effective worker, where the rule always picks the device, the sequence
-    upload starts on a copy thread *before* the seed filter, so the
-    transfer overlaps candidate-pair discovery (the aligner's own
-    double-buffered bin schedule, applied across pipeline stages).  With
-    more workers the rule needs the pair count first, so the upload waits
-    until it has picked the device and never happens for the pool.
     """
     config = config or HomologyConfig()
     timings = HomologyTimings()
@@ -343,29 +316,6 @@ def build_homology_graph(sequences: list[np.ndarray],
     metrics = obs.metrics
     t_start = tracer.clock() if tracer.enabled else 0.0
 
-    aligner = None
-    uploader = None
-    upload = None
-    if config.align_backend == "auto":
-        if device is None and config.devices > 1:
-            device = DeviceGroup(config.devices)
-        aligner = DeviceAligner(device)
-        if _effective_workers(config.n_jobs) <= 1:
-            uploader = ThreadPoolExecutor(max_workers=1,
-                                          thread_name_prefix="align-copy")
-            upload = uploader.submit(aligner.upload_sequences, sequences)
-    try:
-        return _build_graph(sequences, config, matrix, keep_scores, aligner,
-                            upload, timings, n, tracer, metrics, t_start)
-    finally:
-        if uploader is not None:
-            uploader.shutdown(wait=True)
-        if aligner is not None:
-            aligner.release()
-
-
-def _build_graph(sequences, config, matrix, keep_scores, aligner, upload,
-                 timings, n, tracer, metrics, t_start) -> HomologyResult:
     with timed(tracer, "homology.seed_filter",
                filter=config.pair_filter) as stage:
         if config.pair_filter == "suffix":
@@ -401,25 +351,26 @@ def _build_graph(sequences, config, matrix, keep_scores, aligner, upload,
     timings.self_scores_s = stage.elapsed
 
     n_jobs = _resolve_jobs(config.n_jobs)
-    shards = _shard_bounds(n_pairs, config.chunk_size, n_jobs)
     backend = choose_align_backend(config.align_backend, n_pairs,
                                    config.n_jobs)
+    shards = _shard_bounds(n_pairs, config.chunk_size,
+                           1 if backend == "local" else n_jobs)
 
     score_blocks: list[np.ndarray] = []
     edge_blocks: list[np.ndarray] = []
     with timed(tracer, "homology.alignment", n_pairs=n_pairs,
                n_jobs=n_jobs, n_shards=len(shards),
                backend=backend) as stage:
-        if backend == "device":
-            if upload is not None:
-                upload.result()     # resident (overlapped the seed filter)
-            else:
-                aligner.upload_sequences(sequences)
-            scores = aligner.batch_scores(
-                pairs, gap_model=config.gap_model, gap=config.gap,
-                gap_open=config.gap_open, gap_extend=config.gap_extend)
-            block, kept_pairs, _ = _threshold(scores, pairs, denom, config,
-                                              keep_scores)
+        if backend == "local":
+            with tracer.span("homology.align.shard", shard=0,
+                             n_pairs=n_pairs):
+                residues, offsets = flatten_sequences(sequences)
+                scores = score_pairs_binned(
+                    residues, offsets, pairs, matrix,
+                    gap_model=config.gap_model, gap=config.gap,
+                    gap_open=config.gap_open, gap_extend=config.gap_extend)
+                block, kept_pairs, _ = _threshold(scores, pairs, denom,
+                                                  config, keep_scores)
             if keep_scores:
                 score_blocks.append(block)
             edge_blocks.append(kept_pairs)

@@ -21,7 +21,8 @@ unrolls exactly into a max-plus prefix scan,
 
 where ``T`` collects the non-left candidates (zero, diagonal, up), so each
 row is a handful of whole-chunk vector operations plus one prefix max
-(:func:`prefix_max`, shared with the device's binned kernels).  Compared
+(:func:`prefix_max`, shared with the binned kernels of
+:mod:`repro.sequence.binned`).  Compared
 to the wavefront this runs
 ``min(la, lb)`` long contiguous iterations instead of ``la + lb`` ragged
 ones, and the DP state is held in the narrowest integer dtype the score
@@ -206,9 +207,9 @@ def dp_dtype(max_short: int, max_long: int, matrix: np.ndarray,
 
     The SW score is bounded by ``matrix.max() * min(la, lb)`` (at most one
     match step per residue of the shorter sequence); the prefix scans add at
-    most ``penalty * (lb - 1)`` on top.  The device bin planner keys its
+    most ``penalty * (lb - 1)`` on top.  The length-bin planner keys its
     dtype-homogeneous length bins on this exact function (memoized per
-    geometry), so host and device paths escalate int16 -> int32 -> int64 at
+    geometry), so host and binned paths escalate int16 -> int32 -> int64 at
     identical geometries (a precondition of bit-identity testing).
     """
     smax = max(int(matrix.max()), 0) * max_short

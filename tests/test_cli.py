@@ -101,6 +101,22 @@ class TestPipeline:
         assert "clusters of size" in out
         assert out_labels.exists()
 
+    def test_jobs_combine_with_devices(self, tmp_path, capsys):
+        # --devices sizes the clustering device group only, so it no longer
+        # conflicts with alignment workers; labels match the default run.
+        stem = tmp_path / "seqs"
+        main(["generate", "--families", "3", "--fasta", "--seed", "4",
+              "--out", str(stem)])
+        labels = []
+        for flags in ([], ["--jobs", "2", "--devices", "2"]):
+            out = tmp_path / f"labels{len(flags)}.npz"
+            assert main(["pipeline", str(stem.with_suffix(".fasta")),
+                         "--c1", "10", "--c2", "5", "--out", str(out),
+                         *flags]) == 0
+            with np.load(out) as data:
+                labels.append(data["labels"])
+        assert np.array_equal(labels[0], labels[1])
+
     def test_suffix_filter_mode(self, tmp_path, capsys):
         stem = tmp_path / "seqs"
         main(["generate", "--families", "3", "--fasta", "--seed", "4",
@@ -145,8 +161,6 @@ class TestParser:
     @pytest.mark.parametrize("flags,message", [
         (["--jobs", "-1"], "n_jobs must be >= 0"),
         (["--min-score", "0"], "min_normalized_score"),
-        (["--jobs", "2", "--devices", "2"], "cannot be combined"),
-        (["--jobs", "0", "--devices", "3"], "cannot be combined"),
     ])
     def test_bad_homology_config_is_usage_error(self, tmp_path, capsys,
                                                 flags, message):
@@ -159,7 +173,7 @@ class TestParser:
         assert last.startswith("repro: error:") and message in last
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("backend", ["pool", "device"])
+    @pytest.mark.parametrize("backend", ["pool", "device", "local"])
     def test_retired_align_backends_rejected(self, tmp_path, backend):
         with pytest.raises(SystemExit) as exc:
             main(["pipeline", str(tmp_path / "x.fasta"),

@@ -1,9 +1,11 @@
-"""Device-offloaded alignment: kernels, bin planner, aligner, scheduler.
+"""Length-binned alignment: kernels, bin planner, scorer, backend rule.
 
-The central contract is bit-identity: the device path (length-binned
-packing + ramped row-scan kernels) must reproduce the host batched
-Smith-Waterman scores exactly, for both gap models, every DP dtype the
-escalation rule can pick, every bin schedule, and any bin geometry.
+The central contract is bit-identity: the binned path
+(:mod:`repro.sequence.binned` — length-binned packing + ramped row-scan
+kernels, run by ``auto``'s ``local`` backend and by the pool workers)
+must reproduce the host batched Smith-Waterman scores exactly, for both
+gap models, every DP dtype the escalation rule can pick, and any bin
+geometry.
 """
 
 import dataclasses
@@ -13,24 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.device import DeviceAligner, SimulatedDevice
-from repro.device import alignment as alignment_mod
-from repro.device.alignment import (
+from repro.device.memory import ScratchPool
+from repro.obs import observe, use_obs
+from repro.sequence import binned as binned_mod
+from repro.sequence import homology as homology_mod
+from repro.sequence.arena import flatten_sequences
+from repro.sequence.binned import (
     ROW_BUCKET,
+    AlignmentBin,
+    AlignmentBinPlan,
     pack_bin_blocks,
+    plan_alignment_bins,
     rowscan_affine_binned,
     rowscan_linear_binned,
     score_pairs_binned,
 )
-from repro.device.batching import (
-    AlignmentBin,
-    AlignmentBinPlan,
-    plan_alignment_bins,
-)
-from repro.device.group import DeviceGroup
-from repro.device.memory import ScratchPool
-from repro.sequence import homology as homology_mod
-from repro.sequence.arena import flatten_sequences
 from repro.sequence.homology import (
     MIN_POOL_PAIRS_PER_WORKER,
     HomologyConfig,
@@ -57,6 +56,19 @@ def random_seqs(rng, n, len_max=80, allow_empty=True):
 
 def random_pairs(rng, n_seqs, n_pairs):
     return rng.integers(0, n_seqs, size=(n_pairs, 2)).astype(np.int64)
+
+
+def binned_scores(seqs, pairs, **kw):
+    """:func:`score_pairs_binned` on a sequence list's flat CSR."""
+    residues, offsets = flatten_sequences(seqs)
+    return score_pairs_binned(residues, offsets, pairs, **kw)
+
+
+def bin_plan(seqs, pairs, penalties=(8,)):
+    """The bin plan :func:`score_pairs_binned` scores ``pairs`` under."""
+    lengths = np.array([s.size for s in seqs], dtype=np.int64)
+    return binned_mod._plan_bins(np.asarray(pairs, dtype=np.int64), lengths,
+                                 BLOSUM62, penalties)[0]
 
 
 # --------------------------------------------------------------------- #
@@ -288,9 +300,7 @@ class TestKernels:
         seqs_a = [seqs[i] for i in pairs[:, 0]]
         seqs_b = [seqs[j] for j in pairs[:, 1]]
         ref = batch_smith_waterman(seqs_a, seqs_b, gap=gap)
-        al = DeviceAligner(SimulatedDevice())
-        al.upload_sequences(seqs)
-        got = al.batch_scores(pairs, gap_model="linear", gap=gap)
+        got = binned_scores(seqs, pairs, gap_model="linear", gap=gap)
         assert np.array_equal(ref, got)
 
     @pytest.mark.parametrize("gap_open,gap_extend",
@@ -304,10 +314,8 @@ class TestKernels:
         ref = batch_smith_waterman_affine(seqs_a, seqs_b,
                                           gap_open=gap_open,
                                           gap_extend=gap_extend)
-        al = DeviceAligner(SimulatedDevice())
-        al.upload_sequences(seqs)
-        got = al.batch_scores(pairs, gap_model="affine", gap_open=gap_open,
-                              gap_extend=gap_extend)
+        got = binned_scores(seqs, pairs, gap_model="affine",
+                            gap_open=gap_open, gap_extend=gap_extend)
         assert np.array_equal(ref, got)
 
     def test_int32_escalation_matches_host(self):
@@ -319,10 +327,8 @@ class TestKernels:
         seqs_a = [seqs[i] for i in pairs[:, 0]]
         seqs_b = [seqs[j] for j in pairs[:, 1]]
         ref = batch_smith_waterman(seqs_a, seqs_b, gap=600)
-        al = DeviceAligner(SimulatedDevice())
-        al.upload_sequences(seqs)
-        got = al.batch_scores(pairs, gap_model="linear", gap=600)
-        assert al.last_plan.bins[0].dtype == np.int32
+        got = binned_scores(seqs, pairs, gap_model="linear", gap=600)
+        assert bin_plan(seqs, pairs, (600,)).bins[0].dtype == np.int32
         assert np.array_equal(ref, got)
 
     def test_wide_bin_profile_rows_do_not_overflow(self):
@@ -333,7 +339,7 @@ class TestKernels:
         short_ids = np.zeros(2000, dtype=np.int64)
         long_ids = np.arange(1, 2001)
         ml = max(seqs[i].size for i in long_ids)
-        # uint8 residue codes, as the aligner packs them: 20 * 2000 would
+        # uint8 residue codes, as the scorer packs them: 20 * 2000 would
         # wrap in the block's own dtype.
         packed = pack_bin_blocks(residues, offsets, short_ids, long_ids,
                                  seqs[0].size, ml)
@@ -396,7 +402,7 @@ class TestProfileKernelOracles:
                          dtype=np.int64)
         residues, offsets = flatten_sequences(seqs)
         lens = np.diff(offsets)
-        plan, short_ids, long_ids = alignment_mod._plan_bins(
+        plan, short_ids, long_ids = binned_mod._plan_bins(
             pairs, lens, BLOSUM62, penalties, max_pairs=24, max_waste=0.25,
             min_pairs=min_pairs)
         for b in plan.bins:
@@ -444,7 +450,7 @@ class TestProfileKernelOracles:
         # A profile budget of three 40-residue columns: the planner cuts
         # every wide bin down so its profile fits, and scores still match.
         budget = 3 * 22 * 40 * np.dtype(dtype).itemsize
-        monkeypatch.setattr(alignment_mod, "PROFILE_BYTES", budget)
+        monkeypatch.setattr(binned_mod, "PROFILE_BYTES", budget)
         pool = ScratchPool()
         widths = []
         for b, packed, members in self.packed_bins(penalties):
@@ -506,15 +512,10 @@ class TestProfileKernelOracles:
         host = (batch_smith_waterman if gap_model == "linear" else
                 batch_smith_waterman_affine)(seqs_a, seqs_b, **kw)
         assert host.tolist() == expect
-        residues, offsets = flatten_sequences(seqs)
-        assert score_pairs_binned(residues, offsets, pairs,
-                                  gap_model=gap_model, **kw).tolist() == \
-            expect
-        al = DeviceAligner(SimulatedDevice())
-        al.upload_sequences(seqs)
-        assert al.batch_scores(pairs, gap_model=gap_model,
-                               **kw).tolist() == expect
-        assert {b.max_long for b in al.last_plan.bins} == {lb}
+        assert binned_scores(seqs, pairs, gap_model=gap_model,
+                             **kw).tolist() == expect
+        assert {b.max_long for b in bin_plan(seqs, pairs, penalties).bins} \
+            == {lb}
 
     @pytest.mark.parametrize("gap_model,penalties",
                              [("linear", (8,)), ("affine", (11, 1))])
@@ -548,89 +549,67 @@ class TestProfileKernelOracles:
 
 
 # --------------------------------------------------------------------- #
-# DeviceAligner facade
+# The public scorer
 # --------------------------------------------------------------------- #
 
-#: The aligner's bin schedules under the sweep's labels: one device
-#: double-buffers its bins (at two bin sizes), a group shards them.
-ALIGNER_SCHEDULES = {
-    "sync": (SimulatedDevice, 48),
-    "prefetch": (SimulatedDevice, 24),
-    "multistream": (lambda: DeviceGroup(1), 48),
-    "multidevice": (lambda: DeviceGroup(2), 48),
-}
-
-
 class TestDeviceAligner:
-    def make(self, device=None, **kw):
-        al = DeviceAligner(device or SimulatedDevice(), **kw)
+    """:func:`score_pairs_binned`, the public batched scorer: input checks,
+    plan metrics and scratch reuse (the class keeps the name of the device
+    facade it replaced)."""
+
+    def make(self):
         rng = np.random.default_rng(8)
         seqs = random_seqs(rng, 50, len_max=60)
         pairs = random_pairs(rng, 50, 300)
-        return al, seqs, pairs
-
-    def test_requires_resident_sequences(self):
-        al = DeviceAligner(SimulatedDevice())
-        with pytest.raises(RuntimeError, match="resident"):
-            al.batch_scores(np.array([[0, 1]]))
+        residues, offsets = flatten_sequences(seqs)
+        return residues, offsets, seqs, pairs
 
     def test_rejects_unknown_gap_model(self):
-        al, seqs, pairs = self.make()
-        al.upload_sequences(seqs)
-        with pytest.raises(ValueError, match="gap_model"):
-            al.batch_scores(pairs, gap_model="convex")
+        residues, offsets, _, pairs = self.make()
+        # Case matters: "Affine" must not fall through to linear gaps.
+        for gap_model in ("convex", "Affine", "banded"):
+            with pytest.raises(ValueError, match="gap_model"):
+                score_pairs_binned(residues, offsets, pairs,
+                                   gap_model=gap_model)
+
+    @pytest.mark.parametrize("bad", [[[0, -1]], [[-3, 2]], [[0, 50]],
+                                     [[50, 49]]])
+    def test_rejects_pair_ids_out_of_range(self, bad):
+        residues, offsets, _, pairs = self.make()
+        with pytest.raises(ValueError, match="pair ids"):
+            score_pairs_binned(residues, offsets,
+                               np.concatenate([pairs, bad]))
+        # The last valid id still scores.
+        assert score_pairs_binned(residues, offsets, [[0, 49]]).shape == (1,)
 
     def test_empty_pairs(self):
-        al, seqs, _ = self.make()
-        al.upload_sequences(seqs)
-        out = al.batch_scores(np.empty((0, 2), dtype=np.int64))
+        residues, offsets, seqs, _ = self.make()
+        out = score_pairs_binned(residues, offsets,
+                                 np.empty((0, 2), dtype=np.int64))
         assert out.size == 0
-        assert al.last_plan.n_bins == 0
-
-    @pytest.mark.parametrize("mode", ALIGNER_SCHEDULES)
-    def test_exec_modes_bit_identical(self, mode):
-        make_device, max_pairs = ALIGNER_SCHEDULES[mode]
-        al, seqs, pairs = self.make(make_device(),
-                                    max_pairs_per_bin=max_pairs)
-        al.upload_sequences(seqs)
-        got = al.batch_scores(pairs)
-        ref = batch_smith_waterman([seqs[i] for i in pairs[:, 0]],
-                                   [seqs[j] for j in pairs[:, 1]])
-        assert np.array_equal(ref, got)
-        assert al.last_plan.n_bins > 1    # the schedule had work to overlap
-
-    def test_transfers_and_kernels_accounted(self):
-        al, seqs, pairs = self.make()
-        with al:
-            al.upload_sequences(seqs)
-            al.batch_scores(pairs)
-            dev = al.device
-            stats = dev.kernel_stats
-            for name in ("sw_pack", "sw_profile", "sw_rowscan", "sw_scan"):
-                assert stats[name]["launches"] >= 1
-                assert stats[name]["modeled_s"] > 0
-            assert dev.memory.bytes_to_device > 0   # residues + offsets + pairs
-            assert dev.memory.bytes_to_host == pairs.shape[0] * 8  # scores
-        assert dev.memory.used_bytes == 0           # release() freed all
+        assert bin_plan(seqs, np.empty((0, 2))).n_bins == 0
 
     def test_padding_metrics_recorded(self):
-        al, seqs, pairs = self.make()
-        al.upload_sequences(seqs)
-        al.batch_scores(pairs)
-        snap = al.device.obs.metrics.snapshot()
+        residues, offsets, seqs, pairs = self.make()
+        ctx = observe(trace=False)
+        with use_obs(ctx):
+            score_pairs_binned(residues, offsets, pairs)
+        snap = ctx.metrics.snapshot()
         counters = snap["counters"]
         padded = counters["device.align.cells_padded"]
         actual = counters["device.align.cells_actual"]
+        plan = bin_plan(seqs, pairs)
+        assert (actual, padded) == (plan.actual_cells, plan.padded_cells)
         assert 0 < actual <= padded
         waste = snap["gauges"]["device.align.padding_waste"]
         assert waste == pytest.approx(1.0 - actual / padded, abs=1e-5)
         assert counters["device.align.pairs"] == pairs.shape[0]
+        assert counters["device.align.bins"] == plan.n_bins
 
     def test_scratch_pool_reused_across_calls(self, monkeypatch):
-        al, seqs, pairs = self.make()
-        al.upload_sequences(seqs)
-        al.batch_scores(pairs)
-        pool = al.device.scratch
+        residues, offsets, seqs, pairs = self.make()
+        pool = ScratchPool()
+        score_pairs_binned(residues, offsets, pairs, pool=pool)
         allocs = pool.n_allocations
         taken = []
         take = pool.take
@@ -640,23 +619,21 @@ class TestDeviceAligner:
             return take(shape, dtype)
 
         monkeypatch.setattr(pool, "take", spy)
-        al.batch_scores(pairs)      # same geometry: zero fresh allocations
+        # Same geometry: zero fresh allocations.
+        score_pairs_binned(residues, offsets, pairs, pool=pool)
         assert pool.n_allocations == allocs
         assert pool.n_reuses > 0
         # The query profiles (flat blocks) came out of the pool too.
         profiles = [s for s, dt in taken if len(s) == 1 and dt == np.int16]
-        assert len(profiles) == al.last_plan.n_bins
+        assert len(profiles) == bin_plan(seqs, pairs).n_bins
 
     def test_waste_respects_planner_cap_on_family_data(self):
         from repro.sequence.generator import generate_protein_families
 
         ps = generate_protein_families(seed=11)
-        al = DeviceAligner(SimulatedDevice())
-        al.upload_sequences(ps.sequences)
         rng = np.random.default_rng(12)
         pairs = random_pairs(rng, len(ps.sequences), 2000)
-        al.batch_scores(pairs)
-        assert al.last_plan.padding_waste < 0.25
+        assert bin_plan(ps.sequences, pairs).padding_waste < 0.25
 
 
 # --------------------------------------------------------------------- #
@@ -676,11 +653,11 @@ class TestScheduler:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_auto_rule_table(self, monkeypatch, n_jobs, cores, offset):
         """Pool iff more than one effective worker and at least
-        ``MIN_POOL_PAIRS_PER_WORKER`` pairs each; device otherwise."""
+        ``MIN_POOL_PAIRS_PER_WORKER`` pairs each; local otherwise."""
         monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: cores)
         workers = _WORKERS[n_jobs, cores]
         n_pairs = MIN_POOL_PAIRS_PER_WORKER * max(workers, 2) + offset
-        expected = "pool" if workers > 1 and offset >= 0 else "device"
+        expected = "pool" if workers > 1 and offset >= 0 else "local"
         assert choose_align_backend("auto", n_pairs, n_jobs) == expected
 
     def test_explicit_backends_honored(self, monkeypatch):
@@ -690,7 +667,7 @@ class TestScheduler:
                 assert choose_align_backend("host", n_pairs, n_jobs) == "host"
 
     def test_rejects_unknown_backend(self):
-        for backend in ("gpu", "pool", "device"):
+        for backend in ("gpu", "pool", "device", "local"):
             with pytest.raises(ValueError, match="align_backend"):
                 choose_align_backend(backend, 10, 1)
 
@@ -698,7 +675,7 @@ class TestScheduler:
         # The small-workload parallel regression: --jobs 0 on a many-core
         # machine must not fork for a few hundred pairs.
         monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
-        assert choose_align_backend("auto", 500, 0) == "device"
+        assert choose_align_backend("auto", 500, 0) == "local"
 
     def test_auto_large_workload_may_pool(self, monkeypatch):
         monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
@@ -710,24 +687,20 @@ class TestScheduler:
         monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
         n_pairs = 4 * MIN_POOL_PAIRS_PER_WORKER
         assert choose_align_backend("auto", n_pairs, 4) == "pool"
-        assert choose_align_backend("auto", n_pairs, 0) == "device"
+        assert choose_align_backend("auto", n_pairs, 0) == "local"
 
     def test_config_validates_backend(self):
-        for backend in ("gpu", "pool", "device"):
+        for backend in ("gpu", "pool", "device", "local"):
             with pytest.raises(ValueError, match="align_backend"):
                 HomologyConfig(align_backend=backend)
         assert HomologyConfig(align_backend="host").align_backend == "host"
 
-    def test_config_validates_devices(self):
-        with pytest.raises(ValueError, match="devices"):
-            HomologyConfig(devices=0)
-        for n_jobs in (0, 2):
-            with pytest.raises(ValueError, match="cannot be combined"):
-                HomologyConfig(devices=2, n_jobs=n_jobs)
-        assert HomologyConfig(devices=2).devices == 2
-
 
 class TestHomologyBackends:
+    """``auto``'s backends against the host oracle.  The ``device_backend``
+    tests cover the ``local`` backend, which replaced the device offload
+    under the same rule."""
+
     @pytest.fixture()
     def small_set(self):
         from repro.sequence.generator import generate_protein_families
@@ -740,7 +713,7 @@ class TestHomologyBackends:
         ref = build_homology_graph(
             small_set, dataclasses.replace(base, align_backend="host"))
         got = build_homology_graph(small_set, base)
-        assert got.align_backend == "device"
+        assert got.align_backend == "local"
         assert ref.align_backend == "host"
         assert got.n_edges == ref.n_edges
         assert np.array_equal(got.graph.indptr, ref.graph.indptr)
@@ -751,51 +724,25 @@ class TestHomologyBackends:
         cfg = HomologyConfig()
         ref = build_homology_graph(small_set, cfg)
         got = build_homology_graph(small_set, cfg, keep_scores=False)
-        assert ref.align_backend == got.align_backend == "device"
+        assert ref.align_backend == got.align_backend == "local"
         assert got.n_edges == ref.n_edges
         assert got.normalized_scores.size == 0
         assert got.pairs.size == 0
 
-    def test_shared_device_accumulates(self, small_set):
-        device = SimulatedDevice()
-        build_homology_graph(small_set, HomologyConfig(), device=device)
-        assert device.kernel_stats["sw_rowscan"]["launches"] >= 1
-        assert device.memory.used_bytes == 0    # everything released
-
     def test_auto_small_scale_matches_serial_choice(self, small_set,
                                                     monkeypatch):
         # Regression pin: auto with --jobs 0 on a small workload must
-        # resolve to the device, never the pool, and produce the serial
+        # resolve to local scoring, never the pool, and produce the serial
         # result.
         monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
         ref = build_homology_graph(
             small_set, HomologyConfig(align_backend="host"))
         got = build_homology_graph(
             small_set, HomologyConfig(align_backend="auto", n_jobs=0))
-        assert got.align_backend == "device"
+        assert got.align_backend == "local"
         assert got.n_edges == ref.n_edges
         assert np.array_equal(got.normalized_scores, ref.normalized_scores)
 
-
-    def test_pool_resolving_build_never_uploads(self, small_set,
-                                                monkeypatch):
-        # With two effective workers the rule needs the pair count, so the
-        # device copy must wait for it and never happen when the pool wins.
-        monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(homology_mod, "MIN_POOL_PAIRS_PER_WORKER", 1)
-        uploads = []
-        monkeypatch.setattr(DeviceAligner, "upload_sequences",
-                            lambda self, seqs: uploads.append(len(seqs)))
-        ref = build_homology_graph(
-            small_set, HomologyConfig(align_backend="host"))
-        got = build_homology_graph(
-            small_set, HomologyConfig(align_backend="auto", n_jobs=2))
-        assert got.align_backend == "pool"
-        assert uploads == []
-        assert got.n_edges == ref.n_edges
-        assert np.array_equal(got.graph.indptr, ref.graph.indptr)
-        assert np.array_equal(got.graph.indices, ref.graph.indices)
-        assert np.array_equal(got.normalized_scores, ref.normalized_scores)
 
     @pytest.mark.parametrize("gap_model", ["linear", "affine"])
     def test_pool_workers_run_binned_kernels(self, small_set, monkeypatch,
@@ -820,25 +767,6 @@ class TestHomologyBackends:
         assert np.array_equal(got.graph.indices, ref.graph.indices)
         assert np.array_equal(got.normalized_scores, ref.normalized_scores)
 
-    def test_device_resolving_multi_worker_build_uploads_once(
-            self, small_set, monkeypatch):
-        monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 8)
-        calls = []
-        upload = DeviceAligner.upload_sequences
-
-        def spy(self, seqs):
-            calls.append(len(seqs))
-            upload(self, seqs)
-
-        monkeypatch.setattr(DeviceAligner, "upload_sequences", spy)
-        device = SimulatedDevice()
-        got = build_homology_graph(
-            small_set, HomologyConfig(align_backend="auto", n_jobs=2),
-            device=device)
-        assert got.align_backend == "device"
-        assert calls == [len(small_set)]
-        assert device.memory.used_bytes == 0    # released after scoring
-
 
 # --------------------------------------------------------------------- #
 # Property test: backend x gap model x dtype x bin edges x keep_scores
@@ -853,9 +781,10 @@ class TestBackendIdentityProperties:
     @settings(max_examples=12, deadline=None)
     def test_device_equals_host_everywhere(self, seed, gap_model, escalate,
                                            max_pairs, keep_scores):
-        """Scores and edges are bit-identical between host and device for
-        any gap model, DP dtype (``escalate`` drives penalties past the
-        int16 bound), bin-edge choice, and score-retention mode."""
+        """Scores and edges are bit-identical between host and the binned
+        ``local`` backend for any gap model, DP dtype (``escalate`` drives
+        penalties past the int16 bound), bin-edge choice, and
+        score-retention mode."""
         rng = np.random.default_rng(seed)
         seqs = random_seqs(rng, int(rng.integers(3, 25)), len_max=50)
         if gap_model == "linear":
@@ -867,22 +796,21 @@ class TestBackendIdentityProperties:
                              **penalties)
         ref = build_homology_graph(seqs, cfg, keep_scores=keep_scores)
 
-        device_cfg = dataclasses.replace(cfg, align_backend="auto")
-        # Route the build through an aligner with the sampled bin edges.
-        orig_init = DeviceAligner.__init__
+        local_cfg = dataclasses.replace(cfg, align_backend="auto")
+        # Route the build through a planner with the sampled bin edges.
+        orig_plan = binned_mod._plan_bins
 
-        def patched_init(self, device=None, **kw):
-            kw["max_pairs_per_bin"] = max_pairs
-            kw["min_pairs_per_bin"] = min(2, max_pairs)
-            orig_init(self, device, **kw)
+        def patched_plan(pairs, lengths, matrix, penalties, **kw):
+            return orig_plan(pairs, lengths, matrix, penalties,
+                             max_pairs=max_pairs, min_pairs=min(2, max_pairs))
 
-        DeviceAligner.__init__ = patched_init
+        binned_mod._plan_bins = patched_plan
         try:
-            got = build_homology_graph(seqs, device_cfg,
+            got = build_homology_graph(seqs, local_cfg,
                                        keep_scores=keep_scores)
         finally:
-            DeviceAligner.__init__ = orig_init
-        assert got.align_backend == ("device" if got.n_candidate_pairs
+            binned_mod._plan_bins = orig_plan
+        assert got.align_backend == ("local" if got.n_candidate_pairs
                                      else None)
         assert got.n_edges == ref.n_edges
         assert np.array_equal(got.graph.indptr, ref.graph.indptr)

@@ -17,7 +17,6 @@ from repro.core.device_exec import device_shingle_pass
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.core.serial import serial_shingle_pass
-from repro.device.alignment import DeviceAligner
 from repro.device.device import SimulatedDevice
 from repro.device.group import (
     DeviceGroup,
@@ -313,64 +312,6 @@ class TestShinglePassBitIdentity:
         launches = [sum(s["launches"] for s in m.kernel_stats.values())
                     for m in group.members]
         assert all(n > 0 for n in launches)
-
-
-class TestAlignerOnGroup:
-    def _pairs(self, n, count, seed=5):
-        rng = np.random.default_rng(seed)
-        return np.stack([rng.integers(0, n, count),
-                         rng.integers(0, n, count)], axis=1)
-
-    def test_scores_bit_identical_across_device_counts(self):
-        from repro.sequence.generator import generate_protein_families
-
-        ps = generate_protein_families(seed=13)
-        pairs = self._pairs(len(ps.sequences), 400)
-        ref = None
-        for devices in (1, 2, 4):
-            device = (DeviceGroup(devices) if devices > 1
-                      else SimulatedDevice())
-            aligner = DeviceAligner(device)
-            aligner.upload_sequences(ps.sequences)
-            scores = aligner.batch_scores(pairs)
-            aligner.release()
-            if ref is None:
-                ref = scores
-            else:
-                assert np.array_equal(scores, ref), devices
-
-    def test_bins_distribute_across_members(self):
-        from repro.sequence.generator import generate_protein_families
-
-        ps = generate_protein_families(seed=13)
-        group = DeviceGroup(2)
-        aligner = DeviceAligner(group)
-        aligner.upload_sequences(ps.sequences)
-        aligner.batch_scores(self._pairs(len(ps.sequences), 600))
-        aligner.release()
-        work = [sum(s["launches"] for s in m.kernel_stats.values())
-                for m in group.members]
-        assert all(n > 0 for n in work)
-        assert all(m.memory.used_bytes == 0 for m in group.members)
-
-    def test_homology_graph_identical_across_device_counts(self):
-        import dataclasses
-
-        from repro.sequence.generator import generate_protein_families
-        from repro.sequence.homology import HomologyConfig, build_homology_graph
-
-        ps = generate_protein_families(seed=13)
-        base = HomologyConfig()
-        ref = build_homology_graph(
-            ps.sequences, dataclasses.replace(base, align_backend="host"))
-        for devices in (1, 2, 4):
-            got = build_homology_graph(
-                ps.sequences, dataclasses.replace(base, devices=devices))
-            assert got.align_backend == "device"
-            assert np.array_equal(got.graph.indptr, ref.graph.indptr)
-            assert np.array_equal(got.graph.indices, ref.graph.indices)
-            assert np.array_equal(got.normalized_scores,
-                                  ref.normalized_scores)
 
 
 class TestParamsWiring:

@@ -187,6 +187,45 @@ class TestHomologyWorkerSpans:
         assert timings.alignment_s == pytest.approx(
             by_name["homology.alignment"].duration)
 
+    def test_local_alignment_feeds_bench_layers(self, protein_set):
+        """A traced default-config build scores in-process (``local``) and
+        records the bin plan's cells under the names the benchmark's
+        ``bench/layers.py`` reads."""
+        import importlib.util
+        from pathlib import Path
+
+        from repro.sequence.binned import _plan_bins
+        from repro.sequence.scoring import BLOSUM62
+
+        path = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+        spec = importlib.util.spec_from_file_location("bench_layers", path)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+
+        ctx = observe()
+        with use_obs(ctx):
+            result = build_homology_graph(protein_set.sequences,
+                                          HomologyConfig())
+        assert result.align_backend == "local"
+        records = ctx.tracer.records
+        alignment = next(r for r in records
+                         if r.name == "homology.alignment")
+        assert alignment.attrs["backend"] == "local"
+        shards = [r for r in records if r.name == "homology.align.shard"]
+        assert len(shards) == 1 and shards[0].proc == "main"
+        assert alignment.start <= shards[0].start <= shards[0].end \
+            <= alignment.end
+
+        lengths = np.array([s.size for s in protein_set.sequences])
+        plan = _plan_bins(result.pairs, lengths, BLOSUM62, (8,))[0]
+        got = layers.layer_metrics(records, ctx.metrics.snapshot(),
+                                   result.timings.total_s)
+        assert got["align.cells_padded"] == plan.padded_cells > 0
+        assert got["align.cells_actual"] == plan.actual_cells
+        assert got["align.padding_waste"] == pytest.approx(
+            plan.padding_waste)
+        assert got["homology.alignment_s"] > 0
+
     def test_homology_counters(self, protein_set):
         ctx = observe()
         with use_obs(ctx):

@@ -73,7 +73,7 @@ def test_homology_backend_choice_is_run_scoped():
                     HomologyConfig(n_jobs=2)):
         build_homology_graph(other, earlier)
         again = build_homology_graph(fixed, HomologyConfig())
-        assert again.align_backend == first.align_backend == "device"
+        assert again.align_backend == first.align_backend == "local"
         assert np.array_equal(again.graph.indptr, first.graph.indptr)
         assert np.array_equal(again.graph.indices, first.graph.indices)
         assert np.array_equal(again.normalized_scores,
