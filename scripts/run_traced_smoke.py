@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """CI traced smoke run: trace the Table-I "2m" config and bound the cost.
 
-Runs the 2M-analogue clustering workload twice — observation off, then on —
-then a traced default-config homology build, and writes these artifacts
-under ``benchmarks/results/``:
+Times the 2M-analogue clustering workload with observation off and on —
+the two modes alternate within each repeat, so a slow host episode lands
+on both sides, and each keeps its fastest run — then runs a traced
+default-config homology build, and writes these artifacts under
+``benchmarks/results/``:
 
 ``trace_2m.json``
     The Chrome Trace Event export of the traced run (Perfetto-loadable),
@@ -79,19 +81,16 @@ WORKLOAD = "2m"
 RECONCILE_TOLERANCE = 0.05
 
 
-def _best_of(repeats: int, fn) -> float:
-    """Minimum wall seconds over ``repeats`` runs, GC paused while timed."""
-    best = float("inf")
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        finally:
-            gc.enable()
-    return best
+def _wall_s(fn) -> float:
+    """Wall seconds of one run of ``fn``, GC paused while timed."""
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -115,7 +114,6 @@ def main(argv: list[str] | None = None) -> int:
           f"devices={args.devices}")
 
     GpClust(params).run(graph)  # warm-up: page in buffers, prime pools
-    off_s = _best_of(args.repeats, lambda: GpClust(params).run(graph))
 
     ctx = observe()
     result = None
@@ -126,7 +124,12 @@ def main(argv: list[str] | None = None) -> int:
         with use_obs(ctx):
             result = GpClust(params).run(graph)
 
-    on_s = _best_of(args.repeats, traced_run)
+    # Untraced and traced runs alternate, so host noise cannot fall on one
+    # mode only; the minimum of each mode is compared.
+    off_s = on_s = float("inf")
+    for _ in range(args.repeats):
+        off_s = min(off_s, _wall_s(lambda: GpClust(params).run(graph)))
+        on_s = min(on_s, _wall_s(traced_run))
     overhead_pct = (on_s / off_s - 1.0) * 100.0
     print(f"observation off: {off_s:.4f}s | on: {on_s:.4f}s "
           f"| overhead {overhead_pct:+.2f}%")

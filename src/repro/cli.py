@@ -15,7 +15,7 @@ Subcommands
     PPV/NPV/SP/SE, density, partition statistics.
 ``pipeline``
     End to end from a FASTA file: homology graph construction
-    (k-mer or suffix-array pair filter + batched Smith-Waterman), gpClust
+    (k-mer seed filter + batched Smith-Waterman), gpClust
     clustering, and a per-cluster report.
 ``obs``
     Observability utilities over traces written by ``--trace``:
@@ -73,8 +73,7 @@ def _homology_config_from_args(args: argparse.Namespace,
     from repro.sequence.homology import HomologyConfig
 
     try:
-        return HomologyConfig(pair_filter=args.pair_filter,
-                              min_normalized_score=args.min_score,
+        return HomologyConfig(min_normalized_score=args.min_score,
                               n_jobs=args.jobs,
                               align_backend=args.align_backend)
     except ValueError as exc:
@@ -479,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe = sub.add_parser("pipeline",
                             help="FASTA -> homology graph -> clusters")
     p_pipe.add_argument("fasta", help="input FASTA file of protein sequences")
-    p_pipe.add_argument("--pair-filter", choices=["kmer", "suffix"],
-                        default="kmer")
     p_pipe.add_argument("--min-score", type=float, default=0.40,
                         help="normalized Smith-Waterman edge threshold")
     p_pipe.add_argument("--min-size", type=int, default=3,

@@ -14,7 +14,8 @@ one branch per instrumentation site.  Enable observation for a scope with::
 The context is intentionally a plain module global, not a thread-local:
 trial-chunk stream threads spawned inside an observed run must see the
 same tracer as the driver thread.  Process-pool workers do not inherit it —
-they build their own worker tracer and ship records back with results (see
+they build their own worker tracer and metrics registry and ship records
+and counters back with results (see
 :func:`repro.sequence.homology.build_homology_graph`).
 """
 

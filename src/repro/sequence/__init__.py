@@ -19,9 +19,7 @@ implements the full equivalent pipeline from scratch:
   the length-binned query-profile kernels both alignment backends of
   ``auto`` run (:mod:`repro.sequence.binned`);
 * a k-mer seed filter standing in for pGraph's suffix-tree maximal-match
-  pair generation (:mod:`repro.sequence.kmer_filter`), sharing its
-  group-to-pairs expansion with the suffix-array filter
-  (:mod:`repro.sequence.pairs`);
+  pair generation (:mod:`repro.sequence.kmer_filter`);
 * a shared-memory sequence arena for multi-process alignment workers
   (:mod:`repro.sequence.arena`);
 * homology-graph construction tying it together, serial or sharded across
@@ -36,7 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "AlignmentBin": ".binned",
     "AlignmentBinPlan": ".binned",
     "BLOSUM62": ".scoring",
-    "GeneralizedSuffixArray": ".suffix",
     "HomologyConfig": ".homology",
     "HomologyResult": ".homology",
     "HomologyTimings": ".homology",
@@ -50,7 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "build_homology_graph": ".homology",
     "build_profile": ".profile",
     "candidate_pairs": ".kmer_filter",
-    "candidate_pairs_suffix": ".suffix",
     "decode": ".alphabet",
     "encode": ".alphabet",
     "expand_cluster": ".profile",

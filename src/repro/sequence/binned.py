@@ -507,17 +507,18 @@ def score_pairs_binned(residues: np.ndarray, offsets: np.ndarray,
     workers score their shards straight from the shared arena.  ``pairs``
     is ``(n, 2)`` sequence ids; returns ``(n,)`` int64 scores,
     bit-identical to the host batched kernels under the same gap model.
-    Bins are scored one after another.  An unknown ``gap_model`` or a pair
-    id outside ``[0, len(offsets) - 1)`` raises :class:`ValueError`.
+    Bins are scored one after another.  An unknown ``gap_model``, a
+    negative gap penalty or a pair id outside ``[0, len(offsets) - 1)``
+    raises :class:`ValueError`.
 
     The bin plan's cell counts go to the ambient metrics registry
-    (:func:`repro.obs.get_obs`): ``device.align.cells_padded``,
-    ``cells_actual``, ``pairs`` and ``bins`` counters and the cumulative
-    ``device.align.padding_waste`` gauge.
+    (:func:`repro.obs.get_obs`) through :func:`record_align_counts`.
     """
     if gap_model not in GAP_MODELS:
         raise ValueError(f"unknown gap_model {gap_model!r}; "
                          f"expected one of {GAP_MODELS}")
+    if min(gap, gap_open, gap_extend) < 0:
+        raise ValueError("gap penalties must be >= 0")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     n_seqs = offsets.size - 1
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n_seqs):
@@ -534,19 +535,27 @@ def score_pairs_binned(residues: np.ndarray, offsets: np.ndarray,
                                  bin_.max_long)
         out[members] = _score_packed(packed, bin_.dtype, matrix, gap_model,
                                      gap, gap_open, gap_extend, pool)
-    _record_plan_metrics(plan)
+    record_align_counts({"device.align.pairs": int(plan.order.size),
+                         "device.align.bins": plan.n_bins,
+                         "device.align.cells_actual": plan.actual_cells,
+                         "device.align.cells_padded": plan.padded_cells})
     return out
 
 
-def _record_plan_metrics(plan: AlignmentBinPlan) -> None:
+def record_align_counts(counts: dict[str, int]) -> None:
+    """Add bin-plan counts to the ambient registry's counters.
+
+    ``counts`` maps ``device.align.{pairs,bins,cells_actual,cells_padded}``
+    to increments.  The ``device.align.padding_waste`` gauge is then reset
+    to the cumulative wasted-cell fraction across every plan so far.  Pool
+    workers score under a private registry and ship its counters back, so
+    the parent records a pooled run's counts with one call.
+    """
     metrics = get_obs().metrics
-    padded = metrics.counter("device.align.cells_padded")
-    actual = metrics.counter("device.align.cells_actual")
-    padded.add(plan.padded_cells)
-    actual.add(plan.actual_cells)
-    metrics.counter("device.align.pairs").add(int(plan.order.size))
-    metrics.counter("device.align.bins").add(plan.n_bins)
-    # Cumulative wasted-cell fraction across every plan so far.
-    if padded.value:
+    for name, value in counts.items():
+        metrics.counter(name).add(value)
+    padded = metrics.counter("device.align.cells_padded").value
+    if padded:
+        actual = metrics.counter("device.align.cells_actual").value
         metrics.gauge("device.align.padding_waste").set(
-            round(1.0 - actual.value / padded.value, 6))
+            round(1.0 - actual / padded, 6))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -39,9 +40,10 @@ import numpy as np
 
 from repro.device.memory import ScratchPool
 from repro.graph.csr import CSRGraph
-from repro.obs import get_obs, timed, worker_tracer
+from repro.obs import (NULL_METRICS, MetricsRegistry, ObsContext, get_obs,
+                       timed, use_obs, worker_tracer)
 from repro.sequence.arena import SequenceArena, flatten_sequences
-from repro.sequence.binned import score_pairs_binned
+from repro.sequence.binned import record_align_counts, score_pairs_binned
 from repro.sequence.kmer_filter import candidate_pairs
 from repro.sequence.scoring import BLOSUM62
 from repro.sequence.smith_waterman import (batch_self_scores,
@@ -63,18 +65,13 @@ class HomologyConfig:
 
     Attributes
     ----------
-    pair_filter:
-        Candidate-pair heuristic: ``"kmer"`` (shared k-mer seeds) or
-        ``"suffix"`` (generalized-suffix-array maximal exact matches — the
-        mechanism pGraph's suffix trees implement).
     k / min_shared_kmers / max_kmer_occurrence:
-        Seed filter settings (see :func:`candidate_pairs`), kmer mode.
-    min_match_len:
-        Minimum exact-match length, suffix mode.
+        Settings of the k-mer seed filter that picks the candidate pairs
+        (see :func:`candidate_pairs`).
     gap_model / gap / gap_open / gap_extend:
         ``"linear"`` (penalty ``gap`` per gapped residue) or ``"affine"``
         (BLAST-style ``gap_open + (L-1) * gap_extend``); both run the
-        batched row-scan aligner.
+        batched row-scan aligner.  Every penalty must be ``>= 0``.
     min_normalized_score:
         A pair becomes an edge when ``sw / min(self_a, self_b)`` is at least
         this value.  Normalizing by the smaller self-score makes the
@@ -99,11 +96,9 @@ class HomologyConfig:
         Scores and edges are bit-identical across all backends.
     """
 
-    pair_filter: str = "kmer"
     k: int = 5
     min_shared_kmers: int = 2
     max_kmer_occurrence: int = 200
-    min_match_len: int = 8
     gap_model: str = "linear"
     gap: int = 8
     gap_open: int = 11
@@ -114,20 +109,18 @@ class HomologyConfig:
     align_backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.pair_filter not in ("kmer", "suffix"):
-            raise ValueError(f"unknown pair_filter {self.pair_filter!r}")
         if self.align_backend not in ALIGN_BACKENDS:
             raise ValueError(
                 f"unknown align_backend {self.align_backend!r}; "
                 f"expected one of {ALIGN_BACKENDS}")
         if self.gap_model not in ("linear", "affine"):
             raise ValueError(f"unknown gap_model {self.gap_model!r}")
+        if min(self.gap, self.gap_open, self.gap_extend) < 0:
+            raise ValueError("gap penalties must be >= 0")
         if not 0.0 < self.min_normalized_score <= 1.0:
             raise ValueError("min_normalized_score must be in (0, 1]")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.min_match_len < 1:
-            raise ValueError("min_match_len must be >= 1")
         if self.n_jobs < 0:
             raise ValueError("n_jobs must be >= 0 (0 = cpu_count)")
 
@@ -212,7 +205,7 @@ _WORKER: dict = {}
 
 
 def _init_worker(arena_name, n_sequences, matrix, config, keep_scores,
-                 trace=False):
+                 trace=False, metrics=False):
     _WORKER["arena"] = SequenceArena.attach(arena_name, n_sequences)
     _WORKER["scratch"] = ScratchPool()
     _WORKER["matrix"] = matrix
@@ -222,17 +215,25 @@ def _init_worker(arena_name, n_sequences, matrix, config, keep_scores,
     # records ride back to the parent with the shard result and are merged
     # onto the parent timeline (perf_counter is system-wide monotonic).
     _WORKER["tracer"] = worker_tracer(trace, "sw-worker")
+    _WORKER["metrics"] = metrics
 
 
 def _score_shard_remote(task):
     """Score one shard in a pool worker with the binned profile kernels,
-    straight from the arena's flat CSR (bit-identical to the host path)."""
+    straight from the arena's flat CSR (bit-identical to the host path).
+
+    The shard's ``device.align.*`` counters are recorded on a private
+    registry and returned with its spans; a forked worker's copy of the
+    parent's registry would swallow them.
+    """
     shard, pairs, denom = task
     tracer = _WORKER["tracer"]
     arena = _WORKER["arena"]
     config = _WORKER["config"]
+    metrics = MetricsRegistry() if _WORKER["metrics"] else NULL_METRICS
     with tracer.span("homology.align.shard", shard=shard,
-                     n_pairs=int(pairs.shape[0])):
+                     n_pairs=int(pairs.shape[0])), \
+            use_obs(ObsContext(metrics=metrics)):
         scores = score_pairs_binned(
             arena.residues, arena.offsets, pairs, _WORKER["matrix"],
             gap_model=config.gap_model, gap=config.gap,
@@ -240,7 +241,7 @@ def _score_shard_remote(task):
             pool=_WORKER["scratch"])
         result = _threshold(scores, pairs, denom, config,
                             _WORKER["keep_scores"])
-    return result + (tracer.drain(),)
+    return result + (tracer.drain(), metrics.snapshot()["counters"])
 
 
 def _shard_bounds(n_pairs: int, chunk_size: int, n_jobs: int):
@@ -316,18 +317,10 @@ def build_homology_graph(sequences: list[np.ndarray],
     metrics = obs.metrics
     t_start = tracer.clock() if tracer.enabled else 0.0
 
-    with timed(tracer, "homology.seed_filter",
-               filter=config.pair_filter) as stage:
-        if config.pair_filter == "suffix":
-            from repro.sequence.suffix import candidate_pairs_suffix
-
-            pairs = candidate_pairs_suffix(
-                sequences, min_match_len=config.min_match_len,
-                max_run=config.max_kmer_occurrence)
-        else:
-            pairs = candidate_pairs(
-                sequences, k=config.k, min_shared=config.min_shared_kmers,
-                max_kmer_occurrence=config.max_kmer_occurrence)
+    with timed(tracer, "homology.seed_filter") as stage:
+        pairs = candidate_pairs(
+            sequences, k=config.k, min_shared=config.min_shared_kmers,
+            max_kmer_occurrence=config.max_kmer_occurrence)
         stage.set(n_pairs=int(pairs.shape[0]))
     timings.seed_filter_s = stage.elapsed
 
@@ -380,20 +373,23 @@ def build_homology_graph(sequences: list[np.ndarray],
             ctx = (multiprocessing.get_context("fork")
                    if "fork" in multiprocessing.get_all_start_methods()
                    else multiprocessing.get_context())
+            align_counts: Counter[str] = Counter()
             with SequenceArena.pack(sequences) as arena, \
                     ProcessPoolExecutor(
                         max_workers=min(n_jobs, len(shards)),
                         mp_context=ctx, initializer=_init_worker,
                         initargs=(arena.name, n, matrix, config,
-                                  keep_scores, tracer.enabled)) as pool:
+                                  keep_scores, tracer.enabled,
+                                  metrics.enabled)) as pool:
                 try:
                     # map yields in shard order: deterministic merge.  A
                     # worker that dies breaks the pool instead of leaving
                     # its shard's result pending forever.
-                    for block, kept_pairs, _, spans in pool.map(
+                    for block, kept_pairs, _, spans, counts in pool.map(
                             _score_shard_remote, tasks):
                         if spans:
                             tracer.absorb(spans)
+                        align_counts.update(counts)
                         if keep_scores:
                             score_blocks.append(block)
                         edge_blocks.append(kept_pairs)
@@ -401,6 +397,7 @@ def build_homology_graph(sequences: list[np.ndarray],
                     raise RuntimeError(
                         "homology alignment failed: a pool worker died "
                         "before returning its shard") from exc
+            record_align_counts(align_counts)
         else:
             for i, (lo, hi) in enumerate(shards):
                 with tracer.span("homology.align.shard", shard=i,

@@ -1,17 +1,21 @@
-"""k-mer seed filtering: the maximal-match candidate-pair heuristic.
+"""k-mer seed filtering: the candidate-pair heuristic.
 
 pGraph avoids all-against-all alignment by "first identifying promising
 pairs of sequences based on a maximal-matching heuristic (suffix trees are
 used in our implementation)".  We stand in a k-mer seed index for the suffix
 tree: two sequences become an alignment candidate when they share at least
 ``min_shared`` exact k-mers.  Same filtering effect (exact substring
-agreement), much simpler machinery, fully vectorized.
+agreement), much simpler machinery, fully vectorized.  A suffix-array
+maximal-match filter found fewer pairs but cost more wall time on every
+sequence workload (EXPERIMENTS.md), so this is the only pair filter.
 
 The index is built loop-free: all sequences are concatenated once, every
 window is packed in a single matrix product, windows crossing a sequence
 boundary are masked out by owner comparison, and per-sequence duplicate
 k-mer types plus the final shared-count threshold each collapse into one
-sort (see :mod:`repro.sequence.pairs` for the group-to-pairs expansion).
+sort.  Groups of sequences sharing a seed become pairs through the
+triangle expansion :func:`expand_group_pairs`, and
+:func:`dedupe_count_pairs` counts and thresholds them with one more sort.
 
 High-frequency k-mers (low-complexity regions) are dropped, as every seeded
 filter must, to avoid quadratic blowup on repeats.
@@ -22,7 +26,86 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sequence.alphabet import ALPHABET_SIZE
-from repro.sequence.pairs import dedupe_count_pairs, expand_group_pairs
+
+
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    out = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def expand_group_pairs(members: np.ndarray, starts: np.ndarray,
+                       sizes: np.ndarray) -> np.ndarray:
+    """All ordered within-group pairs, fully vectorized.
+
+    Parameters
+    ----------
+    members:
+        Flat array holding every group's members back to back.  Members
+        must be sorted ascending *within* each group (so emitted pairs obey
+        ``a < b`` when members are distinct).
+    starts / sizes:
+        Per-group offset into ``members`` and group length.  Groups need
+        not tile ``members``; filtered subsets are fine.
+
+    Returns
+    -------
+    np.ndarray
+        ``(sum_g size_g*(size_g-1)/2, 2)`` array: for each group, every
+        member pair ``(members[x], members[y])`` with ``x < y`` (local),
+        groups in order, pairs in row-major triangle order.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.size == 0 or members.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+
+    # Element level: local position p of each member within its group.
+    n_elems = int(sizes.sum())
+    elem_group_start = np.repeat(_exclusive_cumsum(sizes), sizes)
+    local = np.arange(n_elems, dtype=np.int64) - elem_group_start
+    elem_pos = np.repeat(starts, sizes) + local          # index into members
+    # Member at local position p partners every later member: g - 1 - p
+    # pairs with itself as the left element.
+    reps = np.repeat(sizes, sizes) - 1 - local
+
+    # Pair level: for each left element, right elements are the following
+    # run of reps[e] members; cumsum arithmetic yields the run-local index.
+    total = int(reps.sum())
+    if total == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    left = np.repeat(elem_pos, reps)
+    run_start = np.repeat(_exclusive_cumsum(reps), reps)
+    offset = np.arange(total, dtype=np.int64) - run_start
+    right = left + 1 + offset
+    return np.stack([members[left], members[right]], axis=1)
+
+
+def dedupe_count_pairs(pairs: np.ndarray, n: int,
+                       min_count: int = 1) -> np.ndarray:
+    """Unique sorted pairs occurring at least ``min_count`` times.
+
+    Packs each ``(a, b)`` row into the dense key ``a * n + b`` and finds
+    run lengths with a single sort — equivalent to ``np.unique(...,
+    return_counts=True)`` but without the second pass the unique/inverse
+    machinery performs.
+
+    Returns ``(m, 2)`` rows sorted lexicographically (the key order).
+    """
+    if pairs.shape[0] == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    keys = pairs[:, 0] * np.int64(n) + pairs[:, 1]
+    keys.sort(kind="stable")
+    boundary = np.empty(keys.size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+    run_starts = np.flatnonzero(boundary)
+    if min_count > 1:
+        run_lengths = np.diff(np.append(run_starts, keys.size))
+        run_starts = run_starts[run_lengths >= min_count]
+    qualified = keys[run_starts]
+    return np.stack([qualified // n, qualified % n], axis=1)
 
 
 def _check_k(k: int) -> None:

@@ -117,16 +117,6 @@ class TestPipeline:
                 labels.append(data["labels"])
         assert np.array_equal(labels[0], labels[1])
 
-    def test_suffix_filter_mode(self, tmp_path, capsys):
-        stem = tmp_path / "seqs"
-        main(["generate", "--families", "3", "--fasta", "--seed", "4",
-              "--out", str(stem)])
-        capsys.readouterr()
-        assert main(["pipeline", str(stem.with_suffix(".fasta")),
-                     "--pair-filter", "suffix", "--c1", "10", "--c2",
-                     "5"]) == 0
-        assert "clusters" in capsys.readouterr().out
-
 
 class TestParser:
     def test_requires_command(self):

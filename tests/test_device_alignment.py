@@ -572,6 +572,17 @@ class TestDeviceAligner:
                 score_pairs_binned(residues, offsets, pairs,
                                    gap_model=gap_model)
 
+    @pytest.mark.parametrize("gap_model,penalty", [
+        ("linear", {"gap": -3}), ("affine", {"gap_open": -2}),
+        ("affine", {"gap_extend": -1})])
+    def test_rejects_negative_gap_penalties(self, gap_model, penalty):
+        # A negative penalty would reward gaps: scores could pass the
+        # self-score a normalized score is divided by.
+        residues, offsets, _, pairs = self.make()
+        with pytest.raises(ValueError, match="gap penalties"):
+            score_pairs_binned(residues, offsets, pairs,
+                               gap_model=gap_model, **penalty)
+
     @pytest.mark.parametrize("bad", [[[0, -1]], [[-3, 2]], [[0, 50]],
                                      [[50, 49]]])
     def test_rejects_pair_ids_out_of_range(self, bad):

@@ -226,6 +226,46 @@ class TestHomologyWorkerSpans:
             plan.padding_waste)
         assert got["homology.alignment_s"] > 0
 
+    def test_pool_records_local_align_counters(self, protein_set):
+        """Pool workers ship their ``device.align.*`` counts back to the
+        parent: a pooled build records what scoring its shards in-process
+        records, and the same pairs and cells as a ``local`` build."""
+        from repro.sequence.arena import flatten_sequences
+        from repro.sequence.binned import score_pairs_binned
+        from repro.sequence.homology import _shard_bounds
+
+        pooled_ctx = observe(trace=False)
+        with pool_alignment(), use_obs(pooled_ctx):
+            pooled = build_homology_graph(
+                protein_set.sequences, HomologyConfig(n_jobs=2,
+                                                      chunk_size=16))
+        local_ctx = observe(trace=False)
+        with use_obs(local_ctx):
+            local = build_homology_graph(protein_set.sequences,
+                                         HomologyConfig(chunk_size=16))
+        assert (pooled.align_backend, local.align_backend) == \
+            ("pool", "local")
+
+        shards = _shard_bounds(local.n_candidate_pairs, 16, 2)
+        assert len(shards) > 1
+        residues, offsets = flatten_sequences(protein_set.sequences)
+        replay_ctx = observe(trace=False)
+        with use_obs(replay_ctx):
+            for lo, hi in shards:
+                score_pairs_binned(residues, offsets, local.pairs[lo:hi])
+
+        names = [f"device.align.{name}" for name in
+                 ("pairs", "bins", "cells_actual", "cells_padded")]
+        got = pooled_ctx.metrics.snapshot()
+        replay = replay_ctx.metrics.snapshot()
+        local_counters = local_ctx.metrics.snapshot()["counters"]
+        assert ({n: got["counters"][n] for n in names}
+                == {n: replay["counters"][n] for n in names})
+        assert (got["gauges"]["device.align.padding_waste"]
+                == replay["gauges"]["device.align.padding_waste"])
+        for name in ("device.align.pairs", "device.align.cells_actual"):
+            assert got["counters"][name] == local_counters[name] > 0
+
     def test_homology_counters(self, protein_set):
         ctx = observe()
         with use_obs(ctx):

@@ -40,14 +40,6 @@ class TestEndToEnd:
             params=ShinglingParams(c1=10, c2=5, seed=1), seed=2)
         assert report.clustering.params.c1 == 10
 
-    def test_suffix_filter_end_to_end(self):
-        report = run_end_to_end(
-            sequence_config=SequenceFamilyConfig(n_families=4),
-            homology_config=HomologyConfig(pair_filter="suffix",
-                                           min_match_len=8),
-            seed=4)
-        assert report.quality.ppv > 0.9
-
     def test_summary_keys(self):
         report = run_end_to_end(
             sequence_config=SequenceFamilyConfig(n_families=4), seed=5)

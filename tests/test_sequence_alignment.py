@@ -181,6 +181,27 @@ class TestKmerFilter:
         keys = pairs[:, 0] * 8 + pairs[:, 1]
         assert np.unique(keys).size == keys.size
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_candidate_pairs_match_bruteforce(self, seed):
+        """The seed-group expansion and shared-count threshold agree with
+        pairwise k-mer set intersection."""
+        rng = np.random.default_rng(seed)
+        k, min_shared, max_occ = 3, 3, 4
+        seqs = [rng.integers(0, 4, size=int(rng.integers(0, 40)))
+                .astype(np.uint8) for _ in range(int(rng.integers(2, 14)))]
+        sets = [set(kmer_codes(s, k).tolist()) for s in seqs]
+        occurrence = {}
+        for kmers in sets:
+            for code in kmers:
+                occurrence[code] = occurrence.get(code, 0) + 1
+        expect = [(i, j) for i in range(len(seqs))
+                  for j in range(i + 1, len(seqs))
+                  if sum(occurrence[c] <= max_occ
+                         for c in sets[i] & sets[j]) >= min_shared]
+        got = candidate_pairs(seqs, k=k, min_shared=min_shared,
+                              max_kmer_occurrence=max_occ)
+        assert [tuple(p) for p in got.tolist()] == expect
+
     # k = 14 with 2 sequences keeps the packed code * n_seq + owner key
     # just under 63 bits; with 3 it would pass them, so the index falls
     # back to the two-key lexsort.

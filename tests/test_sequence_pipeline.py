@@ -118,3 +118,11 @@ class TestHomologyGraph:
             HomologyConfig(min_normalized_score=0.0)
         with pytest.raises(ValueError):
             HomologyConfig(chunk_size=0)
+
+    @pytest.mark.parametrize("penalty", [
+        {"gap": -3}, {"gap_model": "affine", "gap_open": -2},
+        {"gap_model": "affine", "gap_extend": -1}])
+    def test_negative_gap_penalty_rejected(self, penalty):
+        # Rejected at construction, so no backend ever scores with it.
+        with pytest.raises(ValueError, match="gap penalties"):
+            HomologyConfig(**penalty)
