@@ -13,10 +13,9 @@ and the performance ledger (:mod:`repro.obs.ledger`).
 guarded rows: ``table1_rows`` (clustering bench vs BENCH_PR2.json),
 ``homology_rows`` (homology-construction bench vs BENCH_PR6.json), or
 ``device_alignment_rows`` (the in-process ``local`` alignment row, also in
-BENCH_PR6.json), or ``device_scaling_rows`` (the multi-device scaling
-bench vs BENCH_PR7.json).  ``--metric`` picks which per-row value is
-compared (default ``total_s``).  Metrics are lower-is-better unless the
-spec carries a ``:higher`` suffix (``speedup_vs_1dev:higher``).
+BENCH_PR6.json).  ``--metric`` picks which per-row value is compared
+(default ``total_s``).  Metrics are lower-is-better unless the spec
+carries a ``:higher`` suffix (``dp_cells_per_s:higher``).
 
 ``--max-overhead-pct`` switches to observability-overhead mode: the
 measured file is then a ``trace_overhead.json`` written by
@@ -29,7 +28,7 @@ is an attribution report written by ``run_traced_smoke.py`` (the output
 of ``repro obs attribute --json``) and the reference's
 ``bottleneck_rows`` mapping names the expected top-ranked cause *class*
 per configuration.  The guard fails when the top cause changes class
-(e.g. alignment -> host-link contention) without the committed baseline
+(e.g. shingle -> transfer) without the committed baseline
 being updated — a perf PR must own its attribution shift.
 
 Usage::

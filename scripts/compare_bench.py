@@ -22,10 +22,10 @@ Usage::
         benchmarks/results/homology_runtime.json \
         --key homology_rows --measured-key workloads --metric total_s
 
-    python scripts/compare_bench.py BENCH_PR7.json \
-        benchmarks/results/device_scaling.json \
-        --key device_scaling_rows --measured-key workloads \
-        --metric total_s --metric speedup_vs_1dev:higher
+    python scripts/compare_bench.py BENCH_PR6.json \
+        benchmarks/results/homology_runtime.json \
+        --key device_alignment_rows --measured-key workloads \
+        --metric alignment_s --metric dp_cells_per_s:higher
 
 With no ``--metric``, every numeric metric shared by a reference row and
 its measured counterpart is compared (all treated as lower-is-better).

@@ -42,12 +42,9 @@ non-zero on any violation.
 Usage::
 
     PYTHONPATH=src python scripts/run_traced_smoke.py [--repeats 3]
-        [--devices 2]
 
-With ``--devices N > 1`` the clustering workload runs on a
-``DeviceGroup`` (``devices=N``) and its trace must then carry per-device
-processes (``device0`` .. ``device{N-1}``), which this script asserts.
-The homology build runs on CPU cores whatever ``--devices`` says.
+The ledger row keeps its historical name ``2m_dev1`` (BENCH_PR9.json
+gates that row by name).
 """
 
 from __future__ import annotations
@@ -97,9 +94,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repetitions per mode (min is kept)")
-    parser.add_argument("--devices", type=int, default=1,
-                        help="simulated devices; >1 runs the clustering "
-                             "workload on a DeviceGroup (devices=N)")
     parser.add_argument("--out-dir", default=str(RESULTS_DIR),
                         help="artifact directory")
     args = parser.parse_args(argv)
@@ -108,10 +102,9 @@ def main(argv: list[str] | None = None) -> int:
 
     scale = get_scale()
     graph = make_runtime_workload(WORKLOAD, scale).graph
-    params = workload_params(scale).with_overrides(devices=args.devices)
+    params = workload_params(scale)
     print(f"workload {WORKLOAD} (scale={scale}): "
-          f"{graph.n_vertices} vertices, {graph.n_edges} edges, "
-          f"devices={args.devices}")
+          f"{graph.n_vertices} vertices, {graph.n_edges} edges")
 
     GpClust(params).run(graph)  # warm-up: page in buffers, prime pools
 
@@ -194,16 +187,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{shingle_roof['gap_s']:.4f}s")
 
     # --- reconciliation: root span vs reported wall time ----------------
-    # Only meaningful on a single device: a DeviceGroup charges wall
-    # buckets per member, so concurrent members make the reported bucket
-    # total exceed true wall time (busy > wall under concurrency).
     roots = [r for r in records if r.name == "gpclust.run"]
     if not roots:
         failures.append("trace has no gpclust.run root span")
-    elif args.devices > 1:
-        print(f"root span {roots[-1].duration:.4f}s (reconciliation "
-              f"skipped: per-member bucket charges overlap at "
-              f"devices={args.devices})")
     else:
         root_s = roots[-1].duration
         reported_s = result.timings.total
@@ -264,16 +250,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("homology trace has no homology.align.shard span "
                         "inside homology.alignment")
 
-    # --- multi-device: every member must appear as its own process ------
-    if args.devices > 1:
-        want = {f"device{i}" for i in range(args.devices)}
-        procs = {r.proc for r in records}
-        missing = want - procs
-        if missing:
-            failures.append(
-                f"2m trace is missing per-device processes "
-                f"{sorted(missing)} (has {sorted(procs)})")
-
     overhead_doc = {
         "name": "trace_overhead",
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -290,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"overhead report written to {out_dir / 'trace_overhead.json'}")
 
     # --- performance ledger ---------------------------------------------
-    row_name = f"2m_dev{args.devices}"
+    row_name = "2m_dev1"
     ledger_row = {
         "traced_off_s": round(off_s, 6),
         "traced_on_s": round(on_s, 6),
@@ -306,7 +282,6 @@ def main(argv: list[str] | None = None) -> int:
     append_ledger(
         out_dir / "ledger", "traced_smoke", {row_name: ledger_row},
         config={"workload": WORKLOAD, "scale": scale,
-                "devices": args.devices,
                 "align_backend": h_result.align_backend},
         host_cores=os.cpu_count())
     print(f"ledger row {row_name} appended under {out_dir / 'ledger'}")

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.params import ShinglingParams
-from repro.core.pipeline import cluster_graph
+from repro.core.pipeline import GpClust, SerialPClust
 from repro.graph.io import save_npz, timed_load
 from repro.util.tables import format_percent, format_seconds, format_table
 
@@ -56,13 +56,43 @@ from repro.util.tables import format_percent, format_seconds, format_table
 PROFILE_SCHEMA_VERSION = 2
 
 
+class InputError(Exception):
+    """An input file a command could not read: a usage error (exit 2)."""
+
+
+def _read_input(load, path):
+    """``load(path)``, with an unreadable or malformed file an InputError.
+
+    Only the loaders go through here: an error raised by the computation
+    itself keeps its traceback.
+    """
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _load_labels(path):
+    with np.load(path) as data:
+        return data["labels"]
+
+
+def _cluster(args: argparse.Namespace, graph, io_seconds: float = 0.0,
+             device=None):
+    """Cluster ``graph`` with the command's backend and parameters."""
+    if args.backend == "device":
+        return GpClust(args.params).run(graph, io_seconds=io_seconds,
+                                        device=device)
+    return SerialPClust(args.params).run(graph, io_seconds=io_seconds)
+
+
 def _params_from_args(args: argparse.Namespace,
                       parser: argparse.ArgumentParser) -> ShinglingParams:
     """The run's parameters; a rejected value is a usage error (exit 2)."""
     try:
         return ShinglingParams(s1=args.s1, c1=args.c1, s2=args.s2,
                                c2=args.c2, seed=args.seed, kernel=args.kernel,
-                               streams=args.streams, devices=args.devices)
+                               streams=args.streams)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -78,16 +108,6 @@ def _homology_config_from_args(args: argparse.Namespace,
                               align_backend=args.align_backend)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _make_device(params: ShinglingParams):
-    """The run's explicit device: a group when more than one was asked."""
-    from repro.device.device import SimulatedDevice
-    from repro.device.group import DeviceGroup
-
-    if params.devices > 1:
-        return DeviceGroup(params.devices)
-    return SimulatedDevice()
 
 
 def _obs_requested(args: argparse.Namespace) -> bool:
@@ -177,11 +197,6 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
                         help="trial chunks in flight at once on one device "
                              "(1 = the paper's synchronous pipeline; output "
                              "is identical for every count)")
-    parser.add_argument("--devices", type=int, default=1,
-                        help="simulated device count; more than one shards "
-                             "trial chunks over a device group (not with "
-                             "--streams > 1; output is identical for every "
-                             "count)")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -215,29 +230,22 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    params = args.params
     if args.profile is not None and args.backend != "device":
         print("--profile requires --backend device; ignoring",
               file=sys.stderr)
         args.profile = None
+    graph, io_seconds = _read_input(timed_load, args.graph)
     ctx = _make_obs(args)
     if ctx is None:
-        result = cluster_graph(args.graph, params, backend=args.backend)
+        result = _cluster(args, graph, io_seconds)
     else:
+        from repro.device.device import SimulatedDevice
         from repro.obs import use_obs
 
-        device = None
         with use_obs(ctx):
-            if args.backend == "device":
-                from repro.core.pipeline import GpClust
-
-                graph, io_seconds = timed_load(args.graph)
-                device = _make_device(params)
-                result = GpClust(params).run(graph, io_seconds=io_seconds,
-                                             device=device)
-            else:
-                result = cluster_graph(args.graph, params,
-                                       backend=args.backend)
+            device = (SimulatedDevice() if args.backend == "device"
+                      else None)
+            result = _cluster(args, graph, io_seconds, device)
         _emit_obs(args, ctx, device=device)
     if args.out:
         np.savez_compressed(args.out, labels=result.labels)
@@ -257,7 +265,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.graph.stats import compute_graph_stats
 
-    graph, io_seconds = timed_load(args.graph)
+    graph, io_seconds = _read_input(timed_load, args.graph)
     stats = compute_graph_stats(graph)
     print(stats.render())
     print(f"(loaded in {format_seconds(io_seconds)}s; "
@@ -270,18 +278,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro.eval.density import density_summary
     from repro.eval.partition import Partition, partition_stats
 
-    with np.load(args.benchmark) as data:
-        benchmark = Partition(data["labels"])
+    graph, io_seconds = _read_input(timed_load, args.graph)
+    benchmark = Partition(_read_input(_load_labels, args.benchmark))
     if args.labels:
-        with np.load(args.labels) as data:
-            test = Partition(data["labels"])
+        test = Partition(_read_input(_load_labels, args.labels))
     else:
-        params = args.params
-        result = cluster_graph(args.graph, params, backend=args.backend)
-        test = Partition(result.labels)
+        test = Partition(_cluster(args, graph, io_seconds).labels)
 
     qs = quality_scores(test, benchmark, min_size=args.min_size)
-    graph, _ = timed_load(args.graph)
     dens = density_summary(graph, test, min_size=args.min_size)
     st = partition_stats(test, "clustering", min_size=args.min_size)
     print(format_table(
@@ -302,7 +306,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.sequence.fasta import read_fasta
     from repro.sequence.homology import build_homology_graph
 
-    records = read_fasta(args.fasta)
+    records = _read_input(read_fasta, args.fasta)
     sequences = [encode(seq) for _, seq in records]
     names = [header.split()[0] for header, _ in records]
     print(f"read {len(records)} sequences from {args.fasta}")
@@ -312,29 +316,23 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
               file=sys.stderr)
         args.profile = None
     ctx = _make_obs(args)
-    params = args.params
     homology_config = args.homology_config
     if ctx is None:
         homology = build_homology_graph(sequences, homology_config)
         print(f"homology: {homology.n_candidate_pairs} candidate pairs -> "
               f"{homology.n_edges} edges")
-        result = cluster_graph(homology.graph, params, backend=args.backend)
+        result = _cluster(args, homology.graph)
     else:
+        from repro.device.device import SimulatedDevice
         from repro.obs import use_obs
 
-        device = None
         with use_obs(ctx):
             homology = build_homology_graph(sequences, homology_config)
             print(f"homology: {homology.n_candidate_pairs} candidate pairs "
                   f"-> {homology.n_edges} edges")
-            if args.backend == "device":
-                from repro.core.pipeline import GpClust
-
-                device = _make_device(params)
-                result = GpClust(params).run(homology.graph, device=device)
-            else:
-                result = cluster_graph(homology.graph, params,
-                                       backend=args.backend)
+            device = (SimulatedDevice() if args.backend == "device"
+                      else None)
+            result = _cluster(args, homology.graph, device=device)
         _emit_obs(args, ctx, device=device, homology=homology)
     clusters = result.clusters(min_size=args.min_size)
     rows = []
@@ -583,7 +581,10 @@ def main(argv: list[str] | None = None) -> int:
         args.params = _params_from_args(args, parser)
     if args.func is cmd_pipeline:
         args.homology_config = _homology_config_from_args(args, parser)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -6,16 +6,16 @@ batches, uploads them, launches the shingle-extraction kernels, and
 aggregates the downloaded shingles — including the merge of adjacency lists
 that were split across batches.
 
-The schedule follows from the device and a ``streams`` count:
-
-* a :class:`~repro.device.group.DeviceGroup` with more than one member
-  shards each batch's trial chunks across its members, one driver thread
-  per member (:func:`~repro.device.group.run_sharded`);
-* otherwise ``streams=1`` (the default) is the paper-faithful synchronous
-  pipeline, and ``streams > 1`` runs that many trial chunks concurrently on
-  a worker pool.  NumPy kernels release the GIL, so streams overlap with
-  each other and with CPU-side aggregation; the batch element budget is
-  divided by ``streams`` because each stream holds its own working set.
+The schedule follows from a ``streams`` count.  ``streams=1`` (the
+default) is the paper-faithful synchronous pipeline: the paper's "data
+movement operations are implemented using synchronous mechanism" and it
+names asynchronous operation as future work (§V).  ``streams > 1`` runs
+that many trial chunks (:func:`trial_chunks`) concurrently on a worker
+pool.  NumPy kernels release the GIL, so streams overlap with each other
+and with CPU-side aggregation; the batch element budget is divided by
+``streams`` because each stream holds its own working set.  Table-I
+buckets stay faithful under concurrency: each component accumulates its
+own busy seconds.
 
 In the dominant single-batch regime every schedule aggregates **streamingly**:
 each trial chunk's ``(t, n, s)`` block is folded into a partial result and
@@ -47,14 +47,12 @@ import numpy as np
 from repro.core.aggregate import (StreamingAggregator, aggregate_pass,
                                   debug_checks_enabled, merge_splits_into,
                                   pass_result_from_wire)
-from repro.core.execplan import trial_chunks
 from repro.core.params import KERNEL_FUSED, PassConfig
 from repro.core.passresult import PassResult
 from repro.core.report import PartitionFold
 from repro.device.batching import (BatchPlan, max_batch_elements,
                                    plan_batches)
 from repro.device.device import SimulatedDevice
-from repro.device.group import DeviceGroup, run_sharded
 from repro.device.kernels import (SENTINEL, build_tournament_plan,
                                   reduce_keys_fit, segment_element_ids)
 from repro.device.memory import ScratchPool
@@ -65,7 +63,7 @@ def device_shingle_pass(
     indptr: np.ndarray,
     elements: np.ndarray,
     config: PassConfig,
-    device: SimulatedDevice | DeviceGroup,
+    device: SimulatedDevice,
     *,
     kernel: str = "select",
     trial_chunk: int = 16,
@@ -81,19 +79,15 @@ def device_shingle_pass(
     config:
         Pass configuration (s, c, hash pairs, salts).
     device:
-        The simulated device — or a :class:`DeviceGroup`, whose members
-        share the trial chunks when there are several (shared inputs are
-        broadcast once over PCIe and fanned out peer-to-peer); the
-        breakdown accumulates component times either way.
+        The simulated device; its breakdown accumulates component times.
     kernel, trial_chunk:
         Kernel selection and trials-per-round (see :class:`SimulatedDevice`).
     max_elements:
         Batch element budget override; by default derived from the device's
-        memory capacity.  Either way it is divided by ``streams`` on a
-        single device, which keeps ``streams`` kernel working sets resident.
+        memory capacity.  Either way it is divided by ``streams``, which
+        keeps ``streams`` kernel working sets resident.
     streams:
-        Trial chunks in flight at once on a single device (ignored by a
-        group of several members, which runs one chunk per member).
+        Trial chunks in flight at once.
 
     Returns
     -------
@@ -126,9 +120,7 @@ def device_shingle_pass(
     tracer = device.obs.tracer
     if tracer.enabled:
         tracer.record("exec.shingle_pass", t_start, time.perf_counter(),
-                      attrs={"streams": streams,
-                             "devices": len(_members_of(device)),
-                             "kernel": kernel, "c": c,
+                      attrs={"streams": streams, "kernel": kernel, "c": c,
                              "s": s, "n_segments": n_seg,
                              "n_batches": batch_plan.n_batches,
                              "n_shingles": int(result.n_shingles)})
@@ -160,8 +152,7 @@ def _compact_input(indptr, elements, config: PassConfig, device,
         if max_elements is None:
             max_elements = max_batch_elements(
                 device.spec.memory_capacity_bytes, trial_chunk, s)
-        if len(_members_of(device)) == 1:
-            max_elements = max(max_elements // streams, 1)
+        max_elements = max(max_elements // streams, 1)
         all_lengths = np.diff(indptr)
         # CPU-side compaction: segments shorter than s generate no
         # shingles (Section III-B: shingles exist only for "any vertex
@@ -185,7 +176,7 @@ def device_union_pass(
     indptr: np.ndarray,
     elements: np.ndarray,
     config: PassConfig,
-    device: SimulatedDevice | DeviceGroup,
+    device: SimulatedDevice,
     *,
     members1: np.ndarray,
     n_vertices: int,
@@ -238,8 +229,6 @@ def device_union_pass(
     if tournament is None:
         return None
 
-    group_members = _members_of(device)
-    multi = len(group_members) > 1
     a, b = config.a_array, config.b_array
     with breakdown.timing(BUCKET_CPU):
         f_members = members1[inp.valid_ids]
@@ -251,12 +240,12 @@ def device_union_pass(
         fold.fold(np.repeat(lead1[:, 0], inp.lengths), batch_elements)
     check_lo = inp.chunks[0][0] if debug_checks_enabled() else None
 
-    d_elems = _broadcast(device, group_members, multi, batch_elements)
-    d_indptrs = _broadcast(device, group_members, multi, batch.local_indptr)
+    d_elems = device.upload(batch_elements)
+    d_indptr = device.upload(batch.local_indptr)
 
-    def run_chunk(lo: int, hi: int, dev: int) -> None:
-        ids, perm = group_members[dev].shingle_chunk_ids(
-            d_elems[dev], d_indptrs[dev],
+    def run_chunk(lo: int, hi: int) -> None:
+        ids, perm = device.shingle_chunk_ids(
+            d_elems, d_indptr,
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
             n_values=inp.n_values, tournament=tournament,
             check=lo == check_lo, label=f"trials {lo}-{hi - 1}")
@@ -270,54 +259,41 @@ def device_union_pass(
             fold.fold(lead, trial_ids)
 
     try:
-        _run_chunks(inp.chunks, run_chunk, group_members, streams)
+        _run_chunks(inp.chunks, run_chunk, streams)
     finally:
-        device.free(*(d_elems + d_indptrs))
+        device.free(d_elems, d_indptr)
     return fold
 
 
-def _members_of(device) -> list[SimulatedDevice]:
-    return device.members if isinstance(device, DeviceGroup) else [device]
+def trial_chunks(c: int, trial_chunk: int) -> list[tuple[int, int]]:
+    """Split ``c`` trials into ``[lo, hi)`` chunks of at most ``trial_chunk``."""
+    if trial_chunk < 1:
+        raise ValueError("trial_chunk must be >= 1")
+    return [(lo, min(lo + trial_chunk, c)) for lo in range(0, c, trial_chunk)]
 
 
-def _broadcast(device, members, multi: bool, host_array: np.ndarray):
-    """Input residency per member: group broadcast, or one plain upload."""
-    if multi:
-        return device.broadcast(host_array)
-    return [members[0].upload(host_array)]
+def _run_chunks(chunks, work, streams: int) -> None:
+    """Execute ``work(lo, hi)`` for every trial chunk.
 
-
-def _run_chunks(chunks, work, members: list[SimulatedDevice],
-                streams: int) -> None:
-    """Execute ``work(lo, hi, dev)`` for every trial chunk.
-
-    Several members shard the chunks with
-    :func:`~repro.device.group.run_sharded`, assigned to the least-loaded
-    member by trial count (nnz is constant within a batch, so trials are
-    proportional to modeled kernel cost).  Static-by-cost assignment keeps
-    every member's kernel stream deterministic; the out-of-order-tolerant
-    aggregation downstream makes completion order immaterial.  One device
-    runs the chunks inline, or on ``streams`` concurrent workers.
+    Inline when ``streams == 1``, else on ``streams`` concurrent workers;
+    the out-of-order-tolerant aggregation downstream makes completion
+    order immaterial.
     """
-    if len(members) > 1:
-        run_sharded(chunks, [hi - lo for lo, hi in chunks],
-                    lambda chunk, dev: work(*chunk, dev), len(members))
-        return
     if streams == 1 or len(chunks) <= 1:
         for lo, hi in chunks:
-            work(lo, hi, 0)
+            work(lo, hi)
         return
     # The prefix names each worker's spans' track ("stream_0", "stream_1",
     # ...) so concurrent kernel rounds render as separate trace tracks.
     with ThreadPoolExecutor(max_workers=streams,
                             thread_name_prefix="stream") as executor:
-        futures = [executor.submit(work, lo, hi, 0) for lo, hi in chunks]
+        futures = [executor.submit(work, lo, hi) for lo, hi in chunks]
         for future in futures:
             future.result()
 
 
 def _single_batch_streaming(
-    device: SimulatedDevice | DeviceGroup,
+    device: SimulatedDevice,
     elements: np.ndarray,
     batch,
     chunks,
@@ -347,8 +323,6 @@ def _single_batch_streaming(
     against the eager select.
     """
     breakdown = device.breakdown
-    group_members = _members_of(device)
-    multi = len(group_members) > 1
     s = config.s
     a, b, salts = config.a_array, config.b_array, config.salts
     n_rows = batch.n_segments
@@ -370,18 +344,17 @@ def _single_batch_streaming(
         aggregator = StreamingAggregator(s, n_seg)
         host_pool = ScratchPool()  # reused download staging across chunks
 
-    d_elems = _broadcast(device, group_members, multi, batch_elements)
-    d_indptrs = _broadcast(device, group_members, multi, batch.local_indptr)
-    d_gens = (_broadcast(device, group_members, multi,
-                         valid_ids.astype(np.uint32))
-              if use_reduce else [])
+    d_elems = device.upload(batch_elements)
+    d_indptr = device.upload(batch.local_indptr)
+    d_gens = (device.upload(valid_ids.astype(np.uint32))
+              if use_reduce else None)
 
     tracer = device.obs.tracer
     check_lo = chunks[0][0] if chunks and debug_checks_enabled() else None
 
-    def run_chunk_reduce(lo: int, hi: int, dev: int) -> None:
-        out = group_members[dev].shingle_chunk_reduce(
-            d_elems[dev], d_indptrs[dev], d_gens[dev],
+    def run_chunk_reduce(lo: int, hi: int) -> None:
+        out = device.shingle_chunk_reduce(
+            d_elems, d_indptr, d_gens,
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
             salts=salts[lo:hi], seg_ids=seg_ids_table, n_values=n_values,
             tournament=tournament, check=lo == check_lo,
@@ -390,12 +363,12 @@ def _single_batch_streaming(
                 tracer.span("exec.chunk_aggregate"):
             aggregator.add(lo, pass_result_from_wire(*out, n_segments=n_seg))
 
-    def run_chunk(lo: int, hi: int, dev: int) -> None:
+    def run_chunk(lo: int, hi: int) -> None:
         t = hi - lo
         fps_buf = host_pool.take((t, n_rows), np.uint64)
         top_buf = host_pool.take((t, n_rows, s), np.uint64)
-        group_members[dev].shingle_chunk(
-            d_elems[dev], d_indptrs[dev],
+        device.shingle_chunk(
+            d_elems, d_indptr,
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
             salts=salts[lo:hi], kernel=kernel, seg_ids=seg_ids_table,
             n_values=n_values,
@@ -409,9 +382,11 @@ def _single_batch_streaming(
 
     try:
         _run_chunks(chunks, run_chunk_reduce if use_reduce else run_chunk,
-                    group_members, streams)
+                    streams)
     finally:
-        device.free(*(d_elems + d_indptrs + d_gens))
+        device.free(d_elems, d_indptr)
+        if d_gens is not None:
+            device.free(d_gens)
 
     with breakdown.timing(BUCKET_CPU), tracer.span("exec.merge_partials"):
         if aggregator.n_partials == 0:
@@ -424,7 +399,7 @@ def _single_batch_streaming(
 
 
 def _multi_batch_accumulate(
-    device: SimulatedDevice | DeviceGroup,
+    device: SimulatedDevice,
     elements: np.ndarray,
     batch_plan,
     chunks,
@@ -439,13 +414,10 @@ def _multi_batch_accumulate(
     """General path: several batches, scatter into pass-level accumulators.
 
     Batches upload one at a time; each batch's trial chunks may run on
-    concurrent streams or shard across a device group (batches broadcast
-    member-to-member).  The final aggregation happens once, after split
+    concurrent streams.  The final aggregation happens once, after split
     lists are merged.
     """
     breakdown = device.breakdown
-    group_members = _members_of(device)
-    multi = len(group_members) > 1
     s, c = config.s, config.c
     a, b, salts = config.a_array, config.b_array, config.salts
 
@@ -458,10 +430,8 @@ def _multi_batch_accumulate(
 
     tracer = device.obs.tracer
     for bi, batch in enumerate(batch_plan):
-        d_elems = _broadcast(device, group_members, multi,
-                             batch.slice_elements(elements))
-        d_indptrs = _broadcast(device, group_members, multi,
-                               batch.local_indptr)
+        d_elems = device.upload(batch.slice_elements(elements))
+        d_indptr = device.upload(batch.local_indptr)
 
         n_b = batch.n_segments
         with breakdown.timing(BUCKET_CPU):
@@ -469,17 +439,17 @@ def _multi_batch_accumulate(
             fps_b = np.empty((c, n_b), dtype=np.uint64)
             top_b = np.empty((c, n_b, s), dtype=np.uint64)
 
-        def run_chunk(lo: int, hi: int, dev: int) -> None:
-            group_members[dev].shingle_chunk(
-                d_elems[dev], d_indptrs[dev],
+        def run_chunk(lo: int, hi: int) -> None:
+            device.shingle_chunk(
+                d_elems, d_indptr,
                 a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
                 salts=salts[lo:hi], kernel=kernel, seg_ids=seg_ids_table,
                 n_values=n_values,
                 out_fps=fps_b[lo:hi], out_top=top_b[lo:hi],
                 label=f"batch {bi} trials {lo}-{hi - 1}")
 
-        _run_chunks(chunks, run_chunk, group_members, streams)
-        device.free(*(d_elems + d_indptrs))
+        _run_chunks(chunks, run_chunk, streams)
+        device.free(d_elems, d_indptr)
 
         with breakdown.timing(BUCKET_CPU):
             whole = ~batch.is_split

@@ -58,11 +58,6 @@ class ShinglingParams:
         Trial chunks in flight at once on one device.  ``1`` (the default)
         is the paper's synchronous pipeline; more runs that many chunks
         concurrently, dividing the batch element budget by ``streams``.
-    devices:
-        Simulated device count.  ``devices > 1`` shards each pass's trial
-        chunks across a :class:`repro.device.group.DeviceGroup` of this
-        size, one chunk per member at a time, so it cannot be combined
-        with ``streams > 1``.  Every schedule is bit-identical.
     report_mode:
         Phase III output: ``"partition"`` (union-find, the paper's choice —
         no vertex in two clusters) or ``"overlapping"`` (per-component
@@ -92,7 +87,6 @@ class ShinglingParams:
     kernel: str = KERNEL_FUSED
     trial_chunk: int = 16
     streams: int = 1
-    devices: int = 1
     report_mode: str = REPORT_PARTITION
     include_generators: bool = False
     union_backend: str = UNION_VECTORIZED
@@ -113,10 +107,6 @@ class ShinglingParams:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.streams < 1:
             raise ValueError("streams must be >= 1")
-        if self.devices < 1:
-            raise ValueError("devices must be >= 1")
-        if self.streams > 1 and self.devices > 1:
-            raise ValueError("streams > 1 cannot be combined with devices > 1")
         if self.report_mode not in (REPORT_PARTITION, REPORT_OVERLAPPING):
             raise ValueError(f"unknown report_mode {self.report_mode!r}")
         if self.union_backend not in (UNION_VECTORIZED, UNION_UNIONFIND):

@@ -31,7 +31,6 @@ from repro.core.report import one_shingle_labels, report_clusters
 from repro.core.result import ClusterResult
 from repro.core.serial import serial_shingle_pass
 from repro.device.device import SimulatedDevice
-from repro.device.group import DeviceGroup
 from repro.device.timingmodels import DeviceSpec
 from repro.graph.csr import CSRGraph
 from repro.graph.io import timed_load
@@ -106,24 +105,18 @@ class GpClust:
         self.max_batch_elements = max_batch_elements
 
     def run(self, graph: CSRGraph, io_seconds: float = 0.0,
-            device: SimulatedDevice | DeviceGroup | None = None
-            ) -> ClusterResult:
-        """Cluster ``graph`` through the simulated device (or device group).
+            device: SimulatedDevice | None = None) -> ClusterResult:
+        """Cluster ``graph`` through the simulated device.
 
         A fresh device (and fresh component breakdown) is created per run
-        unless one is supplied; ``params.devices > 1`` builds a
-        :class:`DeviceGroup` of that size instead.
+        unless one is supplied.
         """
         params = self.params
         breakdown = TimeBreakdown()
         if io_seconds:
             breakdown.add(BUCKET_IO, io_seconds)
         if device is None:
-            if params.devices > 1:
-                device = DeviceGroup(params.devices, self.device_spec,
-                                     breakdown)
-            else:
-                device = SimulatedDevice(self.device_spec, breakdown)
+            device = SimulatedDevice(self.device_spec, breakdown)
         else:
             device.set_breakdown(breakdown)
         tracer = device.obs.tracer

@@ -25,15 +25,11 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Batch": ".batching",
     "BatchPlan": ".batching",
     "DeviceBuffer": ".memory",
-    "DeviceGroup": ".group",
     "DeviceMemory": ".memory",
     "DeviceMemoryError": ".memory",
     "DeviceSpec": ".timingmodels",
-    "GroupTopology": ".group",
-    "HostLink": ".group",
     "KernelCostModel": ".timingmodels",
     "SimulatedDevice": ".device",
     "TransferModel": ".timingmodels",
-    "least_loaded_assignment": ".group",
     "plan_batches": ".batching",
 })

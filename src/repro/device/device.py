@@ -43,10 +43,7 @@ class SimulatedDevice:
 
     def __init__(self, spec: DeviceSpec | None = None,
                  breakdown: TimeBreakdown | None = None,
-                 timeline=None, obs: ObsContext | None = None,
-                 metric_prefix: str = "device",
-                 proc: str | None = None,
-                 host_link=None) -> None:
+                 timeline=None, obs: ObsContext | None = None) -> None:
         self.spec = spec or DeviceSpec()
         self.memory = DeviceMemory(self.spec.memory_capacity_bytes, self.spec.transfer)
         self.breakdown = breakdown if breakdown is not None else TimeBreakdown()
@@ -56,16 +53,6 @@ class SimulatedDevice:
         # Recycled kernel working arrays: after the first round of a given
         # batch geometry, kernel launches allocate nothing fresh.
         self.scratch = ScratchPool()
-        # Members of a DeviceGroup are distinguished by their metric prefix
-        # ("device0", "device1", ...) and Chrome-trace process coordinate; a
-        # standalone device keeps the historical "device" namespace and the
-        # recording thread's default proc.
-        self.metric_prefix = metric_prefix
-        self.proc = proc
-        # Optional repro.device.group.HostLink shared by group siblings:
-        # concurrent host<->device transfers oversubscribe the PCIe lanes
-        # and their modeled seconds stretch accordingly.
-        self.host_link = host_link
         # Observability: kernel launch accounting always flows into a real
         # metrics registry (profile() reads it back), shared with the
         # ambient registry when one is active so a single snapshot() sees
@@ -91,12 +78,11 @@ class SimulatedDevice:
         counters = self._kernel_counters.get(name)
         if counters is None:
             metrics = self.obs.metrics
-            prefix = self.metric_prefix
             with self._stats_lock:
                 counters = self._kernel_counters.setdefault(name, (
-                    metrics.counter(f"{prefix}.kernel.{name}.launches"),
-                    metrics.counter(f"{prefix}.kernel.{name}.elements"),
-                    metrics.counter(f"{prefix}.kernel.{name}.modeled_s")))
+                    metrics.counter(f"device.kernel.{name}.launches"),
+                    metrics.counter(f"device.kernel.{name}.elements"),
+                    metrics.counter(f"device.kernel.{name}.modeled_s")))
         launches, elements, modeled = counters
         launches.add(n_launches)
         elements.add(int(n_elements))
@@ -119,13 +105,12 @@ class SimulatedDevice:
         ``metrics.snapshot()`` carries the whole device picture.
         """
         metrics = self.obs.metrics
-        prefix = self.metric_prefix
-        metrics.gauge(f"{prefix}.h2d_bytes").set(self.memory.bytes_to_device)
-        metrics.gauge(f"{prefix}.d2h_bytes").set(self.memory.bytes_to_host)
-        metrics.gauge(f"{prefix}.peak_device_bytes").set(self.memory.peak_bytes)
-        metrics.gauge(f"{prefix}.scratch.hits").set(self.scratch.n_reuses)
-        metrics.gauge(f"{prefix}.scratch.misses").set(self.scratch.n_allocations)
-        metrics.gauge(f"{prefix}.scratch.peak_bytes").set(
+        metrics.gauge("device.h2d_bytes").set(self.memory.bytes_to_device)
+        metrics.gauge("device.d2h_bytes").set(self.memory.bytes_to_host)
+        metrics.gauge("device.peak_device_bytes").set(self.memory.peak_bytes)
+        metrics.gauge("device.scratch.hits").set(self.scratch.n_reuses)
+        metrics.gauge("device.scratch.misses").set(self.scratch.n_allocations)
+        metrics.gauge("device.scratch.peak_bytes").set(
             self.scratch.bytes_allocated)
 
     def profile(self) -> dict:
@@ -159,53 +144,33 @@ class SimulatedDevice:
     # Transfers
     # ------------------------------------------------------------------ #
 
-    def _link_scaled(self, modeled: float, active: int) -> float:
-        """Stretch modeled PCIe seconds by host-link oversubscription."""
-        if self.host_link is None:
-            return modeled
-        return self.host_link.charge(modeled, active)
-
     def upload(self, host_array: np.ndarray) -> DeviceBuffer:
         """Host -> device copy (synchronous), charged to ``data_c2g``."""
-        link = self.host_link
-        active = link.begin() if link is not None else 1
         t0 = time.perf_counter()
-        try:
-            buf, modeled = self.memory.to_device(host_array)
-        finally:
-            t1 = time.perf_counter()
-            if link is not None:
-                link.end()
-        modeled = self._link_scaled(modeled, active)
+        buf, modeled = self.memory.to_device(host_array)
+        t1 = time.perf_counter()
         self.breakdown.add(BUCKET_C2G, t1 - t0)
         self.breakdown.add_modeled(BUCKET_C2G, modeled)
         if self.timeline is not None:
             self.timeline.record(BUCKET_C2G, "upload", modeled)
         tracer = self.obs.tracer
         if tracer.enabled:
-            tracer.record("device.upload", t0, t1, proc=self.proc,
+            tracer.record("device.upload", t0, t1,
                           attrs={"bytes": buf.nbytes, "modeled_s": modeled})
         return buf
 
     def download(self, buffer: DeviceBuffer) -> np.ndarray:
         """Device -> host copy (synchronous), charged to ``data_g2c``."""
-        link = self.host_link
-        active = link.begin() if link is not None else 1
         t0 = time.perf_counter()
-        try:
-            data, modeled = self.memory.to_host(buffer)
-        finally:
-            t1 = time.perf_counter()
-            if link is not None:
-                link.end()
-        modeled = self._link_scaled(modeled, active)
+        data, modeled = self.memory.to_host(buffer)
+        t1 = time.perf_counter()
         self.breakdown.add(BUCKET_G2C, t1 - t0)
         self.breakdown.add_modeled(BUCKET_G2C, modeled)
         if self.timeline is not None:
             self.timeline.record(BUCKET_G2C, "download", modeled)
         tracer = self.obs.tracer
         if tracer.enabled:
-            tracer.record("device.download", t0, t1, proc=self.proc,
+            tracer.record("device.download", t0, t1,
                           attrs={"bytes": data.nbytes, "modeled_s": modeled})
         return data
 
@@ -216,23 +181,16 @@ class SimulatedDevice:
         provided (typically a slice of a pass-level accumulator), so the
         transfer allocates nothing.
         """
-        link = self.host_link
-        active = link.begin() if link is not None else 1
         t0 = time.perf_counter()
-        try:
-            modeled = self.memory.to_host_into(buffer, out)
-        finally:
-            t1 = time.perf_counter()
-            if link is not None:
-                link.end()
-        modeled = self._link_scaled(modeled, active)
+        modeled = self.memory.to_host_into(buffer, out)
+        t1 = time.perf_counter()
         self.breakdown.add(BUCKET_G2C, t1 - t0)
         self.breakdown.add_modeled(BUCKET_G2C, modeled)
         if self.timeline is not None:
             self.timeline.record(BUCKET_G2C, "download", modeled)
         tracer = self.obs.tracer
         if tracer.enabled:
-            tracer.record("device.download", t0, t1, proc=self.proc,
+            tracer.record("device.download", t0, t1,
                           attrs={"bytes": out.nbytes, "modeled_s": modeled})
         return out
 
@@ -410,7 +368,7 @@ class SimulatedDevice:
         self.breakdown.add(BUCKET_GPU, t1 - t0)
         tracer = self.obs.tracer
         if tracer.enabled:
-            tracer.record("device.shingle_chunk", t0, t1, proc=self.proc,
+            tracer.record("device.shingle_chunk", t0, t1,
                           attrs={"kernel": kernel, "trials": t, "nnz": nnz,
                                  "n_seg": n_seg, "label": label})
         transform_s = self.spec.kernels.seconds_for("transform", t * nnz)
@@ -516,7 +474,7 @@ class SimulatedDevice:
         self.breakdown.add(BUCKET_GPU, t1 - t0)
         tracer = self.obs.tracer
         if tracer.enabled:
-            tracer.record("device.shingle_chunk_reduce", t0, t1, proc=self.proc,
+            tracer.record("device.shingle_chunk_reduce", t0, t1,
                           attrs={"trials": t, "nnz": nnz, "n_seg": n_seg,
                                  "k_chunk": int(fps.size), "label": label,
                                  "select": ("tournament" if tournament
@@ -588,7 +546,7 @@ class SimulatedDevice:
         self.breakdown.add(BUCKET_GPU, t1 - t0)
         tracer = self.obs.tracer
         if tracer.enabled:
-            tracer.record("device.shingle_chunk", t0, t1, proc=self.proc,
+            tracer.record("device.shingle_chunk", t0, t1,
                           attrs={"kernel": "fused", "trials": t, "nnz": nnz,
                                  "n_seg": n_seg, "label": label,
                                  "select": ("tournament" if used is not None

@@ -52,7 +52,7 @@ CLASS_SPAN_PREFIXES = {
 ALIGNMENT_SPANS = ("homology.alignment",)
 
 #: Transfer spans: busy time that is link occupancy, not kernel work.
-TRANSFER_SPANS = ("device.upload", "device.download", "device.p2p_copy")
+TRANSFER_SPANS = ("device.upload", "device.download")
 
 
 # ------------------------------------------------------------------ #
@@ -361,14 +361,11 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
         class's own intervals (modeled contention lives inside the
         transfer spans, so it is subtracted with them).  What remains is
         host-side dispatch — Python replanning, per-launch accounting.
-    ``host_link_contention``
-        Modeled seconds added by PCIe oversubscription
-        (``group.host_link.contended_modeled_s``).
     ``alignment_padding``
         Alignment wall seconds (``homology.alignment`` spans) spent on
         padded (wasted) DP cells.
     ``transfer_occupancy``
-        Busy seconds inside upload/download/p2p spans.
+        Busy seconds inside upload/download spans.
 
     ``reconciliation`` reports the attribution's busy total against the
     run summary embedded in the trace (when present) so consumers can
@@ -404,7 +401,6 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
         }
 
     gauges = metrics.get("gauges", {})
-    contended_s = float(gauges.get("group.host_link.contended_modeled_s", 0.0))
     padding_waste = float(gauges.get("device.align.padding_waste", 0.0))
     align_wall = _union_seconds([(s["start"], s["end"]) for s in spans
                                  if s["name"] in ALIGNMENT_SPANS])
@@ -436,11 +432,6 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
                     "detail": f"{cls} gap {r['gap_s']:.4f}s minus "
                               f"{overlap:.4f}s transfer/contention overlap "
                               "= host dispatch"})
-    if contended_s:
-        causes.append({"cause": "host_link_contention", "class": "transfer",
-                       "seconds": contended_s,
-                       "detail": "modeled PCIe oversubscription "
-                                 "(group.host_link.contended_modeled_s)"})
     if padding_s:
         causes.append({"cause": "alignment_padding", "class": "alignment",
                        "seconds": padding_s,
@@ -449,7 +440,7 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
     if transfer_s:
         causes.append({"cause": "transfer_occupancy", "class": "transfer",
                        "seconds": transfer_s,
-                       "detail": "upload/download/p2p span occupancy"})
+                       "detail": "upload/download span occupancy"})
     causes.sort(key=lambda c: -c["seconds"])
     for rank, c in enumerate(causes, 1):
         c["rank"] = rank

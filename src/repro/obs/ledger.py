@@ -17,7 +17,7 @@ config fingerprint) observation::
      "row": "2m", "fingerprint": "9f2c04d1e7ab", "host_cores": 4,
      "config": {...}, "metrics": {"total_s": 1.13, ...}}
 
-The fingerprint hashes the *configuration* (scale, devices, backends —
+The fingerprint hashes the *configuration* (scale, workload, backends —
 whatever the writer says identifies the setup), so trajectories only
 chain together measurements of the same thing; ``host_cores`` further
 partitions wall-clock metrics, which are noise across machines.  Drift

@@ -19,8 +19,7 @@ def summarize_trace(doc: dict, top_n: int = 15) -> dict:
     Returns ``{"wall_s", "busy_s", "n_spans", "n_tracks", "rows", "procs"}``
     where ``rows`` is the top-``top_n`` list of per-name dicts sorted by
     total duration descending and ``procs`` aggregates the same events per
-    process track (the per-device utilization view of a multi-device run:
-    each ``DeviceGroup`` member traces onto its own ``device{i}`` process).
+    process track (pool workers trace onto their own processes).
     """
     all_events = doc.get("traceEvents", [])
     events = [e for e in all_events if e.get("ph") == "X"]
@@ -46,27 +45,20 @@ def summarize_trace(doc: dict, top_n: int = 15) -> dict:
             entry["total_s"] += dur_s
             entry["min_s"] = min(entry["min_s"], dur_s)
             entry["max_s"] = max(entry["max_s"], dur_s)
-        # p2p fabric copies (``data_p2p`` bucket) are busy time on the
-        # destination device's process: broken out so the multi-device
-        # utilization table shows link occupancy instead of idle.
-        is_p2p = e["name"] == "device.p2p_copy"
         pentry = by_proc.get(e["pid"])
         if pentry is None:
             name = proc_names.get(e["pid"], str(e["pid"]))
             by_proc[e["pid"]] = {"proc": name, "count": 1, "busy_s": dur_s,
-                                 "p2p_s": dur_s if is_p2p else 0.0,
                                  "tracks": {e["tid"]}}
         else:
             pentry["count"] += 1
             pentry["busy_s"] += dur_s
-            if is_p2p:
-                pentry["p2p_s"] += dur_s
             pentry["tracks"].add(e["tid"])
 
     rows = sorted(by_name.values(), key=lambda r: -r["total_s"])
     wall_s = (t_max - t_min) / 1e6 if events else 0.0
     procs = [{"proc": p["proc"], "count": p["count"],
-              "busy_s": p["busy_s"], "p2p_s": p["p2p_s"],
+              "busy_s": p["busy_s"],
               "n_tracks": len(p["tracks"]),
               "utilization": p["busy_s"] / wall_s if wall_s > 0 else 0.0}
              for p in sorted(by_proc.values(), key=lambda p: p["proc"])]
@@ -102,18 +94,17 @@ def render_summary(doc: dict, top_n: int = 15) -> str:
               "(busy may exceed wall under concurrency)")
     out = table + "\n" + footer
     if len(agg["procs"]) > 1:
-        # More than one process track (device-group members, pool workers):
+        # More than one process track (pool workers):
         # show where each spent its time relative to the run's wall clock.
         proc_rows = [
             [p["proc"], str(p["n_tracks"]), str(p["count"]),
-             f"{p['busy_s'] * 1e3:.2f}", f"{p['p2p_s'] * 1e3:.2f}",
+             f"{p['busy_s'] * 1e3:.2f}",
              f"{p['utilization']:.1%}"]
             for p in agg["procs"]
         ]
         out += "\n" + format_table(
-            ["process", "tracks", "spans", "busy ms", "p2p ms",
-             "utilization"],
+            ["process", "tracks", "spans", "busy ms", "utilization"],
             proc_rows,
             title="per-process utilization",
-            align=["l", "r", "r", "r", "r", "r"])
+            align=["l", "r", "r", "r", "r"])
     return out

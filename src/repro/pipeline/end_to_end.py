@@ -62,7 +62,6 @@ def run_end_to_end(
     seed: int = 0,
     n_jobs: int | None = None,
     align_backend: str | None = None,
-    devices: int | None = None,
 ) -> EndToEndReport:
     """Run the full pipeline; every stage is replaceable via its config.
 
@@ -70,15 +69,12 @@ def run_end_to_end(
     paper uses 20 on its 2M-sequence data; synthetic sets here are smaller,
     so the default is 3.  ``n_jobs`` / ``align_backend`` (when given)
     override the homology config's alignment worker count and scoring
-    backend; ``devices`` overrides the clustering params' simulated device
-    count.  The result is identical either way.
+    backend.  The result is identical either way.
     """
     if protein_set is None:
         protein_set = generate_protein_families(sequence_config, seed=seed)
     if params is None:
         params = ShinglingParams(c1=60, c2=30, seed=seed)
-    if devices is not None:
-        params = dataclasses.replace(params, devices=devices)
     overrides = {}
     if n_jobs is not None:
         overrides["n_jobs"] = n_jobs

@@ -261,13 +261,10 @@ def _shard_bounds(n_pairs: int, chunk_size: int, n_jobs: int):
             for lo in range(0, n_pairs, shard)]
 
 
-def _resolve_jobs(n_jobs: int) -> int:
-    return n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
-
-
 def _effective_workers(n_jobs: int) -> int:
-    """Pool workers ``n_jobs`` can get: capped by the machine's cores."""
-    return min(_resolve_jobs(n_jobs), os.cpu_count() or 1)
+    """Workers ``n_jobs`` can get (0 = all): capped by the machine's cores."""
+    cores = os.cpu_count() or 1
+    return min(n_jobs, cores) if n_jobs > 0 else cores
 
 
 def choose_align_backend(backend: str, n_pairs: int, n_jobs: int) -> str:
@@ -343,7 +340,7 @@ def build_homology_graph(sequences: list[np.ndarray],
         stage.set(n_refs=int(refs.size))
     timings.self_scores_s = stage.elapsed
 
-    n_jobs = _resolve_jobs(config.n_jobs)
+    n_jobs = _effective_workers(config.n_jobs)
     backend = choose_align_backend(config.align_backend, n_pairs,
                                    config.n_jobs)
     shards = _shard_bounds(n_pairs, config.chunk_size,

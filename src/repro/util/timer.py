@@ -109,11 +109,6 @@ BUCKET_C2G = "data_c2g"
 BUCKET_G2C = "data_g2c"
 BUCKET_IO = "disk_io"
 
-#: Device-to-device (peer) transfer seconds in a multi-device group.  Not a
-#: Table-I column — the paper's single K20 has no peer — so like
-#: ``serial_shingling`` it only shows up in ``total`` via the bucket sum.
-BUCKET_P2P = "data_p2p"
-
 TABLE1_BUCKETS = (BUCKET_CPU, BUCKET_GPU, BUCKET_C2G, BUCKET_G2C, BUCKET_IO)
 
 

@@ -20,7 +20,6 @@ from repro.core.aggregate import set_debug_checks
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, cluster_graph
 from repro.device.device import SimulatedDevice
-from repro.device.group import DeviceGroup
 from repro.device.timingmodels import DeviceSpec
 from repro.graph.csr import CSRGraph
 from repro.sequence import homology
@@ -102,9 +101,8 @@ def planted_small():
 #: Labels of the pass schedules the equivalence tests sweep.  ``sync`` is one
 #: stream; ``prefetch`` is one stream at half the element budget (what the
 #: retired double-buffered mode ran once its upload thread was gone);
-#: ``multistream`` is three concurrent streams; ``multidevice`` is a
-#: two-member device group.
-SCHEDULES = ("sync", "prefetch", "multistream", "multidevice")
+#: ``multistream`` is three concurrent streams.
+SCHEDULES = ("sync", "prefetch", "multistream")
 
 
 def schedule(label: str, params: ShinglingParams,
@@ -121,8 +119,6 @@ def schedule(label: str, params: ShinglingParams,
             spec, memory_capacity_bytes=spec.memory_capacity_bytes // 2)
     if label == "multistream":
         return params.with_overrides(streams=3), spec
-    if label == "multidevice":
-        return params.with_overrides(devices=2), spec
     if label != "sync":
         raise ValueError(f"unknown schedule {label!r}")
     return params, spec
@@ -132,17 +128,15 @@ def cluster_via(how: str, graph: CSRGraph, params: ShinglingParams,
                 spec: DeviceSpec | None = None):
     """Cluster ``graph`` on the device pipeline, reached one of three ways.
 
-    ``"auto"``: :class:`GpClust` provisions its own device (or device
-    group) from ``params``.  ``"device"``: the caller builds a fresh device
-    of the same shape and hands it in.  ``"host"``: the one-call
+    ``"auto"``: :class:`GpClust` provisions its own device.  ``"device"``:
+    the caller builds a fresh device of the same spec and hands it in.  ``"host"``: the one-call
     :func:`cluster_graph` API.
     """
     if how == "auto":
         return GpClust(params, spec).run(graph)
     if how == "device":
-        device = (DeviceGroup(params.devices, spec) if params.devices > 1
-                  else SimulatedDevice(spec))
-        return GpClust(params, spec).run(graph, device=device)
+        return GpClust(params, spec).run(graph,
+                                         device=SimulatedDevice(spec))
     if how == "host":
         return cluster_graph(graph, params, device_spec=spec)
     raise ValueError(f"unknown way to reach the pipeline {how!r}")

@@ -4,7 +4,7 @@ The host merge (``StreamingAggregator`` over ``kernels.agg_merge``, or the
 whole-batch ``aggregate_pass`` when a pass is split into batches) is the
 pipeline's one aggregation backend.  Its :class:`PassResult`s and cluster
 labels must equal the serial reference whether the pipeline provisions its
-own device or the caller hands one in, across execution modes and device
+own device or the caller hands one in, across execution modes and stream
 counts — and the cases that cannot take the on-device chunk reduction
 (the ``select`` kernel, a pass split into batches, a device too small for
 one batch) must still merge on the host and match.
@@ -17,7 +17,6 @@ from repro.core.device_exec import device_shingle_pass
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.device.device import SimulatedDevice
-from repro.device.group import DeviceGroup
 from repro.device.timingmodels import DeviceSpec
 from repro.obs import observe, use_obs
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
@@ -56,14 +55,14 @@ class TestBitIdentity:
         assert np.array_equal(host.labels, serial.labels)
 
     @pytest.mark.parametrize("backend", ["auto", "device"])
-    @pytest.mark.parametrize("devices", [1, 2, 4])
-    def test_labels_identical_across_backends_and_devices(
-            self, planted, backend, devices):
-        # "auto": GpClust builds the device (group); "device": the caller
-        # builds it and hands it in.
+    @pytest.mark.parametrize("streams", [1, 2, 4])
+    def test_labels_identical_across_backends_and_streams(
+            self, planted, backend, streams):
+        # "auto": GpClust builds the device; "device": the caller builds
+        # it and hands it in.
         ref = _run(planted)
         got = cluster_via(backend, planted.graph,
-                          BASE.with_overrides(devices=devices))
+                          BASE.with_overrides(streams=streams))
         assert np.array_equal(got.labels, ref.labels)
 
     @pytest.mark.parametrize("exec_mode", ["sync", "prefetch", "multistream"])
@@ -73,18 +72,16 @@ class TestBitIdentity:
         got = cluster_via("device", planted.graph, params, spec)
         assert np.array_equal(got.labels, ref.labels)
 
-    @pytest.mark.parametrize("devices", [1, 2])
-    def test_pass_result_identical(self, planted, devices):
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_pass_result_identical(self, planted, streams):
         graph = planted.graph
         config = BASE.pass_config(1)
         ref = device_shingle_pass(
             graph.indptr, graph.indices, config, SimulatedDevice(),
             kernel="fused", trial_chunk=2)
-        device = DeviceGroup(devices) if devices > 1 else SimulatedDevice()
-        params = BASE.with_overrides(devices=devices)
         got = device_shingle_pass(
-            graph.indptr, graph.indices, params.pass_config(1), device,
-            kernel="fused", trial_chunk=2, streams=params.streams)
+            graph.indptr, graph.indices, config, SimulatedDevice(),
+            kernel="fused", trial_chunk=2, streams=streams)
         assert got == ref
 
 

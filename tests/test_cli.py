@@ -101,14 +101,14 @@ class TestPipeline:
         assert "clusters of size" in out
         assert out_labels.exists()
 
-    def test_jobs_combine_with_devices(self, tmp_path, capsys):
-        # --devices sizes the clustering device group only, so it no longer
-        # conflicts with alignment workers; labels match the default run.
+    def test_jobs_combine_with_streams(self, tmp_path, capsys):
+        # --jobs sizes the alignment workers and --streams the clustering
+        # chunks; labels match the default run.
         stem = tmp_path / "seqs"
         main(["generate", "--families", "3", "--fasta", "--seed", "4",
               "--out", str(stem)])
         labels = []
-        for flags in ([], ["--jobs", "2", "--devices", "2"]):
+        for flags in ([], ["--jobs", "2", "--streams", "2"]):
             out = tmp_path / f"labels{len(flags)}.npz"
             assert main(["pipeline", str(stem.with_suffix(".fasta")),
                          "--c1", "10", "--c2", "5", "--out", str(out),
@@ -134,9 +134,9 @@ class TestParser:
 
     @pytest.mark.parametrize("flags,message", [
         (["--streams", "0"], "streams must be >= 1"),
-        (["--devices", "0"], "devices must be >= 1"),
+        (["--c2", "0"], "c2 must be >= 1"),
         (["--c1", "0"], "c1 must be >= 1"),
-        (["--streams", "2", "--devices", "2"], "cannot be combined"),
+        (["--s1", "0"], "s1 must be >= 1"),
     ])
     def test_bad_counts_are_usage_errors(self, bench_files, capsys, flags,
                                          message):
@@ -169,6 +169,89 @@ class TestParser:
             main(["pipeline", str(tmp_path / "x.fasta"),
                   "--align-backend", backend])
         assert exc.value.code == 2
+
+    def test_devices_flag_rejected(self, bench_files):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", str(bench_files.with_suffix(".npz")),
+                  "--devices", "2"])
+        assert exc.value.code == 2
+
+
+class TestMalformedInput:
+    """An input file the loaders reject is a usage error: one ``error:``
+    line and exit 2, no traceback."""
+
+    @staticmethod
+    def _assert_usage_error(argv, capsys, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("repro: error: cannot read")
+        assert message in last
+        assert "Traceback" not in err
+
+    def test_missing_graph_file(self, tmp_path, capsys):
+        self._assert_usage_error(
+            ["cluster", str(tmp_path / "absent.npz")], capsys,
+            "No such file")
+
+    def test_non_integer_edge(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 x\n")
+        self._assert_usage_error(["cluster", str(path)], capsys, "'x'")
+
+    def test_negative_vertex_id(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n-1 2\n")
+        self._assert_usage_error(["cluster", str(path)], capsys,
+                                 "negative vertex id")
+
+    def test_npz_suffix_on_text_file(self, tmp_path, capsys):
+        path = tmp_path / "g.npz"
+        path.write_text("0 1\n")
+        self._assert_usage_error(["cluster", str(path)], capsys, "g.npz")
+
+    def test_npz_missing_arrays(self, tmp_path, capsys):
+        path = tmp_path / "g.npz"
+        np.savez(path, other=np.arange(3))
+        self._assert_usage_error(["cluster", str(path)], capsys, "indptr")
+        self._assert_usage_error(
+            ["compare", str(path), "--benchmark", str(path)], capsys,
+            "indptr")
+
+    def test_benchmark_without_labels(self, bench_files, tmp_path, capsys):
+        path = tmp_path / "nolabels.npz"
+        np.savez(path, other=np.arange(3))
+        self._assert_usage_error(
+            ["compare", str(bench_files.with_suffix(".npz")),
+             "--benchmark", str(path)], capsys, "labels")
+
+    def test_fasta_without_header(self, tmp_path, capsys):
+        path = tmp_path / "x.fasta"
+        path.write_text("MKV\n>a\nMKV\n")
+        self._assert_usage_error(["pipeline", str(path)], capsys,
+                                 "'>' header")
+
+    def test_stats_and_compare_reject_missing_graph(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.npz")
+        self._assert_usage_error(["stats", absent], capsys, "No such file")
+        self._assert_usage_error(
+            ["compare", absent, "--benchmark", absent], capsys,
+            "No such file")
+
+    def test_computation_errors_keep_their_traceback(self, bench_files,
+                                                     monkeypatch):
+        from repro import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli.GpClust, "run", broken)
+        with pytest.raises(ValueError, match="boom"):
+            main(["cluster", str(bench_files.with_suffix(".npz")),
+                  "--c1", "10", "--c2", "5"])
 
 
 class TestProfileFlag:

@@ -17,7 +17,6 @@ from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.core.serial import serial_shingle_pass
 from repro.device.device import SimulatedDevice
-from repro.device.group import DeviceGroup
 from repro.device.timingmodels import DeviceSpec
 from repro.graph.csr import CSRGraph
 from tests.conftest import SCHEDULES, random_blocky_graph, schedule
@@ -103,11 +102,9 @@ def _schedule_pass(label: str, indptr, elements, cfg,
     """One device pass under the schedule ``label`` names (``SCHEDULES``)."""
     params, spec = schedule(label, ShinglingParams(),
                             DeviceSpec(memory_capacity_bytes=CAPACITY))
-    device = (DeviceGroup(params.devices, spec) if params.devices > 1
-              else SimulatedDevice(spec))
     if max_elements is not None and label == "prefetch":
         max_elements //= 2
-    return device_shingle_pass(indptr, elements, cfg, device,
+    return device_shingle_pass(indptr, elements, cfg, SimulatedDevice(spec),
                                max_elements=max_elements,
                                streams=params.streams, **kwargs)
 
@@ -194,26 +191,13 @@ class TestExecModeEquivalence:
             result = GpClust(params, spec).run(g)
             assert np.array_equal(result.labels, serial.labels), mode
 
-    @pytest.mark.parametrize("devices", [1, 2, 4])
-    def test_pipeline_device_counts_identical(self, small_params, devices):
-        """--devices N is bit-identical to the serial baseline for every N."""
+    @pytest.mark.parametrize("streams", [1, 2, 4])
+    def test_pipeline_stream_counts_identical(self, small_params, streams):
+        """--streams N is bit-identical to the serial baseline for every N."""
         g = random_blocky_graph(seed=22)
         serial = SerialPClust(small_params).run(g)
-        got = GpClust(small_params.with_overrides(devices=devices)).run(g)
+        got = GpClust(small_params.with_overrides(streams=streams)).run(g)
         assert np.array_equal(got.labels, serial.labels)
-
-    @pytest.mark.parametrize("mode", sorted(SCHEDULES))
-    def test_device_counts_cross_modes_identical(self, blocky_graph,
-                                                 small_params, mode):
-        """Groups of 2 and 4 members must match every other schedule."""
-        cfg = small_params.pass_config(1)
-        ref = _schedule_pass(mode, blocky_graph.indptr, blocky_graph.indices,
-                             cfg, trial_chunk=4)
-        for devices in (2, 4):
-            got = device_shingle_pass(
-                blocky_graph.indptr, blocky_graph.indices, cfg,
-                DeviceGroup(devices), trial_chunk=4)
-            assert got == ref, (mode, devices)
 
     def test_scratch_pool_zero_alloc_steady_state(self, blocky_graph,
                                                   small_params):
@@ -324,8 +308,8 @@ class TestStreamingAggregation:
     @given(st.integers(0, 10_000), st.data())
     @settings(max_examples=30, deadline=None)
     def test_any_completion_order_identical(self, seed, data):
-        """The property multi-device sharding rests on: chunks may complete
-        in ANY order (devices race), and the merged result must still equal
+        """The property concurrent streams rest on: chunks may complete
+        in ANY order (streams race), and the merged result must still equal
         the whole-array aggregate — for every partition x permutation."""
         rng = np.random.default_rng(seed)
         c = int(rng.integers(1, 12))

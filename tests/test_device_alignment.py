@@ -754,6 +754,42 @@ class TestHomologyBackends:
         assert got.n_edges == ref.n_edges
         assert np.array_equal(got.normalized_scores, ref.normalized_scores)
 
+    def test_pool_sized_by_capped_workers(self, small_set, monkeypatch):
+        """``n_jobs`` above the core count sizes the pool and its shards
+        from the cores: 8 jobs on 2 cores start at most 2 workers."""
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        class RecordingPool:
+            def __init__(self, *, max_workers, **kwargs):
+                seen["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                seen["n_shards"] = len(list(tasks))
+                raise Stop  # no process ever starts
+
+        monkeypatch.setattr(homology_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(homology_mod, "MIN_POOL_PAIRS_PER_WORKER", 0)
+        monkeypatch.setattr(homology_mod, "ProcessPoolExecutor",
+                            RecordingPool)
+        ctx = observe()
+        with use_obs(ctx), pytest.raises(Stop):
+            build_homology_graph(small_set, HomologyConfig(n_jobs=8,
+                                                           chunk_size=8))
+        assert seen["max_workers"] <= 2
+        assert seen["n_shards"] <= 2 * 4
+        (stage,) = [r for r in ctx.tracer.records
+                    if r.name == "homology.alignment"]
+        assert stage.attrs["n_jobs"] == 2
+
 
     @pytest.mark.parametrize("gap_model", ["linear", "affine"])
     def test_pool_workers_run_binned_kernels(self, small_set, monkeypatch,

@@ -89,15 +89,18 @@ class TestCorruptInputs:
         with pytest.raises(ValueError, match="indptr must end"):
             load_npz(path)  # validated on load
 
-    def test_npz_with_repeated_neighbor(self, tmp_path):
-        """Vertex 0 lists vertex 1 twice: fails on load, not mid-pipeline."""
+    def test_npz_with_repeated_neighbor(self, tmp_path, capsys):
+        """Vertex 0 lists vertex 1 twice: fails on load, not mid-pipeline;
+        the CLI reports it as a usage error."""
         path = tmp_path / "repeated.npz"
         np.savez(path, indptr=np.array([0, 2, 3, 4, 5, 6]),
                  indices=np.array([1, 1, 0, 3, 2, 1]))
         with pytest.raises(ValueError, match="duplicate-free"):
             load_npz(path)
-        with pytest.raises(ValueError, match="duplicate-free"):
+        with pytest.raises(SystemExit) as exc:
             cli_main(["cluster", str(path), "--c1", "4", "--c2", "2"])
+        assert exc.value.code == 2
+        assert "duplicate-free" in capsys.readouterr().err
 
     @pytest.mark.parametrize("indptr,indices,match", [
         ([0, 1, 2], [1, 5], "out of range"),

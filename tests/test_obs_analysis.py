@@ -173,7 +173,6 @@ class TestAttribution:
                 "device.kernel.shingle_reduce.modeled_s": 2.0,
             },
             "gauges": {
-                "group.host_link.contended_modeled_s": 0.25,
                 "device.align.padding_waste": 0.4,
             },
             "histograms": {},
@@ -194,15 +193,15 @@ class TestAttribution:
         slugs = {c["cause"] for c in causes}
         # The dispatch slug splits each gap into "not explained by link
         # traffic"; with zero transfer overlap it equals the full gap and
-        # ranks right behind it, displacing the small contention/padding
-        # causes from the top five (they are still considered).
+        # ranks right behind it, ahead of the small padding and transfer
+        # causes.
         assert "dispatch_overhead:shingle" in slugs
         by_slug = {c["cause"]: c for c in causes}
         assert (by_slug["dispatch_overhead:shingle"]["seconds"]
                 <= by_slug["roofline_gap:shingle"]["seconds"])
         # Padding waste scales the homology.alignment span's 2 s wall.
         assert by_slug["alignment_padding"]["seconds"] == pytest.approx(0.8)
-        assert report["n_causes_considered"] == 6
+        assert report["n_causes_considered"] == 5
         # Shares are fractions of wall.
         assert all(0.0 <= c["share"] <= 1.0 for c in causes)
 

@@ -20,14 +20,14 @@ from repro.obs.ledger import EWMA_ALPHA, ewma, is_wall_metric
 
 class TestFingerprint:
     def test_stable_across_key_order(self):
-        a = config_fingerprint({"scale": "small", "devices": 2})
-        b = config_fingerprint({"devices": 2, "scale": "small"})
+        a = config_fingerprint({"scale": "small", "streams": 2})
+        b = config_fingerprint({"streams": 2, "scale": "small"})
         assert a == b
         assert len(a) == 12
 
     def test_differs_on_config_change(self):
-        a = config_fingerprint({"devices": 1})
-        b = config_fingerprint({"devices": 2})
+        a = config_fingerprint({"streams": 1})
+        b = config_fingerprint({"streams": 2})
         assert a != b
 
 
@@ -145,8 +145,8 @@ class TestLedgerReport:
         assert row["verdict"] == "DRIFT"
 
     def test_fingerprints_keep_series_apart(self, tmp_path):
-        self._seed(tmp_path, [1.0, 1.0], config={"devices": 1})
-        self._seed(tmp_path, [9.0, 9.0], config={"devices": 2})
+        self._seed(tmp_path, [1.0, 1.0], config={"streams": 1})
+        self._seed(tmp_path, [9.0, 9.0], config={"streams": 2})
         report = ledger_report(load_ledger(tmp_path), tolerance=0.15)
         assert len(report) == 2
         assert all(r["verdict"] == "OK" for r in report)

@@ -301,19 +301,21 @@ class TestSummaryReport:
         text = render_summary(doc)
         assert "busy" in text and "wall" in text
 
-    def test_per_process_table_breaks_out_p2p(self):
+    def test_per_process_table_sums_busy_per_process(self):
         from repro.obs import render_summary, summarize_trace
 
         records = [
-            SpanRecord("kernel", 0.0, 2.0, "device0", "stream"),
-            SpanRecord("device.p2p_copy", 0.5, 1.0, "device1", "io"),
-            SpanRecord("kernel", 1.0, 2.0, "device1", "stream"),
+            SpanRecord("kernel", 0.0, 2.0, "main", "stream_0"),
+            SpanRecord("homology.align.shard", 0.5, 1.0, "sw-worker-1",
+                       "main"),
+            SpanRecord("homology.align.shard", 1.0, 2.0, "sw-worker-1",
+                       "main"),
         ]
         doc = to_chrome_trace(records, 0.0)
         procs = {p["proc"]: p for p in summarize_trace(doc)["procs"]}
-        assert procs["device0"]["p2p_s"] == 0.0
-        assert procs["device1"]["p2p_s"] == 0.5
-        # p2p copies count toward the destination's busy time too.
-        assert procs["device1"]["busy_s"] == 1.5
+        assert procs["main"]["busy_s"] == 2.0
+        assert procs["sw-worker-1"]["busy_s"] == 1.5
+        assert procs["sw-worker-1"]["count"] == 2
         text = render_summary(doc)
-        assert "p2p ms" in text
+        assert "per-process utilization" in text
+        assert "sw-worker-1" in text

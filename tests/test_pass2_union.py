@@ -4,7 +4,7 @@ With the fused kernel, the vectorized union backend and a single pass-II
 batch whose geometry the tournament plan accepts, ``GpClust`` never builds
 ``G_II``: :func:`device_union_pass` folds every trial chunk's occurrence
 slots into a running root-label array.  Its labels must equal
-``SerialPClust``'s under every schedule, device count and
+``SerialPClust``'s under every schedule, stream count and
 ``include_generators`` setting — whether the pipeline provisions its own
 device, the caller hands one in, or the one-call API runs it — and every
 case that still needs ``G_II`` must fall back to it and match too.
@@ -24,7 +24,6 @@ from repro.core.report import PartitionFold, partition_labels
 from repro.core.serial import serial_shingle_pass
 from repro.device import kernels
 from repro.device.device import SimulatedDevice
-from repro.device.group import DeviceGroup
 from repro.graph.unionfind import union_edge_keys
 from repro.obs import get_obs, observe, use_obs
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
@@ -61,13 +60,13 @@ def _pass1(graph, params):
 
 @pytest.mark.parametrize("include_generators", [False, True])
 @pytest.mark.parametrize("via", ["host", "device", "auto"])
-@pytest.mark.parametrize("exec_mode,devices", [
-    ("sync", 1), ("prefetch", 1), ("multistream", 1), ("multidevice", 2)])
-def test_direct_path_matches_serial(planted, direct_calls, exec_mode, devices,
+@pytest.mark.parametrize("exec_mode,streams", [
+    ("sync", 1), ("prefetch", 1), ("multistream", 3)])
+def test_direct_path_matches_serial(planted, direct_calls, exec_mode, streams,
                                     via, include_generators):
     params, spec = schedule(exec_mode, BASE.with_overrides(
         include_generators=include_generators))
-    assert params.devices == devices
+    assert params.streams == streams
     want = SerialPClust(params).run(planted).labels
     got = cluster_via(via, planted, params, spec).labels
     assert direct_calls == [True]
@@ -75,15 +74,12 @@ def test_direct_path_matches_serial(planted, direct_calls, exec_mode, devices,
     assert np.unique(got).size > 1
 
 
-@pytest.mark.parametrize("streams,members", [
-    (1, None), (2, None), (5, None), (1, 1), (1, 2), (1, 4)])
-def test_direct_path_streams_and_groups(planted, direct_calls, streams,
-                                        members):
-    """A plain device at 1, 2 and 5 streams; groups of 1, 2 and 4."""
+@pytest.mark.parametrize("streams", [1, 2, 5])
+def test_direct_path_streams(planted, direct_calls, streams):
+    """A caller's device at 1, 2 and 5 streams."""
     params = BASE.with_overrides(streams=streams)
-    device = SimulatedDevice() if members is None else DeviceGroup(members)
     want = SerialPClust(params).run(planted).labels
-    got = GpClust(params).run(planted, device=device).labels
+    got = GpClust(params).run(planted, device=SimulatedDevice()).labels
     assert direct_calls == [True]
     assert np.array_equal(got, want)
 
