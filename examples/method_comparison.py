@@ -14,10 +14,7 @@ Run:  python examples/method_comparison.py
 from __future__ import annotations
 
 from repro import GpClust, ShinglingParams
-from repro.baselines import (
-    gos_kneighbor_clustering,
-    single_linkage_clustering,
-)
+from repro.baselines import gos_kneighbor_clustering
 from repro.eval import (
     Partition,
     density_summary,
@@ -25,6 +22,7 @@ from repro.eval import (
     quality_scores,
     size_distribution,
 )
+from repro.graph.components import connected_components
 from repro.synthdata import PlantedFamilyConfig, planted_family_graph
 from repro.util.tables import format_percent, format_table
 
@@ -41,7 +39,7 @@ def main() -> None:
             GpClust(ShinglingParams(c1=100, c2=50, seed=5)).run(graph).labels),
         "GOS k-neighbor (k=10)": Partition(
             gos_kneighbor_clustering(planted.gos_graph, k=10)),
-        "single linkage": Partition(single_linkage_clustering(graph)),
+        "single linkage": Partition(connected_components(graph)),
     }
 
     rows = []

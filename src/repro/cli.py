@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.params import ShinglingParams
+from repro.core.params import KERNEL_FUSED, KERNELS, ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.graph.io import save_npz, timed_load
 from repro.util.tables import format_percent, format_seconds, format_table
@@ -189,10 +189,11 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s2", type=int, default=2, help="pass-2 shingle size")
     parser.add_argument("--c2", type=int, default=100, help="pass-2 trials")
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument("--kernel", choices=["select", "sort", "fused"],
-                        default="fused",
-                        help="device top-s kernel (fused = single-launch "
-                             "hash+pack with on-device dedup reduction)")
+    parser.add_argument("--kernel", choices=KERNELS, default=KERNEL_FUSED,
+                        help="device top-s engine over the fused hash keys "
+                             "(fused = tournament select, sort = the "
+                             "Thrust-style full segmented sort; output is "
+                             "identical)")
     parser.add_argument("--streams", type=int, default=1,
                         help="trial chunks in flight at once on one device "
                              "(1 = the paper's synchronous pipeline; output "
@@ -352,7 +353,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 def cmd_obs_summary(args: argparse.Namespace) -> int:
     from repro.obs import load_trace, render_summary
 
-    doc = load_trace(args.trace_file)
+    doc = _read_input(load_trace, args.trace_file)
     print(render_summary(doc, top_n=args.top))
     return 0
 
@@ -372,7 +373,7 @@ def _print_obs_report(args: argparse.Namespace, payload: dict,
 def cmd_obs_critical_path(args: argparse.Namespace) -> int:
     from repro.obs import critical_path, load_trace, render_critical_path
 
-    cp = critical_path(load_trace(args.trace_file))
+    cp = critical_path(_read_input(load_trace, args.trace_file))
     return _print_obs_report(args, cp, render_critical_path(cp, top_n=args.top))
 
 
@@ -383,15 +384,18 @@ def cmd_obs_attribute(args: argparse.Namespace) -> int:
 
     metrics = None
     if args.metrics is not None:
-        metrics = json.loads(Path(args.metrics).read_text())
-    report = attribute(load_trace(args.trace_file), metrics=metrics)
+        metrics = _read_input(lambda path: json.loads(Path(path).read_text()),
+                              args.metrics)
+    report = attribute(_read_input(load_trace, args.trace_file),
+                       metrics=metrics)
     return _print_obs_report(args, report, render_attribution(report))
 
 
 def cmd_obs_diff(args: argparse.Namespace) -> int:
     from repro.obs import diff_traces, load_trace, render_diff
 
-    diff = diff_traces(load_trace(args.trace_a), load_trace(args.trace_b))
+    diff = diff_traces(_read_input(load_trace, args.trace_a),
+                       _read_input(load_trace, args.trace_b))
     return _print_obs_report(args, diff, render_diff(diff, top_n=args.top))
 
 

@@ -30,6 +30,9 @@ Partition mode's pass II skips even the streaming aggregation:
 :func:`device_union_pass` folds each chunk's top-``s`` ids straight into
 the Phase III union, so ``G_II`` is never built.
 
+The ``kernel`` name is passed through to the device, where it picks only
+the top-``s`` engine; every kernel takes the same path through a pass.
+
 Every step is charged to the right Table-I bucket: batch planning and
 aggregation to ``cpu``, kernel work to ``gpu`` (inside the device facade),
 transfers to ``data_c2g``/``data_g2c``.  Every schedule produces results
@@ -65,7 +68,7 @@ def device_shingle_pass(
     config: PassConfig,
     device: SimulatedDevice,
     *,
-    kernel: str = "select",
+    kernel: str = KERNEL_FUSED,
     trial_chunk: int = 16,
     max_elements: int | None = None,
     streams: int = 1,
@@ -81,7 +84,7 @@ def device_shingle_pass(
     device:
         The simulated device; its breakdown accumulates component times.
     kernel, trial_chunk:
-        Kernel selection and trials-per-round (see :class:`SimulatedDevice`).
+        Top-``s`` engine and trials per round (see :class:`SimulatedDevice`).
     max_elements:
         Batch element budget override; by default derived from the device's
         memory capacity.  Either way it is divided by ``streams``, which
@@ -181,6 +184,7 @@ def device_union_pass(
     members1: np.ndarray,
     n_vertices: int,
     include_generators: bool = False,
+    kernel: str = KERNEL_FUSED,
     trial_chunk: int = 16,
     max_elements: int | None = None,
     streams: int = 1,
@@ -188,8 +192,8 @@ def device_union_pass(
     """Pass II fed straight into the Phase III partition union.
 
     Partition mode needs only the vertex components ``G_II`` induces, so
-    this pass never builds ``G_II``: each trial chunk runs the fused
-    kernel's tournament select plus id recovery
+    this pass never builds ``G_II``: each trial chunk runs the hash, the
+    top-``s`` engine ``kernel`` picks, and id recovery
     (:meth:`~repro.device.device.SimulatedDevice.shingle_chunk_ids`), and
     its occurrence slots go straight into a
     :class:`~repro.core.report.PartitionFold` as edges.  Slot ``(j, f)``
@@ -208,8 +212,8 @@ def device_union_pass(
 
     Returns the fold of every chunk's edges (its :meth:`~PartitionFold.
     labels` are the partition), or ``None`` when the pass needs several
-    batches or the tournament plan rejects its geometry — the caller then
-    builds ``G_II`` with :func:`device_shingle_pass`.
+    batches — the caller then builds ``G_II`` with
+    :func:`device_shingle_pass`.
     """
     inp = _compact_input(indptr, elements, config, device, trial_chunk,
                          max_elements, streams)
@@ -226,14 +230,12 @@ def device_union_pass(
         batch_elements = batch.slice_elements(inp.elements)
         tournament = build_tournament_plan(batch_elements, batch.local_indptr,
                                            s, inp.n_values)
-    if tournament is None:
-        return None
 
     a, b = config.a_array, config.b_array
     with breakdown.timing(BUCKET_CPU):
         f_members = members1[inp.valid_ids]
         lead1 = f_members[:, :1]
-        lead_perm = lead1[tournament.perm]
+        lead_perm = lead1[tournament.perm] if tournament is not None else None
     # Once per pass: every f's members (and generators) join its leader.
     fold.fold(lead1, f_members[:, 1:])
     if include_generators:
@@ -247,10 +249,10 @@ def device_union_pass(
         ids, perm = device.shingle_chunk_ids(
             d_elems, d_indptr,
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
-            n_values=inp.n_values, tournament=tournament,
+            n_values=inp.n_values, tournament=tournament, kernel=kernel,
             check=lo == check_lo, label=f"trials {lo}-{hi - 1}")
-        # Columns are in the plan's order, or in segment order when a zero
-        # hash coefficient sent the chunk to the eager select.
+        # Columns are in the plan's order, or in segment order when no
+        # tournament ran (a rejected plan, or the sort engine).
         lead = lead1 if perm is None else lead_perm
         # One trial at a time: once the first trials have merged the big
         # components, most later edges map to self-loops and drop before
@@ -311,16 +313,16 @@ def _single_batch_streaming(
     aggregates independently the moment its kernels finish; the full
     ``(c, n, s)`` arrays are never materialized.
 
-    With the ``fused`` kernel (and whenever the packed reduction keys fit in
-    63 bits) the device additionally runs :func:`chunk_reduce` before the
-    transfer: each chunk downloads a compacted distinct-shingle partial —
-    already a :class:`PassResult` in wire form — instead of the raw
-    ``(t, n, s)`` occurrence block, so both the g2c bytes and the CPU
-    aggregation shrink from O(t*n*s) to O(k_chunk*s).  Its top-``s``
-    selection is the binned tournament, planned once here from the batch
-    geometry (the eager select is the fallback for geometries the plan
-    rejects); with debug checks on, each pass's first chunk is also checked
-    against the eager select.
+    Whenever the packed reduction keys fit in 63 bits the device
+    additionally runs :func:`chunk_reduce` before the transfer: each chunk
+    downloads a compacted distinct-shingle partial — already a
+    :class:`PassResult` in wire form — instead of the raw ``(t, n, s)``
+    occurrence block, so both the g2c bytes and the CPU aggregation shrink
+    from O(t*n*s) to O(k_chunk*s).  The ``fused`` kernel's top-``s``
+    selection is then the binned tournament, planned once here from the
+    batch geometry (the eager select is the fallback for geometries the
+    plan rejects); with debug checks on, each pass's first chunk is also
+    checked against the eager select.
     """
     breakdown = device.breakdown
     s = config.s
@@ -330,15 +332,14 @@ def _single_batch_streaming(
     # The single batch is pre-compacted (every row has length >= s, no
     # sentinel padding), which is exactly what the on-device reduction
     # requires; the only other gate is the 63-bit key-packing bound.
-    use_reduce = (kernel == KERNEL_FUSED
-                  and reduce_keys_fit(t_max, n_rows, s, n_values))
+    use_reduce = reduce_keys_fit(t_max, n_rows, s, n_values)
 
     batch_elements = batch.slice_elements(elements)
     with breakdown.timing(BUCKET_CPU):
         tournament = (build_tournament_plan(batch_elements, batch.local_indptr,
                                             s, n_values)
                       if use_reduce else None)
-        # The per-element segment ids only feed the eager select.
+        # The per-element segment ids feed the eager select and the sort.
         seg_ids_table = (segment_element_ids(batch.local_indptr)
                          if tournament is None else None)
         aggregator = StreamingAggregator(s, n_seg)
@@ -356,8 +357,8 @@ def _single_batch_streaming(
         out = device.shingle_chunk_reduce(
             d_elems, d_indptr, d_gens,
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
-            salts=salts[lo:hi], seg_ids=seg_ids_table, n_values=n_values,
-            tournament=tournament, check=lo == check_lo,
+            salts=salts[lo:hi], kernel=kernel, seg_ids=seg_ids_table,
+            n_values=n_values, tournament=tournament, check=lo == check_lo,
             label=f"trials {lo}-{hi - 1}")
         with breakdown.timing(BUCKET_CPU), \
                 tracer.span("exec.chunk_aggregate"):

@@ -21,11 +21,12 @@ REPORT_OVERLAPPING = "overlapping"
 GROUPING_TWO_LEVEL = "two_level"
 GROUPING_ONE_SHINGLE = "one_shingle"
 
-KERNEL_SELECT = "select"
 KERNEL_SORT = "sort"
 KERNEL_FUSED = "fused"
 
-KERNELS = (KERNEL_SELECT, KERNEL_SORT, KERNEL_FUSED)
+#: Valid ``kernel`` values; every one runs the fused uint32 key path and
+#: picks only the device's top-``s`` engine.
+KERNELS = (KERNEL_SORT, KERNEL_FUSED)
 
 UNION_VECTORIZED = "vectorized"
 UNION_UNIONFIND = "unionfind"
@@ -48,10 +49,10 @@ class ShinglingParams:
         Experiment seed; hash pairs for the two passes are drawn from
         independent streams derived from it.
     kernel:
-        Device selection kernel: ``"fused"`` (single-launch fused hash+pack
-        over uint32 keys, with on-device dedup reduction where applicable —
-        the default), ``"select"`` (s-round segmented min) or ``"sort"``
-        (Thrust-faithful full segmented sort).  All bit-identical.
+        Device top-``s`` engine over the fused hash keys: ``"fused"`` (the
+        binned tournament, or the s-round segmented min where the
+        tournament plan rejects the geometry — the default) or ``"sort"``
+        (Thrust-faithful full segmented sort).  Bit-identical.
     trial_chunk:
         Trials per device kernel round (bounds device working memory).
     streams:

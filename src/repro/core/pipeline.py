@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.device_exec import device_shingle_pass, device_union_pass
 from repro.core.params import (
     GROUPING_ONE_SHINGLE,
-    KERNEL_FUSED,
     REPORT_PARTITION,
     UNION_UNIONFIND,
     UNION_VECTORIZED,
@@ -147,15 +146,14 @@ class GpClust:
         fold = None
         with tracer.span("gpclust.pass2") as span:
             if (params.report_mode == REPORT_PARTITION
-                    and params.union_backend == UNION_VECTORIZED
-                    and params.kernel == KERNEL_FUSED):
+                    and params.union_backend == UNION_VECTORIZED):
                 # Partition mode needs only G_II's vertex components: feed
                 # the pass straight into the union when it can.
                 fold = device_union_pass(
                     indptr2, elements2, config2, device,
                     members1=pass1.members, n_vertices=graph.n_vertices,
                     include_generators=params.include_generators,
-                    trial_chunk=params.trial_chunk,
+                    kernel=params.kernel, trial_chunk=params.trial_chunk,
                     max_elements=self.max_batch_elements,
                     streams=params.streams)
             span.set(direct=fold is not None)

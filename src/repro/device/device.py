@@ -9,8 +9,9 @@ mirror a CUDA device used through Thrust:
   seconds to the transfer model — synchronously, as the paper's Thrust 1.5
   does ("the data movement operations are implemented using synchronous
   mechanism, and the overhead ... is unavoidable");
-* ``shingle_batch`` executes Algorithm 1 (the per-batch shingle extraction)
-  on "device-resident" data, charging the ``gpu`` bucket, and streams each
+* ``shingle_chunk`` and its reducing variants execute Algorithm 1 (the
+  per-batch shingle extraction) for one chunk of trials on
+  "device-resident" data, charging the ``gpu`` bucket, and stream each
   trial round's results back to the host — the paper transfers generated
   shingles back "after each iteration for the immediate processing on the
   CPU side", which also keeps the device working set small.
@@ -27,16 +28,13 @@ import time
 
 import numpy as np
 
+from repro.core.params import KERNEL_FUSED, KERNEL_SORT, KERNELS
 from repro.device import kernels
 from repro.device.memory import DeviceBuffer, DeviceMemory, ScratchPool
 from repro.device.timingmodels import DeviceSpec
 from repro.obs import MetricsRegistry, ObsContext, get_obs
 from repro.util.timer import (BUCKET_C2G, BUCKET_CPU, BUCKET_G2C, BUCKET_GPU,
                               TimeBreakdown)
-
-#: Valid values of the ``kernel`` argument of :meth:`SimulatedDevice.shingle_batch`.
-KERNELS = ("select", "sort", "fused")
-
 
 class SimulatedDevice:
     """A K20-like device: limited memory, explicit transfers, bulk kernels."""
@@ -202,85 +200,6 @@ class SimulatedDevice:
     # Shingle extraction (Algorithm 1)
     # ------------------------------------------------------------------ #
 
-    def shingle_batch(
-        self,
-        d_elements: DeviceBuffer,
-        d_indptr: DeviceBuffer,
-        *,
-        a: np.ndarray,
-        b: np.ndarray,
-        prime: int,
-        s: int,
-        salts: np.ndarray,
-        kernel: str = "select",
-        trial_chunk: int = 16,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run all ``c`` shingling trials over one uploaded batch.
-
-        Parameters
-        ----------
-        d_elements:
-            Device buffer holding the batch's flat element ids.
-        d_indptr:
-            Device buffer holding the batch-local segment boundaries (the
-            "auxiliary data structure ... to mark the boundaries of each
-            adjacency list" of Section III-C).
-        a, b:
-            ``(c,)`` hash-pair coefficient arrays (kernel parameters; small
-            enough to ride along with launches, not counted as transfers).
-        prime:
-            Min-wise hash modulus ``P``.
-        s:
-            Shingle size.
-        salts:
-            ``(c,)`` per-trial fingerprint salts.
-        kernel:
-            ``"select"`` (s-round segmented min), ``"sort"`` (full segmented
-            sort, the Thrust-faithful reference) or ``"fused"`` (fused
-            hash+pack into one uint32 key buffer; see
-            :func:`repro.device.kernels.fused_hash`).
-        trial_chunk:
-            Trials per kernel round; bounds the device working set.
-
-        Returns
-        -------
-        (fps, top):
-            Host arrays — ``fps`` is ``(c, n_segments)`` uint64 shingle
-            fingerprints; ``top`` is ``(c, n_segments, s)`` packed
-            (hash, id) top-``s`` pairs (``SENTINEL``-padded for segments
-            shorter than ``s``).  Each trial round's slice was produced on
-            the device and downloaded synchronously.
-        """
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}")
-        if trial_chunk < 1:
-            raise ValueError("trial_chunk must be >= 1")
-        c = len(a)
-        if not (len(b) == len(salts) == c):
-            raise ValueError("a, b, salts must have equal length")
-
-        indptr = d_indptr.device_view().astype(np.int64, copy=False)
-        n_seg = indptr.size - 1
-
-        fps_host = np.empty((c, n_seg), dtype=np.uint64)
-        top_host = np.empty((c, n_seg, s), dtype=np.uint64)
-
-        # Per-element segment ids: one gather table shared by every round.
-        t0 = time.perf_counter()
-        seg_ids = kernels.segment_element_ids(indptr)
-        self.breakdown.add(BUCKET_GPU, time.perf_counter() - t0)
-
-        for lo in range(0, c, trial_chunk):
-            hi = min(lo + trial_chunk, c)
-            self.shingle_chunk(
-                d_elements, d_indptr,
-                a=a[lo:hi], b=b[lo:hi], prime=prime, s=s, salts=salts[lo:hi],
-                kernel=kernel, seg_ids=seg_ids,
-                out_fps=fps_host[lo:hi], out_top=top_host[lo:hi],
-                label=f"trials {lo}-{hi - 1}")
-
-        return fps_host, top_host
-
     def shingle_chunk(
         self,
         d_elements: DeviceBuffer,
@@ -291,7 +210,7 @@ class SimulatedDevice:
         prime: int,
         s: int,
         salts: np.ndarray,
-        kernel: str = "select",
+        kernel: str = KERNEL_FUSED,
         seg_ids: np.ndarray | None = None,
         n_values: int | None = None,
         out_fps: np.ndarray | None = None,
@@ -299,6 +218,15 @@ class SimulatedDevice:
         label: str = "trial chunk",
     ) -> tuple[np.ndarray, np.ndarray]:
         """One kernel round: a chunk of trials over one uploaded batch.
+
+        Algorithm 1 on device-resident data: the fused hash+pack transform
+        writes one uint32 key buffer (see
+        :func:`repro.device.kernels.fused_hash`), ``kernel`` picks the top-
+        ``s`` engine (``"fused"``: s-round segmented min; ``"sort"``: full
+        segmented sort), and the ids and packed ``(hash, id)`` pairs are
+        recovered from the selected block via the inverse affine map.
+        ``n_values`` (the exclusive id upper bound, computed once per batch
+        by the pass) sizes the hash's lookup table.
 
         This is the unit of work a multi-stream execution plan schedules:
         every internal working array comes from :attr:`scratch` and the
@@ -308,19 +236,14 @@ class SimulatedDevice:
         streams draw distinct scratch buffers and the breakdown/timeline/
         memory accounting are all lock-protected.
 
-        ``kernel="fused"`` runs the fused hash+pack transform (one uint32
-        key buffer, one launch) and recovers ids/packed pairs from the
-        selected top block via the inverse affine map; ``n_values`` (the
-        exclusive id upper bound, computed once per batch by the driver)
-        sizes its lookup table.  Output is bit-identical to the other
-        kernels.
-
         Returns the ``(fps, top)`` host arrays for trials ``a``/``b``/``salts``
-        describe — shapes ``(t, n_seg)`` and ``(t, n_seg, s)``.
+        describe — shapes ``(t, n_seg)`` uint64 fingerprints and ``(t,
+        n_seg, s)`` packed pairs, ``SENTINEL``-padded for segments shorter
+        than ``s``.
         """
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}")
         t = len(a)
+        if not (len(b) == len(salts) == t):
+            raise ValueError("a, b, salts must have equal length")
         elements = d_elements.device_view()
         indptr = d_indptr.device_view().astype(np.int64, copy=False)
         n_seg = indptr.size - 1
@@ -328,36 +251,11 @@ class SimulatedDevice:
         pool = self.scratch
 
         t0 = time.perf_counter()
-        if kernel == "fused":
-            keys = pool.take((t, nnz), np.uint32)
-            kernels.fused_hash(elements, a, b, prime, out=keys,
-                               scratch=pool, n_values=n_values)
-            d_work = self.memory.adopt(keys)         # working set on device
-            top32 = pool.take((t, n_seg, s), np.uint32)
-            kernels.segmented_select_top_s(keys, indptr, s, scratch=pool,
-                                           seg_ids=seg_ids, out=top32,
-                                           consume=True)
-            top = pool.take((t, n_seg, s), np.uint64)
-            top_ids = pool.take((t, n_seg, s), np.uint64)
-            kernels.recover_top_ids(top32, a, b, prime, out_ids=top_ids,
-                                    out_packed=top, scratch=pool)
-            small = (keys, top32, top, top_ids)
-            kernel_class = "select"
-            n_transforms = 1
-        else:
-            packed = pool.take((t, nnz), np.uint64)
-            kernels.affine_hash(elements, a, b, prime, out=packed)
-            kernels.pack_pairs(packed, elements, out=packed)
-            d_work = self.memory.adopt(packed)       # working set on device
-            select_fn = (kernels.segmented_select_top_s if kernel == "select"
-                         else kernels.segmented_sort_top_s)
-            top = pool.take((t, n_seg, s), np.uint64)
-            select_fn(packed, indptr, s, scratch=pool, seg_ids=seg_ids, out=top)
-            top_ids = pool.take((t, n_seg, s), np.uint64)
-            kernels.unpack_ids(top, out=top_ids)
-            small = (packed, top, top_ids)
-            kernel_class = "sort" if kernel == "sort" else "select"
-            n_transforms = 2                          # hash launch + pack launch
+        top = pool.take((t, n_seg, s), np.uint64)
+        _, table, top32, top_ids, d_work = self._select_top_ids(
+            elements, indptr, kernel=kernel, a=a, b=b, prime=prime, s=s,
+            seg_ids=seg_ids, n_values=n_values, tournament=None,
+            out_packed=top)
         fps = pool.take((t, n_seg), np.uint64)
         kernels.fold_fingerprints(
             top_ids, np.asarray(salts, dtype=np.uint64),
@@ -371,26 +269,12 @@ class SimulatedDevice:
             tracer.record("device.shingle_chunk", t0, t1,
                           attrs={"kernel": kernel, "trials": t, "nnz": nnz,
                                  "n_seg": n_seg, "label": label})
-        transform_s = self.spec.kernels.seconds_for("transform", t * nnz)
-        select_s = self.spec.kernels.seconds_for(
-            kernel_class,
-            kernels.count_kernel_elements(kernel_class, t, nnz, n_seg, s))
         reduce_s = self.spec.kernels.seconds_for(
             "reduce",
             kernels.count_kernel_elements("reduce", t, nnz, n_seg, s))
-        modeled_gpu = n_transforms * transform_s + select_s + reduce_s
-        # The unfused transform stands for two physical launches (hash +
-        # pack): charge and count both (the launch-latency rule in
-        # timingmodels.KernelCostModel).
-        self._record_kernel("fused_transform" if kernel == "fused" else
-                            "hash+pack_transform",
-                            n_transforms * t * nnz, n_transforms * transform_s,
-                            n_launches=n_transforms)
-        self._record_kernel(f"top_s_{kernel_class}", t * nnz * s, select_s)
         self._record_kernel("fingerprint_fold", t * n_seg * s, reduce_s)
-        self.breakdown.add_modeled(BUCKET_GPU, modeled_gpu)
-        if self.timeline is not None:
-            self.timeline.record(BUCKET_GPU, label, modeled_gpu)
+        self._charge_modeled(
+            self._charge_select(kernel, t, nnz, n_seg, s) + reduce_s, label)
 
         # Transfer this round's shingles back immediately (synchronous).
         if out_top is None:
@@ -401,8 +285,8 @@ class SimulatedDevice:
             out_fps = self.download(d_fps)
         else:
             self.download_into(d_fps, out_fps)
-        self.free(d_work, d_top, d_fps)
-        pool.give(fps, *small)
+        self.free(*d_work, d_top, d_fps)
+        pool.give(fps, top, table, top32, top_ids)
         return out_fps, out_top
 
     def shingle_chunk_reduce(
@@ -416,13 +300,14 @@ class SimulatedDevice:
         prime: int,
         s: int,
         salts: np.ndarray,
+        kernel: str = KERNEL_FUSED,
         seg_ids: np.ndarray | None = None,
         n_values: int | None = None,
         tournament: kernels.TournamentPlan | None = None,
         check: bool = False,
         label: str = "trial chunk",
     ) -> tuple:
-        """One fused kernel round with on-device sort-dedup reduction.
+        """One kernel round with on-device sort-dedup reduction.
 
         Hashes and selects each segment's top-``s`` ids, then runs
         :func:`repro.device.kernels.chunk_reduce` on the device: the raw
@@ -433,14 +318,12 @@ class SimulatedDevice:
         the dense arrays — cutting g2c bytes from O(t*n*(s+1)*8) to
         roughly O(t*n*4 + k*(8+4*s+4)).
 
-        The selection is the binned tournament of ``tournament`` (the
-        pass's :func:`~repro.device.kernels.build_tournament_plan`).  With
-        no plan, or a zero hash coefficient (the affine map degenerates and
-        the distinct-keys proof fails), it is the eager ``fused_hash`` +
-        ``segmented_select_top_s`` sequence.  Either way the hash keys (the
-        tournament's table, the eager ``(t, nnz)`` buffer) and the selected
-        key and id blocks are charged to device memory.  ``check`` re-runs
-        the eager sequence after the timed region and raises
+        The top-``s`` engine is :meth:`_select_top_ids`'s: for
+        ``kernel="fused"`` the binned tournament of ``tournament`` (the
+        pass's :func:`~repro.device.kernels.build_tournament_plan`), or
+        the eager ``segmented_select_top_s`` without a plan; for
+        ``kernel="sort"`` the full segmented sort.  ``check`` re-runs the
+        eager sequence after the timed region and raises
         ``AssertionError`` if the tournament's ids differ.
 
         Requires pre-compacted input (every segment's length >= s, so no
@@ -460,8 +343,8 @@ class SimulatedDevice:
 
         t0 = time.perf_counter()
         tournament, table, top32, top_ids, d_work = self._select_top_ids(
-            elements, indptr, a=a, b=b, prime=prime, s=s, seg_ids=seg_ids,
-            n_values=n_values, tournament=tournament)
+            elements, indptr, kernel=kernel, a=a, b=b, prime=prime, s=s,
+            seg_ids=seg_ids, n_values=n_values, tournament=tournament)
         reduce_cols = ({"col_ids": tournament.perm_cols,
                         "col_to_row": tournament.col_to_row}
                        if tournament is not None else {})
@@ -475,11 +358,11 @@ class SimulatedDevice:
         tracer = self.obs.tracer
         if tracer.enabled:
             tracer.record("device.shingle_chunk_reduce", t0, t1,
-                          attrs={"trials": t, "nnz": nnz, "n_seg": n_seg,
-                                 "k_chunk": int(fps.size), "label": label,
-                                 "select": ("tournament" if tournament
-                                            is not None else "eager")})
-        select_s = self._charge_select(t, nnz, n_seg, s)
+                          attrs={"kernel": kernel, "trials": t, "nnz": nnz,
+                                 "n_seg": n_seg, "k_chunk": int(fps.size),
+                                 "label": label,
+                                 "select": _engine(kernel, tournament)})
+        select_s = self._charge_select(kernel, t, nnz, n_seg, s)
         sort_s = self.spec.kernels.seconds_for(
             "sort", kernels.count_kernel_elements("chunk_reduce", t, nnz, n_seg, s))
         reduce_s = self.spec.kernels.seconds_for(
@@ -509,11 +392,12 @@ class SimulatedDevice:
         prime: int,
         s: int,
         n_values: int,
-        tournament: kernels.TournamentPlan,
+        tournament: kernels.TournamentPlan | None,
+        kernel: str = KERNEL_FUSED,
         check: bool = False,
         label: str = "trial chunk",
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One fused kernel round that returns only the top-``s`` ids.
+        """One kernel round that returns only the top-``s`` ids.
 
         The hash + select + id recovery of :meth:`shingle_chunk_reduce`,
         without the fingerprint fold or the reduction: Phase III's
@@ -523,9 +407,8 @@ class SimulatedDevice:
 
         Returns ``(ids, perm)``: the ``(t, n_seg, s)`` uint32 id block,
         downloaded, and the plan's column permutation (``ids[:, i]``
-        belongs to segment ``perm[i]``) — ``None`` when a zero hash
-        coefficient sent the chunk to the eager select, whose columns are
-        in segment order.
+        belongs to segment ``perm[i]``) — ``None`` when no tournament ran
+        (the eager select or the sort), whose columns are in segment order.
         """
         t = len(a)
         elements = d_elements.device_view()
@@ -536,8 +419,8 @@ class SimulatedDevice:
 
         t0 = time.perf_counter()
         used, table, top32, top_ids, d_work = self._select_top_ids(
-            elements, indptr, a=a, b=b, prime=prime, s=s, seg_ids=None,
-            n_values=n_values, tournament=tournament)
+            elements, indptr, kernel=kernel, a=a, b=b, prime=prime, s=s,
+            seg_ids=None, n_values=n_values, tournament=tournament)
         # Ids fit 32 bits; the narrower block halves the download.
         ids = pool.take((t, n_seg, s), np.uint32)
         np.copyto(ids, top_ids, casting="unsafe")
@@ -547,11 +430,11 @@ class SimulatedDevice:
         tracer = self.obs.tracer
         if tracer.enabled:
             tracer.record("device.shingle_chunk", t0, t1,
-                          attrs={"kernel": "fused", "trials": t, "nnz": nnz,
+                          attrs={"kernel": kernel, "trials": t, "nnz": nnz,
                                  "n_seg": n_seg, "label": label,
-                                 "select": ("tournament" if used is not None
-                                            else "eager")})
-        self._charge_modeled(self._charge_select(t, nnz, n_seg, s), label)
+                                 "select": _engine(kernel, used)})
+        self._charge_modeled(self._charge_select(kernel, t, nnz, n_seg, s),
+                             label)
         if check and used is not None:
             self._check_selection(elements, indptr, top_ids, used,
                                   a=a, b=b, prime=prime, s=s,
@@ -564,25 +447,34 @@ class SimulatedDevice:
         pool.give(ids)
         return host, (used.perm if used is not None else None)
 
-    def _select_top_ids(self, elements, indptr, *, a, b, prime, s, seg_ids,
-                        n_values, tournament):
+    def _select_top_ids(self, elements, indptr, *, kernel, a, b, prime, s,
+                        seg_ids, n_values, tournament, out_packed=None):
         """Hash, select and recover each segment's top-``s`` ids.
 
-        The shared front half of the fused chunk rounds, timed by the
-        caller.  A zero hash coefficient (the affine map degenerates and the
-        distinct-keys proof fails) drops the tournament for the eager
-        ``fused_hash`` + ``segmented_select_top_s`` sequence.  Either way
-        the hash keys (the tournament's table, the eager ``(t, nnz)``
-        buffer) and the selected key and id blocks are charged to device
-        memory.
+        The shared front half of every chunk round, timed by the caller.
+        The hash is always the fused uint32 key; ``kernel`` only picks the
+        top-``s`` engine.  ``"fused"`` runs the tournament of
+        ``tournament`` over its ``tournament_table``, or with no plan the
+        eager ``fused_hash`` + ``segmented_select_top_s`` sequence;
+        ``"sort"`` runs ``fused_hash`` + ``segmented_sort_top_s`` and
+        ignores the plan.  Either way the hash keys (the tournament's
+        table, the eager ``(t, nnz)`` buffer) and the selected key and id
+        blocks are charged to device memory.
+
+        Without ``out_packed`` the input must be pre-compacted (every
+        segment at least ``s`` long, as the reducing rounds require).  With it, short segments are allowed: their padding
+        comes back as ``SENTINEL`` ids and pairs, and the rebuilt packed
+        ``(hash, id)`` pairs land in ``out_packed``.
 
         Returns ``(tournament, table, top32, top_ids, d_work)``: the plan
-        actually used (``None`` for the eager select), the scratch arrays
+        actually used (``None`` when no tournament ran), the scratch arrays
         to give back, and the working-set buffers to free.
         """
+        if kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {kernel!r}")
         t, nnz, n_seg = len(a), elements.size, indptr.size - 1
         pool = self.scratch
-        if tournament is not None and np.any(np.asarray(a) == 0):
+        if kernel == KERNEL_SORT:
             tournament = None
         if tournament is not None:
             table = kernels.tournament_table(tournament, a, b, prime,
@@ -593,28 +485,34 @@ class SimulatedDevice:
                                scratch=pool, n_values=n_values)
         top32 = pool.take((t, n_seg, s), np.uint32)
         top_ids = pool.take((t, n_seg, s), np.uint64)
-        # Working set on device: hash keys plus the selected key/id blocks.
-        d_work = [self.memory.adopt(arr) for arr in (table, top32, top_ids)]
         if tournament is not None:
             kernels.run_tournament(tournament, table, s, out=top32,
                                    scratch=pool)
+        elif kernel == KERNEL_SORT:
+            kernels.segmented_sort_top_s(table, indptr, s, seg_ids=seg_ids,
+                                         out=top32)
         else:
             kernels.segmented_select_top_s(table, indptr, s, scratch=pool,
                                            seg_ids=seg_ids, out=top32,
                                            consume=True)
-        # Pre-compacted input (driver contract): no sentinel padding exists.
         kernels.recover_top_ids(top32, a, b, prime, out_ids=top_ids,
-                                scratch=pool, has_sentinels=False)
+                                out_packed=out_packed, scratch=pool,
+                                has_sentinels=out_packed is not None)
+        # Working set on device: hash keys plus the selected key/id blocks.
+        d_work = [self.memory.adopt(arr) for arr in (table, top32, top_ids)]
         return tournament, table, top32, top_ids, d_work
 
-    def _charge_select(self, t: int, nnz: int, n_seg: int, s: int) -> float:
-        """Count the fused transform + select launches of one chunk round;
+    def _charge_select(self, kernel: str, t: int, nnz: int, n_seg: int,
+                       s: int) -> float:
+        """Count the fused transform + top-``s`` launches of one chunk
+        round (``top_s_sort`` for the sort engine, else ``top_s_select``);
         returns their modeled seconds."""
+        engine = "sort" if kernel == KERNEL_SORT else "select"
         transform_s = self.spec.kernels.seconds_for("transform", t * nnz)
         select_s = self.spec.kernels.seconds_for(
-            "select", kernels.count_kernel_elements("select", t, nnz, n_seg, s))
+            engine, kernels.count_kernel_elements(engine, t, nnz, n_seg, s))
         self._record_kernel("fused_transform", t * nnz, transform_s)
-        self._record_kernel("top_s_select", t * nnz * s, select_s)
+        self._record_kernel(f"top_s_{engine}", t * nnz * s, select_s)
         return transform_s + select_s
 
     def _charge_modeled(self, modeled_gpu: float, label: str) -> None:
@@ -641,3 +539,10 @@ class SimulatedDevice:
             raise AssertionError(
                 f"tournament selection differs from the eager select "
                 f"({label})")
+
+
+def _engine(kernel: str, tournament) -> str:
+    """The top-``s`` engine a chunk round ran (a trace span attribute)."""
+    if kernel == KERNEL_SORT:
+        return "sort"
+    return "tournament" if tournament is not None else "eager"

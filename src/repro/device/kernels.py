@@ -20,9 +20,11 @@ Kernel inventory
 ``affine_hash``
     ``thrust::transform`` analogue: ``h_j(v) = (A_j*v + B_j) mod P`` for a
     chunk of trials ``j`` at once (one row per trial).
-``pack_pairs`` / ``unpack_pairs`` / ``unpack_ids``
+``pack_pairs`` / ``unpack_pairs``
     Pack (hash, id) into one uint64 so a single segmented min yields both the
-    minimum hash and its original element.
+    minimum hash and its original element (the host-side min-hash
+    sketches' key; the device rebuilds the same pairs with
+    :func:`recover_top_ids`).
 ``fused_hash``
     Fused hash+pack: because the affine map is injective mod P, the uint32
     hash alone *is* the packed pair — one transform launch writes one
@@ -164,15 +166,6 @@ def unpack_pairs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return packed >> _ID_BITS, packed & _ID_MASK
 
 
-def unpack_ids(packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The id halves of packed pairs only (the fingerprint fold's input)."""
-    packed = np.asarray(packed, dtype=np.uint64)
-    if out is None:
-        return packed & _ID_MASK
-    np.bitwise_and(packed, _ID_MASK, out=out)
-    return out
-
-
 def fused_hash(values: np.ndarray, a: np.ndarray, b: np.ndarray, prime: int,
                out: np.ndarray | None = None,
                scratch: ScratchPool | None = None,
@@ -234,21 +227,26 @@ def recover_top_ids(top_keys: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Invert the fused hash on a top-``s`` block: keys -> ids (and pairs).
 
     ``d = (h + P - b) mod P``; ``v = d * a^{-1} mod P`` — the inverse exists
-    because P is prime and ``0 < a < P``.  Runs only on the small
-    ``(t, n_seg, s)`` selection output, not the ``(t, nnz)`` element buffer.
-    ``SENTINEL32`` keys map to id ``0xFFFFFFFF``, so the rebuilt packed pair
-    (``hash << 32 | id``, written to ``out_packed`` when given) is exactly
-    ``SENTINEL`` — bit-identical to the unfused pipeline's padding.
+    because P is prime and ``0 < a < P``; any other coefficient raises
+    ``ValueError`` (a zero one maps every id to ``b`` and loses them).
+    Runs only on the small ``(t, n_seg, s)`` selection output, not the
+    ``(t, nnz)`` element buffer.  ``SENTINEL32`` keys map to id
+    ``0xFFFFFFFF``, so the rebuilt packed pair (``hash << 32 | id``,
+    written to ``out_packed`` when given) is exactly ``SENTINEL`` —
+    bit-identical to the padding of a select over packed uint64 pairs.
 
     Callers that guarantee a fully-compacted block (every segment has at
     least ``s`` elements, so no padding exists) pass
     ``has_sentinels=False`` to skip the sentinel mask-and-patch passes.
     """
     top_keys = np.asarray(top_keys, dtype=np.uint32)
-    t = np.asarray(a).shape[0]
-    a_inv = np.array([pow(int(x), prime - 2, prime)
-                      for x in np.asarray(a).reshape(-1).tolist()],
-                     dtype=np.uint64).reshape((t,) + (1,) * (top_keys.ndim - 1))
+    coeffs = [int(x) for x in np.asarray(a).reshape(-1).tolist()]
+    if not all(0 < x < prime for x in coeffs):
+        raise ValueError(f"hash coefficients must lie in (0, {prime}) to be "
+                         f"invertible")
+    a_inv = np.array([pow(x, prime - 2, prime) for x in coeffs],
+                     dtype=np.uint64).reshape(
+                         (len(coeffs),) + (1,) * (top_keys.ndim - 1))
     b_neg = ((prime - np.asarray(b, dtype=np.int64)) % prime).astype(
         np.uint64).reshape(a_inv.shape)
     p64 = np.uint64(prime)
@@ -307,6 +305,17 @@ def _segment_geometry(indptr: np.ndarray, nnz: int) -> tuple[np.ndarray, np.ndar
     return indptr[:-1], lengths, lengths == 0
 
 
+def _key_rows(keys) -> tuple[np.ndarray, np.generic]:
+    """``(T, nnz)`` uint32 or uint64 key rows (other dtypes become uint64)
+    and the dtype's all-ones sentinel."""
+    keys = np.asarray(keys)
+    if keys.dtype not in (np.dtype(np.uint32), np.dtype(np.uint64)):
+        keys = keys.astype(np.uint64)
+    if keys.ndim == 1:
+        keys = keys[np.newaxis, :]
+    return keys, keys.dtype.type(np.iinfo(keys.dtype).max)
+
+
 def segmented_select_top_s(packed: np.ndarray, indptr: np.ndarray, s: int,
                            scratch: ScratchPool | None = None,
                            seg_ids: np.ndarray | None = None,
@@ -344,12 +353,7 @@ def segmented_select_top_s(packed: np.ndarray, indptr: np.ndarray, s: int,
         key of segment ``i`` under trial ``t``, or the dtype's all-ones
         sentinel when the segment has fewer than ``r+1`` elements.
     """
-    packed = np.asarray(packed)
-    if packed.dtype not in (np.dtype(np.uint32), np.dtype(np.uint64)):
-        packed = packed.astype(np.uint64)
-    if packed.ndim == 1:
-        packed = packed[np.newaxis, :]
-    sentinel = packed.dtype.type(np.iinfo(packed.dtype).max)
+    packed, sentinel = _key_rows(packed)
     n_trials, nnz = packed.shape
     starts, lengths, empty = _segment_geometry(indptr, nnz)
     n_seg = lengths.size
@@ -396,7 +400,6 @@ def segmented_select_top_s(packed: np.ndarray, indptr: np.ndarray, s: int,
 
 
 def segmented_sort_top_s(packed: np.ndarray, indptr: np.ndarray, s: int,
-                         scratch: ScratchPool | None = None,
                          seg_ids: np.ndarray | None = None,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Reference implementation: full segmented sort, then gather top ``s``.
@@ -406,17 +409,19 @@ def segmented_sort_top_s(packed: np.ndarray, indptr: np.ndarray, s: int,
     least-significant-key radix pass over the whole 2-D trial block: a
     stable argsort by pair value, then a stable argsort by segment id of the
     value-ordered positions — one composite-key sort for *all* trials, with
-    no per-trial interpreted loop.  Output is identical to
-    :func:`segmented_select_top_s`.
+    no per-trial interpreted loop.  Keys, dtype and sentinel padding are
+    those of :func:`segmented_select_top_s`, and so is the output whenever
+    no key repeats within a segment (the sort keeps repeats, the masking
+    select drops them).
     """
-    packed = np.array(packed, dtype=np.uint64, ndmin=2, copy=False)
+    packed, sentinel = _key_rows(packed)
     n_trials, nnz = packed.shape
     indptr = np.asarray(indptr, dtype=np.int64)
     _, lengths, _ = _segment_geometry(indptr, nnz)
     n_seg = lengths.size
     if out is None:
-        out = np.empty((n_trials, n_seg, s), dtype=np.uint64)
-    out[...] = SENTINEL
+        out = np.empty((n_trials, n_seg, s), dtype=packed.dtype)
+    out[...] = sentinel
     if nnz == 0 or n_seg == 0:
         return out
     if seg_ids is None:
@@ -957,7 +962,7 @@ def count_kernel_elements(kernel: str, n_trials: int, nnz: int, n_seg: int, s: i
         return n_trials * nnz
     if kernel == "sort":
         return n_trials * nnz
-    if kernel in ("select", "fused"):
+    if kernel == "select":
         return n_trials * nnz * s
     if kernel == "reduce":
         return n_trials * n_seg * s

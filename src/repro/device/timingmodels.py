@@ -48,7 +48,7 @@ class KernelCostModel:
     **Launch-latency charging rule:** ``launch_latency_s`` models the
     *per-launch* host dispatch cost, so every kernel launch charges it once
     — :meth:`seconds_for` = latency + rate term.  A fused step that stands
-    for ``k`` physical launches (e.g. the unfused hash+pack transform pair)
+    for ``k`` physical launches (e.g. a hash launch plus a pack launch)
     must charge ``k * seconds_for(...)``, i.e. ``k`` latencies, and record
     ``k`` launches.
     """

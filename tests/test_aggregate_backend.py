@@ -6,8 +6,8 @@ pipeline's one aggregation backend.  Its :class:`PassResult`s and cluster
 labels must equal the serial reference whether the pipeline provisions its
 own device or the caller hands one in, across execution modes and stream
 counts — and the cases that cannot take the on-device chunk reduction
-(the ``select`` kernel, a pass split into batches, a device too small for
-one batch) must still merge on the host and match.
+(a pass split into batches, a device too small for one batch) must still
+merge on the host and match.  Every kernel takes the reduction.
 """
 
 import numpy as np
@@ -85,19 +85,24 @@ class TestBitIdentity:
         assert got == ref
 
 
-class TestFallbacks:
-    def test_select_kernel_degrades_to_host(self, planted):
-        # The select kernel has no on-device reduction: every chunk's
-        # selected shingles come back and both passes merge them on the
-        # host (pass II builds G_II instead of feeding the union).
+    def test_sort_kernel_takes_the_reduce_path(self, planted):
+        # The sort engine rides the same path as fused: pass I reduces on
+        # the device and merges compacted partials, pass II feeds the
+        # union directly.
         ref = _run(planted)
         obs = observe()
         with use_obs(obs):
-            got = _run(planted, kernel="select")
+            got = _run(planted, kernel="sort")
         assert np.array_equal(got.labels, ref.labels)
-        merges = _host_merges(obs.tracer.records)
-        assert merges == {"gpclust.pass1": {"exec.merge_partials"},
-                          "gpclust.pass2": {"exec.merge_partials"}}
+        records = obs.tracer.records
+        assert _host_merges(records) == {
+            "gpclust.pass1": {"exec.merge_partials"}, "gpclust.pass2": set()}
+        engines = {r.attrs["select"] for r in records
+                   if r.name.startswith("device.shingle_chunk")}
+        assert engines == {"sort"}
+
+
+class TestFallbacks:
 
     def test_multi_batch_degrades_to_host(self, planted):
         ref = _run(planted)

@@ -9,7 +9,7 @@ from repro.baselines.jaccard import (
     jaccard_bruteforce_clustering,
     jaccard_matrix,
 )
-from repro.baselines.single_linkage import single_linkage_clustering
+from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
 
 
@@ -64,7 +64,7 @@ class TestGosKNeighbor:
 
     def test_k_zero_degenerates_to_single_linkage(self, blocky_graph):
         gos = gos_kneighbor_clustering(blocky_graph, k=0)
-        sl = single_linkage_clustering(blocky_graph)
+        sl = connected_components(blocky_graph)
         assert np.array_equal(gos, sl)
 
     def test_negative_k_rejected(self, triangle_graph):
@@ -121,5 +121,5 @@ class TestJaccard:
 
 class TestSingleLinkage:
     def test_components(self, two_cliques_graph):
-        labels = single_linkage_clustering(two_cliques_graph)
+        labels = connected_components(two_cliques_graph)
         assert np.unique(labels).size == 2

@@ -128,9 +128,11 @@ class TestParser:
             main(["frobnicate"])
 
     def test_kernel_choice_validated(self, bench_files):
-        with pytest.raises(SystemExit):
-            main(["cluster", str(bench_files.with_suffix(".npz")),
-                  "--kernel", "bubble"])
+        for kernel in ("bubble", "select"):
+            with pytest.raises(SystemExit) as exc:
+                main(["cluster", str(bench_files.with_suffix(".npz")),
+                      "--kernel", kernel])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("flags,message", [
         (["--streams", "0"], "streams must be >= 1"),
@@ -241,6 +243,31 @@ class TestMalformedInput:
             ["compare", absent, "--benchmark", absent], capsys,
             "No such file")
 
+    def test_obs_commands_reject_unreadable_traces(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.json")
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        for argv in (["obs", "summary"], ["obs", "critical-path"],
+                     ["obs", "attribute"]):
+            self._assert_usage_error(argv + [absent], capsys, "No such file")
+            self._assert_usage_error(argv + [str(garbled)], capsys,
+                                     "garbled.json")
+        self._assert_usage_error(["obs", "diff", absent, str(garbled)],
+                                 capsys, "absent.json")
+
+    def test_obs_attribute_rejects_unreadable_metrics(self, tmp_path,
+                                                      capsys):
+        trace = tmp_path / "t.json"
+        trace.write_text('{"traceEvents": []}')
+        self._assert_usage_error(
+            ["obs", "attribute", str(trace), "--metrics",
+             str(tmp_path / "absent.json")], capsys, "No such file")
+        garbled = tmp_path / "m.json"
+        garbled.write_text("[1, 2")
+        self._assert_usage_error(
+            ["obs", "attribute", str(trace), "--metrics", str(garbled)],
+            capsys, "m.json")
+
     def test_computation_errors_keep_their_traceback(self, bench_files,
                                                      monkeypatch):
         from repro import cli
@@ -284,6 +311,6 @@ class TestProfileFlag:
         assert main(["cluster", graph_path, "--out", str(out_f),
                      "--c1", "10", "--c2", "5", "--kernel", "fused"]) == 0
         assert main(["cluster", graph_path, "--out", str(out_s),
-                     "--c1", "10", "--c2", "5", "--kernel", "select"]) == 0
+                     "--c1", "10", "--c2", "5", "--kernel", "sort"]) == 0
         with np.load(out_f) as a, np.load(out_s) as b:
             assert np.array_equal(a["labels"], b["labels"])

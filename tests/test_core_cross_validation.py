@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.aggregate import StreamingAggregator, aggregate_pass
 from repro.core.device_exec import device_shingle_pass
-from repro.core.params import ShinglingParams
+from repro.core.params import KERNELS, ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.core.serial import serial_shingle_pass
 from repro.device.device import SimulatedDevice
@@ -29,7 +29,7 @@ def fresh_device(capacity=CAPACITY):
 
 
 class TestPassEquivalence:
-    @pytest.mark.parametrize("kernel", ["select", "sort", "fused"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_pass1_matches_serial(self, blocky_graph, small_params, kernel):
         cfg = small_params.pass_config(1)
         ref = serial_shingle_pass(blocky_graph.indptr, blocky_graph.indices, cfg)
@@ -112,7 +112,7 @@ def _schedule_pass(label: str, indptr, elements, cfg,
 class TestExecModeEquivalence:
     """Every execution schedule must be bit-identical to the serial pass."""
 
-    @pytest.mark.parametrize("kernel", ["select", "sort", "fused"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("mode", sorted(SCHEDULES))
     def test_modes_match_serial(self, blocky_graph, small_params, mode, kernel):
         cfg = small_params.pass_config(1)
@@ -245,7 +245,7 @@ class TestMultiBatchMatrix:
         assert plan.n_batches >= 3
         assert any(batch.is_split.any() for batch in plan)
 
-    @pytest.mark.parametrize("kernel", ["select", "sort", "fused"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("mode", sorted(SCHEDULES))
     def test_three_batch_split_matches_serial(self, small_params, mode, kernel):
         g, cfg, ref = self._reference_and_graph(small_params)
@@ -253,7 +253,7 @@ class TestMultiBatchMatrix:
                              trial_chunk=4, max_elements=self.MAX_ELEMENTS)
         assert got == ref
 
-    @pytest.mark.parametrize("kernel", ["select", "sort", "fused"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_three_batch_full_pipeline_matches_serial(self, small_params, kernel):
         g = random_blocky_graph(seed=31)
         params = small_params.with_overrides(kernel=kernel)
@@ -371,11 +371,30 @@ class TestPipelineEquivalence:
 
     def test_kernels_identical(self, small_params):
         g = random_blocky_graph(seed=13)
-        a = GpClust(small_params.with_overrides(kernel="select")).run(g)
+        a = GpClust(small_params.with_overrides(kernel="fused")).run(g)
         b = GpClust(small_params.with_overrides(kernel="sort")).run(g)
-        c = GpClust(small_params.with_overrides(kernel="fused")).run(g)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.labels, c.labels)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("overrides,max_batch", [
+        ({}, None), ({"streams": 2}, None), ({}, 64), ({"streams": 2}, 64),
+        ({"report_mode": "overlapping"}, None),
+        ({"report_mode": "overlapping", "streams": 2}, 64),
+    ])
+    def test_kernel_matches_serial(self, small_params, kernel, overrides,
+                                   max_batch):
+        """Single- and multi-batch, 1 or 2 streams, partition or
+        overlapping mode: every kernel equals the serial oracle."""
+        g = random_blocky_graph(seed=17)
+        params = small_params.with_overrides(kernel=kernel, **overrides)
+        serial = SerialPClust(params).run(g)
+        device = GpClust(params, max_batch_elements=max_batch).run(g)
+        if params.report_mode == "partition":
+            assert np.array_equal(serial.labels, device.labels)
+        else:
+            assert len(serial.overlapping) == len(device.overlapping)
+            assert all(np.array_equal(s, d) for s, d in
+                       zip(serial.overlapping, device.overlapping))
 
     def test_include_generators_equivalence_across_backends(self, small_params):
         g = random_blocky_graph(seed=14)

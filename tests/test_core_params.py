@@ -16,7 +16,7 @@ class TestShinglingParams:
         {"s1": 0}, {"s2": 0}, {"c1": 0}, {"c2": 0}, {"trial_chunk": 0},
         {"prime": 100}, {"prime": (1 << 40) + 1},
         {"kernel": "bubble"}, {"report_mode": "fuzzy"},
-        {"union_backend": "quantum"},
+        {"union_backend": "quantum"}, {"kernel": "select"},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):

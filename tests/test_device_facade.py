@@ -1,12 +1,15 @@
-"""Tests for the SimulatedDevice facade (transfers + shingle_batch)."""
+"""Tests for the SimulatedDevice facade (transfers + shingle chunks)."""
 
 import numpy as np
 import pytest
 
+from repro.core.device_exec import trial_chunks
 from repro.core.params import ShinglingParams
 from repro.core.serial import serial_top_s
 from repro.device.device import SimulatedDevice
-from repro.device.kernels import SENTINEL, unpack_pairs
+from repro.device.kernels import (SENTINEL, affine_hash, fold_fingerprints,
+                                  pack_pairs, segmented_select_top_s,
+                                  unpack_pairs)
 from repro.device.memory import DeviceMemoryError
 from repro.device.timingmodels import DeviceSpec
 from repro.util.mixhash import fold_fingerprint
@@ -41,19 +44,40 @@ class TestTransfers:
             tiny.upload(np.zeros(1000))
 
 
+def _csr(lists):
+    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(x) for x in lists])
+    flat = (np.concatenate([np.asarray(x, dtype=np.int64) for x in lists])
+            if lists else np.empty(0, dtype=np.int64))
+    return flat, indptr
+
+
+def _packed_reference(cfg, lists, s):
+    """The unfused host sequence: packed (hash, id) pairs, s-round select."""
+    flat, indptr = _csr(lists)
+    packed = pack_pairs(affine_hash(flat, cfg.a_array, cfg.b_array,
+                                    cfg.prime), flat)
+    top = segmented_select_top_s(packed, indptr, s)
+    return fold_fingerprints(unpack_pairs(top)[1], cfg.salts), top
+
+
 class TestShingleBatch:
-    def _run(self, device, lists, s=2, c=6, kernel="select", trial_chunk=3):
+    """``shingle_chunk`` rounds covering every trial of one uploaded batch."""
+
+    def _run(self, device, lists, s=2, c=6, kernel="fused", trial_chunk=3):
         params = ShinglingParams(s1=s, c1=c, s2=s, c2=c, seed=4)
         cfg = params.pass_config(1)
-        indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(x) for x in lists])
-        flat = (np.concatenate([np.asarray(x, dtype=np.int64) for x in lists])
-                if lists else np.empty(0, dtype=np.int64))
+        flat, indptr = _csr(lists)
         d_elem = device.upload(flat)
         d_ind = device.upload(indptr)
-        fps, top = device.shingle_batch(
-            d_elem, d_ind, a=cfg.a_array, b=cfg.b_array, prime=cfg.prime,
-            s=s, salts=cfg.salts, kernel=kernel, trial_chunk=trial_chunk)
+        fps = np.empty((c, len(lists)), dtype=np.uint64)
+        top = np.empty((c, len(lists), s), dtype=np.uint64)
+        a, b = cfg.a_array, cfg.b_array
+        for lo, hi in trial_chunks(c, trial_chunk):
+            device.shingle_chunk(
+                d_elem, d_ind, a=a[lo:hi], b=b[lo:hi], prime=cfg.prime, s=s,
+                salts=cfg.salts[lo:hi], kernel=kernel,
+                out_fps=fps[lo:hi], out_top=top[lo:hi])
         device.free(d_elem, d_ind)
         return cfg, fps, top
 
@@ -71,11 +95,13 @@ class TestShingleBatch:
                 assert list(got_ids.astype(int)) == ids
 
     def test_sort_and_select_kernels_identical(self, device):
+        # The sort engine on fused keys equals the s-round select on
+        # packed pairs, sentinel padding included.
         lists = [[10, 20, 30], [7, 8, 9, 11], [1]]
-        _, fps_a, top_a = self._run(device, lists, kernel="select")
-        _, fps_b, top_b = self._run(device, lists, kernel="sort")
-        assert np.array_equal(fps_a, fps_b)
-        assert np.array_equal(top_a, top_b)
+        cfg, fps, top = self._run(device, lists, s=3, kernel="sort")
+        fps_ref, top_ref = _packed_reference(cfg, lists, 3)
+        assert np.array_equal(fps, fps_ref)
+        assert np.array_equal(top, top_ref)
 
     def test_short_segments_sentinel(self, device):
         _, _, top = self._run(device, [[4]], s=3)
@@ -107,7 +133,7 @@ class TestShingleBatch:
         d_elem = device.upload(np.array([1, 2], dtype=np.int64))
         d_ind = device.upload(np.array([0, 2], dtype=np.int64))
         with pytest.raises(ValueError):
-            device.shingle_batch(d_elem, d_ind,
+            device.shingle_chunk(d_elem, d_ind,
                                  a=np.array([1], dtype=np.uint64),
                                  b=np.array([1, 2], dtype=np.uint64),
                                  prime=101, s=2,
@@ -125,10 +151,10 @@ class TestFusedKernelFacade:
     def test_fused_identical_to_select(self, device):
         runner = TestShingleBatch()
         lists = [[10, 20, 30], [7, 8, 9, 11], [1], [2, 4, 6, 8, 10]]
-        _, fps_a, top_a = runner._run(device, lists, kernel="select")
-        _, fps_b, top_b = runner._run(device, lists, kernel="fused")
-        assert np.array_equal(fps_a, fps_b)
-        assert np.array_equal(top_a, top_b)
+        cfg, fps, top = runner._run(device, lists, kernel="fused")
+        fps_ref, top_ref = _packed_reference(cfg, lists, 2)
+        assert np.array_equal(fps, fps_ref)
+        assert np.array_equal(top, top_ref)
 
     def test_fused_short_segments_sentinel(self, device):
         runner = TestShingleBatch()
@@ -146,17 +172,20 @@ class TestFusedKernelFacade:
         assert "scratch_pool" in prof
 
     def test_fused_charges_one_transform(self):
-        """The cost model bills fused as ONE launch where hash+pack is two."""
+        """Every kernel bills ONE fused transform launch per chunk; only
+        the top-s engine's class differs."""
         spec = DeviceSpec(memory_capacity_bytes=16 * 2**20)
         runner = TestShingleBatch()
         lists = [[1, 2, 3, 4], [5, 6, 7]]
-        dev_a, dev_b = SimulatedDevice(spec), SimulatedDevice(spec)
-        runner._run(dev_a, lists, kernel="select")
-        runner._run(dev_b, lists, kernel="fused")
-        unfused = dev_a.profile()["kernels"]["hash+pack_transform"]
-        fused = dev_b.profile()["kernels"]["fused_transform"]
-        assert unfused["elements"] == 2 * fused["elements"]
-        assert unfused["modeled_s"] > fused["modeled_s"]
+        dev_sort, dev_fused = SimulatedDevice(spec), SimulatedDevice(spec)
+        runner._run(dev_sort, lists, kernel="sort")
+        runner._run(dev_fused, lists, kernel="fused")
+        sort = dev_sort.profile()["kernels"]
+        fused = dev_fused.profile()["kernels"]
+        assert sort["fused_transform"] == fused["fused_transform"]
+        assert fused["fused_transform"]["launches"] == 2  # c=6, chunks of 3
+        assert set(sort) - set(fused) == {"top_s_sort"}
+        assert set(fused) - set(sort) == {"top_s_select"}
 
 
 class TestShingleChunkReduce:
@@ -186,8 +215,7 @@ class TestShingleChunkReduce:
         lists = [[3, 9, 14, 2], [5, 6], [1, 2, 3, 4, 5, 6, 7], [9, 14]]
         other = SimulatedDevice(DeviceSpec(memory_capacity_bytes=16 * 2**20))
         runner = TestShingleBatch()
-        _, fps_dense, top_dense = runner._run(other, lists, kernel="select",
-                                              trial_chunk=6)
+        _, fps_dense, top_dense = runner._run(other, lists, trial_chunk=6)
         ref = aggregate_pass(fps_dense, top_dense,
                              np.array([len(x) for x in lists]), 2)
         cfg, (fps, members, counts, gens) = self._run_reduce(device, lists)
@@ -202,7 +230,7 @@ class TestShingleChunkReduce:
         lists = [list(range(i, i + 5)) for i in range(30)]
         dense_dev, reduce_dev = SimulatedDevice(spec), SimulatedDevice(spec)
         runner = TestShingleBatch()
-        runner._run(dense_dev, lists, kernel="select", trial_chunk=6)
+        runner._run(dense_dev, lists, trial_chunk=6)
         self._run_reduce(reduce_dev, lists)
         assert (reduce_dev.memory.bytes_to_host
                 < dense_dev.memory.bytes_to_host)

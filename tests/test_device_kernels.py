@@ -112,13 +112,19 @@ class TestTopS:
 
     @pytest.mark.parametrize("s", [1, 2, 4])
     def test_sort_matches_select(self, s):
+        """Packed uint64 pairs and fused uint32 keys alike, with segments
+        shorter than ``s``: the sort keeps the key dtype and pads with its
+        all-ones sentinel, exactly like the select."""
         rng = np.random.default_rng(99)
-        indptr, values = random_csr(rng, n_seg=20, max_len=12)
+        indptr, values = random_csr(rng, n_seg=20, max_len=6)
+        assert (np.diff(indptr) < max(s, 2)).any()
         a = rng.integers(1, PRIME, size=6).astype(np.uint64)
         b = rng.integers(0, PRIME, size=6).astype(np.uint64)
-        packed = pack_pairs(affine_hash(values, a, b, PRIME), values)
-        assert np.array_equal(segmented_select_top_s(packed, indptr, s),
-                              segmented_sort_top_s(packed, indptr, s))
+        for keys in (pack_pairs(affine_hash(values, a, b, PRIME), values),
+                     fused_hash(values, a, b, PRIME)):
+            got = segmented_sort_top_s(keys, indptr, s)
+            assert got.dtype == keys.dtype
+            assert np.array_equal(got, segmented_select_top_s(keys, indptr, s))
 
     def test_short_segments_padded_with_sentinel(self):
         indptr = np.array([0, 1, 1, 3])
@@ -241,6 +247,14 @@ class TestRecoverTopIds:
             keys.astype(np.uint64).reshape(2, -1),
             values.reshape(2, -1)).reshape(values.shape)
         assert np.array_equal(packed, expected_packed)
+
+    @pytest.mark.parametrize("bad", [0, PRIME, PRIME + 3])
+    def test_coefficient_outside_range_rejected(self, bad):
+        keys = np.zeros((2, 1, 2), dtype=np.uint32)
+        a = np.array([5, bad], dtype=np.uint64)
+        b = np.array([3, 9], dtype=np.uint64)
+        with pytest.raises(ValueError, match="coefficients"):
+            recover_top_ids(keys, a, b, PRIME)
 
     def test_sentinel_keys_become_sentinel_pairs(self):
         keys = np.full((1, 2, 2), SENTINEL32, dtype=np.uint32)

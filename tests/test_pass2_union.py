@@ -1,13 +1,13 @@
 """Partition mode feeds pass II straight into the Phase III union.
 
-With the fused kernel, the vectorized union backend and a single pass-II
-batch whose geometry the tournament plan accepts, ``GpClust`` never builds
-``G_II``: :func:`device_union_pass` folds every trial chunk's occurrence
-slots into a running root-label array.  Its labels must equal
-``SerialPClust``'s under every schedule, stream count and
-``include_generators`` setting — whether the pipeline provisions its own
-device, the caller hands one in, or the one-call API runs it — and every
-case that still needs ``G_II`` must fall back to it and match too.
+With the vectorized union backend and a single pass-II batch, ``GpClust``
+never builds ``G_II``, whichever kernel runs: :func:`device_union_pass`
+folds every trial chunk's occurrence slots into a running root-label
+array.  Its labels must equal ``SerialPClust``'s under every schedule,
+stream count, kernel and ``include_generators`` setting — whether the
+pipeline provisions its own device, the caller hands one in, or the
+one-call API runs it — and every case that still needs ``G_II`` must fall
+back to it and match too.
 """
 
 import types
@@ -20,7 +20,7 @@ from repro.core import pipeline
 from repro.core.device_exec import device_shingle_pass, device_union_pass
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
-from repro.core.report import PartitionFold, partition_labels
+from repro.core.report import PartitionFold
 from repro.core.serial import serial_shingle_pass
 from repro.device import kernels
 from repro.device.device import SimulatedDevice
@@ -115,10 +115,22 @@ def test_random_graphs_match_serial(seed, s1, s2, c1, c2, trial_chunk,
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("streams", [1, 2])
+@pytest.mark.parametrize("include_generators", [False, True])
+def test_sort_kernel_takes_the_direct_path(planted, direct_calls, streams,
+                                           include_generators):
+    params = BASE.with_overrides(kernel="sort", streams=streams,
+                                 include_generators=include_generators)
+    want = SerialPClust(params).run(planted).labels
+    got = GpClust(params).run(planted).labels
+    assert direct_calls == [True]
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("overrides", [
     {"union_backend": "unionfind"},
-    {"kernel": "select"},
-    {"kernel": "sort"},
+    {"union_backend": "unionfind", "kernel": "sort"},
+    {"union_backend": "unionfind", "include_generators": True},
 ])
 def test_g2_fallbacks_match_serial(planted, direct_calls, overrides):
     params = BASE.with_overrides(**overrides)
@@ -147,7 +159,8 @@ def test_multi_batch_pass2_falls_back(planted, direct_calls):
 
 def test_eager_select_columns(planted, monkeypatch):
     """A chunk on the eager select keeps segment order; its edges must
-    still pair each slot with its own first-level shingle."""
+    still pair each slot with its own first-level shingle.  (A rejected
+    plan and the sort engine both take this column order.)"""
     real = SimulatedDevice._select_top_ids
 
     def eager(self, *args, **kwargs):
@@ -159,9 +172,10 @@ def test_eager_select_columns(planted, monkeypatch):
     assert np.array_equal(GpClust(BASE).run(planted).labels, want)
 
 
-def test_zero_hash_coefficient_matches_g2_path(planted):
-    """A zero coefficient sends its chunk to the eager select, in both
-    the direct path and the G_II path; their labels agree."""
+def test_zero_hash_coefficient_rejected(planted):
+    """A zero coefficient makes the hash constant, so no ids can be
+    recovered: the direct path and the G_II path both raise, under
+    either kernel."""
     pass1 = _pass1(planted, BASE)
     indptr2, elements2 = pass1.next_pass_input()
     real = BASE.pass_config(2)
@@ -170,13 +184,15 @@ def test_zero_hash_coefficient_matches_g2_path(planted):
     config = types.SimpleNamespace(
         s=real.s, c=real.c, prime=real.prime, a_array=a,
         b_array=real.b_array, salts=real.salts)
-    fold = device_union_pass(indptr2, elements2, config, SimulatedDevice(),
-                             members1=pass1.members,
-                             n_vertices=planted.n_vertices, trial_chunk=3)
-    pass2 = device_shingle_pass(indptr2, elements2, config, SimulatedDevice(),
-                                kernel="fused", trial_chunk=3)
-    want = partition_labels(pass1, pass2, planted.n_vertices)
-    assert np.array_equal(fold.labels(), want)
+    for kernel in ("fused", "sort"):
+        with pytest.raises(ValueError, match="coefficients"):
+            device_union_pass(indptr2, elements2, config, SimulatedDevice(),
+                              members1=pass1.members, kernel=kernel,
+                              n_vertices=planted.n_vertices, trial_chunk=3)
+        with pytest.raises(ValueError, match="coefficients"):
+            device_shingle_pass(indptr2, elements2, config,
+                                SimulatedDevice(), kernel=kernel,
+                                trial_chunk=3)
 
 
 def test_debug_check_catches_corrupted_tournament(planted, monkeypatch):

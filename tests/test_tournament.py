@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import device_exec
+from repro.core.aggregate import aggregate_pass
 from repro.core.device_exec import device_shingle_pass
 from repro.core.params import ShinglingParams
 from repro.core.serial import serial_shingle_pass
@@ -23,7 +24,8 @@ from repro.device import kernels
 from repro.device.batching import _greedy_batches, plan_batches
 from repro.device.device import SimulatedDevice
 from repro.device.kernels import (build_tournament_plan, chunk_reduce,
-                                  fused_hash, recover_top_ids, run_tournament,
+                                  fold_fingerprints, fused_hash,
+                                  recover_top_ids, run_tournament,
                                   segmented_select_top_s, tournament_table)
 from repro.device.memory import ScratchPool
 from repro.util.primes import DEFAULT_PRIME
@@ -330,7 +332,8 @@ class TestPlanRejects:
     def test_duplicates_fall_back_to_eager_select(self, monkeypatch):
         """A repeated id defeats the plan; the pass then runs the eager
         select.  The serial reference requires duplicate-free lists, so the
-        eager ``select`` kernel is the reference here."""
+        eager fused sequence, aggregated on the host, is the reference
+        here."""
         segments = [[1, 2, 2, 5], [0, 3, 7], [4, 4, 6, 8]]
         elements, indptr = _csr(segments)
         seen = []
@@ -345,8 +348,13 @@ class TestPlanRejects:
         config = ShinglingParams(c1=6, c2=4, seed=2).pass_config(1)
         got = device_shingle_pass(indptr, elements, config, SimulatedDevice(),
                                   kernel="fused", trial_chunk=2)
-        ref = device_shingle_pass(indptr, elements, config, SimulatedDevice(),
-                                  kernel="select", trial_chunk=2)
+        a, b = config.a_array, config.b_array
+        top32 = segmented_select_top_s(fused_hash(elements, a, b, PRIME),
+                                       indptr, config.s)
+        ids, top = recover_top_ids(top32, a, b, PRIME,
+                                   out_packed=np.empty(top32.shape, np.uint64))
+        ref = aggregate_pass(fold_fingerprints(ids, config.salts), top,
+                             np.diff(indptr), config.s)
         assert seen == [None]
         assert got == ref
 
@@ -377,15 +385,19 @@ class TestDevicePath:
         for want, have in zip(ref, got):
             assert np.array_equal(want, have)
 
-    def test_zero_coefficient_takes_the_eager_select(self):
+    def test_zero_coefficient_rejected(self):
+        """A zero coefficient maps every id to ``b``: no engine can recover
+        the ids, so the call raises and leaves nothing on the device."""
         rng = np.random.default_rng(12)
         device, bufs, plan, n_values = self._setup(rng)
+        resident = device.memory.used_bytes
         a = np.array([0, 5], dtype=np.uint64)
         b = np.array([3, 9], dtype=np.uint64)
-        got = self._call(device, bufs, plan, n_values, a, b, check=True)
-        ref = self._call(device, bufs, None, n_values, a, b)
-        for want, have in zip(ref, got):
-            assert np.array_equal(want, have)
+        for tournament in (plan, None):
+            with pytest.raises(ValueError, match="coefficients"):
+                self._call(device, bufs, tournament, n_values, a, b,
+                           check=True)
+        assert device.memory.used_bytes == resident
 
     def test_working_set_is_charged(self):
         rng = np.random.default_rng(13)
@@ -406,20 +418,21 @@ class TestDevicePath:
         indptr = d_indptr.device_view()
         resident = device.memory.used_bytes
         d2h = device.memory.bytes_to_host
-        for a in (rng.integers(1, PRIME, 3).astype(np.uint64),
-                  np.array([0, 5, 7], dtype=np.uint64)):
+        for kernel in ("fused", "sort"):
+            a = rng.integers(1, PRIME, 3).astype(np.uint64)
             b = rng.integers(0, PRIME, 3).astype(np.uint64)
             ids, perm = device.shingle_chunk_ids(
                 d_elems, d_indptr, a=a, b=b, prime=PRIME, s=2,
-                n_values=n_values, tournament=plan, check=True)
+                n_values=n_values, tournament=plan, kernel=kernel,
+                check=True)
             eager = recover_top_ids(
                 segmented_select_top_s(fused_hash(elements, a, b, PRIME),
                                        indptr, 2),
                 a, b, PRIME, has_sentinels=False)[0]
-            if a[0]:
+            if kernel == "fused":
                 assert np.array_equal(perm, plan.perm)
                 eager = eager[:, perm]
-            else:  # a zero coefficient: eager select, segment order
+            else:  # the sort ignores the plan: segment order
                 assert perm is None
             assert ids.dtype == np.uint32
             assert np.array_equal(ids, eager)
