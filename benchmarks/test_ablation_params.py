@@ -3,8 +3,7 @@
 * Shingle parameters ``s`` and ``c`` (the paper credits gpClust's higher
   sensitivity to "the high configurable s and c parameters");
 * tournament selection vs. Thrust-faithful full segmented sort;
-* union-find partition vs. overlapping component reporting;
-* vectorized vs. scalar Phase III engines.
+* union-find partition vs. overlapping component reporting.
 """
 
 from __future__ import annotations
@@ -226,21 +225,3 @@ def test_ablation_kcore_prefilter(benchmark, quality_graph, report_writer,
     qs_k8 = quality_scores(Partition(results[8].labels), bench, min_size=20)
     assert qs_k8.ppv >= qs_base.ppv - 0.02
 
-
-def test_ablation_union_backend(benchmark, quality_graph, report_writer, scale):
-    """Vectorized label propagation vs. scalar union-find: identical labels,
-    the vectorized engine is the production default."""
-    pg = quality_graph
-    params = ShinglingParams(c1=60, c2=30, seed=5)
-    vec = benchmark.pedantic(
-        lambda: GpClust(params.with_overrides(union_backend="vectorized")).run(pg.graph),
-        rounds=1, iterations=1)
-    scalar = GpClust(params.with_overrides(union_backend="unionfind")).run(pg.graph)
-    assert np.array_equal(vec.labels, scalar.labels)
-    headers = ["backend", "total seconds"]
-    rows = [["vectorized", format_seconds(vec.timings.total)],
-            ["unionfind", format_seconds(scalar.timings.total)]]
-    title = f"Ablation — Phase III engine (scale={scale})"
-    report_writer("ablation_union_backend",
-                  format_table(headers, rows, title=title),
-                  data=[table_payload(title, headers, rows)])

@@ -57,7 +57,8 @@ from repro.device.batching import (BatchPlan, max_batch_elements,
                                    plan_batches)
 from repro.device.device import SimulatedDevice
 from repro.device.kernels import (SENTINEL, build_tournament_plan,
-                                  reduce_keys_fit, segment_element_ids)
+                                  distinct_within_segments, reduce_keys_fit,
+                                  segment_element_ids)
 from repro.device.memory import ScratchPool
 from repro.util.timer import BUCKET_CPU
 
@@ -78,7 +79,11 @@ def device_shingle_pass(
     Parameters
     ----------
     indptr, elements:
-        Input adjacency structure in CSR form.
+        Input adjacency structure in CSR form.  No id may repeat within a
+        segment (graph adjacency lists and generator lists never do); on
+        such input the kernels disagree with each other and with the
+        serial pass, and with debug checks on the pass raises
+        ``ValueError``.
     config:
         Pass configuration (s, c, hash pairs, salts).
     device:
@@ -145,7 +150,11 @@ class _PassInput(NamedTuple):
 def _compact_input(indptr, elements, config: PassConfig, device,
                    trial_chunk: int, max_elements: int | None,
                    streams: int) -> _PassInput:
-    """Drop short segments and plan the device batches (cpu bucket)."""
+    """Drop short segments and plan the device batches (cpu bucket).
+
+    With debug checks on, raises ``ValueError`` when an id repeats within
+    a segment (the passes' input precondition).
+    """
     if streams < 1:
         raise ValueError("streams must be >= 1")
     indptr = np.asarray(indptr, dtype=np.int64)
@@ -170,6 +179,9 @@ def _compact_input(indptr, elements, config: PassConfig, device,
         # Exclusive element-id bound; sizes the fused kernel's hash
         # table and the on-device reduction's packed keys.
         n_values = int(elements.max()) + 1 if elements.size else 1
+        if debug_checks_enabled() and not distinct_within_segments(
+                elements, compact_indptr, n_values):
+            raise ValueError("an id repeats within an input segment")
         return _PassInput(elements, lengths, valid_ids, all_lengths.size,
                           n_values, plan_batches(compact_indptr, max_elements),
                           trial_chunks(config.c, trial_chunk))
@@ -183,7 +195,6 @@ def device_union_pass(
     *,
     members1: np.ndarray,
     n_vertices: int,
-    include_generators: bool = False,
     kernel: str = KERNEL_FUSED,
     trial_chunk: int = 16,
     max_elements: int | None = None,
@@ -200,15 +211,16 @@ def device_union_pass(
     with top ids ``m_0..m_{s-1}`` links ``members1[f, 0]`` to every
     ``m_i``; once per pass, every first-level shingle ``f`` with an input
     list of at least ``s`` generators links ``members1[f, 0]`` to the rest
-    of its members (and, with ``include_generators``, to every generator on
-    its list).  These connect exactly what the star edges of
+    of its members.  These connect exactly what the star edges of
     :func:`~repro.core.report._phase3_edges` connect, with every
     second-level shingle repeated once per occurrence, so the components —
     and the labels — are the same.
 
     ``indptr``/``elements`` are pass II's input (pass I's generator lists)
-    and ``members1`` pass I's ``(k1, s1)`` members.  Every schedule works:
-    chunks run through :func:`_run_chunks` and fold under the fold's lock.
+    and ``members1`` pass I's ``(k1, s1)`` members.  The input
+    precondition is :func:`device_shingle_pass`'s: no id repeats within a
+    segment.  Every schedule works: chunks run through :func:`_run_chunks`
+    and fold under the fold's lock.
 
     Returns the fold of every chunk's edges (its :meth:`~PartitionFold.
     labels` are the partition), or ``None`` when the pass needs several
@@ -228,18 +240,16 @@ def device_union_pass(
     batch = inp.batch_plan.batches[0]
     with breakdown.timing(BUCKET_CPU):
         batch_elements = batch.slice_elements(inp.elements)
-        tournament = build_tournament_plan(batch_elements, batch.local_indptr,
-                                           s, inp.n_values)
+        tournament, seg_ids_table = _plan_selection(
+            batch_elements, batch.local_indptr, s, inp.n_values, kernel)
 
     a, b = config.a_array, config.b_array
     with breakdown.timing(BUCKET_CPU):
         f_members = members1[inp.valid_ids]
         lead1 = f_members[:, :1]
         lead_perm = lead1[tournament.perm] if tournament is not None else None
-    # Once per pass: every f's members (and generators) join its leader.
+    # Once per pass: every f's members join its leader.
     fold.fold(lead1, f_members[:, 1:])
-    if include_generators:
-        fold.fold(np.repeat(lead1[:, 0], inp.lengths), batch_elements)
     check_lo = inp.chunks[0][0] if debug_checks_enabled() else None
 
     d_elems = device.upload(batch_elements)
@@ -250,7 +260,8 @@ def device_union_pass(
             d_elems, d_indptr,
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
             n_values=inp.n_values, tournament=tournament, kernel=kernel,
-            check=lo == check_lo, label=f"trials {lo}-{hi - 1}")
+            seg_ids=seg_ids_table, check=lo == check_lo,
+            label=f"trials {lo}-{hi - 1}")
         # Columns are in the plan's order, or in segment order when no
         # tournament ran (a rejected plan, or the sort engine).
         lead = lead1 if perm is None else lead_perm
@@ -265,6 +276,23 @@ def device_union_pass(
     finally:
         device.free(d_elems, d_indptr)
     return fold
+
+
+def _plan_selection(batch_elements, local_indptr, s: int, n_values: int,
+                    kernel: str):
+    """The ``(tournament, seg_ids)`` a single batch's chunk rounds share.
+
+    Only the ``fused`` kernel runs a tournament, so only it builds the
+    plan; whenever no plan will run (the sort, or a plan the geometry
+    rejects) the per-element segment-id table is built instead, once per
+    batch rather than once per chunk.
+    """
+    tournament = (build_tournament_plan(batch_elements, local_indptr, s,
+                                        n_values)
+                  if kernel == KERNEL_FUSED else None)
+    seg_ids = (segment_element_ids(local_indptr) if tournament is None
+               else None)
+    return tournament, seg_ids
 
 
 def trial_chunks(c: int, trial_chunk: int) -> list[tuple[int, int]]:
@@ -322,7 +350,7 @@ def _single_batch_streaming(
     selection is then the binned tournament, planned once here from the
     batch geometry (the eager select is the fallback for geometries the
     plan rejects); with debug checks on, each pass's first chunk is also
-    checked against the eager select.
+    checked against the eager select.  The sort never plans.
     """
     breakdown = device.breakdown
     s = config.s
@@ -336,12 +364,12 @@ def _single_batch_streaming(
 
     batch_elements = batch.slice_elements(elements)
     with breakdown.timing(BUCKET_CPU):
-        tournament = (build_tournament_plan(batch_elements, batch.local_indptr,
-                                            s, n_values)
-                      if use_reduce else None)
-        # The per-element segment ids feed the eager select and the sort.
-        seg_ids_table = (segment_element_ids(batch.local_indptr)
-                         if tournament is None else None)
+        if use_reduce:
+            tournament, seg_ids_table = _plan_selection(
+                batch_elements, batch.local_indptr, s, n_values, kernel)
+        else:
+            tournament = None
+            seg_ids_table = segment_element_ids(batch.local_indptr)
         aggregator = StreamingAggregator(s, n_seg)
         host_pool = ScratchPool()  # reused download staging across chunks
 

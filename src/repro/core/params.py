@@ -28,9 +28,6 @@ KERNEL_FUSED = "fused"
 #: picks only the device's top-``s`` engine.
 KERNELS = (KERNEL_SORT, KERNEL_FUSED)
 
-UNION_VECTORIZED = "vectorized"
-UNION_UNIONFIND = "unionfind"
-
 
 @dataclass(frozen=True)
 class ShinglingParams:
@@ -63,13 +60,6 @@ class ShinglingParams:
         Phase III output: ``"partition"`` (union-find, the paper's choice —
         no vertex in two clusters) or ``"overlapping"`` (per-component
         clusters that may overlap).
-    include_generators:
-        Extension: additionally recruit the generator vertices ``L(s_j)`` of
-        each first-level shingle into its cluster (off by default; the
-        faithful mode recruits only shingle-constituent vertices).
-    union_backend:
-        Phase III engine: ``"vectorized"`` label propagation or the scalar
-        ``"unionfind"`` reference.  Identical results.
     grouping:
         Vertex-grouping strategy.  ``"two_level"`` is the paper's middle
         ground (merge via shared *second-level* shingles).  ``"one_shingle"``
@@ -89,8 +79,6 @@ class ShinglingParams:
     trial_chunk: int = 16
     streams: int = 1
     report_mode: str = REPORT_PARTITION
-    include_generators: bool = False
-    union_backend: str = UNION_VECTORIZED
     grouping: str = GROUPING_TWO_LEVEL
 
     def __post_init__(self) -> None:
@@ -110,8 +98,6 @@ class ShinglingParams:
             raise ValueError("streams must be >= 1")
         if self.report_mode not in (REPORT_PARTITION, REPORT_OVERLAPPING):
             raise ValueError(f"unknown report_mode {self.report_mode!r}")
-        if self.union_backend not in (UNION_VECTORIZED, UNION_UNIONFIND):
-            raise ValueError(f"unknown union_backend {self.union_backend!r}")
         if self.grouping not in (GROUPING_TWO_LEVEL, GROUPING_ONE_SHINGLE):
             raise ValueError(f"unknown grouping {self.grouping!r}")
         if self.grouping == GROUPING_ONE_SHINGLE and self.report_mode != REPORT_PARTITION:

@@ -22,13 +22,13 @@ from repro.core.device_exec import device_shingle_pass, device_union_pass
 from repro.core.params import (
     GROUPING_ONE_SHINGLE,
     REPORT_PARTITION,
-    UNION_UNIONFIND,
-    UNION_VECTORIZED,
     ShinglingParams,
 )
-from repro.core.report import one_shingle_labels, report_clusters
+from repro.core.report import (one_shingle_labels, overlapping_clusters,
+                               report_clusters)
 from repro.core.result import ClusterResult
-from repro.core.serial import serial_shingle_pass
+from repro.core.serial import (serial_one_shingle_labels,
+                               serial_partition_labels, serial_shingle_pass)
 from repro.device.device import SimulatedDevice
 from repro.device.timingmodels import DeviceSpec
 from repro.graph.csr import CSRGraph
@@ -72,14 +72,12 @@ class SerialPClust:
 
         with tracer.span("phase3.report", backend="unionfind"):
             if params.grouping == GROUPING_ONE_SHINGLE:
-                output = one_shingle_labels(pass1, graph.n_vertices,
-                                            backend=UNION_UNIONFIND)
+                output = serial_one_shingle_labels(pass1, graph.n_vertices)
+            elif params.report_mode == REPORT_PARTITION:
+                output = serial_partition_labels(pass1, pass2,
+                                                 graph.n_vertices)
             else:
-                output = report_clusters(
-                    pass1, pass2, graph.n_vertices,
-                    mode=params.report_mode,
-                    backend=UNION_UNIONFIND,
-                    include_generators=params.include_generators)
+                output = overlapping_clusters(pass1, pass2)
         # The cpu bucket holds the NON-shingling remainder (Phase III etc.),
         # so buckets sum to wall time without double-counting the shingling
         # share recorded above.
@@ -133,8 +131,7 @@ class GpClust:
         if params.grouping == GROUPING_ONE_SHINGLE:
             with breakdown.timing(BUCKET_CPU), \
                     tracer.span("phase3.report"):
-                output = one_shingle_labels(pass1, graph.n_vertices,
-                                            backend=params.union_backend)
+                output = one_shingle_labels(pass1, graph.n_vertices)
             device.sync_metrics()
             self._record_run(tracer, t_start, graph)
             return _make_result(graph.n_vertices, params, "device", output,
@@ -145,14 +142,12 @@ class GpClust:
             indptr2, elements2 = pass1.next_pass_input()
         fold = None
         with tracer.span("gpclust.pass2") as span:
-            if (params.report_mode == REPORT_PARTITION
-                    and params.union_backend == UNION_VECTORIZED):
+            if params.report_mode == REPORT_PARTITION:
                 # Partition mode needs only G_II's vertex components: feed
                 # the pass straight into the union when it can.
                 fold = device_union_pass(
                     indptr2, elements2, config2, device,
                     members1=pass1.members, n_vertices=graph.n_vertices,
-                    include_generators=params.include_generators,
                     kernel=params.kernel, trial_chunk=params.trial_chunk,
                     max_elements=self.max_batch_elements,
                     streams=params.streams)
@@ -168,11 +163,8 @@ class GpClust:
             if fold is not None:
                 output = fold.labels()
             else:
-                output = report_clusters(
-                    pass1, pass2, graph.n_vertices,
-                    mode=params.report_mode,
-                    backend=params.union_backend,
-                    include_generators=params.include_generators)
+                output = report_clusters(pass1, pass2, graph.n_vertices,
+                                         mode=params.report_mode)
 
         # Flush gauge-backed device accounting (transfer bytes, scratch
         # pool) so a traced run's embedded metrics

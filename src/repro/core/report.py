@@ -10,9 +10,10 @@ Section III-B gives two formulations:
    shingles.  "The clusters reported in this way represent a partition of the
    input vertices, and no vertex belongs to two different clusters."
 
-Both are implemented, each with two engines producing identical labels: the
-scalar :class:`~repro.graph.unionfind.UnionFind` reference and a vectorized
-label-propagation bulk union.
+Both are implemented here with a vectorized label-propagation bulk union.
+The scalar :class:`~repro.graph.unionfind.UnionFind` rendition of the
+partition is the serial baseline's, in :mod:`repro.core.serial`; the two
+return identical labels.
 """
 
 from __future__ import annotations
@@ -21,90 +22,28 @@ import threading
 
 import numpy as np
 
-from repro.core.params import (
-    REPORT_OVERLAPPING,
-    REPORT_PARTITION,
-    UNION_UNIONFIND,
-    UNION_VECTORIZED,
-)
+from repro.core.params import REPORT_OVERLAPPING, REPORT_PARTITION
 from repro.core.passresult import PassResult
 from repro.graph.components import bipartite_components
-from repro.graph.unionfind import (UnionFind, canonical_labels,
-                                  union_edge_keys, union_groups)
+from repro.graph.unionfind import (canonical_labels, union_edge_keys,
+                                  union_groups)
 from repro.obs import get_obs
 from repro.util.timer import BUCKET_CPU
 
 
-def _phase3_groups(pass1: PassResult, pass2: PassResult,
-                   include_generators: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex groups to union, as segmented flat arrays (offsets, members).
-
-    One group per second-level shingle ``t``: its own ``s2`` constituent
-    vertices plus the ``s1`` constituents of every first-level shingle in
-    ``L'(t)``.  Transitive merging across groups sharing a first-level
-    shingle reproduces exactly the connected components of ``G_II``.
-
-    With ``include_generators`` (extension), one extra group per first-level
-    shingle in ``S1'``: the shingle's constituents plus its generator
-    vertices ``L(s_j)`` — this recruits generator vertices into the cluster.
-    """
-    members1 = pass1.members                       # (k1, s1) vertex ids
-    members2 = pass2.members                       # (k2, s2) vertex ids
-    gens2 = pass2.gen_graph                        # t -> first-level shingles
-    s1 = pass1.s
-    s2 = pass2.s
-    k2 = pass2.n_shingles
-
-    deg = gens2.degrees()
-    counts = s2 + deg * s1
-    offsets = np.zeros(k2 + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    flat = np.empty(int(offsets[-1]), dtype=np.int64)
-
-    if k2:
-        # Part A: each t's own constituent vertices.
-        pos_a = (offsets[:-1][:, None] + np.arange(s2, dtype=np.int64)).ravel()
-        flat[pos_a] = members2.ravel()
-        # Part B: constituents of every first-level shingle f in L'(t).
-        if gens2.nnz:
-            rank_in_t = np.arange(gens2.nnz, dtype=np.int64) - np.repeat(
-                gens2.indptr[:-1], deg)
-            base = np.repeat(offsets[:-1], deg) + s2 + rank_in_t * s1
-            pos_b = (base[:, None] + np.arange(s1, dtype=np.int64)).ravel()
-            flat[pos_b] = members1[gens2.indices].ravel()
-
-    if include_generators:
-        in_gii = np.zeros(pass1.n_shingles, dtype=bool)
-        if gens2.nnz:
-            in_gii[gens2.indices] = True
-        f_ids = np.flatnonzero(in_gii)
-        gens1 = pass1.gen_graph
-        extra_counts = 1 + (gens1.indptr[f_ids + 1] - gens1.indptr[f_ids])
-        extra_offsets = offsets[-1] + np.concatenate(
-            [[0], np.cumsum(extra_counts)])
-        extra_flat = np.empty(int(extra_counts.sum()), dtype=np.int64)
-        cursor = 0
-        for f, cnt in zip(f_ids.tolist(), extra_counts.tolist()):
-            extra_flat[cursor] = members1[f, 0]
-            extra_flat[cursor + 1:cursor + cnt] = gens1.neighbors(f)
-            cursor += cnt
-        offsets = np.concatenate([offsets, extra_offsets[1:]])
-        flat = np.concatenate([flat, extra_flat])
-
-    return offsets, flat
-
-
 def _phase3_edges(pass1: PassResult, pass2: PassResult,
-                  include_generators: bool, n_vertices: int) -> np.ndarray:
-    """The star edges of :func:`_phase3_groups`, as packed edge keys.
+                  n_vertices: int) -> np.ndarray:
+    """Phase III's partition edges, as packed edge keys.
 
-    Each group's star links its leader (first member — ``members2[t, 0]``,
-    since ``s2 >= 1``) to every member, so the edges can be emitted without
-    materializing the interleaved segmented flat array at all.  Every edge
+    One star per second-level shingle ``t`` links its leader (first
+    member — ``members2[t, 0]``, since ``s2 >= 1``) to its other members
+    and to the constituents of every first-level shingle in ``L'(t)``;
+    transitive merging across stars sharing a first-level shingle
+    reproduces exactly the connected components of ``G_II``.  Every edge
     is written once, as ``src * n_vertices + dst``, into one int64 array.
     Connectivity (and therefore the canonical labels, which depend only on
-    the partition) is identical to running
-    :func:`~repro.graph.unionfind.union_groups` on the grouped form.
+    the partition) is identical to the serial baseline's group-by-group
+    union (:func:`repro.core.serial.serial_partition_labels`).
     """
     members1 = pass1.members
     members2 = pass2.members
@@ -116,14 +55,7 @@ def _phase3_edges(pass1: PassResult, pass2: PassResult,
     lead1 = members1[f_ids, 0] * n_vertices
     own = members2[:, 1:]
     chain = members1[f_ids, 1:]
-    if include_generators:
-        gens1 = pass1.gen_graph
-        deg1 = gens1.degrees()
-        gen_mask = np.repeat(referenced, deg1)
-        n_gen = int(deg1[f_ids].sum())
-    else:
-        n_gen = 0
-    ends = np.cumsum([own.size, gens2.nnz, chain.size, n_gen])
+    ends = np.cumsum([own.size, gens2.nnz, chain.size])
     keys = np.empty(int(ends[-1]), dtype=np.int64)
 
     # Part A: each t's own constituent vertices (the leader IS column 0, so
@@ -139,11 +71,6 @@ def _phase3_edges(pass1: PassResult, pass2: PassResult,
     entries += np.repeat(lead2, gens2.degrees())
     np.add(lead1[:, None], chain,
            out=keys[ends[1]:ends[2]].reshape(chain.shape))
-    if include_generators:
-        # Generator vertices of every referenced f, linked to its leader.
-        generators = keys[ends[2]:]
-        np.compress(gen_mask, gens1.indices, out=generators)
-        generators += np.repeat(lead1, deg1[f_ids])
     return keys
 
 
@@ -181,8 +108,7 @@ class PartitionFold:
             span.set(n_edges=int(keep.size), n_union_edges=int(keys.size))
             if keys.size == 0:
                 return
-            with self._tracer.span("phase3.union", backend=UNION_VECTORIZED,
-                                   n_vertices=n,
+            with self._tracer.span("phase3.union", n_vertices=n,
                                    n_union_edges=int(keys.size)), \
                     cpu(BUCKET_CPU):
                 self.roots = union_edge_keys(n, keys)[roots]
@@ -192,38 +118,23 @@ class PartitionFold:
         return canonical_labels(self.roots)
 
 
-def partition_labels(pass1: PassResult, pass2: PassResult, n_vertices: int,
-                     backend: str = UNION_VECTORIZED,
-                     include_generators: bool = False) -> np.ndarray:
+def partition_labels(pass1: PassResult, pass2: PassResult,
+                     n_vertices: int) -> np.ndarray:
     """Phase III partition mode: dense per-vertex cluster labels.
 
     Unclustered vertices end up in singleton clusters.  Labels are canonical
     (sets ordered by their smallest vertex id == order of first appearance),
-    so both backends return identical arrays.
+    so they equal the serial baseline's scalar union-find labels.
     """
-    tracer = get_obs().tracer
-    if backend == UNION_VECTORIZED:
-        keys = _phase3_edges(pass1, pass2, include_generators, n_vertices)
-        with tracer.span("phase3.union", backend=backend,
-                         n_vertices=n_vertices, n_union_edges=int(keys.size)):
-            roots = union_edge_keys(n_vertices, keys)
-        return canonical_labels(roots)
-    offsets, flat = _phase3_groups(pass1, pass2, include_generators)
-    if backend == UNION_UNIONFIND:
-        with tracer.span("phase3.union", backend=backend,
-                         n_vertices=n_vertices,
-                         n_groups=int(offsets.size - 1)):
-            uf = UnionFind(n_vertices)
-            flat_list = flat.tolist()
-            bounds = offsets.tolist()
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                uf.union_group(flat_list[lo:hi])
-            return uf.labels()
-    raise ValueError(f"unknown union backend {backend!r}")
+    keys = _phase3_edges(pass1, pass2, n_vertices)
+    with get_obs().tracer.span("phase3.union", n_vertices=n_vertices,
+                               n_union_edges=int(keys.size)):
+        roots = union_edge_keys(n_vertices, keys)
+    return canonical_labels(roots)
 
 
-def overlapping_clusters(pass1: PassResult, pass2: PassResult,
-                         include_generators: bool = False) -> list[np.ndarray]:
+def overlapping_clusters(pass1: PassResult,
+                         pass2: PassResult) -> list[np.ndarray]:
     """Phase III overlapping mode: one vertex set per component of ``G_II``.
 
     "This formulation could produce potential overlaps between the output
@@ -245,10 +156,7 @@ def overlapping_clusters(pass1: PassResult, pass2: PassResult,
     if gens2.nnz:
         referenced[gens2.indices] = True
     for f in np.flatnonzero(referenced).tolist():
-        entry = clusters.setdefault(int(right_labels[f]), [])
-        entry.append(pass1.members[f])
-        if include_generators:
-            entry.append(pass1.gen_graph.neighbors(f))
+        clusters.setdefault(int(right_labels[f]), []).append(pass1.members[f])
 
     out = []
     for label in sorted(clusters):
@@ -257,8 +165,7 @@ def overlapping_clusters(pass1: PassResult, pass2: PassResult,
     return out
 
 
-def one_shingle_labels(pass1: PassResult, n_vertices: int,
-                       backend: str = UNION_VECTORIZED) -> np.ndarray:
+def one_shingle_labels(pass1: PassResult, n_vertices: int) -> np.ndarray:
     """The aggressive single-level grouping Section III-B rejects.
 
     "Group two vertices into the same cluster if they share at least one
@@ -270,38 +177,21 @@ def one_shingle_labels(pass1: PassResult, n_vertices: int,
     gens = pass1.gen_graph
     sizes = gens.degrees()
     keep = sizes >= 2
-    counts = sizes[keep]
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    mask = np.repeat(keep, sizes)
-    flat = gens.indices[mask]
-
-    if backend == UNION_VECTORIZED:
-        return canonical_labels(union_groups(n_vertices, offsets, flat))
-    if backend == UNION_UNIONFIND:
-        uf = UnionFind(n_vertices)
-        flat_list = flat.tolist()
-        bounds = offsets.tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            uf.union_group(flat_list[lo:hi])
-        return uf.labels()
-    raise ValueError(f"unknown union backend {backend!r}")
+    offsets = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+    np.cumsum(sizes[keep], out=offsets[1:])
+    flat = gens.indices[np.repeat(keep, sizes)]
+    return canonical_labels(union_groups(n_vertices, offsets, flat))
 
 
 def report_clusters(pass1: PassResult, pass2: PassResult, n_vertices: int, *,
-                    mode: str = REPORT_PARTITION,
-                    backend: str = UNION_VECTORIZED,
-                    include_generators: bool = False):
+                    mode: str = REPORT_PARTITION):
     """Dispatch to the requested Phase III formulation.
 
     Returns a label array (partition mode) or a list of vertex-id arrays
     (overlapping mode).
     """
     if mode == REPORT_PARTITION:
-        return partition_labels(pass1, pass2, n_vertices,
-                                backend=backend,
-                                include_generators=include_generators)
+        return partition_labels(pass1, pass2, n_vertices)
     if mode == REPORT_OVERLAPPING:
-        return overlapping_clusters(pass1, pass2,
-                                    include_generators=include_generators)
+        return overlapping_clusters(pass1, pass2)
     raise ValueError(f"unknown report mode {mode!r}")

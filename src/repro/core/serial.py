@@ -4,12 +4,13 @@ This is the faithful pure-Python rendition of the paper's serial
 implementation: per-vertex, per-trial enumeration of the adjacency list with
 an s-sized insertion-sorted minimum buffer ("the small values of s expected
 to be used in practice justify a simple insertion sort-based approach"),
-followed by fingerprint-keyed aggregation into the shingle graph.
+followed by fingerprint-keyed aggregation into the shingle graph, and a
+scalar union-find Phase III (:func:`serial_partition_labels`).
 
 It is deliberately *not* vectorized: it plays the role of the paper's serial
 baseline in Table I, and it is the ground truth the device path is validated
 against — both must produce identical :class:`PassResult` objects for the
-same hash pairs.
+same hash pairs, and identical partition labels.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from repro.core.params import PassConfig
 from repro.core.passresult import PassResult
 from repro.graph.bipartite import BipartiteCSR
+from repro.graph.unionfind import UnionFind
 from repro.obs import get_obs
 from repro.util.mixhash import fold_fingerprint
 
@@ -115,3 +117,39 @@ def _table_to_passresult(table: dict[int, tuple[tuple[int, ...], list[int]]],
     gen_graph = BipartiteCSR.from_lists(gen_lists, n_right=n_seg)
     return PassResult(fingerprints=fingerprints, members=members,
                       gen_graph=gen_graph, n_input_segments=n_seg)
+
+
+
+def serial_partition_labels(pass1: PassResult, pass2: PassResult,
+                            n_vertices: int) -> np.ndarray:
+    """Phase III partition mode with a scalar union-find: the oracle of the
+    vectorized :func:`repro.core.report.partition_labels`.
+
+    One group per second-level shingle ``t``: its own constituent vertices
+    plus the constituents of every first-level shingle in ``L'(t)``.
+    Transitive merging across groups sharing a first-level shingle
+    reproduces exactly the connected components of ``G_II``.
+    """
+    members1 = pass1.members.tolist()
+    indptr = pass2.gen_graph.indptr.tolist()
+    indices = pass2.gen_graph.indices.tolist()
+    uf = UnionFind(n_vertices)
+    for t, group in enumerate(pass2.members.tolist()):
+        for f in indices[indptr[t]:indptr[t + 1]]:
+            group += members1[f]
+        uf.union_group(group)
+    return uf.labels()
+
+
+def serial_one_shingle_labels(pass1: PassResult,
+                              n_vertices: int) -> np.ndarray:
+    """The one-shingle grouping with a scalar union-find: the oracle of
+    :func:`repro.core.report.one_shingle_labels` (every generator set
+    ``L(f)`` joins one cluster)."""
+    gens = pass1.gen_graph
+    indptr = gens.indptr.tolist()
+    indices = gens.indices.tolist()
+    uf = UnionFind(n_vertices)
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        uf.union_group(indices[lo:hi])
+    return uf.labels()

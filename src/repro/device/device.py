@@ -394,6 +394,7 @@ class SimulatedDevice:
         n_values: int,
         tournament: kernels.TournamentPlan | None,
         kernel: str = KERNEL_FUSED,
+        seg_ids: np.ndarray | None = None,
         check: bool = False,
         label: str = "trial chunk",
     ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -403,7 +404,9 @@ class SimulatedDevice:
         without the fingerprint fold or the reduction: Phase III's
         partition union needs each occurrence slot's member ids, not the
         distinct shingles.  Same input contract, working-set charge and
-        ``check`` as :meth:`shingle_chunk_reduce`.
+        ``check`` as :meth:`shingle_chunk_reduce`; ``seg_ids`` is the
+        batch's optional :func:`~repro.device.kernels.segment_element_ids`
+        table for the eager select and the sort.
 
         Returns ``(ids, perm)``: the ``(t, n_seg, s)`` uint32 id block,
         downloaded, and the plan's column permutation (``ids[:, i]``
@@ -420,7 +423,7 @@ class SimulatedDevice:
         t0 = time.perf_counter()
         used, table, top32, top_ids, d_work = self._select_top_ids(
             elements, indptr, kernel=kernel, a=a, b=b, prime=prime, s=s,
-            seg_ids=None, n_values=n_values, tournament=tournament)
+            seg_ids=seg_ids, n_values=n_values, tournament=tournament)
         # Ids fit 32 bits; the narrower block halves the download.
         ids = pool.take((t, n_seg, s), np.uint32)
         np.copyto(ids, top_ids, casting="unsafe")

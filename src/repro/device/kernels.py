@@ -475,7 +475,7 @@ class TournamentPlan:
     col_to_row: np.ndarray    # (n_seg,) int64, original -> permuted
 
 
-def _distinct_within_segments(elements: np.ndarray, indptr: np.ndarray,
+def distinct_within_segments(elements: np.ndarray, indptr: np.ndarray,
                               n_values: int) -> bool:
     """True when no id repeats inside any segment (all must be non-empty).
 
@@ -516,7 +516,7 @@ def build_tournament_plan(elements: np.ndarray, indptr: np.ndarray,
     n_seg = lengths.size
     if n_seg == 0 or elements.size == 0 or int(lengths.min()) < max(s, 1):
         return None
-    if not _distinct_within_segments(elements, indptr, n_values):
+    if not distinct_within_segments(elements, indptr, n_values):
         return None
 
     # frexp's exponent of (length - 1) is its bit length: the log2 bucket.

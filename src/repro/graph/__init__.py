@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "CSRGraph": ".csr",
     "GraphStats": ".stats",
     "UnionFind": ".unionfind",
-    "WeightedCSRGraph": ".weighted",
     "core_filter": ".kcore",
     "core_numbers": ".kcore",
     "k_core": ".kcore",

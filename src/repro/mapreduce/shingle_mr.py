@@ -118,11 +118,8 @@ class MapReducePClust:
             stats_total.n_spill_files += st.n_spill_files
             stats_total.n_records += st.n_records
 
-        output = report_clusters(
-            pass1, pass2, graph.n_vertices,
-            mode=params.report_mode,
-            backend=params.union_backend,
-            include_generators=params.include_generators)
+        output = report_clusters(pass1, pass2, graph.n_vertices,
+                                 mode=params.report_mode)
         wall = time.perf_counter() - t0
 
         breakdown.add(BUCKET_MAP, stats_total.map_seconds)

@@ -5,18 +5,18 @@ that *answers questions* with them, from the exported Chrome Trace
 document alone (plus the metrics snapshot embedded in its ``otherData``):
 
 * :func:`critical_path` — the longest dependency chain of span work over
-  the multi-track timeline (per-device procs, trial-chunk stream
-  threads, Smith-Waterman pool workers): which spans bound the run, how
+  the multi-track timeline (the main thread, trial-chunk stream threads,
+  Smith-Waterman pool workers): which spans bound the run, how
   much slack (idle waiting) separates them, and which proc/track carries
   the bounding share.
 * :func:`attribute` — bottleneck attribution: per-process utilization,
   the modeled-vs-wall roofline gap of the device kernels (class
-  ``shingle``), host-link contention share, alignment padding waste, and
-  a ranked "top places this run lost time" diagnosis with
+  ``shingle``), transfer occupancy, alignment padding waste, and a
+  ranked "top places this run lost time" diagnosis with
   machine-readable cause slugs.
 * :func:`diff_traces` — per-span-name and per-process deltas between two
-  traced runs ("did PR N shift time from alignment into host-link
-  contention?").
+  traced runs ("did this change shift time from alignment into
+  transfers?").
 
 Everything consumes the trace *document* (not live tracer state) so the
 same analysis runs on a file produced last week, in CI, or on another
@@ -345,7 +345,7 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
     """Bottleneck attribution for one traced run.
 
     Combines the critical path, per-process utilization, the per-class
-    modeled-vs-wall roofline gap, host-link contention, and alignment
+    modeled-vs-wall roofline gap, transfer occupancy, and alignment
     padding waste into one report whose headline is ``causes`` — a
     ranked list of ``{"cause", "class", "seconds", "share", "detail"}``
     dicts with machine-readable cause slugs:
@@ -358,9 +358,8 @@ def attribute(doc: dict, metrics: dict | None = None) -> dict:
     ``dispatch_overhead:<class>``
         The part of that class's roofline gap **not** explained by link
         traffic: gap seconds minus the transfer-span overlap with the
-        class's own intervals (modeled contention lives inside the
-        transfer spans, so it is subtracted with them).  What remains is
-        host-side dispatch — Python replanning, per-launch accounting.
+        class's own intervals.  What remains is host-side dispatch —
+        Python replanning, per-launch accounting.
     ``alignment_padding``
         Alignment wall seconds (``homology.alignment`` spans) spent on
         padded (wasted) DP cells.

@@ -8,9 +8,9 @@ file in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 Coordinate mapping: each distinct span ``proc`` label becomes a trace
 *process* (the driver is ``main``; Smith-Waterman pool workers are
 ``sw-worker-<pid>``) and each distinct ``track`` label within it becomes a
-trace *thread* (the main thread, trial-chunk streams ``stream_N``, the
-per-device driver threads ``dev{i}``).  Timestamps are microseconds
-relative to the tracer's epoch, so every track shares one timeline.
+trace *thread* (the main thread, trial-chunk streams ``stream_N``).
+Timestamps are microseconds relative to the tracer's epoch, so every track
+shares one timeline.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A :class:`Tracer` records *spans* — named, timed intervals with optional
 attributes — from any layer of the pipeline: device kernel rounds, transfer
 operations, homology stages, process-pool shard workers, Phase III.  Spans
 carry a ``proc``/``track`` coordinate (process label, thread label) so that
-concurrent work — trial-chunk stream workers, per-device driver threads,
-Smith-Waterman worker processes — renders as separate tracks in the Chrome
+concurrent work — trial-chunk stream workers, Smith-Waterman worker
+processes — renders as separate tracks in the Chrome
 Trace export (:mod:`repro.obs.chrome_trace`).
 
 Two usage styles::

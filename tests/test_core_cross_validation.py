@@ -15,7 +15,8 @@ from repro.core.aggregate import StreamingAggregator, aggregate_pass
 from repro.core.device_exec import device_shingle_pass
 from repro.core.params import KERNELS, ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
-from repro.core.serial import serial_shingle_pass
+from repro.core.report import partition_labels
+from repro.core.serial import serial_partition_labels, serial_shingle_pass
 from repro.device.device import SimulatedDevice
 from repro.device.timingmodels import DeviceSpec
 from repro.graph.csr import CSRGraph
@@ -364,10 +365,20 @@ class TestPipelineEquivalence:
         assert np.array_equal(serial.labels, device.labels)
 
     def test_union_backends_identical(self, small_params):
+        """On device-built passes, the vectorized union, the serial
+        baseline's scalar union-find and GpClust's direct pass II fold
+        give the same partition."""
         g = random_blocky_graph(seed=12)
-        a = GpClust(small_params.with_overrides(union_backend="vectorized")).run(g)
-        b = GpClust(small_params.with_overrides(union_backend="unionfind")).run(g)
-        assert np.array_equal(a.labels, b.labels)
+        device = SimulatedDevice()
+        pass1 = device_shingle_pass(g.indptr, g.indices,
+                                    small_params.pass_config(1), device)
+        pass2 = device_shingle_pass(*pass1.next_pass_input(),
+                                    small_params.pass_config(2), device)
+        vectorized = partition_labels(pass1, pass2, g.n_vertices)
+        scalar = serial_partition_labels(pass1, pass2, g.n_vertices)
+        assert np.array_equal(vectorized, scalar)
+        assert np.array_equal(GpClust(small_params).run(g).labels, scalar)
+        assert 1 < np.unique(scalar).size < g.n_vertices
 
     def test_kernels_identical(self, small_params):
         g = random_blocky_graph(seed=13)
@@ -395,13 +406,6 @@ class TestPipelineEquivalence:
             assert len(serial.overlapping) == len(device.overlapping)
             assert all(np.array_equal(s, d) for s, d in
                        zip(serial.overlapping, device.overlapping))
-
-    def test_include_generators_equivalence_across_backends(self, small_params):
-        g = random_blocky_graph(seed=14)
-        params = small_params.with_overrides(include_generators=True)
-        serial = SerialPClust(params).run(g)
-        device = GpClust(params).run(g)
-        assert np.array_equal(serial.labels, device.labels)
 
     def test_determinism_across_runs(self, small_params):
         g = random_blocky_graph(seed=15)

@@ -7,7 +7,7 @@ import pytest
 from repro.core.params import ShinglingParams
 from repro.core.pipeline import GpClust, SerialPClust
 from repro.core.report import one_shingle_labels
-from repro.core.serial import serial_shingle_pass
+from repro.core.serial import serial_one_shingle_labels, serial_shingle_pass
 from repro.eval.confusion import quality_scores
 from repro.eval.partition import Partition
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
@@ -28,15 +28,19 @@ class TestOneShingleLabels:
     def test_backends_agree(self, blocky_graph):
         cfg = ShinglingParams(c1=10, c2=5, seed=2).pass_config(1)
         pass1 = serial_shingle_pass(blocky_graph.indptr, blocky_graph.indices, cfg)
-        a = one_shingle_labels(pass1, blocky_graph.n_vertices, "vectorized")
-        b = one_shingle_labels(pass1, blocky_graph.n_vertices, "unionfind")
+        a = one_shingle_labels(pass1, blocky_graph.n_vertices)
+        b = serial_one_shingle_labels(pass1, blocky_graph.n_vertices)
         assert np.array_equal(a, b)
+        assert 1 < np.unique(a).size < blocky_graph.n_vertices
 
     def test_unknown_backend(self, blocky_graph):
+        """The vectorized union is the only engine: no argument picks
+        another."""
         cfg = ShinglingParams(c1=4, c2=2).pass_config(1)
         pass1 = serial_shingle_pass(blocky_graph.indptr, blocky_graph.indices, cfg)
-        with pytest.raises(ValueError):
-            one_shingle_labels(pass1, blocky_graph.n_vertices, "gpu")
+        for backend in ("gpu", "unionfind"):
+            with pytest.raises(TypeError):
+                one_shingle_labels(pass1, blocky_graph.n_vertices, backend)
 
 
 class TestPipelinesWithGrouping:

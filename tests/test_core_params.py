@@ -16,10 +16,17 @@ class TestShinglingParams:
         {"s1": 0}, {"s2": 0}, {"c1": 0}, {"c2": 0}, {"trial_chunk": 0},
         {"prime": 100}, {"prime": (1 << 40) + 1},
         {"kernel": "bubble"}, {"report_mode": "fuzzy"},
-        {"union_backend": "quantum"}, {"kernel": "select"},
+        {"streams": 0}, {"kernel": "select"},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
+            ShinglingParams(**kw)
+
+    @pytest.mark.parametrize("kw", [{"include_generators": True},
+                                    {"union_backend": "unionfind"}])
+    def test_retired_fields_rejected(self, kw):
+        """Generator recruitment and the union-engine choice are gone."""
+        with pytest.raises(TypeError):
             ShinglingParams(**kw)
 
     def test_with_overrides(self):

@@ -1,13 +1,12 @@
 """Partition mode feeds pass II straight into the Phase III union.
 
-With the vectorized union backend and a single pass-II batch, ``GpClust``
-never builds ``G_II``, whichever kernel runs: :func:`device_union_pass`
-folds every trial chunk's occurrence slots into a running root-label
-array.  Its labels must equal ``SerialPClust``'s under every schedule,
-stream count, kernel and ``include_generators`` setting — whether the
-pipeline provisions its own device, the caller hands one in, or the
-one-call API runs it — and every case that still needs ``G_II`` must fall
-back to it and match too.
+With a single pass-II batch, ``GpClust`` never builds ``G_II``, whichever
+kernel runs: :func:`device_union_pass` folds every trial chunk's
+occurrence slots into a running root-label array.  Its labels must equal
+``SerialPClust``'s under every schedule, stream count and kernel — whether
+the pipeline provisions its own device, the caller hands one in, or the
+one-call API runs it — and every case that still needs ``G_II`` (several
+pass-II batches, overlapping mode) must fall back to it and match too.
 """
 
 import types
@@ -58,14 +57,12 @@ def _pass1(graph, params):
                                params.pass_config(1))
 
 
-@pytest.mark.parametrize("include_generators", [False, True])
 @pytest.mark.parametrize("via", ["host", "device", "auto"])
 @pytest.mark.parametrize("exec_mode,streams", [
     ("sync", 1), ("prefetch", 1), ("multistream", 3)])
 def test_direct_path_matches_serial(planted, direct_calls, exec_mode, streams,
-                                    via, include_generators):
-    params, spec = schedule(exec_mode, BASE.with_overrides(
-        include_generators=include_generators))
+                                    via):
+    params, spec = schedule(exec_mode, BASE)
     assert params.streams == streams
     want = SerialPClust(params).run(planted).labels
     got = cluster_via(via, planted, params, spec).labels
@@ -102,25 +99,20 @@ def test_direct_path_trace(planted):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), s1=st.integers(1, 3),
        s2=st.integers(1, 3), c1=st.integers(1, 8), c2=st.integers(1, 8),
-       trial_chunk=st.integers(1, 4), include_generators=st.booleans())
-def test_random_graphs_match_serial(seed, s1, s2, c1, c2, trial_chunk,
-                                    include_generators):
+       trial_chunk=st.integers(1, 4))
+def test_random_graphs_match_serial(seed, s1, s2, c1, c2, trial_chunk):
     graph = random_blocky_graph(seed=seed, n=40, n_blocks=2, block=8,
                                 n_noise=30)
     params = ShinglingParams(s1=s1, c1=c1, s2=s2, c2=c2, seed=seed,
-                             trial_chunk=trial_chunk,
-                             include_generators=include_generators)
+                             trial_chunk=trial_chunk)
     want = SerialPClust(params).run(graph).labels
     got = GpClust(params).run(graph).labels
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("streams", [1, 2])
-@pytest.mark.parametrize("include_generators", [False, True])
-def test_sort_kernel_takes_the_direct_path(planted, direct_calls, streams,
-                                           include_generators):
-    params = BASE.with_overrides(kernel="sort", streams=streams,
-                                 include_generators=include_generators)
+def test_sort_kernel_takes_the_direct_path(planted, direct_calls, streams):
+    params = BASE.with_overrides(kernel="sort", streams=streams)
     want = SerialPClust(params).run(planted).labels
     got = GpClust(params).run(planted).labels
     assert direct_calls == [True]
@@ -128,15 +120,15 @@ def test_sort_kernel_takes_the_direct_path(planted, direct_calls, streams,
 
 
 @pytest.mark.parametrize("overrides", [
-    {"union_backend": "unionfind"},
-    {"union_backend": "unionfind", "kernel": "sort"},
-    {"union_backend": "unionfind", "include_generators": True},
+    {"kernel": "sort"}, {"streams": 2}, {"kernel": "sort", "streams": 2},
 ])
 def test_g2_fallbacks_match_serial(planted, direct_calls, overrides):
+    """A multi-batch pass II builds ``G_II`` under either kernel and any
+    stream count."""
     params = BASE.with_overrides(**overrides)
     want = SerialPClust(params).run(planted).labels
-    got = GpClust(params).run(planted).labels
-    assert direct_calls == []
+    got = GpClust(params, max_batch_elements=64).run(planted).labels
+    assert direct_calls == [False]
     assert np.array_equal(got, want)
 
 
@@ -150,9 +142,8 @@ def test_overlapping_mode_falls_back(planted, direct_calls):
 
 
 def test_multi_batch_pass2_falls_back(planted, direct_calls):
-    params = BASE.with_overrides(include_generators=True)
-    want = SerialPClust(params).run(planted).labels
-    got = GpClust(params, max_batch_elements=64).run(planted).labels
+    want = SerialPClust(BASE).run(planted).labels
+    got = GpClust(BASE, max_batch_elements=64).run(planted).labels
     assert direct_calls == [False]
     assert np.array_equal(got, want)
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import device_exec
-from repro.core.aggregate import aggregate_pass
-from repro.core.device_exec import device_shingle_pass
+from repro.core.aggregate import aggregate_pass, set_debug_checks
+from repro.core.device_exec import device_shingle_pass, device_union_pass
 from repro.core.params import ShinglingParams
 from repro.core.serial import serial_shingle_pass
 from repro.device import kernels
@@ -31,6 +31,9 @@ from repro.device.memory import ScratchPool
 from repro.util.primes import DEFAULT_PRIME
 
 PRIME = DEFAULT_PRIME
+
+#: Segments that break the passes' precondition: ids repeat within two.
+DUPLICATE_SEGMENTS = [[1, 2, 2, 5], [0, 3, 7], [4, 4, 6, 8]]
 
 
 def _csr(segments):
@@ -333,9 +336,10 @@ class TestPlanRejects:
         """A repeated id defeats the plan; the pass then runs the eager
         select.  The serial reference requires duplicate-free lists, so the
         eager fused sequence, aggregated on the host, is the reference
-        here."""
-        segments = [[1, 2, 2, 5], [0, 3, 7], [4, 4, 6, 8]]
-        elements, indptr = _csr(segments)
+        here.  Debug checks refuse such input, so this raw call runs with
+        them off, as a production run does."""
+        set_debug_checks(False)
+        elements, indptr = _csr(DUPLICATE_SEGMENTS)
         seen = []
         real_build = device_exec.build_tournament_plan
 
@@ -357,6 +361,60 @@ class TestPlanRejects:
                              np.diff(indptr), config.s)
         assert seen == [None]
         assert got == ref
+
+
+    @pytest.mark.parametrize("kernel", ["fused", "sort"])
+    def test_duplicates_rejected_under_debug_checks(self, kernel):
+        """On repeated ids the kernels disagree with each other and with
+        the serial pass, so with debug checks on both passes refuse the
+        input before any kernel runs."""
+        elements, indptr = _csr(DUPLICATE_SEGMENTS)
+        config = ShinglingParams(c1=6, c2=4, seed=2).pass_config(1)
+        with pytest.raises(ValueError, match="repeats"):
+            device_shingle_pass(indptr, elements, config, SimulatedDevice(),
+                                kernel=kernel, trial_chunk=2)
+        with pytest.raises(ValueError, match="repeats"):
+            device_union_pass(indptr, elements, config, SimulatedDevice(),
+                              members1=np.arange(6).reshape(3, 2),
+                              n_vertices=9, kernel=kernel, trial_chunk=2)
+
+
+class TestSelectionSetup:
+    @pytest.mark.parametrize("kernel,want", [
+        ("sort", {"plan": 0, "seg_ids": 2}),
+        ("fused", {"plan": 2, "seg_ids": 0}),
+    ], ids=["sort", "fused"])
+    def test_built_once_per_pass(self, monkeypatch, kernel, want):
+        """What both single-batch passes build before their 5 chunk
+        rounds: only ``fused`` runs a tournament, so only it plans one;
+        the sort builds the segment-id table once per pass, not per
+        chunk."""
+        set_debug_checks(False)  # the debug re-check builds its own table
+        calls = {"plan": 0, "seg_ids": 0}
+        real_plan = device_exec.build_tournament_plan
+        real_seg_ids = kernels.segment_element_ids
+
+        def plan(*args):
+            calls["plan"] += 1
+            return real_plan(*args)
+
+        def seg_ids(indptr):
+            calls["seg_ids"] += 1
+            return real_seg_ids(indptr)
+
+        monkeypatch.setattr(device_exec, "build_tournament_plan", plan)
+        monkeypatch.setattr(device_exec, "segment_element_ids", seg_ids)
+        monkeypatch.setattr(kernels, "segment_element_ids", seg_ids)
+        rng = np.random.default_rng(3)
+        elements, indptr = _random_geometry(rng, 30, 2, 60)
+        config = ShinglingParams(c1=9, seed=4).pass_config(1)
+        got = device_shingle_pass(indptr, elements, config, SimulatedDevice(),
+                                  kernel=kernel, trial_chunk=2)
+        device_union_pass(indptr, elements, config, SimulatedDevice(),
+                          members1=rng.integers(0, 60, (30, 2)),
+                          n_vertices=60, kernel=kernel, trial_chunk=2)
+        assert calls == want
+        assert got == serial_shingle_pass(indptr, elements, config)
 
 
 class TestDevicePath:
