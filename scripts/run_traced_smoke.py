@@ -1,19 +1,22 @@
 #!/usr/bin/env python
 """CI traced smoke run: trace the Table-I "2m" config and bound the cost.
 
-Times the 2M-analogue clustering workload with observation off and on —
-the two modes alternate within each repeat, so a slow host episode lands
-on both sides, and each keeps its fastest run — then runs a traced
-default-config homology build, and writes these artifacts under
+Times the 2M-analogue clustering workload with observation off and on in
+``--repeats`` back-to-back pairs (the order within a pair alternates), so
+a slow host episode lands on both runs of a pair, and takes the median of
+the per-pair traced/untraced ratios as the tracing overhead — then runs a
+traced default-config homology build, and writes these artifacts under
 ``benchmarks/results/``:
 
 ``trace_2m.json``
     The Chrome Trace Event export of the traced run (Perfetto-loadable),
     with the metrics snapshot and span summary embedded in ``otherData``.
 ``trace_overhead.json``
-    ``{"traced_off_s", "traced_on_s", "overhead_pct", ...}`` — consumed by
-    ``check_perf_guard.py --max-overhead-pct`` to fail CI when tracing
-    stops being near-free.
+    ``{"traced_off_s", "traced_on_s", "overhead_pct", "pair_ratios",
+    ...}`` — consumed by ``check_perf_guard.py --max-overhead-pct`` to
+    fail CI when tracing stops being near-free.  ``traced_off_s`` is the
+    median untraced wall and ``traced_on_s`` that wall times the median
+    pair ratio, so their quotient is the paired statistic.
 ``trace_2m_summary.txt``
     The ``repro obs summary`` rendering of the trace, for humans.
 ``attribution_2m.json`` / ``attribution_2m.txt`` / ``critical_path_2m.txt``
@@ -41,7 +44,7 @@ non-zero on any violation.
 
 Usage::
 
-    PYTHONPATH=src python scripts/run_traced_smoke.py [--repeats 3]
+    PYTHONPATH=src python scripts/run_traced_smoke.py [--repeats 21]
 
 The ledger row keeps its historical name ``2m_dev1`` (BENCH_PR9.json
 gates that row by name).
@@ -53,6 +56,7 @@ import argparse
 import gc
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -92,8 +96,9 @@ def _wall_s(fn) -> float:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed repetitions per mode (min is kept)")
+    parser.add_argument("--repeats", type=int, default=21,
+                        help="untraced/traced pairs timed (the median "
+                             "per-pair ratio is kept)")
     parser.add_argument("--out-dir", default=str(RESULTS_DIR),
                         help="artifact directory")
     args = parser.parse_args(argv)
@@ -117,15 +122,27 @@ def main(argv: list[str] | None = None) -> int:
         with use_obs(ctx):
             result = GpClust(params).run(graph)
 
-    # Untraced and traced runs alternate, so host noise cannot fall on one
-    # mode only; the minimum of each mode is compared.
-    off_s = on_s = float("inf")
-    for _ in range(args.repeats):
-        off_s = min(off_s, _wall_s(lambda: GpClust(params).run(graph)))
-        on_s = min(on_s, _wall_s(traced_run))
-    overhead_pct = (on_s / off_s - 1.0) * 100.0
-    print(f"observation off: {off_s:.4f}s | on: {on_s:.4f}s "
-          f"| overhead {overhead_pct:+.2f}%")
+    # Each pair times one untraced and one traced run back to back, in
+    # alternating order, so a slow host episode lands on both; the median
+    # of the per-pair ratios resolves a few percent where the minimum of
+    # each mode over a few runs did not.
+    off_walls, ratios = [], []
+    for i in range(max(args.repeats, 1)):
+        if i % 2:
+            on = _wall_s(traced_run)
+            off = _wall_s(lambda: GpClust(params).run(graph))
+        else:
+            off = _wall_s(lambda: GpClust(params).run(graph))
+            on = _wall_s(traced_run)
+        off_walls.append(off)
+        ratios.append(on / off)
+    ratio = statistics.median(ratios)
+    off_s = statistics.median(off_walls)
+    on_s = off_s * ratio
+    overhead_pct = (ratio - 1.0) * 100.0
+    print(f"observation off: {off_s:.4f}s (median) | overhead "
+          f"{overhead_pct:+.2f}% (median of {len(ratios)} pair ratios, "
+          f"{(min(ratios) - 1) * 100:+.2f}% .. {(max(ratios) - 1) * 100:+.2f}%)")
 
     # --- trace artifact -------------------------------------------------
     records = ctx.tracer.records
@@ -255,7 +272,9 @@ def main(argv: list[str] | None = None) -> int:
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "workload": WORKLOAD,
         "scale": scale,
-        "repeats": args.repeats,
+        "repeats": len(ratios),
+        "statistic": "median of per-pair traced/untraced wall ratios",
+        "pair_ratios": [round(r, 6) for r in ratios],
         "traced_off_s": round(off_s, 6),
         "traced_on_s": round(on_s, 6),
         "overhead_pct": round(overhead_pct, 4),

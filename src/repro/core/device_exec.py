@@ -60,6 +60,7 @@ from repro.device.kernels import (SENTINEL, build_tournament_plan,
                                   distinct_within_segments, reduce_keys_fit,
                                   segment_element_ids)
 from repro.device.memory import ScratchPool
+from repro.util.mixhash import mix64_array
 from repro.util.timer import BUCKET_CPU
 
 
@@ -119,19 +120,21 @@ def device_shingle_pass(
             device, elements, batch_plan, chunks, config, kernel, streams,
             lengths, valid_ids, n_seg, inp.n_values)
 
-    # Dedup accounting: how many (trial, segment) shingle occurrence slots
-    # collapsed into distinct fingerprints this pass (the shingle dedup
-    # ratio the bench JSONs report).
-    metrics = device.obs.metrics
-    metrics.counter("shingle.occurrence_slots").add(int(c) * valid_ids.size)
-    metrics.counter("shingle.distinct_fps").add(int(result.n_shingles))
-    tracer = device.obs.tracer
-    if tracer.enabled:
-        tracer.record("exec.shingle_pass", t_start, time.perf_counter(),
-                      attrs={"streams": streams, "kernel": kernel, "c": c,
-                             "s": s, "n_segments": n_seg,
-                             "n_batches": batch_plan.n_batches,
-                             "n_shingles": int(result.n_shingles)})
+    with device.breakdown.timing(BUCKET_CPU):
+        # Dedup accounting: how many (trial, segment) shingle occurrence
+        # slots collapsed into distinct fingerprints this pass (the shingle
+        # dedup ratio the bench JSONs report).
+        metrics = device.obs.metrics
+        metrics.counter("shingle.occurrence_slots").add(
+            int(c) * valid_ids.size)
+        metrics.counter("shingle.distinct_fps").add(int(result.n_shingles))
+        tracer = device.obs.tracer
+        if tracer.enabled:
+            tracer.record("exec.shingle_pass", t_start, time.perf_counter(),
+                          attrs={"streams": streams, "kernel": kernel,
+                                 "c": c, "s": s, "n_segments": n_seg,
+                                 "n_batches": batch_plan.n_batches,
+                                 "n_shingles": int(result.n_shingles)})
     return result
 
 
@@ -145,22 +148,30 @@ class _PassInput(NamedTuple):
     n_values: int             # exclusive element-id bound
     batch_plan: BatchPlan
     chunks: list[tuple[int, int]]
+    # Original segment ids of the lists dropped as duplicates, and of the
+    # kept list each one equals (both empty unless deduplicated).
+    dup_ids: np.ndarray
+    rep_ids: np.ndarray
 
 
 def _compact_input(indptr, elements, config: PassConfig, device,
                    trial_chunk: int, max_elements: int | None,
-                   streams: int) -> _PassInput:
+                   streams: int, *, dedup: bool = False) -> _PassInput:
     """Drop short segments and plan the device batches (cpu bucket).
+
+    With ``dedup``, every segment that equals an earlier kept one is
+    dropped too (:func:`_list_representatives`); ``dup_ids``/``rep_ids``
+    name the dropped segments and the kept segment each one equals.
 
     With debug checks on, raises ``ValueError`` when an id repeats within
     a segment (the passes' input precondition).
     """
     if streams < 1:
         raise ValueError("streams must be >= 1")
-    indptr = np.asarray(indptr, dtype=np.int64)
-    elements = np.asarray(elements, dtype=np.int64)
     s = config.s
     with device.breakdown.timing(BUCKET_CPU):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        elements = np.asarray(elements, dtype=np.int64)
         if max_elements is None:
             max_elements = max_batch_elements(
                 device.spec.memory_capacity_bytes, trial_chunk, s)
@@ -174,17 +185,107 @@ def _compact_input(indptr, elements, config: PassConfig, device,
         valid_ids = np.flatnonzero(valid)
         lengths = all_lengths[valid_ids]
         elements = elements[np.repeat(valid, all_lengths)]
-        compact_indptr = np.zeros(valid_ids.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=compact_indptr[1:])
+        compact_indptr = _offsets(lengths)
         # Exclusive element-id bound; sizes the fused kernel's hash
-        # table and the on-device reduction's packed keys.
+        # table and the on-device reduction's packed keys.  Dropping
+        # duplicate segments leaves the set of ids as it is.
         n_values = int(elements.max()) + 1 if elements.size else 1
+        dup_ids = rep_ids = valid_ids[:0]
+        if dedup:
+            with device.obs.tracer.span("exec.pass2_dedup",
+                                        n_lists=int(valid_ids.size)) as span:
+                rep = _list_representatives(elements, compact_indptr,
+                                            lengths, n_values)
+                kept = rep == np.arange(rep.size)
+                dup_rows = np.flatnonzero(~kept)
+                if dup_rows.size:
+                    dup_ids = valid_ids[dup_rows]
+                    rep_ids = valid_ids[rep[dup_rows]]
+                    elements = elements[np.repeat(kept, lengths)]
+                    valid_ids = valid_ids[kept]
+                    lengths = lengths[kept]
+                    compact_indptr = _offsets(lengths)
+                span.set(n_distinct=int(valid_ids.size))
+            metrics = device.obs.metrics
+            metrics.counter("shingle.pass2_lists").add(
+                int(valid_ids.size + dup_ids.size))
+            metrics.counter("shingle.pass2_distinct_lists").add(
+                int(valid_ids.size))
         if debug_checks_enabled() and not distinct_within_segments(
                 elements, compact_indptr, n_values):
             raise ValueError("an id repeats within an input segment")
         return _PassInput(elements, lengths, valid_ids, all_lengths.size,
                           n_values, plan_batches(compact_indptr, max_elements),
-                          trial_chunks(config.c, trial_chunk))
+                          trial_chunks(config.c, trial_chunk),
+                          dup_ids, rep_ids)
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive segments of ``lengths``."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _list_fingerprints(elements: np.ndarray, indptr: np.ndarray,
+                       n_values: int) -> np.ndarray:
+    """Order-free uint64 fingerprint of every segment: the wrapping sum of
+    :func:`~repro.util.mixhash.mix64` of its ids.
+
+    The ids are mixed through one table of all ``n_values`` ids, then
+    summed by one cumulative sum: each segment's sum is the difference of
+    two of its entries (mod 2**64).  Segments must be non-empty.
+    """
+    mixed = mix64_array(np.arange(n_values, dtype=np.uint64))[elements]
+    np.cumsum(mixed, out=mixed)
+    ends = mixed[indptr[1:] - 1]
+    fps = ends.copy()
+    fps[1:] -= ends[:-1]
+    return fps
+
+
+def _list_representatives(elements: np.ndarray, indptr: np.ndarray,
+                          lengths: np.ndarray, n_values: int) -> np.ndarray:
+    """Row of the representative of every segment; equal segments share one.
+
+    Segments are sorted once by :func:`_list_fingerprints`; each pair of
+    neighbours with equal fingerprint and length is then compared element
+    by element (one gather per side), so a fingerprint collision can never
+    make two different segments share a representative — at worst it
+    leaves two equal ones apart.  A run of confirmed-equal neighbours takes
+    its first row as representative, which is its own.  Segments compare
+    as lists: generator lists are sorted, so equal sets are equal lists.
+    """
+    fps = _list_fingerprints(elements, indptr, n_values)
+    order = np.argsort(fps)
+    fps = fps[order]
+    lens = lengths[order]
+    # pairs[i]: sorted rows i and i + 1 may be equal.
+    pairs = np.flatnonzero((fps[1:] == fps[:-1]) & (lens[1:] == lens[:-1]))
+    left, right = order[pairs], order[pairs + 1]
+    pair_len = lens[pairs]
+    pair_ptr = _offsets(pair_len)
+    # Element positions of every left row, and of the right row beside it;
+    # the gathers reuse those buffers, as each fresh array costs page faults.
+    pos = np.repeat(indptr[left] - pair_ptr[:-1], pair_len)
+    buf = np.arange(pair_ptr[-1])
+    pos += buf
+    other = np.repeat(indptr[right] - indptr[left], pair_len)
+    other += pos
+    np.take(elements, pos, out=buf, mode="clip")
+    np.take(elements, other, out=pos, mode="clip")
+    mismatch = np.flatnonzero(buf != pos)
+    unequal = np.searchsorted(pair_ptr, mismatch, side="right") - 1
+    # same[i]: sorted row i equals sorted row i - 1.
+    same = np.zeros(lengths.size, dtype=bool)
+    same[pairs + 1] = True
+    same[pairs[unequal] + 1] = False
+    first = ~same
+    run = np.cumsum(first)
+    run -= 1
+    rep = np.empty(lengths.size, dtype=np.int64)
+    rep[order] = order[first][run]
+    return rep
 
 
 def device_union_pass(
@@ -216,6 +317,17 @@ def device_union_pass(
     second-level shingle repeated once per occurrence, so the components —
     and the labels — are the same.
 
+    Each distinct input list is shingled once.  The compaction finds the
+    lists that equal an earlier one (:func:`_list_representatives`) and
+    drops them, so the batch, the plan, every chunk's id block and its
+    fold shrink with the list count.  After the chunks, each dropped list
+    ``f'`` with representative ``r`` folds ``members1[f', 0]`` to the rest
+    of its members and to ``members1[r, 0]``.  That adds no connection the
+    full pass would not make: equal lists select the same top ids in every
+    trial, and every list has at least ``s >= 1`` ids, so in any trial that
+    ran both leaders link to the same ``m_0``.  Fold labels depend only on
+    the union of the folded edges, so they are unchanged.
+
     ``indptr``/``elements`` are pass II's input (pass I's generator lists)
     and ``members1`` pass I's ``(k1, s1)`` members.  The input
     precondition is :func:`device_shingle_pass`'s: no id repeats within a
@@ -228,10 +340,11 @@ def device_union_pass(
     :func:`device_shingle_pass`.
     """
     inp = _compact_input(indptr, elements, config, device, trial_chunk,
-                         max_elements, streams)
+                         max_elements, streams, dedup=True)
     breakdown = device.breakdown
     tracer = device.obs.tracer
-    fold = PartitionFold(n_vertices, breakdown, tracer)
+    with breakdown.timing(BUCKET_CPU):
+        fold = PartitionFold(n_vertices, breakdown, tracer)
     if inp.valid_ids.size == 0 or not inp.chunks:
         return fold  # no second-level shingle: nothing to union
     if inp.batch_plan.n_batches != 1:
@@ -239,12 +352,10 @@ def device_union_pass(
     s = config.s
     batch = inp.batch_plan.batches[0]
     with breakdown.timing(BUCKET_CPU):
+        a, b = config.a_array, config.b_array
         batch_elements = batch.slice_elements(inp.elements)
         tournament, seg_ids_table = _plan_selection(
             batch_elements, batch.local_indptr, s, inp.n_values, kernel)
-
-    a, b = config.a_array, config.b_array
-    with breakdown.timing(BUCKET_CPU):
         f_members = members1[inp.valid_ids]
         lead1 = f_members[:, :1]
         lead_perm = lead1[tournament.perm] if tournament is not None else None
@@ -268,13 +379,20 @@ def device_union_pass(
         # One trial at a time: once the first trials have merged the big
         # components, most later edges map to self-loops and drop before
         # the union.
-        for trial_ids in ids:
-            fold.fold(lead, trial_ids)
+        fold.fold_each(lead, ids)
 
     try:
         _run_chunks(inp.chunks, run_chunk, streams)
     finally:
         device.free(d_elems, d_indptr)
+    if inp.dup_ids.size:
+        # Each dropped duplicate joins its own members and its
+        # representative's leader.
+        with breakdown.timing(BUCKET_CPU):
+            dup_members = members1[inp.dup_ids]
+            dup_lead = dup_members[:, :1].copy()
+            dup_members[:, 0] = members1[inp.rep_ids, 0]
+        fold.fold(dup_lead, dup_members)
     return fold
 
 
@@ -354,32 +472,30 @@ def _single_batch_streaming(
     """
     breakdown = device.breakdown
     s = config.s
-    a, b, salts = config.a_array, config.b_array, config.salts
-    n_rows = batch.n_segments
-    t_max = max((hi - lo for lo, hi in chunks), default=0)
-    # The single batch is pre-compacted (every row has length >= s, no
-    # sentinel padding), which is exactly what the on-device reduction
-    # requires; the only other gate is the 63-bit key-packing bound.
-    use_reduce = reduce_keys_fit(t_max, n_rows, s, n_values)
-
-    batch_elements = batch.slice_elements(elements)
     with breakdown.timing(BUCKET_CPU):
+        a, b, salts = config.a_array, config.b_array, config.salts
+        n_rows = batch.n_segments
+        t_max = max((hi - lo for lo, hi in chunks), default=0)
+        # The single batch is pre-compacted (every row has length >= s, no
+        # sentinel padding), which is exactly what the on-device reduction
+        # requires; the only other gate is the 63-bit key-packing bound.
+        use_reduce = reduce_keys_fit(t_max, n_rows, s, n_values)
+        batch_elements = batch.slice_elements(elements)
         if use_reduce:
             tournament, seg_ids_table = _plan_selection(
                 batch_elements, batch.local_indptr, s, n_values, kernel)
+            gen_ids = valid_ids.astype(np.uint32)
         else:
             tournament = None
             seg_ids_table = segment_element_ids(batch.local_indptr)
         aggregator = StreamingAggregator(s, n_seg)
         host_pool = ScratchPool()  # reused download staging across chunks
+        tracer = device.obs.tracer
+        check_lo = chunks[0][0] if chunks and debug_checks_enabled() else None
 
     d_elems = device.upload(batch_elements)
     d_indptr = device.upload(batch.local_indptr)
-    d_gens = (device.upload(valid_ids.astype(np.uint32))
-              if use_reduce else None)
-
-    tracer = device.obs.tracer
-    check_lo = chunks[0][0] if chunks and debug_checks_enabled() else None
+    d_gens = device.upload(gen_ids) if use_reduce else None
 
     def run_chunk_reduce(lo: int, hi: int) -> None:
         out = device.shingle_chunk_reduce(

@@ -97,21 +97,27 @@ class PartitionFold:
     def fold(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Union the edges ``src -> dst`` (broadcast-compatible vertex-id
         arrays)."""
+        self.fold_each(src, (dst,))
+
+    def fold_each(self, src: np.ndarray, dsts) -> None:
+        """:meth:`fold` ``(src, dst)`` for each ``dst`` in turn, under one
+        lock and one cpu-bucket region."""
         n = self.n_vertices
-        cpu = self._breakdown.timing
-        with self._tracer.span("phase3.fold") as span, self._lock:
-            with cpu(BUCKET_CPU):
-                roots = self.roots
-                rs, rd = np.broadcast_arrays(roots[src], roots[dst])
-                keep = rs != rd
-                keys = rs[keep] * n + rd[keep]
-            span.set(n_edges=int(keep.size), n_union_edges=int(keys.size))
-            if keys.size == 0:
-                return
-            with self._tracer.span("phase3.union", n_vertices=n,
-                                   n_union_edges=int(keys.size)), \
-                    cpu(BUCKET_CPU):
-                self.roots = union_edge_keys(n, keys)[roots]
+        tracer = self._tracer
+        with self._lock, self._breakdown.timing(BUCKET_CPU):
+            for dst in dsts:
+                with tracer.span("phase3.fold") as span:
+                    roots = self.roots
+                    rs, rd = np.broadcast_arrays(roots[src], roots[dst])
+                    keep = rs != rd
+                    keys = rs[keep] * n + rd[keep]
+                    span.set(n_edges=int(keep.size),
+                             n_union_edges=int(keys.size))
+                    if keys.size == 0:
+                        continue
+                    with tracer.span("phase3.union", n_vertices=n,
+                                     n_union_edges=int(keys.size)):
+                        self.roots = union_edge_keys(n, keys)[roots]
 
     def labels(self) -> np.ndarray:
         """Canonical dense labels of the roots folded so far."""

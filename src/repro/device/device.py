@@ -146,30 +146,14 @@ class SimulatedDevice:
         """Host -> device copy (synchronous), charged to ``data_c2g``."""
         t0 = time.perf_counter()
         buf, modeled = self.memory.to_device(host_array)
-        t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_C2G, t1 - t0)
-        self.breakdown.add_modeled(BUCKET_C2G, modeled)
-        if self.timeline is not None:
-            self.timeline.record(BUCKET_C2G, "upload", modeled)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.upload", t0, t1,
-                          attrs={"bytes": buf.nbytes, "modeled_s": modeled})
+        self._charge_transfer(BUCKET_C2G, "upload", t0, modeled, buf.nbytes)
         return buf
 
     def download(self, buffer: DeviceBuffer) -> np.ndarray:
         """Device -> host copy (synchronous), charged to ``data_g2c``."""
         t0 = time.perf_counter()
         data, modeled = self.memory.to_host(buffer)
-        t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_G2C, t1 - t0)
-        self.breakdown.add_modeled(BUCKET_G2C, modeled)
-        if self.timeline is not None:
-            self.timeline.record(BUCKET_G2C, "download", modeled)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.download", t0, t1,
-                          attrs={"bytes": data.nbytes, "modeled_s": modeled})
+        self._charge_transfer(BUCKET_G2C, "download", t0, modeled, data.nbytes)
         return data
 
     def download_into(self, buffer: DeviceBuffer, out: np.ndarray) -> np.ndarray:
@@ -181,16 +165,24 @@ class SimulatedDevice:
         """
         t0 = time.perf_counter()
         modeled = self.memory.to_host_into(buffer, out)
-        t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_G2C, t1 - t0)
-        self.breakdown.add_modeled(BUCKET_G2C, modeled)
-        if self.timeline is not None:
-            self.timeline.record(BUCKET_G2C, "download", modeled)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.download", t0, t1,
-                          attrs={"bytes": out.nbytes, "modeled_s": modeled})
+        self._charge_transfer(BUCKET_G2C, "download", t0, modeled, out.nbytes)
         return out
+
+    def _charge_transfer(self, bucket: str, name: str, t0: float,
+                         modeled: float, nbytes: int) -> None:
+        """Charge a transfer that began at ``t0`` and just ended to
+        ``bucket``; the bookkeeping after it goes to the cpu bucket."""
+        t1 = time.perf_counter()
+        breakdown = self.breakdown
+        with breakdown.timing(BUCKET_CPU):
+            breakdown.add(bucket, t1 - t0)
+            breakdown.add_modeled(bucket, modeled)
+            if self.timeline is not None:
+                self.timeline.record(bucket, name, modeled)
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                tracer.record(f"device.{name}", t0, t1,
+                              attrs={"bytes": nbytes, "modeled_s": modeled})
 
     def free(self, *buffers: DeviceBuffer) -> None:
         for buf in buffers:
@@ -244,13 +236,12 @@ class SimulatedDevice:
         t = len(a)
         if not (len(b) == len(salts) == t):
             raise ValueError("a, b, salts must have equal length")
+        t0 = time.perf_counter()
         elements = d_elements.device_view()
         indptr = d_indptr.device_view().astype(np.int64, copy=False)
         n_seg = indptr.size - 1
         nnz = elements.size
         pool = self.scratch
-
-        t0 = time.perf_counter()
         top = pool.take((t, n_seg, s), np.uint64)
         _, table, top32, top_ids, d_work = self._select_top_ids(
             elements, indptr, kernel=kernel, a=a, b=b, prime=prime, s=s,
@@ -263,18 +254,21 @@ class SimulatedDevice:
         d_top = self.memory.adopt(top)
         d_fps = self.memory.adopt(fps)
         t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_GPU, t1 - t0)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.shingle_chunk", t0, t1,
-                          attrs={"kernel": kernel, "trials": t, "nnz": nnz,
-                                 "n_seg": n_seg, "label": label})
-        reduce_s = self.spec.kernels.seconds_for(
-            "reduce",
-            kernels.count_kernel_elements("reduce", t, nnz, n_seg, s))
-        self._record_kernel("fingerprint_fold", t * n_seg * s, reduce_s)
-        self._charge_modeled(
-            self._charge_select(kernel, t, nnz, n_seg, s) + reduce_s, label)
+        with self.breakdown.timing(BUCKET_CPU):
+            self.breakdown.add(BUCKET_GPU, t1 - t0)
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                tracer.record("device.shingle_chunk", t0, t1,
+                              attrs={"kernel": kernel, "trials": t,
+                                     "nnz": nnz, "n_seg": n_seg,
+                                     "label": label})
+            reduce_s = self.spec.kernels.seconds_for(
+                "reduce",
+                kernels.count_kernel_elements("reduce", t, nnz, n_seg, s))
+            self._record_kernel("fingerprint_fold", t * n_seg * s, reduce_s)
+            self._charge_modeled(
+                self._charge_select(kernel, t, nnz, n_seg, s) + reduce_s,
+                label)
 
         # Transfer this round's shingles back immediately (synchronous).
         if out_top is None:
@@ -285,8 +279,9 @@ class SimulatedDevice:
             out_fps = self.download(d_fps)
         else:
             self.download_into(d_fps, out_fps)
-        self.free(*d_work, d_top, d_fps)
-        pool.give(fps, top, table, top32, top_ids)
+        with self.breakdown.timing(BUCKET_CPU):
+            self.free(*d_work, d_top, d_fps)
+            pool.give(fps, top, table, top32, top_ids)
         return out_fps, out_top
 
     def shingle_chunk_reduce(
@@ -335,13 +330,12 @@ class SimulatedDevice:
         wire dtypes of ``chunk_reduce`` (uint64/uint32).
         """
         t = len(a)
+        t0 = time.perf_counter()
         elements = d_elements.device_view()
         indptr = d_indptr.device_view().astype(np.int64, copy=False)
         n_seg = indptr.size - 1
         nnz = elements.size
         pool = self.scratch
-
-        t0 = time.perf_counter()
         tournament, table, top32, top_ids, d_work = self._select_top_ids(
             elements, indptr, kernel=kernel, a=a, b=b, prime=prime, s=s,
             seg_ids=seg_ids, n_values=n_values, tournament=tournament)
@@ -354,32 +348,36 @@ class SimulatedDevice:
         d_out = [self.memory.adopt(arr)
                  for arr in (fps, members, gen_counts, gens)]
         t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_GPU, t1 - t0)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.shingle_chunk_reduce", t0, t1,
-                          attrs={"kernel": kernel, "trials": t, "nnz": nnz,
-                                 "n_seg": n_seg, "k_chunk": int(fps.size),
-                                 "label": label,
-                                 "select": _engine(kernel, tournament)})
-        select_s = self._charge_select(kernel, t, nnz, n_seg, s)
-        sort_s = self.spec.kernels.seconds_for(
-            "sort", kernels.count_kernel_elements("chunk_reduce", t, nnz, n_seg, s))
-        reduce_s = self.spec.kernels.seconds_for(
-            "reduce", kernels.count_kernel_elements("reduce", t, nnz, n_seg, s))
-        self._record_kernel("chunk_reduce_sort", t * n_seg, sort_s)
-        self._record_kernel("chunk_reduce_fold", t * n_seg * s, reduce_s)
-        self._charge_modeled(select_s + sort_s + reduce_s, label)
-        if check and tournament is not None:
-            self._check_selection(elements, indptr, top_ids, tournament,
-                                  a=a, b=b, prime=prime, s=s,
-                                  n_values=n_values, label=label)
-
-        self.free(*d_work)
-        pool.give(table, top32, top_ids)
+        with self.breakdown.timing(BUCKET_CPU):
+            self.breakdown.add(BUCKET_GPU, t1 - t0)
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                tracer.record("device.shingle_chunk_reduce", t0, t1,
+                              attrs={"kernel": kernel, "trials": t,
+                                     "nnz": nnz, "n_seg": n_seg,
+                                     "k_chunk": int(fps.size),
+                                     "label": label,
+                                     "select": _engine(kernel, tournament)})
+            select_s = self._charge_select(kernel, t, nnz, n_seg, s)
+            sort_s = self.spec.kernels.seconds_for(
+                "sort", kernels.count_kernel_elements("chunk_reduce", t, nnz,
+                                                      n_seg, s))
+            reduce_s = self.spec.kernels.seconds_for(
+                "reduce", kernels.count_kernel_elements("reduce", t, nnz,
+                                                        n_seg, s))
+            self._record_kernel("chunk_reduce_sort", t * n_seg, sort_s)
+            self._record_kernel("chunk_reduce_fold", t * n_seg * s, reduce_s)
+            self._charge_modeled(select_s + sort_s + reduce_s, label)
+            if check and tournament is not None:
+                self._check_selection(elements, indptr, top_ids, tournament,
+                                      a=a, b=b, prime=prime, s=s,
+                                      n_values=n_values, label=label)
+            self.free(*d_work)
+            pool.give(table, top32, top_ids)
         # The compacted partial is all that crosses the PCIe link.
         host = tuple(self.download(buf) for buf in d_out)
-        self.free(*d_out)
+        with self.breakdown.timing(BUCKET_CPU):
+            self.free(*d_out)
         return host
 
     def shingle_chunk_ids(
@@ -414,13 +412,12 @@ class SimulatedDevice:
         (the eager select or the sort), whose columns are in segment order.
         """
         t = len(a)
+        t0 = time.perf_counter()
         elements = d_elements.device_view()
         indptr = d_indptr.device_view().astype(np.int64, copy=False)
         n_seg = indptr.size - 1
         nnz = elements.size
         pool = self.scratch
-
-        t0 = time.perf_counter()
         used, table, top32, top_ids, d_work = self._select_top_ids(
             elements, indptr, kernel=kernel, a=a, b=b, prime=prime, s=s,
             seg_ids=seg_ids, n_values=n_values, tournament=tournament)
@@ -429,25 +426,27 @@ class SimulatedDevice:
         np.copyto(ids, top_ids, casting="unsafe")
         d_ids = self.memory.adopt(ids)
         t1 = time.perf_counter()
-        self.breakdown.add(BUCKET_GPU, t1 - t0)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record("device.shingle_chunk", t0, t1,
-                          attrs={"kernel": kernel, "trials": t, "nnz": nnz,
-                                 "n_seg": n_seg, "label": label,
-                                 "select": _engine(kernel, used)})
-        self._charge_modeled(self._charge_select(kernel, t, nnz, n_seg, s),
-                             label)
-        if check and used is not None:
-            self._check_selection(elements, indptr, top_ids, used,
-                                  a=a, b=b, prime=prime, s=s,
-                                  n_values=n_values, label=label)
-
-        self.free(*d_work)
-        pool.give(table, top32, top_ids)
+        with self.breakdown.timing(BUCKET_CPU):
+            self.breakdown.add(BUCKET_GPU, t1 - t0)
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                tracer.record("device.shingle_chunk", t0, t1,
+                              attrs={"kernel": kernel, "trials": t,
+                                     "nnz": nnz, "n_seg": n_seg,
+                                     "label": label,
+                                     "select": _engine(kernel, used)})
+            self._charge_modeled(
+                self._charge_select(kernel, t, nnz, n_seg, s), label)
+            if check and used is not None:
+                self._check_selection(elements, indptr, top_ids, used,
+                                      a=a, b=b, prime=prime, s=s,
+                                      n_values=n_values, label=label)
+            self.free(*d_work)
+            pool.give(table, top32, top_ids)
         host = self.download(d_ids)
-        self.free(d_ids)
-        pool.give(ids)
+        with self.breakdown.timing(BUCKET_CPU):
+            self.free(d_ids)
+            pool.give(ids)
         return host, (used.perm if used is not None else None)
 
     def _select_top_ids(self, elements, indptr, *, kernel, a, b, prime, s,
@@ -529,16 +528,15 @@ class SimulatedDevice:
         """Re-run the eager select on the host and compare with the
         tournament's ids; raises ``AssertionError`` on a mismatch.
 
-        Host-side verification, outside the timed kernel region.
+        Host-side verification, outside the timed kernel region (the
+        caller charges it to the cpu bucket).
         """
-        with self.breakdown.timing(BUCKET_CPU):
-            eager_ids = kernels.recover_top_ids(
-                kernels.segmented_select_top_s(
-                    kernels.fused_hash(elements, a, b, prime,
-                                       n_values=n_values), indptr, s),
-                a, b, prime, has_sentinels=False)[0]
-            same = np.array_equal(top_ids, eager_ids[:, tournament.perm, :])
-        if not same:
+        eager_ids = kernels.recover_top_ids(
+            kernels.segmented_select_top_s(
+                kernels.fused_hash(elements, a, b, prime,
+                                   n_values=n_values), indptr, s),
+            a, b, prime, has_sentinels=False)[0]
+        if not np.array_equal(top_ids, eager_ids[:, tournament.perm, :]):
             raise AssertionError(
                 f"tournament selection differs from the eager select "
                 f"({label})")

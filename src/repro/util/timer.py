@@ -144,14 +144,9 @@ class TimeBreakdown:
         with self._lock:
             self.modeled[bucket] = self.modeled.get(bucket, 0.0) + seconds
 
-    @contextmanager
-    def timing(self, bucket: str) -> Iterator[None]:
+    def timing(self, bucket: str) -> "_Timing":
         """Context manager that adds the elapsed wall time to ``bucket``."""
-        t0 = clock()
-        try:
-            yield
-        finally:
-            self.add(bucket, clock() - t0)
+        return _Timing(self, bucket)
 
     def get(self, bucket: str) -> float:
         return self.measured.get(bucket, 0.0)
@@ -175,3 +170,24 @@ class TimeBreakdown:
         row = {bucket: self.get(bucket) for bucket in TABLE1_BUCKETS}
         row["total"] = self.total
         return row
+
+
+class _Timing:
+    """:meth:`TimeBreakdown.timing`'s context manager.
+
+    A plain class rather than a generator-based one: a run enters
+    hundreds of bucket regions, and the time spent entering and leaving
+    each falls outside every bucket.
+    """
+
+    __slots__ = ("_breakdown", "_bucket", "_t0")
+
+    def __init__(self, breakdown: TimeBreakdown, bucket: str) -> None:
+        self._breakdown = breakdown
+        self._bucket = bucket
+
+    def __enter__(self) -> None:
+        self._t0 = clock()
+
+    def __exit__(self, *exc) -> None:
+        self._breakdown.add(self._bucket, clock() - self._t0)
