@@ -6,30 +6,29 @@ Diffs a freshly-measured benchmark JSON (``workloads`` mapping under
 non-zero when any workload's warm total time regresses by more than the
 tolerance (default 15%).  Warm timings on shared CI runners are noisy,
 which is why the guard is tolerance-based rather than exact; improvements
-never fail.  The comparison machinery is shared with ``compare_bench.py``
-and the performance ledger (:mod:`repro.obs.ledger`).
+never fail.  The comparison machinery is shared with the performance
+ledger (:mod:`repro.obs.ledger`).
 
 ``--reference-key`` selects which mapping of the reference file holds the
 guarded rows: ``table1_rows`` (clustering bench vs BENCH_PR2.json),
 ``homology_rows`` (homology-construction bench vs BENCH_PR6.json), or
 ``device_alignment_rows`` (the in-process ``local`` alignment row, also in
 BENCH_PR6.json).  ``--metric`` picks which per-row value is compared
-(default ``total_s``).  Metrics are lower-is-better unless the spec
-carries a ``:higher`` suffix (``dp_cells_per_s:higher``).
+(default ``total_s``); repeat it to guard several, and every regressed
+metric of every row is listed.  Metrics are lower-is-better unless the
+spec carries a ``:higher`` suffix (``dp_cells_per_s:higher``).
+
+Rows may carry tag keys (``host_cores``) describing the measuring
+machine.  When the reference and measured rows disagree on
+``host_cores``, wall-clock metrics get a ``SKIP`` verdict instead of a
+pass/fail, and a one-line note says so: wall seconds across core counts
+are noise, while modeled and counted metrics still guard the row.
 
 ``--max-overhead-pct`` switches to observability-overhead mode: the
 measured file is then a ``trace_overhead.json`` written by
 ``scripts/run_traced_smoke.py`` (``traced_off_s`` / ``traced_on_s``), no
 reference file is read, and the guard fails when enabling tracing costs
 more than the given percentage.
-
-``--bottleneck-row`` switches to bottleneck-class mode: the measured file
-is an attribution report written by ``run_traced_smoke.py`` (the output
-of ``repro obs attribute --json``) and the reference's
-``bottleneck_rows`` mapping names the expected top-ranked cause *class*
-per configuration.  The guard fails when the top cause changes class
-(e.g. shingle -> transfer) without the committed baseline
-being updated — a perf PR must own its attribution shift.
 
 Usage::
 
@@ -39,9 +38,6 @@ Usage::
     python scripts/check_perf_guard.py \
         --measured benchmarks/results/trace_overhead.json \
         --max-overhead-pct 2
-    python scripts/check_perf_guard.py \
-        --measured benchmarks/results/attribution_2m.json \
-        --reference BENCH_PR9.json --bottleneck-row 2m_dev1
 """
 
 from __future__ import annotations
@@ -64,21 +60,23 @@ from repro.obs.ledger import (  # noqa: E402
 
 def check(measured: dict, reference: dict, tolerance: float,
           reference_key: str = "table1_rows",
-          metric: str = "total_s") -> list[str]:
+          metrics: tuple[str, ...] = ("total_s",)) -> list[str]:
     """Return a list of failure messages (empty == pass).
 
     A thin wrapper over :func:`repro.obs.ledger.compare_rows`: the
     guarded rows come from ``reference[reference_key]``, the measured
-    rows from ``measured["workloads"]``, and ``metric`` may carry a
-    ``:higher``/``:lower`` direction suffix (default lower-is-better).
+    rows from ``measured["workloads"]``, and each of ``metrics`` may carry
+    a ``:higher``/``:lower`` direction suffix (default lower-is-better).
     """
     ref_rows = rows_from(reference, reference_key)
     got_rows = rows_from(measured, "workloads")
-    deltas, failures = compare_rows(ref_rows, got_rows, tolerance,
-                                    metrics=[parse_metric_spec(metric)])
+    deltas, failures = compare_rows(
+        ref_rows, got_rows, tolerance,
+        metrics=[parse_metric_spec(m) for m in metrics])
     print(render_deltas(deltas, tolerance))
     note = skipped_wall_note(ref_rows, got_rows, deltas)
     if note:
+        # Printed pass or fail: a skipped wall guard must show in the log.
         print(note)
     return failures
 
@@ -98,36 +96,6 @@ def check_overhead(measured: dict, max_overhead_pct: float) -> list[str]:
     return []
 
 
-def check_bottleneck(measured: dict, reference: dict, row: str,
-                     reference_key: str = "bottleneck_rows") -> list[str]:
-    """Bottleneck-class mode: the top-ranked cause must keep its class.
-
-    ``measured`` is an attribution report (``repro obs attribute
-    --json``); ``reference[reference_key][row]`` holds the committed
-    baseline ``{"cause", "class"}``.  Only the *class* gates — the exact
-    cause slug and magnitudes are informational, wall noise must not
-    flip the guard.
-    """
-    causes = measured.get("causes") or []
-    if not causes:
-        return [f"{row}: attribution report has no ranked causes"]
-    top = causes[0]
-    baseline = rows_from(reference, reference_key).get(row)
-    if baseline is None:
-        return [f"{row}: no committed bottleneck baseline under "
-                f"{reference_key!r} — add it to the reference file"]
-    expected = baseline["class"]
-    print(f"{row}: top bottleneck {top['cause']} (class {top['class']}, "
-          f"{top['seconds']:.4f}s, {top['share']:.1%} of wall) vs "
-          f"baseline class {expected}")
-    if top["class"] != expected:
-        return [
-            f"{row}: top-ranked bottleneck changed class "
-            f"{expected} -> {top['class']} ({top['cause']}); if this PR "
-            f"intends the shift, update the committed baseline"]
-    return []
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--measured",
@@ -138,42 +106,34 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reference-key", default="table1_rows",
                         help="mapping in the reference file holding the "
                              "guarded rows (table1_rows, homology_rows, "
-                             "bottleneck_rows in bottleneck mode)")
+                             "device_alignment_rows)")
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="allowed fractional total-time regression")
-    parser.add_argument("--metric", default="total_s",
-                        help="per-row value to compare, e.g. total_s, "
-                             "alignment_s, padding_waste; lower is better "
-                             "unless the spec says NAME:higher (e.g. "
-                             "speedup_vs_1dev:higher)")
+    parser.add_argument("--metric", action="append", default=None,
+                        metavar="NAME[:lower|higher]",
+                        help="per-row value to compare (repeatable; default "
+                             "total_s), e.g. alignment_s, padding_waste; "
+                             "lower is better unless the spec says "
+                             "NAME:higher (e.g. dp_cells_per_s:higher)")
     parser.add_argument("--max-overhead-pct", type=float, default=None,
                         metavar="PCT",
                         help="observability-overhead mode: fail when the "
                              "traced run in a trace_overhead.json is more "
                              "than PCT%% slower than the untraced run")
-    parser.add_argument("--bottleneck-row", default=None, metavar="ROW",
-                        help="bottleneck-class mode: the measured file is "
-                             "an attribution report; fail when its top-"
-                             "ranked cause class differs from the "
-                             "reference's bottleneck_rows[ROW]")
     args = parser.parse_args(argv)
 
     measured = json.loads(Path(args.measured).read_text())
     if args.max_overhead_pct is not None:
         failures = check_overhead(measured, args.max_overhead_pct)
-    elif args.bottleneck_row is not None:
-        reference = json.loads(Path(args.reference).read_text())
-        key = ("bottleneck_rows" if args.reference_key == "table1_rows"
-               else args.reference_key)
-        failures = check_bottleneck(measured, reference, args.bottleneck_row,
-                                    reference_key=key)
     else:
         reference = json.loads(Path(args.reference).read_text())
         failures = check(measured, reference, args.tolerance,
                          reference_key=args.reference_key,
-                         metric=args.metric)
+                         metrics=tuple(args.metric or ("total_s",)))
     if failures:
-        print("\nPERF GUARD FAILED:", file=sys.stderr)
+        # Every failed comparison is listed, not just the first.
+        print(f"\nPERF GUARD FAILED — {len(failures)} failure(s):",
+              file=sys.stderr)
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1

@@ -21,8 +21,8 @@ Subcommands
     Observability utilities over traces written by ``--trace``:
     ``obs summary`` (where the time went), ``obs critical-path`` (the
     span chain bounding the run, with slack), ``obs attribute``
-    (bottleneck attribution: utilization, modeled-vs-wall roofline gaps,
-    ranked loss causes), ``obs diff runA runB`` (what shifted between
+    (measured self time per span, ranked; each track's rows sum to its
+    wall), ``obs diff runA runB`` (what shifted between
     two traced runs), and ``obs ledger`` (cross-run metric trajectories
     with EWMA drift detection from ``benchmarks/results/ledger/``).
 
@@ -378,16 +378,9 @@ def cmd_obs_critical_path(args: argparse.Namespace) -> int:
 
 
 def cmd_obs_attribute(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs import attribute, load_trace, render_attribution
 
-    metrics = None
-    if args.metrics is not None:
-        metrics = _read_input(lambda path: json.loads(Path(path).read_text()),
-                              args.metrics)
-    report = attribute(_read_input(load_trace, args.trace_file),
-                       metrics=metrics)
+    report = attribute(_read_input(load_trace, args.trace_file))
     return _print_obs_report(args, report, render_attribution(report))
 
 
@@ -534,14 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs_attr = obs_sub.add_parser(
         "attribute",
-        help="bottleneck attribution: utilization, roofline gaps, and a "
-             "ranked list of where the run lost time")
+        help="where the measured wall went: span names ranked by self "
+             "time per track, uncovered parent time as '<name> (unspanned)'")
     p_obs_attr.add_argument("trace_file", metavar="trace.json",
-                            help="trace written by --trace (metrics are "
-                                 "read from its embedded snapshot)")
-    p_obs_attr.add_argument("--metrics", metavar="PATH", default=None,
-                            help="metrics snapshot JSON overriding the "
-                                 "one embedded in the trace")
+                            help="trace written by --trace")
     p_obs_attr.add_argument("--json", action="store_true",
                             help="emit the machine-readable report")
     p_obs_attr.set_defaults(func=cmd_obs_attribute)

@@ -162,6 +162,8 @@ def _compact_input(indptr, elements, config: PassConfig, device,
     With ``dedup``, every segment that equals an earlier kept one is
     dropped too (:func:`_list_representatives`); ``dup_ids``/``rep_ids``
     name the dropped segments and the kept segment each one equals.
+    The steps trace as sibling spans: ``exec.compact``,
+    ``exec.pass2_dedup`` (with ``dedup``) and ``exec.batch_plan``.
 
     With debug checks on, raises ``ValueError`` when an id repeats within
     a segment (the passes' input precondition).
@@ -169,31 +171,29 @@ def _compact_input(indptr, elements, config: PassConfig, device,
     if streams < 1:
         raise ValueError("streams must be >= 1")
     s = config.s
+    tracer = device.obs.tracer
     with device.breakdown.timing(BUCKET_CPU):
-        indptr = np.asarray(indptr, dtype=np.int64)
-        elements = np.asarray(elements, dtype=np.int64)
-        if max_elements is None:
-            max_elements = max_batch_elements(
-                device.spec.memory_capacity_bytes, trial_chunk, s)
-        max_elements = max(max_elements // streams, 1)
-        all_lengths = np.diff(indptr)
-        # CPU-side compaction: segments shorter than s generate no
-        # shingles (Section III-B: shingles exist only for "any vertex
-        # ... that has at least s links"), so they never ship to the
-        # device.  The serial reference skips them the same way.
-        valid = all_lengths >= s
-        valid_ids = np.flatnonzero(valid)
-        lengths = all_lengths[valid_ids]
-        elements = elements[np.repeat(valid, all_lengths)]
-        compact_indptr = _offsets(lengths)
-        # Exclusive element-id bound; sizes the fused kernel's hash
-        # table and the on-device reduction's packed keys.  Dropping
-        # duplicate segments leaves the set of ids as it is.
-        n_values = int(elements.max()) + 1 if elements.size else 1
+        with tracer.span("exec.compact"):
+            indptr = np.asarray(indptr, dtype=np.int64)
+            elements = np.asarray(elements, dtype=np.int64)
+            all_lengths = np.diff(indptr)
+            # CPU-side compaction: segments shorter than s generate no
+            # shingles (Section III-B: shingles exist only for "any vertex
+            # ... that has at least s links"), so they never ship to the
+            # device.  The serial reference skips them the same way.
+            valid = all_lengths >= s
+            valid_ids = np.flatnonzero(valid)
+            lengths = all_lengths[valid_ids]
+            elements = elements[np.repeat(valid, all_lengths)]
+            compact_indptr = _offsets(lengths)
+            # Exclusive element-id bound; sizes the fused kernel's hash
+            # table and the on-device reduction's packed keys.  Dropping
+            # duplicate segments leaves the set of ids as it is.
+            n_values = int(elements.max()) + 1 if elements.size else 1
         dup_ids = rep_ids = valid_ids[:0]
         if dedup:
-            with device.obs.tracer.span("exec.pass2_dedup",
-                                        n_lists=int(valid_ids.size)) as span:
+            with tracer.span("exec.pass2_dedup",
+                             n_lists=int(valid_ids.size)) as span:
                 rep = _list_representatives(elements, compact_indptr,
                                             lengths, n_values)
                 kept = rep == np.arange(rep.size)
@@ -211,13 +211,19 @@ def _compact_input(indptr, elements, config: PassConfig, device,
                 int(valid_ids.size + dup_ids.size))
             metrics.counter("shingle.pass2_distinct_lists").add(
                 int(valid_ids.size))
-        if debug_checks_enabled() and not distinct_within_segments(
-                elements, compact_indptr, n_values):
-            raise ValueError("an id repeats within an input segment")
-        return _PassInput(elements, lengths, valid_ids, all_lengths.size,
-                          n_values, plan_batches(compact_indptr, max_elements),
-                          trial_chunks(config.c, trial_chunk),
-                          dup_ids, rep_ids)
+        with tracer.span("exec.batch_plan"):
+            if debug_checks_enabled() and not distinct_within_segments(
+                    elements, compact_indptr, n_values):
+                raise ValueError("an id repeats within an input segment")
+            if max_elements is None:
+                max_elements = max_batch_elements(
+                    device.spec.memory_capacity_bytes, trial_chunk, s)
+            max_elements = max(max_elements // streams, 1)
+            return _PassInput(elements, lengths, valid_ids, all_lengths.size,
+                              n_values,
+                              plan_batches(compact_indptr, max_elements),
+                              trial_chunks(config.c, trial_chunk),
+                              dup_ids, rep_ids)
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -355,7 +361,8 @@ def device_union_pass(
         a, b = config.a_array, config.b_array
         batch_elements = batch.slice_elements(inp.elements)
         tournament, seg_ids_table = _plan_selection(
-            batch_elements, batch.local_indptr, s, inp.n_values, kernel)
+            batch_elements, batch.local_indptr, s, inp.n_values, kernel,
+            tracer)
         f_members = members1[inp.valid_ids]
         lead1 = f_members[:, :1]
         lead_perm = lead1[tournament.perm] if tournament is not None else None
@@ -397,19 +404,20 @@ def device_union_pass(
 
 
 def _plan_selection(batch_elements, local_indptr, s: int, n_values: int,
-                    kernel: str):
+                    kernel: str, tracer):
     """The ``(tournament, seg_ids)`` a single batch's chunk rounds share.
 
     Only the ``fused`` kernel runs a tournament, so only it builds the
     plan; whenever no plan will run (the sort, or a plan the geometry
     rejects) the per-element segment-id table is built instead, once per
-    batch rather than once per chunk.
+    batch rather than once per chunk.  Traced as ``exec.select_plan``.
     """
-    tournament = (build_tournament_plan(batch_elements, local_indptr, s,
-                                        n_values)
-                  if kernel == KERNEL_FUSED else None)
-    seg_ids = (segment_element_ids(local_indptr) if tournament is None
-               else None)
+    with tracer.span("exec.select_plan"):
+        tournament = (build_tournament_plan(batch_elements, local_indptr, s,
+                                            n_values)
+                      if kernel == KERNEL_FUSED else None)
+        seg_ids = (segment_element_ids(local_indptr) if tournament is None
+                   else None)
     return tournament, seg_ids
 
 
@@ -471,6 +479,7 @@ def _single_batch_streaming(
     checked against the eager select.  The sort never plans.
     """
     breakdown = device.breakdown
+    tracer = device.obs.tracer
     s = config.s
     with breakdown.timing(BUCKET_CPU):
         a, b, salts = config.a_array, config.b_array, config.salts
@@ -483,14 +492,14 @@ def _single_batch_streaming(
         batch_elements = batch.slice_elements(elements)
         if use_reduce:
             tournament, seg_ids_table = _plan_selection(
-                batch_elements, batch.local_indptr, s, n_values, kernel)
+                batch_elements, batch.local_indptr, s, n_values, kernel,
+                tracer)
             gen_ids = valid_ids.astype(np.uint32)
         else:
             tournament = None
             seg_ids_table = segment_element_ids(batch.local_indptr)
         aggregator = StreamingAggregator(s, n_seg)
         host_pool = ScratchPool()  # reused download staging across chunks
-        tracer = device.obs.tracer
         check_lo = chunks[0][0] if chunks and debug_checks_enabled() else None
 
     d_elems = device.upload(batch_elements)

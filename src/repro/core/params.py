@@ -136,11 +136,13 @@ class PassConfig:
     prime: int
     hash_pairs: list[HashPair] = field(repr=False)
     salts: np.ndarray = field(repr=False)
+    #: The ``a`` and ``b`` of every hash pair, built once, read-only.
+    a_array: np.ndarray = field(init=False, repr=False, compare=False)
+    b_array: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def a_array(self) -> np.ndarray:
-        return np.array([p.a for p in self.hash_pairs], dtype=np.uint64)
-
-    @property
-    def b_array(self) -> np.ndarray:
-        return np.array([p.b for p in self.hash_pairs], dtype=np.uint64)
+    def __post_init__(self) -> None:
+        for name in ("a", "b"):
+            array = np.array([getattr(p, name) for p in self.hash_pairs],
+                             dtype=np.uint64)
+            array.flags.writeable = False
+            object.__setattr__(self, f"{name}_array", array)

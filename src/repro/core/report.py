@@ -84,7 +84,9 @@ class PartitionFold:
     once the first batches have merged the big components most later
     edges cost only the gather.  Labels depend only on the union of all
     folded edges, never on fold order; :meth:`fold` is thread-safe.  All
-    of it is host work, charged to the cpu bucket of ``breakdown``.
+    of it is host work, charged to the cpu bucket of ``breakdown``.  Each
+    fold traces as a ``phase3.fold`` span (the root map and the self-loop
+    drop) followed, when edges survive, by a ``phase3.union`` span.
     """
 
     def __init__(self, n_vertices: int, breakdown, tracer) -> None:
@@ -113,11 +115,11 @@ class PartitionFold:
                     keys = rs[keep] * n + rd[keep]
                     span.set(n_edges=int(keep.size),
                              n_union_edges=int(keys.size))
-                    if keys.size == 0:
-                        continue
-                    with tracer.span("phase3.union", n_vertices=n,
-                                     n_union_edges=int(keys.size)):
-                        self.roots = union_edge_keys(n, keys)[roots]
+                if keys.size == 0:
+                    continue
+                with tracer.span("phase3.union", n_vertices=n,
+                                 n_union_edges=int(keys.size)):
+                    self.roots = union_edge_keys(n, keys)[roots]
 
     def labels(self) -> np.ndarray:
         """Canonical dense labels of the roots folded so far."""

@@ -41,13 +41,10 @@ class SimulatedDevice:
 
     def __init__(self, spec: DeviceSpec | None = None,
                  breakdown: TimeBreakdown | None = None,
-                 timeline=None, obs: ObsContext | None = None) -> None:
+                 obs: ObsContext | None = None) -> None:
         self.spec = spec or DeviceSpec()
         self.memory = DeviceMemory(self.spec.memory_capacity_bytes, self.spec.transfer)
         self.breakdown = breakdown if breakdown is not None else TimeBreakdown()
-        # Optional repro.device.timeline.Timeline recording the modeled
-        # schedule of every transfer and kernel round.
-        self.timeline = timeline
         # Recycled kernel working arrays: after the first round of a given
         # batch geometry, kernel launches allocate nothing fresh.
         self.scratch = ScratchPool()
@@ -177,8 +174,6 @@ class SimulatedDevice:
         with breakdown.timing(BUCKET_CPU):
             breakdown.add(bucket, t1 - t0)
             breakdown.add_modeled(bucket, modeled)
-            if self.timeline is not None:
-                self.timeline.record(bucket, name, modeled)
             tracer = self.obs.tracer
             if tracer.enabled:
                 tracer.record(f"device.{name}", t0, t1,
@@ -225,8 +220,8 @@ class SimulatedDevice:
         results land in the caller-provided ``out_fps``/``out_top`` host
         buffers (or fresh arrays when omitted), so the steady state of a
         pass performs zero fresh large allocations.  Thread-safe: concurrent
-        streams draw distinct scratch buffers and the breakdown/timeline/
-        memory accounting are all lock-protected.
+        streams draw distinct scratch buffers and the breakdown and
+        memory accounting are lock-protected.
 
         Returns the ``(fps, top)`` host arrays for trials ``a``/``b``/``salts``
         describe — shapes ``(t, n_seg)`` uint64 fingerprints and ``(t,
@@ -266,9 +261,9 @@ class SimulatedDevice:
                 "reduce",
                 kernels.count_kernel_elements("reduce", t, nnz, n_seg, s))
             self._record_kernel("fingerprint_fold", t * n_seg * s, reduce_s)
-            self._charge_modeled(
-                self._charge_select(kernel, t, nnz, n_seg, s) + reduce_s,
-                label)
+            self.breakdown.add_modeled(
+                BUCKET_GPU,
+                self._charge_select(kernel, t, nnz, n_seg, s) + reduce_s)
 
         # Transfer this round's shingles back immediately (synchronous).
         if out_top is None:
@@ -367,7 +362,8 @@ class SimulatedDevice:
                                                         n_seg, s))
             self._record_kernel("chunk_reduce_sort", t * n_seg, sort_s)
             self._record_kernel("chunk_reduce_fold", t * n_seg * s, reduce_s)
-            self._charge_modeled(select_s + sort_s + reduce_s, label)
+            self.breakdown.add_modeled(BUCKET_GPU,
+                                       select_s + sort_s + reduce_s)
             if check and tournament is not None:
                 self._check_selection(elements, indptr, top_ids, tournament,
                                       a=a, b=b, prime=prime, s=s,
@@ -435,8 +431,8 @@ class SimulatedDevice:
                                      "nnz": nnz, "n_seg": n_seg,
                                      "label": label,
                                      "select": _engine(kernel, used)})
-            self._charge_modeled(
-                self._charge_select(kernel, t, nnz, n_seg, s), label)
+            self.breakdown.add_modeled(
+                BUCKET_GPU, self._charge_select(kernel, t, nnz, n_seg, s))
             if check and used is not None:
                 self._check_selection(elements, indptr, top_ids, used,
                                       a=a, b=b, prime=prime, s=s,
@@ -516,12 +512,6 @@ class SimulatedDevice:
         self._record_kernel("fused_transform", t * nnz, transform_s)
         self._record_kernel(f"top_s_{engine}", t * nnz * s, select_s)
         return transform_s + select_s
-
-    def _charge_modeled(self, modeled_gpu: float, label: str) -> None:
-        """Charge one chunk round's modeled kernel seconds."""
-        self.breakdown.add_modeled(BUCKET_GPU, modeled_gpu)
-        if self.timeline is not None:
-            self.timeline.record(BUCKET_GPU, label, modeled_gpu)
 
     def _check_selection(self, elements, indptr, top_ids, tournament, *, a,
                          b, prime, s, n_values, label) -> None:

@@ -1,19 +1,18 @@
-"""Trace analytics: critical paths, bottleneck attribution, run diffs.
+"""Trace analytics: critical paths, self-time attribution, run diffs.
 
 PR 4 gave the pipeline raw spans and counters; this module is the layer
 that *answers questions* with them, from the exported Chrome Trace
-document alone (plus the metrics snapshot embedded in its ``otherData``):
+document alone:
 
 * :func:`critical_path` — the longest dependency chain of span work over
   the multi-track timeline (the main thread, trial-chunk stream threads,
   Smith-Waterman pool workers): which spans bound the run, how
   much slack (idle waiting) separates them, and which proc/track carries
   the bounding share.
-* :func:`attribute` — bottleneck attribution: per-process utilization,
-  the modeled-vs-wall roofline gap of the device kernels (class
-  ``shingle``), transfer occupancy, alignment padding waste, and a
-  ranked "top places this run lost time" diagnosis with
-  machine-readable cause slugs.
+* :func:`attribute` — where the measured wall went: each span name's
+  exclusive (self) time on its own track, with the time a span's
+  children leave uncovered charged to ``<name> (unspanned)``, so each
+  track's rows sum to its top-level spans' wall.
 * :func:`diff_traces` — per-span-name and per-process deltas between two
   traced runs ("did this change shift time from alignment into
   transfers?").
@@ -39,21 +38,6 @@ assert: ``max(single-track busy) <= path_s <= wall_s``.
 from __future__ import annotations
 
 from repro.util.tables import format_table
-
-#: Span names whose wall time is charged to each kernel class when
-#: computing the modeled-vs-wall roofline gap.  Every device kernel
-#: (``<prefix>.kernel.<name>.*`` counters) is in class ``shingle``, the
-#: Table-I device path.
-CLASS_SPAN_PREFIXES = {
-    "shingle": ("device.shingle", "exec.shingle_pass"),
-}
-
-#: Spans whose wall time the ``alignment_padding`` cause scales.
-ALIGNMENT_SPANS = ("homology.alignment",)
-
-#: Transfer spans: busy time that is link occupancy, not kernel work.
-TRANSFER_SPANS = ("device.upload", "device.download")
-
 
 # ------------------------------------------------------------------ #
 # Trace-document parsing
@@ -137,35 +121,6 @@ def _union_seconds(intervals: list[tuple[float, float]]) -> float:
             cur_end = max(cur_end, end)
     if cur_end is not None:
         total += cur_end - cur_start
-    return total
-
-
-def _merge_intervals(
-        intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sorted disjoint intervals covering the union of the inputs."""
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _overlap_seconds(a: list[tuple[float, float]],
-                     b: list[tuple[float, float]]) -> float:
-    """Measure of ``union(a) & union(b)`` (two-pointer sweep)."""
-    a, b = _merge_intervals(a), _merge_intervals(b)
-    total, i, j = 0.0, 0, 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
     return total
 
 
@@ -304,199 +259,122 @@ def render_critical_path(cp: dict, top_n: int = 25) -> str:
 
 
 # ------------------------------------------------------------------ #
-# Bottleneck attribution
+# Self-time attribution
 # ------------------------------------------------------------------ #
 
-def _span_class(name: str) -> str | None:
-    for cls, prefixes in CLASS_SPAN_PREFIXES.items():
-        if any(name.startswith(p) for p in prefixes):
-            return cls
-    return None
+def _track_self_times(members: list[dict]) -> tuple[dict, float]:
+    """Self seconds per row key on one track, and the track's wall.
 
-
-def modeled_seconds_by_class(metrics: dict) -> dict[str, float]:
-    """Sum ``*.kernel.<name>.modeled_s`` counters into kernel classes."""
-    out: dict[str, float] = {}
-    for key, value in metrics.get("counters", {}).items():
-        parts = key.split(".")
-        if len(parts) < 4 or parts[-3] != "kernel" or parts[-1] != "modeled_s":
-            continue
-        out["shingle"] = out.get("shingle", 0.0) + float(value)
-    return out
-
-
-def class_intervals(spans: list[dict]) -> dict[str, list[tuple[float, float]]]:
-    """Raw ``(start, end)`` intervals of class-attributed device spans."""
-    intervals: dict[str, list[tuple[float, float]]] = {}
-    for s in spans:
-        cls = _span_class(s["name"])
-        if cls is not None:
-            intervals.setdefault(cls, []).append((s["start"], s["end"]))
-    return intervals
-
-
-def wall_seconds_by_class(spans: list[dict]) -> dict[str, float]:
-    """Union wall seconds of class-attributed device spans, per class."""
-    return {cls: _union_seconds(iv)
-            for cls, iv in class_intervals(spans).items()}
-
-
-def attribute(doc: dict, metrics: dict | None = None) -> dict:
-    """Bottleneck attribution for one traced run.
-
-    Combines the critical path, per-process utilization, the per-class
-    modeled-vs-wall roofline gap, transfer occupancy, and alignment
-    padding waste into one report whose headline is ``causes`` — a
-    ranked list of ``{"cause", "class", "seconds", "share", "detail"}``
-    dicts with machine-readable cause slugs:
-
-    ``critical_path_idle``
-        No track was busy: host-side scheduling/merge gaps.
-    ``roofline_gap:<class>``
-        Wall time of that kernel class's spans above its modeled device
-        seconds — the execution-efficiency gap of the device kernels.
-    ``dispatch_overhead:<class>``
-        The part of that class's roofline gap **not** explained by link
-        traffic: gap seconds minus the transfer-span overlap with the
-        class's own intervals.  What remains is host-side dispatch —
-        Python replanning, per-launch accounting.
-    ``alignment_padding``
-        Alignment wall seconds (``homology.alignment`` spans) spent on
-        padded (wasted) DP cells.
-    ``transfer_occupancy``
-        Busy seconds inside upload/download spans.
-
-    ``reconciliation`` reports the attribution's busy total against the
-    run summary embedded in the trace (when present) so consumers can
-    verify the report describes the run it claims to.
+    Spans nest by containment: a span that starts inside an open span is
+    its child, clipped to the parent's end.  A leaf's time is charged to
+    its name; a parent's time not covered by its children to
+    ``<name> (unspanned)``.  Every instant of a top-level span is charged
+    to exactly one row, so the rows sum to the top-level spans' wall.
     """
-    metrics = metrics if metrics is not None else (
-        doc.get("otherData", {}).get("metrics", {}))
+    rows: dict[str, list[float]] = {}  # key -> [self_s, span_s, count]
+    wall = 0.0
+    # Open spans, outermost first: [name, start, end, covered_s, has_child].
+    stack: list[list] = []
+
+    def close(entry: list) -> None:
+        name, start, end, covered, has_child = entry
+        key = f"{name} (unspanned)" if has_child else name
+        row = rows.setdefault(key, [0.0, 0.0, 0])
+        row[0] += max(0.0, end - start - covered)
+        row[1] += end - start
+        row[2] += 1
+
+    for s in sorted(members, key=lambda s: (s["start"], -s["end"])):
+        while stack and s["start"] >= stack[-1][2]:
+            close(stack.pop())
+        start, end = s["start"], s["end"]
+        if stack:
+            parent = stack[-1]
+            end = min(end, parent[2])
+            parent[3] += end - start
+            parent[4] = True
+        else:
+            wall += end - start
+        stack.append([s["name"], start, end, 0.0, False])
+    while stack:
+        close(stack.pop())
+    return rows, wall
+
+
+def attribute(doc: dict) -> dict:
+    """Where one traced run's measured wall went: self time per span.
+
+    Each track (a thread of a process) is attributed on its own.  A span's
+    self time is its wall minus the time its children cover; a span with
+    children reports that remainder as ``<name> (unspanned)``, the time no
+    finer span explains.  Per track the rows sum to the wall of its
+    top-level spans (``gpclust.run`` on the main thread's track), so no second
+    is counted twice.
+
+    Returns::
+
+        {"wall_s",
+         "tracks": [{"proc", "track", "wall_s", "self_s"}, ...],
+         "rows": [{"rank", "name", "proc", "track", "self_s", "span_s",
+                   "count", "share"}, ...],
+         "reconciliation": {"busy_s", "summary_wall_s"?,
+                            "wall_drift_frac"?}}
+
+    ``rows`` are ranked by ``self_s``; ``share`` is a fraction of the
+    trace's wall and ``span_s`` the summed duration of the ``count`` spans
+    charged to the row (for an ``(unspanned)`` row, ``self_s / span_s`` is
+    the uncovered share of its parent).  ``reconciliation`` checks the wall
+    against the run summary embedded in the trace, when there is one.
+    """
     spans = trace_spans(doc)
-    cp = critical_path(doc)
-    wall = cp["wall_s"]
+    wall = (max(s["end"] for s in spans) - min(s["start"] for s in spans)
+            if spans else 0.0)
+    by_track: dict[tuple[str, str], list[dict]] = {}
+    for s in spans:
+        by_track.setdefault((s["proc"], s["track"]), []).append(s)
+    tracks, rows = [], []
+    for (proc, track), members in sorted(by_track.items()):
+        track_rows, track_wall = _track_self_times(members)
+        tracks.append({"proc": proc, "track": track,
+                       "wall_s": round(track_wall, 6),
+                       "self_s": round(sum(r[0] for r in track_rows.values()),
+                                       6)})
+        rows.extend({"name": key, "proc": proc, "track": track,
+                     "self_s": self_s, "span_s": round(span_s, 6),
+                     "count": count}
+                    for key, (self_s, span_s, count) in track_rows.items())
+    rows.sort(key=lambda r: (-r["self_s"], r["name"], r["proc"], r["track"]))
+    for rank, r in enumerate(rows, 1):
+        r["rank"] = rank
+        r["share"] = round(r["self_s"] / wall, 4) if wall else 0.0
+        r["self_s"] = round(r["self_s"], 6)
 
-    # Per-process utilization over leaf busy time (matches the path model).
-    busy_by_track = track_busy_seconds(spans)
-    procs: dict[str, float] = {}
-    for (proc, _track), busy in busy_by_track.items():
-        procs[proc] = procs.get(proc, 0.0) + busy
-    utilization = {proc: {"busy_s": round(busy, 6),
-                          "utilization": round(busy / wall, 4) if wall else 0.0}
-                   for proc, busy in sorted(procs.items())}
-
-    modeled = modeled_seconds_by_class(metrics)
-    cls_intervals = class_intervals(spans)
-    measured = {cls: _union_seconds(iv) for cls, iv in cls_intervals.items()}
-    roofline = {}
-    for cls in sorted(set(modeled) | set(measured)):
-        wall_cls = measured.get(cls, 0.0)
-        model_cls = modeled.get(cls, 0.0)
-        roofline[cls] = {
-            "wall_s": round(wall_cls, 6),
-            "modeled_s": round(model_cls, 9),
-            "gap_s": round(max(0.0, wall_cls - model_cls), 6),
-            "ratio": round(wall_cls / model_cls, 2) if model_cls else None,
-        }
-
-    gauges = metrics.get("gauges", {})
-    padding_waste = float(gauges.get("device.align.padding_waste", 0.0))
-    align_wall = _union_seconds([(s["start"], s["end"]) for s in spans
-                                 if s["name"] in ALIGNMENT_SPANS])
-    padding_s = padding_waste * align_wall
-    transfer_s = _union_seconds(
-        [(s["start"], s["end"]) for s in spans
-         if s["name"] in TRANSFER_SPANS])
-
-    causes = [{"cause": "critical_path_idle", "class": "host",
-               "seconds": cp["idle_s"],
-               "detail": "no track busy: host scheduling/merge gaps on "
-                         f"the {cp['bounding_proc']} path"}]
-    transfer_intervals = [(s["start"], s["end"]) for s in spans
-                          if s["name"] in TRANSFER_SPANS]
-    for cls, r in roofline.items():
-        if r["wall_s"] or r["modeled_s"]:
-            causes.append({
-                "cause": f"roofline_gap:{cls}", "class": cls,
-                "seconds": r["gap_s"],
-                "detail": f"{cls} spans measured {r['wall_s']:.4f}s vs "
-                          f"modeled {r['modeled_s']:.6f}s"})
-            overlap = _overlap_seconds(transfer_intervals,
-                                       cls_intervals.get(cls, []))
-            dispatch_s = max(0.0, r["gap_s"] - overlap)
-            if dispatch_s:
-                causes.append({
-                    "cause": f"dispatch_overhead:{cls}", "class": cls,
-                    "seconds": dispatch_s,
-                    "detail": f"{cls} gap {r['gap_s']:.4f}s minus "
-                              f"{overlap:.4f}s transfer/contention overlap "
-                              "= host dispatch"})
-    if padding_s:
-        causes.append({"cause": "alignment_padding", "class": "alignment",
-                       "seconds": padding_s,
-                       "detail": f"padding_waste {padding_waste:.2%} of "
-                                 f"{align_wall:.4f}s alignment wall"})
-    if transfer_s:
-        causes.append({"cause": "transfer_occupancy", "class": "transfer",
-                       "seconds": transfer_s,
-                       "detail": "upload/download span occupancy"})
-    causes.sort(key=lambda c: -c["seconds"])
-    for rank, c in enumerate(causes, 1):
-        c["rank"] = rank
-        c["seconds"] = round(c["seconds"], 6)
-        c["share"] = round(c["seconds"] / wall, 4) if wall else 0.0
-
-    busy_total = sum(p["busy_s"] for p in utilization.values())
+    reconciliation = {"busy_s": round(sum(t["self_s"] for t in tracks), 6)}
     embedded = doc.get("otherData", {}).get("spans")
-    reconciliation = {"busy_s": round(busy_total, 6)}
     if embedded and embedded.get("wall_s"):
         drift = abs(wall - embedded["wall_s"]) / embedded["wall_s"]
         reconciliation.update({
             "summary_wall_s": embedded["wall_s"],
             "wall_drift_frac": round(drift, 6),
         })
-    return {
-        "wall_s": wall,
-        "critical_path": {k: cp[k] for k in
-                          ("path_s", "idle_s", "bounding_proc",
-                           "bounding_track", "bounding_share", "by_proc")},
-        "utilization": utilization,
-        "roofline": roofline,
-        "causes": causes[:5],
-        "n_causes_considered": len(causes),
-        "reconciliation": reconciliation,
-    }
+    return {"wall_s": round(wall, 6), "tracks": tracks, "rows": rows,
+            "reconciliation": reconciliation}
 
 
 def render_attribution(report: dict) -> str:
-    """The attribution report as tables: utilization, roofline, causes."""
-    util_rows = [[proc, f"{u['busy_s'] * 1e3:.2f}", f"{u['utilization']:.1%}"]
-                 for proc, u in report["utilization"].items()]
-    out = format_table(["process", "busy ms", "utilization"], util_rows,
-                       title="per-process utilization (leaf spans)",
-                       align=["l", "r", "r"])
-    roof_rows = [[cls, f"{r['wall_s'] * 1e3:.2f}",
-                  f"{r['modeled_s'] * 1e3:.3f}", f"{r['gap_s'] * 1e3:.2f}",
-                  f"{r['ratio']:.1f}x" if r["ratio"] else "-"]
-                 for cls, r in report["roofline"].items()]
-    if roof_rows:
-        out += "\n" + format_table(
-            ["kernel class", "wall ms", "modeled ms", "gap ms", "wall/model"],
-            roof_rows, title="roofline: measured wall vs modeled device time",
-            align=["l", "r", "r", "r", "r"])
-    cause_rows = [[str(c["rank"]), c["cause"], c["class"],
-                   f"{c['seconds'] * 1e3:.2f}", f"{c['share']:.1%}",
-                   c["detail"]]
-                  for c in report["causes"]]
-    out += "\n" + format_table(
-        ["#", "cause", "class", "ms", "% of wall", "detail"],
-        cause_rows, title="top places this run lost time",
-        align=["r", "l", "l", "r", "r", "l"])
-    cp = report["critical_path"]
-    out += (f"\nwall {report['wall_s']:.4f}s; critical path "
-            f"{cp['path_s']:.4f}s bounded by {cp['bounding_proc']}/"
-            f"{cp['bounding_track']} ({cp['bounding_share']:.1%}); "
-            f"idle {cp['idle_s']:.4f}s")
+    """The self-time ranking as a table, plus each track's total."""
+    table_rows = [[str(r["rank"]), r["name"], f"{r['proc']}/{r['track']}",
+                   str(r["count"]), f"{r['self_s'] * 1e3:.2f}",
+                   f"{r['share']:.1%}"]
+                  for r in report["rows"]]
+    out = format_table(
+        ["#", "span", "proc/track", "n", "self ms", "% of wall"],
+        table_rows, title="where the measured wall went (self time per span)",
+        align=["r", "l", "l", "r", "r", "r"])
+    for t in report["tracks"]:
+        out += (f"\n{t['proc']}/{t['track']}: rows {t['self_s'] * 1e3:.2f} ms "
+                f"= top-level spans {t['wall_s'] * 1e3:.2f} ms")
+    out += f"\nwall {report['wall_s']:.4f}s"
     return out
 
 

@@ -4,9 +4,8 @@ Two halves, both consumed by the CI scripts and the ``repro obs`` CLI:
 
 **Row comparison** (:func:`compare_rows`, :func:`render_deltas`, the
 metric-direction/tag/wall-metric rules) — the one implementation of
-"did this bench row regress against that reference row", previously
-private to ``scripts/compare_bench.py``.  ``compare_bench.py`` and
-``check_perf_guard.py`` are now thin CLIs over these functions.
+"did this bench row regress against that reference row";
+``scripts/check_perf_guard.py`` is a thin CLI over these functions.
 
 **The ledger** — an append-only JSONL store under
 ``benchmarks/results/ledger/`` that every bench writer and

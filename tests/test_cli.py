@@ -255,19 +255,6 @@ class TestMalformedInput:
         self._assert_usage_error(["obs", "diff", absent, str(garbled)],
                                  capsys, "absent.json")
 
-    def test_obs_attribute_rejects_unreadable_metrics(self, tmp_path,
-                                                      capsys):
-        trace = tmp_path / "t.json"
-        trace.write_text('{"traceEvents": []}')
-        self._assert_usage_error(
-            ["obs", "attribute", str(trace), "--metrics",
-             str(tmp_path / "absent.json")], capsys, "No such file")
-        garbled = tmp_path / "m.json"
-        garbled.write_text("[1, 2")
-        self._assert_usage_error(
-            ["obs", "attribute", str(trace), "--metrics", str(garbled)],
-            capsys, "m.json")
-
     def test_computation_errors_keep_their_traceback(self, bench_files,
                                                      monkeypatch):
         from repro import cli

@@ -1,4 +1,5 @@
-"""Unit tests for scripts/compare_bench.py — the bench diff tool."""
+"""Tests for the bench comparison: the row diff in ``repro.obs.ledger``
+and its CI command line, ``scripts/check_perf_guard.py``."""
 
 import json
 import sys
@@ -6,15 +7,16 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-
-from compare_bench import (  # noqa: E402
+from repro.obs.ledger import (
     compare_rows,
-    main,
     parse_metric_spec,
     render_deltas,
     rows_from,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+from check_perf_guard import main  # noqa: E402
 
 
 class TestParseMetricSpec:
@@ -167,51 +169,78 @@ class TestRendering:
 
 
 class TestCli:
+    """``check_perf_guard.main``: the comparison CI runs."""
+
     def _write(self, tmp_path, name, doc):
         p = tmp_path / name
         p.write_text(json.dumps(doc))
         return str(p)
+
+    def _main(self, ref, got, *args):
+        return main(["--reference", ref, "--measured", got, *args])
 
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         ref = self._write(tmp_path, "ref.json",
                           {"rows": {"w": {"total_s": 1.0}}})
         got = self._write(tmp_path, "got.json",
                           {"workloads": {"w": {"total_s": 1.02}}})
-        rc = main([ref, got, "--key", "rows", "--measured-key", "workloads"])
+        rc = self._main(ref, got, "--reference-key", "rows")
         assert rc == 0
-        assert "bench comparison passed" in capsys.readouterr().out
+        assert "perf guard passed" in capsys.readouterr().out
 
     def test_exit_nonzero_on_regression(self, tmp_path, capsys):
         ref = self._write(tmp_path, "ref.json",
-                          {"workloads": {"w": {"speedup": 2.0}}})
+                          {"table1_rows": {"w": {"speedup": 2.0}}})
         got = self._write(tmp_path, "got.json",
                           {"workloads": {"w": {"speedup": 1.0}}})
-        rc = main([ref, got, "--metric", "speedup:higher",
-                   "--tolerance", "0.15"])
+        rc = self._main(ref, got, "--metric", "speedup:higher",
+                        "--tolerance", "0.15")
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
+        # A higher speedup is an improvement, not a regression.
+        got = self._write(tmp_path, "got.json",
+                          {"workloads": {"w": {"speedup": 3.0}}})
+        assert self._main(ref, got, "--metric", "speedup:higher") == 0
 
     def test_failure_message_lists_every_regressed_metric(self, tmp_path,
                                                           capsys):
-        ref = self._write(tmp_path, "ref.json", {"workloads": {
+        ref = self._write(tmp_path, "ref.json", {"table1_rows": {
             "w1": {"total_s": 1.0, "cc_rounds": 4.0},
             "w2": {"total_s": 2.0}}})
         got = self._write(tmp_path, "got.json", {"workloads": {
             "w1": {"total_s": 9.0, "cc_rounds": 9.0},
             "w2": {"total_s": 9.0}}})
-        rc = main([ref, got])
+        rc = self._main(ref, got, "--metric", "total_s",
+                        "--metric", "cc_rounds")
         assert rc == 1
         err = capsys.readouterr().err
-        assert "3 issue(s)" in err
+        assert "3 failure(s)" in err
         assert err.count("total_s") == 2 and "cc_rounds" in err
         assert "w1" in err and "w2" in err
 
     def test_cross_machine_wall_skip_passes_cli(self, tmp_path, capsys):
-        ref = self._write(tmp_path, "ref.json", {"workloads": {
+        ref = self._write(tmp_path, "ref.json", {"table1_rows": {
             "w": {"total_s": 1.0, "host_cores": 1}}})
         got = self._write(tmp_path, "got.json", {"workloads": {
             "w": {"total_s": 9.0, "host_cores": 8}}})
-        rc = main([ref, got])
+        rc = self._main(ref, got)
         assert rc == 0
         out = capsys.readouterr().out
         assert "SKIP" in out and "host_cores differ" in out
+
+    def test_default_metric_is_total_s(self, tmp_path, capsys):
+        ref = self._write(tmp_path, "ref.json", {"table1_rows": {
+            "w": {"total_s": 1.0, "cc_rounds": 4.0}}})
+        got = self._write(tmp_path, "got.json", {"workloads": {
+            "w": {"total_s": 1.0, "cc_rounds": 9.0}}})
+        assert self._main(ref, got) == 0
+        assert self._main(ref, got, "--metric", "cc_rounds") == 1
+
+    def test_overhead_mode(self, tmp_path, capsys):
+        doc = {"traced_off_s": 1.0, "traced_on_s": 1.01}
+        got = self._write(tmp_path, "overhead.json", doc)
+        assert main(["--measured", got, "--max-overhead-pct", "2"]) == 0
+        doc["traced_on_s"] = 1.05
+        got = self._write(tmp_path, "overhead.json", doc)
+        assert main(["--measured", got, "--max-overhead-pct", "2"]) == 1
+        assert "exceeds" in capsys.readouterr().err

@@ -75,3 +75,10 @@ class TestPassConfig:
                               np.array([h.a for h in cfg.hash_pairs], dtype=np.uint64))
         assert np.array_equal(cfg.b_array,
                               np.array([h.b for h in cfg.hash_pairs], dtype=np.uint64))
+
+    def test_coefficient_arrays_built_once_read_only(self):
+        cfg = ShinglingParams(c1=3).pass_config(1)
+        assert cfg.a_array is cfg.a_array and cfg.b_array is cfg.b_array
+        for array in (cfg.a_array, cfg.b_array):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

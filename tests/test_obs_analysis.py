@@ -160,55 +160,96 @@ class TestLeafSpans:
         assert len(leaves) == 2
 
 
+def nested_forest(draw, start, end, depth):
+    """Random properly nested ``(name, start, end, level)`` spans inside
+    ``[start, end]``: a few disjoint level-0 spans, each holding a random
+    forest of its own, ``depth`` levels deep."""
+    spans = []
+    if depth == 0:
+        return spans
+    cuts = sorted(draw(st.lists(st.floats(start, end), min_size=0,
+                                max_size=6)))
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        spans.append((draw(st.sampled_from(["a", "b", "c"])), lo, hi, 0))
+        spans.extend((name, c_lo, c_hi, level + 1) for name, c_lo, c_hi, level
+                     in nested_forest(draw, lo, hi, depth - 1))
+    return spans
+
+
+class TestAttributionProperties:
+    @given(data=st.data(), n_tracks=st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_sum_to_each_tracks_top_level_wall(self, data, n_tracks):
+        tuples, top_level = [], {}
+        for t in range(n_tracks):
+            spans = nested_forest(data.draw, 0.0, 10.0, depth=4)
+            top_level[f"track{t}"] = sum(hi - lo for _, lo, hi, level in spans
+                                         if level == 0)
+            tuples += [(name, "main", f"track{t}", lo, hi - lo)
+                       for name, lo, hi, _ in spans]
+        report = attribute(make_doc(tuples))
+        # Rows round to 6 decimals and the export to microseconds.
+        tol = 1e-5 * (1 + len(tuples))
+        assert all(r["self_s"] >= 0.0 for r in report["rows"])
+        for t in report["tracks"]:
+            rows = sum(r["self_s"] for r in report["rows"]
+                       if r["track"] == t["track"])
+            assert rows == pytest.approx(top_level[t["track"]], abs=tol)
+            assert t["wall_s"] == pytest.approx(top_level[t["track"]],
+                                                abs=tol)
+        assert [r["rank"] for r in report["rows"]] == \
+            list(range(1, len(report["rows"]) + 1))
+
+
 class TestAttribution:
     def _doc(self):
         doc = make_doc([
             ("gpclust.run", "main", "main", 0.0, 10.0),
-            ("device.shingle_chunk_reduce", "device0", "stream", 0.0, 6.0),
-            ("device.upload", "device0", "io", 6.0, 1.0),
-            ("homology.alignment", "main", "homology", 7.0, 2.0),
+            ("gpclust.pass1", "main", "main", 1.0, 3.0),
+            ("device.shingle_chunk", "main", "main", 1.0, 2.0),
+            ("gpclust.pass2", "main", "main", 5.0, 4.0),
+            ("device.shingle_chunk", "device0", "stream", 0.0, 6.0),
         ])
-        doc["otherData"]["metrics"] = {
-            "counters": {
-                "device.kernel.shingle_reduce.modeled_s": 2.0,
-            },
-            "gauges": {
-                "device.align.padding_waste": 0.4,
-            },
-            "histograms": {},
-        }
         return doc
 
-    def test_roofline_and_cause_ranking(self):
+    def test_self_time_ranking(self):
         report = attribute(self._doc())
-        roof = report["roofline"]
-        assert roof["shingle"]["wall_s"] == 6.0
-        assert roof["shingle"]["modeled_s"] == 2.0
-        assert roof["shingle"]["gap_s"] == 4.0
-        assert set(roof) == {"shingle"}
-        causes = report["causes"]
-        assert causes[0]["cause"] == "roofline_gap:shingle"
-        assert causes[0]["class"] == "shingle"
-        assert [c["rank"] for c in causes] == list(range(1, len(causes) + 1))
-        slugs = {c["cause"] for c in causes}
-        # The dispatch slug splits each gap into "not explained by link
-        # traffic"; with zero transfer overlap it equals the full gap and
-        # ranks right behind it, ahead of the small padding and transfer
-        # causes.
-        assert "dispatch_overhead:shingle" in slugs
-        by_slug = {c["cause"]: c for c in causes}
-        assert (by_slug["dispatch_overhead:shingle"]["seconds"]
-                <= by_slug["roofline_gap:shingle"]["seconds"])
-        # Padding waste scales the homology.alignment span's 2 s wall.
-        assert by_slug["alignment_padding"]["seconds"] == pytest.approx(0.8)
-        assert report["n_causes_considered"] == 5
-        # Shares are fractions of wall.
-        assert all(0.0 <= c["share"] <= 1.0 for c in causes)
+        rows = {(r["name"], r["track"]): r for r in report["rows"]}
+        # A leaf keeps its name; the time a parent's children leave
+        # uncovered goes to "<name> (unspanned)".
+        assert rows[("device.shingle_chunk", "stream")]["self_s"] == 6.0
+        assert rows[("gpclust.pass2", "main")]["self_s"] == 4.0
+        assert rows[("gpclust.run (unspanned)", "main")]["self_s"] == 3.0
+        assert rows[("device.shingle_chunk", "main")]["self_s"] == 2.0
+        assert rows[("gpclust.pass1 (unspanned)", "main")]["self_s"] == 1.0
+        assert rows[("gpclust.pass1 (unspanned)", "main")]["span_s"] == 3.0
+        assert report["rows"][0]["name"] == "device.shingle_chunk"
+        assert report["rows"][0]["share"] == 0.6
+        tracks = {t["track"]: t for t in report["tracks"]}
+        assert tracks["main"]["wall_s"] == tracks["main"]["self_s"] == 10.0
+        assert tracks["stream"]["wall_s"] == 6.0
+        assert report["wall_s"] == 10.0
 
-    def test_caps_at_five_causes(self):
-        report = attribute(self._doc())
-        assert len(report["causes"]) <= 5
-        assert report["n_causes_considered"] >= len(report["causes"])
+    def test_no_modeled_cause_rows(self):
+        names = {r["name"] for r in attribute(self._doc())["rows"]}
+        assert not any(n.startswith(("roofline_gap", "dispatch_overhead",
+                                     "critical_path_idle")) for n in names)
+
+    def test_child_past_its_parent_is_clipped(self):
+        # Microsecond rounding can push a child a hair past its parent's
+        # end; the overhang must not add to the track's total.
+        report = attribute(make_doc([
+            ("outer", "main", "main", 0.0, 1.0),
+            ("inner", "main", "main", 0.5, 0.6),
+        ]))
+        rows = {r["name"]: r["self_s"] for r in report["rows"]}
+        assert rows == {"outer (unspanned)": 0.5, "inner": 0.5}
+        assert report["tracks"][0]["self_s"] == 1.0
+
+    def test_empty_trace(self):
+        report = attribute(make_doc([]))
+        assert report["rows"] == [] and report["tracks"] == []
+        assert report["wall_s"] == 0.0
 
     def test_reconciliation_against_embedded_summary(self):
         doc = self._doc()
@@ -217,66 +258,53 @@ class TestAttribution:
         rec = report["reconciliation"]
         assert rec["summary_wall_s"] == 10.0
         assert rec["wall_drift_frac"] <= 0.05
-        assert rec["busy_s"] > 0.0
-
-    def test_metrics_override(self):
-        report = attribute(self._doc(), metrics={"counters": {},
-                                                 "gauges": {},
-                                                 "histograms": {}})
-        # No modeled seconds: the whole class wall time is the gap.
-        assert report["roofline"]["shingle"]["gap_s"] == 6.0
-        assert report["roofline"]["shingle"]["ratio"] is None
+        assert rec["busy_s"] == 16.0
 
     def test_render_attribution(self):
         text = render_attribution(attribute(self._doc()))
-        assert "per-process utilization" in text
-        assert "roofline" in text
-        assert "top places this run lost time" in text
-        assert "roofline_gap:shingle" in text
+        assert "where the measured wall went" in text
+        assert "gpclust.run (unspanned)" in text
+        assert "main/main: rows 10000.00 ms = top-level spans 10000.00 ms" \
+            in text
 
-
-class TestAttributionCommittedTrace:
-    """Pin the dispatch slug against the committed mini trace.
-
-    mini_trace_a.json holds device.upload on io at [0, 0.1]s,
-    device.shingle_chunk_reduce on stream at [0.1, 0.5]s, plus host-side
-    gpclust.run/aggregate.merge_partials spans.  With the metrics zeroed
-    the shingle gap is the full 0.4s device wall, and — with zero overlap
-    between the transfer and the shingle interval — dispatch_overhead must
-    claim exactly that gap, not a share diluted by the upload time.
-    """
-
-    def _load(self):
+    def test_committed_trace_rows_per_track(self):
         import json
         from pathlib import Path
         path = Path(__file__).parent / "data" / "mini_trace_a.json"
-        return json.loads(path.read_text())
+        report = attribute(json.loads(path.read_text()))
+        rows = {(r["name"], r["proc"], r["track"]): r["self_s"]
+                for r in report["rows"]}
+        assert rows == pytest.approx({
+            ("gpclust.run (unspanned)", "main", "main"): 0.7,
+            ("device.shingle_chunk_reduce", "device0", "stream"): 0.4,
+            ("aggregate.merge_partials", "main", "main"): 0.3,
+            ("device.upload", "device0", "io"): 0.1,
+        })
 
-    def test_dispatch_overhead_equals_unoverlapped_gap(self):
-        empty = {"counters": {}, "gauges": {}, "histograms": {}}
-        report = attribute(self._load(), metrics=empty)
-        roof = report["roofline"]["shingle"]
-        assert roof["wall_s"] == pytest.approx(0.4)
-        assert roof["gap_s"] == pytest.approx(0.4)
-        by_slug = {c["cause"]: c for c in report["causes"]}
-        assert "dispatch_overhead:shingle" in by_slug
-        assert by_slug["dispatch_overhead:shingle"]["seconds"] == \
-            pytest.approx(0.4)
 
-    def test_transfer_overlap_discounts_dispatch(self):
-        # Shift the upload to overlap the shingle interval: the dispatch
-        # slug must shrink by exactly the overlapped seconds while the
-        # roofline gap itself is unchanged.
-        doc = self._load()
-        for ev in doc["traceEvents"]:
-            if ev.get("name") == "device.upload":
-                ev["ts"] = 150000.0  # [0.15, 0.25]s, inside the reduce span
-        empty = {"counters": {}, "gauges": {}, "histograms": {}}
-        report = attribute(doc, metrics=empty)
-        assert report["roofline"]["shingle"]["gap_s"] == pytest.approx(0.4)
-        by_slug = {c["cause"]: c for c in report["causes"]}
-        assert by_slug["dispatch_overhead:shingle"]["seconds"] == \
-            pytest.approx(0.3)
+class TestAttributionPipeline:
+    def test_streams_main_track_sums_to_run(self):
+        from repro.core.params import ShinglingParams
+        from repro.core.pipeline import GpClust
+        from repro.obs import observe, use_obs
+        from repro.synthdata.planted import (PlantedFamilyConfig,
+                                             planted_family_graph)
+
+        graph = planted_family_graph(PlantedFamilyConfig(n_families=6),
+                                     seed=3).graph
+        ctx = observe()
+        with use_obs(ctx):
+            GpClust(ShinglingParams(c1=40, c2=20, seed=0,
+                                    streams=2)).run(graph)
+        report = attribute(to_chrome_trace(ctx.tracer.records,
+                                           ctx.tracer.t0))
+        root = next(r for r in ctx.tracer.records if r.name == "gpclust.run")
+        main = [t for t in report["tracks"]
+                if (t["proc"], t["track"]) == (root.proc, root.track)]
+        assert main and main[0]["self_s"] == pytest.approx(root.duration,
+                                                           rel=0.01)
+        assert any(t["track"].startswith("stream")
+                   for t in report["tracks"])
 
 
 class TestDiff:

@@ -170,7 +170,7 @@ def test_zero_hash_coefficient_rejected(planted):
     pass1 = _pass1(planted, BASE)
     indptr2, elements2 = pass1.next_pass_input()
     real = BASE.pass_config(2)
-    a = real.a_array
+    a = real.a_array.copy()
     a[0] = 0
     config = types.SimpleNamespace(
         s=real.s, c=real.c, prime=real.prime, a_array=a,
