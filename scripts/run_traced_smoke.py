@@ -24,7 +24,8 @@ traced default-config homology build, and writes these artifacts under
     critical-path rendering of the traced run.
 ``ledger/traced_smoke.jsonl``
     One performance-ledger entry per invocation (overhead, wall,
-    critical-path seconds), keyed by the run configuration — the
+    critical-path seconds, and the traced run's pass II rounds run and
+    skipped and lists shingled), keyed by the run configuration — the
     cross-run trajectory behind ``repro obs ledger``.
 ``trace_homology.json`` / ``trace_homology_summary.txt``
     The Chrome Trace export (and rendering) of a homology-graph build
@@ -283,6 +284,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # --- performance ledger ---------------------------------------------
     row_name = "2m_dev1"
+    counters = ctx.metrics.snapshot()["counters"]
     ledger_row = {
         "traced_off_s": round(off_s, 6),
         "traced_on_s": round(on_s, 6),
@@ -291,6 +293,10 @@ def main(argv: list[str] | None = None) -> int:
         "critical_path_s": round(cp["path_s"], 6),
         "critical_path_idle_s": round(cp["idle_s"], 6),
         "n_spans": len(records),
+        "pass2_rounds": counters.get("shingle.pass2_rounds", 0),
+        "pass2_rounds_skipped": counters.get(
+            "shingle.pass2_rounds_skipped", 0),
+        "pass2_active_lists": counters.get("shingle.pass2_active_lists", 0),
     }
     append_ledger(
         out_dir / "ledger", "traced_smoke", {row_name: ledger_row},

@@ -28,7 +28,8 @@ batch covers the input.
 
 Partition mode's pass II skips even the streaming aggregation:
 :func:`device_union_pass` folds each chunk's top-``s`` ids straight into
-the Phase III union, so ``G_II`` is never built.
+the Phase III union, so ``G_II`` is never built, and each chunk shingles
+only the lists that union has not settled yet.
 
 The ``kernel`` name is passed through to the device, where it picks only
 the top-``s`` engine; every kernel takes the same path through a pass.
@@ -41,8 +42,10 @@ bit-identical to :func:`repro.core.serial.serial_shingle_pass`.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +59,12 @@ from repro.core.report import PartitionFold
 from repro.device.batching import (BatchPlan, max_batch_elements,
                                    plan_batches)
 from repro.device.device import SimulatedDevice
-from repro.device.kernels import (SENTINEL, build_tournament_plan,
+from repro.device.kernels import (SENTINEL, TournamentPlan,
+                                  build_tournament_plan,
+                                  check_hash_coefficients,
                                   distinct_within_segments, reduce_keys_fit,
                                   segment_element_ids)
-from repro.device.memory import ScratchPool
+from repro.device.memory import DeviceBuffer, ScratchPool
 from repro.util.mixhash import mix64_array
 from repro.util.timer import BUCKET_CPU
 
@@ -170,6 +175,8 @@ def _compact_input(indptr, elements, config: PassConfig, device,
     """
     if streams < 1:
         raise ValueError("streams must be >= 1")
+    # Checked here, not in a kernel round, as a pass may run no round.
+    check_hash_coefficients(config.a_array, config.prime)
     s = config.s
     tracer = device.obs.tracer
     with device.breakdown.timing(BUCKET_CPU):
@@ -326,13 +333,19 @@ def device_union_pass(
     Each distinct input list is shingled once.  The compaction finds the
     lists that equal an earlier one (:func:`_list_representatives`) and
     drops them, so the batch, the plan, every chunk's id block and its
-    fold shrink with the list count.  After the chunks, each dropped list
-    ``f'`` with representative ``r`` folds ``members1[f', 0]`` to the rest
-    of its members and to ``members1[r, 0]``.  That adds no connection the
-    full pass would not make: equal lists select the same top ids in every
+    fold shrink with the list count.  Each dropped list ``f'`` with
+    representative ``r`` folds ``members1[f', 0]`` to the rest of its
+    members and to ``members1[r, 0]``.  That adds no connection the full
+    pass would not make: equal lists select the same top ids in every
     trial, and every list has at least ``s >= 1`` ids, so in any trial that
-    ran both leaders link to the same ``m_0``.  Fold labels depend only on
-    the union of the folded edges, so they are unchanged.
+    ran both leaders link to the same ``m_0``.
+
+    Rounds skip the lists the union has already settled
+    (:class:`_UnionRounds`): the members and duplicate edges fold before
+    the first round, and a list whose leader shares one root with all of
+    its ids can add only self-loops from then on.  Fold labels depend only
+    on the union of the folded edges, so neither the dedup nor the pruning
+    changes them.
 
     ``indptr``/``elements`` are pass II's input (pass I's generator lists)
     and ``members1`` pass I's ``(k1, s1)`` members.  The input
@@ -348,59 +361,151 @@ def device_union_pass(
     inp = _compact_input(indptr, elements, config, device, trial_chunk,
                          max_elements, streams, dedup=True)
     breakdown = device.breakdown
-    tracer = device.obs.tracer
     with breakdown.timing(BUCKET_CPU):
-        fold = PartitionFold(n_vertices, breakdown, tracer)
+        fold = PartitionFold(n_vertices, breakdown, device.obs.tracer)
     if inp.valid_ids.size == 0 or not inp.chunks:
         return fold  # no second-level shingle: nothing to union
     if inp.batch_plan.n_batches != 1:
         return None
-    s = config.s
-    batch = inp.batch_plan.batches[0]
+    # Before any round: every f's members join its leader, and each
+    # dropped duplicate its own members and its representative's leader.
     with breakdown.timing(BUCKET_CPU):
-        a, b = config.a_array, config.b_array
-        batch_elements = batch.slice_elements(inp.elements)
-        tournament, seg_ids_table = _plan_selection(
-            batch_elements, batch.local_indptr, s, inp.n_values, kernel,
-            tracer)
         f_members = members1[inp.valid_ids]
-        lead1 = f_members[:, :1]
-        lead_perm = lead1[tournament.perm] if tournament is not None else None
-    # Once per pass: every f's members join its leader.
-    fold.fold(lead1, f_members[:, 1:])
-    check_lo = inp.chunks[0][0] if debug_checks_enabled() else None
-
-    d_elems = device.upload(batch_elements)
-    d_indptr = device.upload(batch.local_indptr)
-
-    def run_chunk(lo: int, hi: int) -> None:
-        ids, perm = device.shingle_chunk_ids(
-            d_elems, d_indptr,
-            a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
-            n_values=inp.n_values, tournament=tournament, kernel=kernel,
-            seg_ids=seg_ids_table, check=lo == check_lo,
-            label=f"trials {lo}-{hi - 1}")
-        # Columns are in the plan's order, or in segment order when no
-        # tournament ran (a rejected plan, or the sort engine).
-        lead = lead1 if perm is None else lead_perm
-        # One trial at a time: once the first trials have merged the big
-        # components, most later edges map to self-loops and drop before
-        # the union.
-        fold.fold_each(lead, ids)
-
-    try:
-        _run_chunks(inp.chunks, run_chunk, streams)
-    finally:
-        device.free(d_elems, d_indptr)
+    fold.fold(f_members[:, :1], f_members[:, 1:])
     if inp.dup_ids.size:
-        # Each dropped duplicate joins its own members and its
-        # representative's leader.
         with breakdown.timing(BUCKET_CPU):
             dup_members = members1[inp.dup_ids]
             dup_lead = dup_members[:, :1].copy()
             dup_members[:, 0] = members1[inp.rep_ids, 0]
         fold.fold(dup_lead, dup_members)
+    rounds = _UnionRounds(device, fold, inp, f_members[:, 0], config, kernel)
+    try:
+        _run_chunks(inp.chunks, rounds.run, streams)
+    finally:
+        rounds.retire()
+    with breakdown.timing(BUCKET_CPU):
+        metrics = device.obs.metrics
+        metrics.counter("shingle.pass2_rounds").add(rounds.n_rounds)
+        metrics.counter("shingle.pass2_rounds_skipped").add(rounds.n_skipped)
+        metrics.counter("shingle.pass2_active_lists").add(rounds.n_active)
     return fold
+
+
+@dataclass
+class _Selection:
+    """One active list set on the device, with what its rounds share."""
+
+    d_elems: DeviceBuffer      # the active lists' elements
+    d_indptr: DeviceBuffer     # and their offsets
+    tournament: TournamentPlan | None
+    seg_ids: np.ndarray | None
+    lead: np.ndarray           # (n, 1) leaders in segment order
+    lead_perm: np.ndarray | None  # the same in the plan's column order
+    users: int = 0             # rounds reading it now
+
+
+class _UnionRounds:
+    """Direct pass II's trial rounds over the lists not yet settled.
+
+    Before each round the lists still unsettled after the previous one are
+    pruned against the fold's current roots (:meth:`PartitionFold.prune`);
+    the round then plans, uploads and shingles those only.  A plan and
+    upload serve every round while the active set stays the same, and
+    once no list is left each remaining round is skipped with no plan or
+    upload.  :meth:`run` may be called from several streams: the pruning
+    and set-up run under a lock, and an upload is freed once it is
+    replaced and no round still reads it.  Counts the rounds run
+    (``n_rounds``) and skipped (``n_skipped``) and the active lists summed
+    over the rounds run (``n_active``).
+    """
+
+    def __init__(self, device: SimulatedDevice, fold: PartitionFold,
+                 inp: _PassInput, leads: np.ndarray, config: PassConfig,
+                 kernel: str) -> None:
+        self._device = device
+        self._fold = fold
+        self._config = config
+        self._kernel = kernel
+        self._n_values = inp.n_values
+        # The active lists as (leads, elements, indptr, lengths); None
+        # once every list is settled.
+        self._lists = (leads, inp.elements,
+                       inp.batch_plan.batches[0].local_indptr, inp.lengths)
+        self._current: _Selection | None = None
+        self._check = debug_checks_enabled()
+        self._lock = threading.Lock()
+        self.n_rounds = self.n_skipped = self.n_active = 0
+
+    def run(self, lo: int, hi: int) -> None:
+        """One round over trials ``[lo, hi)``, or nothing when every list
+        is settled."""
+        with self._lock:
+            selection, check = self._acquire()
+        if selection is None:
+            return
+        config = self._config
+        try:
+            ids, perm = self._device.shingle_chunk_ids(
+                selection.d_elems, selection.d_indptr,
+                a=config.a_array[lo:hi], b=config.b_array[lo:hi],
+                prime=config.prime, s=config.s, n_values=self._n_values,
+                tournament=selection.tournament, kernel=self._kernel,
+                seg_ids=selection.seg_ids, check=check,
+                label=f"trials {lo}-{hi - 1}")
+        finally:
+            with self._lock:
+                self._release(selection)
+        # Columns are in the plan's order, or in segment order when no
+        # tournament ran (a rejected plan, or the sort engine).  One trial
+        # at a time: once the first trials have merged the big components,
+        # most later edges map to self-loops and drop before the union.
+        self._fold.fold_each(selection.lead if perm is None
+                             else selection.lead_perm, ids)
+
+    def _acquire(self) -> tuple[_Selection | None, bool]:
+        """The selection this round shingles and whether the round runs
+        the debug re-check (the first round that runs does)."""
+        if self._lists is not None:
+            lists = self._fold.prune(*self._lists)
+            if lists[0] is not self._lists[0]:
+                self.retire()
+                self._lists = lists if lists[0].size else None
+        if self._lists is None:
+            self.n_skipped += 1
+            return None, False
+        if self._current is None:
+            self._current = self._select(*self._lists)
+        self._current.users += 1
+        self.n_rounds += 1
+        self.n_active += int(self._lists[0].size)
+        check, self._check = self._check, False
+        return self._current, check
+
+    def _select(self, leads, elements, indptr, lengths) -> _Selection:
+        """Plan and upload the active lists."""
+        device = self._device
+        with device.breakdown.timing(BUCKET_CPU):
+            tournament, seg_ids = _plan_selection(
+                elements, indptr, self._config.s, self._n_values,
+                self._kernel, device.obs.tracer)
+            lead = leads[:, None]
+            lead_perm = (lead[tournament.perm] if tournament is not None
+                         else None)
+        return _Selection(device.upload(elements), device.upload(indptr),
+                          tournament, seg_ids, lead, lead_perm)
+
+    def _release(self, selection: _Selection) -> None:
+        """A round is done reading ``selection``; free it if retired."""
+        selection.users -= 1
+        if selection.users == 0 and selection is not self._current:
+            self._device.free(selection.d_elems, selection.d_indptr)
+
+    def retire(self) -> None:
+        """Drop the current selection (the active set changed, or every
+        round is done), freeing it unless a round still reads it."""
+        current, self._current = self._current, None
+        if current is not None and current.users == 0:
+            self._device.free(current.d_elems, current.d_indptr)
 
 
 def _plan_selection(batch_elements, local_indptr, s: int, n_values: int,

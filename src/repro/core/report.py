@@ -121,6 +121,36 @@ class PartitionFold:
                                  n_union_edges=int(keys.size)):
                     self.roots = union_edge_keys(n, keys)[roots]
 
+    def prune(self, leads: np.ndarray, elements: np.ndarray,
+              indptr: np.ndarray, lengths: np.ndarray):
+        """Keep the lists that can still add a connection.
+
+        List ``i`` (``elements[indptr[i]:indptr[i + 1]]``, non-empty) is
+        *settled* once its leader ``leads[i]`` and each of its ids share
+        one root: roots only merge, so every later edge from the leader to
+        one of those ids is a self-loop.  One gather, compare and
+        ``logical_or.reduceat`` find the unsettled lists; returns their
+        ``(leads, elements, indptr, lengths)``, the arguments themselves
+        when none is settled.  Any snapshot of the roots is a valid one
+        to prune against, so this takes no lock.  Cpu bucket, traced as
+        ``exec.pass2_prune``.
+        """
+        with self._breakdown.timing(BUCKET_CPU), \
+                self._tracer.span("exec.pass2_prune",
+                                  n_lists=int(leads.size)) as span:
+            roots = self.roots
+            differs = roots[elements] != np.repeat(roots[leads], lengths)
+            keep = np.logical_or.reduceat(differs, indptr[:-1])
+            n_keep = int(np.count_nonzero(keep))
+            span.set(n_unsettled=n_keep)
+            if n_keep == leads.size:
+                return leads, elements, indptr, lengths
+            elements = elements[np.repeat(keep, lengths)]
+            lengths = lengths[keep]
+            indptr = np.zeros(n_keep + 1, dtype=np.int64)
+            np.cumsum(lengths, out=indptr[1:])
+            return leads[keep], elements, indptr, lengths
+
     def labels(self) -> np.ndarray:
         """Canonical dense labels of the roots folded so far."""
         return canonical_labels(self.roots)

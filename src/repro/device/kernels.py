@@ -219,6 +219,16 @@ def fused_hash(values: np.ndarray, a: np.ndarray, b: np.ndarray, prime: int,
     return out
 
 
+def check_hash_coefficients(a: np.ndarray, prime: int) -> list[int]:
+    """The multipliers ``a`` as ints; raises ``ValueError`` unless every
+    one lies in ``(0, prime)``, where the fused hash is invertible."""
+    coeffs = [int(x) for x in np.asarray(a).reshape(-1).tolist()]
+    if not all(0 < x < prime for x in coeffs):
+        raise ValueError(f"hash coefficients must lie in (0, {prime}) to be "
+                         f"invertible")
+    return coeffs
+
+
 def recover_top_ids(top_keys: np.ndarray, a: np.ndarray, b: np.ndarray,
                     prime: int, out_ids: np.ndarray | None = None,
                     out_packed: np.ndarray | None = None,
@@ -240,10 +250,7 @@ def recover_top_ids(top_keys: np.ndarray, a: np.ndarray, b: np.ndarray,
     ``has_sentinels=False`` to skip the sentinel mask-and-patch passes.
     """
     top_keys = np.asarray(top_keys, dtype=np.uint32)
-    coeffs = [int(x) for x in np.asarray(a).reshape(-1).tolist()]
-    if not all(0 < x < prime for x in coeffs):
-        raise ValueError(f"hash coefficients must lie in (0, {prime}) to be "
-                         f"invertible")
+    coeffs = check_hash_coefficients(a, prime)
     a_inv = np.array([pow(x, prime - 2, prime) for x in coeffs],
                      dtype=np.uint64).reshape(
                          (len(coeffs),) + (1,) * (top_keys.ndim - 1))

@@ -96,7 +96,7 @@ def dedupe_count_pairs(pairs: np.ndarray, n: int,
     if pairs.shape[0] == 0:
         return np.empty((0, 2), dtype=np.int64)
     keys = pairs[:, 0] * np.int64(n) + pairs[:, 1]
-    keys.sort(kind="stable")
+    keys.sort()  # equal keys are equal values: stability changes nothing
     boundary = np.empty(keys.size, dtype=bool)
     boundary[0] = True
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:])

@@ -80,6 +80,17 @@ def random_blocky_graph(seed: int = 3, n: int = 150, n_blocks: int = 4,
     return CSRGraph.from_edges(np.asarray(edges, dtype=np.int64), n_vertices=n)
 
 
+def disjoint_cliques(n_cliques: int = 3, size: int = 5) -> CSRGraph:
+    """Disjoint ``size``-cliques.  Every pass II list lies in one clique;
+    with enough first-level trials (``c1 = 10`` does at ``s1 = 2``) the
+    members fold joins each clique before the first round, so a direct
+    pass II finds every list settled and runs no round."""
+    edges = [(c * size + i, c * size + j) for c in range(n_cliques)
+             for i in range(size) for j in range(i + 1, size)]
+    return CSRGraph.from_edges(np.asarray(edges, dtype=np.int64),
+                               n_vertices=n_cliques * size)
+
+
 @pytest.fixture
 def blocky_graph() -> CSRGraph:
     return random_blocky_graph()

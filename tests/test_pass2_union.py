@@ -27,7 +27,8 @@ from repro.graph.unionfind import union_edge_keys
 from repro.obs import get_obs, observe, use_obs
 from repro.synthdata.planted import PlantedFamilyConfig, planted_family_graph
 from repro.util.timer import TimeBreakdown
-from tests.conftest import cluster_via, random_blocky_graph, schedule
+from tests.conftest import (cluster_via, disjoint_cliques,
+                            random_blocky_graph, schedule)
 
 BASE = ShinglingParams(s1=2, c1=10, s2=2, c2=7, trial_chunk=3, seed=5)
 
@@ -96,18 +97,27 @@ def test_direct_path_trace(planted):
     assert "exec.merge_partials" not in inside
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), s1=st.integers(1, 3),
-       s2=st.integers(1, 3), c1=st.integers(1, 8), c2=st.integers(1, 8),
-       trial_chunk=st.integers(1, 4))
-def test_random_graphs_match_serial(seed, s1, s2, c1, c2, trial_chunk):
+       s2=st.integers(1, 3), c1=st.integers(1, 8), c2=st.integers(1, 10),
+       trial_chunk=st.integers(1, 4),
+       kernel=st.sampled_from(["fused", "sort"]),
+       streams=st.sampled_from([1, 2]))
+def test_random_graphs_match_serial(seed, s1, s2, c1, c2, trial_chunk,
+                                    kernel, streams):
+    """Dense blocks settle their pass II lists within a round or two while
+    noise lists stay active, so rounds run on shrinking list sets
+    (``tests/test_pass2_prune.py``)."""
     graph = random_blocky_graph(seed=seed, n=40, n_blocks=2, block=8,
                                 n_noise=30)
     params = ShinglingParams(s1=s1, c1=c1, s2=s2, c2=c2, seed=seed,
-                             trial_chunk=trial_chunk)
+                             trial_chunk=trial_chunk, kernel=kernel,
+                             streams=streams)
     want = SerialPClust(params).run(graph).labels
-    got = GpClust(params).run(graph).labels
+    device = SimulatedDevice()
+    got = GpClust(params).run(graph, device=device).labels
     assert np.array_equal(got, want)
+    assert device.memory.used_bytes == 0  # every replaced upload freed
 
 
 @pytest.mark.parametrize("streams", [1, 2])
@@ -148,6 +158,11 @@ def test_multi_batch_pass2_falls_back(planted, direct_calls):
     assert np.array_equal(got, want)
 
 
+def _pass2_rounds(device: SimulatedDevice) -> int:
+    """Pass II rounds the device has run (a device always counts)."""
+    return device.obs.metrics.snapshot()["counters"]["shingle.pass2_rounds"]
+
+
 def test_eager_select_columns(planted, monkeypatch):
     """A chunk on the eager select keeps segment order; its edges must
     still pair each slot with its own first-level shingle.  (A rejected
@@ -160,35 +175,54 @@ def test_eager_select_columns(planted, monkeypatch):
 
     monkeypatch.setattr(SimulatedDevice, "_select_top_ids", eager)
     want = SerialPClust(BASE).run(planted).labels
-    assert np.array_equal(GpClust(BASE).run(planted).labels, want)
+    device = SimulatedDevice()
+    assert np.array_equal(GpClust(BASE).run(planted, device=device).labels,
+                          want)
+    assert _pass2_rounds(device) >= 1  # a round did take the eager select
 
 
 def test_zero_hash_coefficient_rejected(planted):
     """A zero coefficient makes the hash constant, so no ids can be
-    recovered: the direct path and the G_II path both raise, under
-    either kernel."""
-    pass1 = _pass1(planted, BASE)
-    indptr2, elements2 = pass1.next_pass_input()
-    real = BASE.pass_config(2)
-    a = real.a_array.copy()
-    a[0] = 0
-    config = types.SimpleNamespace(
-        s=real.s, c=real.c, prime=real.prime, a_array=a,
-        b_array=real.b_array, salts=real.salts)
-    for kernel in ("fused", "sort"):
-        with pytest.raises(ValueError, match="coefficients"):
-            device_union_pass(indptr2, elements2, config, SimulatedDevice(),
-                              members1=pass1.members, kernel=kernel,
-                              n_vertices=planted.n_vertices, trial_chunk=3)
-        with pytest.raises(ValueError, match="coefficients"):
-            device_shingle_pass(indptr2, elements2, config,
-                                SimulatedDevice(), kernel=kernel,
-                                trial_chunk=3)
+    recovered: the direct path and the G_II path both raise when the
+    pass starts, under either kernel — also on disjoint cliques, where
+    every pass II list is settled before the first round, so the direct
+    pass runs no kernel round at all."""
+    for graph in (planted, disjoint_cliques()):
+        pass1 = _pass1(graph, BASE)
+        indptr2, elements2 = pass1.next_pass_input()
+        real = BASE.pass_config(2)
+        a = real.a_array.copy()
+        a[0] = 0
+        config = types.SimpleNamespace(
+            s=real.s, c=real.c, prime=real.prime, a_array=a,
+            b_array=real.b_array, salts=real.salts)
+        for kernel in ("fused", "sort"):
+            with pytest.raises(ValueError, match="coefficients"):
+                device_union_pass(indptr2, elements2, config,
+                                  SimulatedDevice(), members1=pass1.members,
+                                  kernel=kernel,
+                                  n_vertices=graph.n_vertices, trial_chunk=3)
+            with pytest.raises(ValueError, match="coefficients"):
+                device_shingle_pass(indptr2, elements2, config,
+                                    SimulatedDevice(), kernel=kernel,
+                                    trial_chunk=3)
+        device = SimulatedDevice()
+        device_union_pass(indptr2, elements2, real, device,
+                          members1=pass1.members,
+                          n_vertices=graph.n_vertices, trial_chunk=3)
+        assert (_pass2_rounds(device) == 0) == (graph is not planted)
 
 
 def test_debug_check_catches_corrupted_tournament(planted, monkeypatch):
+    """The first pass II round that runs is re-checked against the eager
+    select, and this input does run one."""
     pass1 = _pass1(planted, BASE)
     indptr2, elements2 = pass1.next_pass_input()
+    device = SimulatedDevice()
+    device_union_pass(indptr2, elements2, BASE.pass_config(2), device,
+                      members1=pass1.members, n_vertices=planted.n_vertices,
+                      trial_chunk=3)
+    assert _pass2_rounds(device) >= 1
     real_run = kernels.run_tournament
 
     def corrupt(plan, table, s, out, scratch=None):

@@ -9,6 +9,7 @@ from repro.sequence.alphabet import AMINO_ACIDS, encode
 from repro.sequence.kmer_filter import (
     _concatenated_kmer_index,
     candidate_pairs,
+    dedupe_count_pairs,
     kmer_codes,
 )
 from repro.sequence.scoring import BLOSUM62
@@ -201,6 +202,23 @@ class TestKmerFilter:
         got = candidate_pairs(seqs, k=k, min_shared=min_shared,
                               max_kmer_occurrence=max_occ)
         assert [tuple(p) for p in got.tolist()] == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30),
+           st.integers(0, 200), st.integers(1, 4))
+    def test_dedupe_count_pairs_matches_unique(self, seed, n, n_pairs,
+                                               min_count):
+        """Rows and their order equal ``np.unique(..., return_counts=True)``
+        over the packed keys, filtered by ``min_count``."""
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, (n_pairs, 2)).astype(np.int64)
+        keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1],
+                                 return_counts=True)
+        keys = keys[counts >= min_count]
+        want = np.stack([keys // n, keys % n], axis=1)
+        got = dedupe_count_pairs(pairs, n, min_count)
+        assert got.shape == (keys.size, 2)
+        assert np.array_equal(got, want)
 
     # k = 14 with 2 sequences keeps the packed code * n_seq + owner key
     # just under 63 bits; with 3 it would pass them, so the index falls

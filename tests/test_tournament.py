@@ -19,6 +19,7 @@ from repro.core import device_exec
 from repro.core.aggregate import aggregate_pass, set_debug_checks
 from repro.core.device_exec import device_shingle_pass, device_union_pass
 from repro.core.params import ShinglingParams
+from repro.core.report import PartitionFold
 from repro.core.serial import serial_shingle_pass
 from repro.device import kernels
 from repro.device.batching import _greedy_batches, plan_batches
@@ -380,15 +381,15 @@ class TestPlanRejects:
 
 
 class TestSelectionSetup:
-    @pytest.mark.parametrize("kernel,want", [
-        ("sort", {"plan": 0, "seg_ids": 2}),
-        ("fused", {"plan": 2, "seg_ids": 0}),
+    @pytest.mark.parametrize("kernel,table", [
+        ("sort", "seg_ids"), ("fused", "plan"),
     ], ids=["sort", "fused"])
-    def test_built_once_per_pass(self, monkeypatch, kernel, want):
-        """What both single-batch passes build before their 5 chunk
-        rounds: only ``fused`` runs a tournament, so only it plans one;
-        the sort builds the segment-id table once per pass, not per
-        chunk."""
+    def test_built_once_per_pass(self, monkeypatch, kernel, table):
+        """What the single-batch passes build before their 5 chunk rounds:
+        only ``fused`` runs a tournament, so only it plans one; the sort
+        builds the segment-id table instead.  Pass I builds it once per
+        pass, not per chunk; the direct pass II once per distinct set of
+        unsettled lists it shingles."""
         set_debug_checks(False)  # the debug re-check builds its own table
         calls = {"plan": 0, "seg_ids": 0}
         real_plan = device_exec.build_tournament_plan
@@ -410,11 +411,30 @@ class TestSelectionSetup:
         config = ShinglingParams(c1=9, seed=4).pass_config(1)
         got = device_shingle_pass(indptr, elements, config, SimulatedDevice(),
                                   kernel=kernel, trial_chunk=2)
-        device_union_pass(indptr, elements, config, SimulatedDevice(),
+        assert calls[table] == 1
+        assert calls["plan"] + calls["seg_ids"] == 1
+        assert got == serial_shingle_pass(indptr, elements, config)
+
+        # Sets only shrink, so a size names the set it was pruned to.
+        active = []
+        real_prune = PartitionFold.prune
+
+        def prune(self, *lists):
+            out = real_prune(self, *lists)
+            active.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(PartitionFold, "prune", prune)
+        device = SimulatedDevice()
+        device_union_pass(indptr, elements, config, device,
                           members1=rng.integers(0, 60, (30, 2)),
                           n_vertices=60, kernel=kernel, trial_chunk=2)
-        assert calls == want
-        assert got == serial_shingle_pass(indptr, elements, config)
+        rounds = device.obs.metrics.snapshot()["counters"][
+            "shingle.pass2_rounds"]
+        assert rounds >= 1
+        n_sets = len(set(active) - {0})
+        assert calls[table] == 1 + n_sets
+        assert calls["plan"] + calls["seg_ids"] == 1 + n_sets
 
 
 class TestDevicePath:
