@@ -24,8 +24,9 @@ traced default-config homology build, and writes these artifacts under
     critical-path rendering of the traced run.
 ``ledger/traced_smoke.jsonl``
     One performance-ledger entry per invocation (overhead, wall,
-    critical-path seconds, and the traced run's pass II rounds run and
-    skipped and lists shingled), keyed by the run configuration — the
+    critical-path seconds, the traced run's pass I shingles kept for
+    pass II, and its pass II rounds run and skipped and lists shingled),
+    keyed by the run configuration — the
     cross-run trajectory behind ``repro obs ledger``.
 ``trace_homology.json`` / ``trace_homology_summary.txt``
     The Chrome Trace export (and rendering) of a homology-graph build
@@ -293,6 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         "critical_path_s": round(cp["path_s"], 6),
         "critical_path_idle_s": round(cp["idle_s"], 6),
         "n_spans": len(records),
+        "pass1_kept": counters.get("shingle.pass1_kept", 0),
         "pass2_rounds": counters.get("shingle.pass2_rounds", 0),
         "pass2_rounds_skipped": counters.get(
             "shingle.pass2_rounds_skipped", 0),

@@ -228,10 +228,13 @@ class StreamingAggregator:
     """Incremental aggregation of per-trial-chunk partial results.
 
     The multi-stream engine aggregates each trial chunk's ``(t, n, s)``
-    shingle block into a partial :class:`PassResult` as soon as the chunk's
-    kernels finish, then discards the block — so the full ``(c, n, s)``
-    occurrence arrays are never materialized and peak host memory drops from
-    O(c*n*s) to O(chunk*n*s).
+    shingle block into a partial result as soon as the chunk's kernels
+    finish, then discards the block — so the full ``(c, n, s)`` occurrence
+    arrays are never materialized and peak host memory drops from
+    O(c*n*s) to O(chunk*n*s).  Partials are kept in the wire form of
+    :func:`~repro.device.kernels.chunk_reduce` (the device's uint32 member
+    and generator lanes) and merged in it; the one cast to the int64
+    :class:`PassResult` lanes comes after the merge.
 
     Merging is deterministic and bit-identical to whole-array
     :func:`aggregate_pass`: partials are ordered by their trial offset
@@ -244,44 +247,70 @@ class StreamingAggregator:
     def __init__(self, s: int, n_segments: int) -> None:
         self.s = int(s)
         self.n_segments = int(n_segments)
-        self._parts: list[tuple[int, PassResult]] = []
+        self._parts: list[tuple[int, tuple]] = []
+        self._run_keys: list[np.ndarray] = []
         self._lock = threading.Lock()
 
-    def add(self, trial_lo: int, partial: PassResult) -> None:
-        """Record the partial result for the trial chunk starting at ``trial_lo``."""
+    def add(self, trial_lo: int, partial, run_keys: np.ndarray | None = None
+            ) -> None:
+        """Record the partial result for the trial chunk starting at
+        ``trial_lo``: a :class:`PassResult` or its ``(fps, members,
+        gen_counts, gens)`` wire tuple.  ``run_keys``, when given, holds
+        one key per run the chunk found, kept or not, two runs sharing a
+        key iff they share a fingerprint (``chunk_reduce``'s), for
+        :meth:`distinct_runs`."""
+        if isinstance(partial, PassResult):
+            partial = (partial.fingerprints, partial.members,
+                       partial.gen_graph.degrees(), partial.gen_graph.indices)
         with self._lock:
             self._parts.append((int(trial_lo), partial))
+            if run_keys is not None:
+                self._run_keys.append(run_keys)
 
     @property
     def n_partials(self) -> int:
         with self._lock:
             return len(self._parts)
 
-    def result(self) -> PassResult:
-        """Merge all partials into the whole-pass result."""
+    def distinct_runs(self) -> int | None:
+        """How many runs the ``run_keys`` of every :meth:`add` name, or
+        ``None`` when two of them share a fingerprint.
+
+        One sort of every run's key.  Fingerprints are salted per
+        trial, so a shared one is a 64-bit hash collision; without one,
+        every run is its own shingle and a run a chunk dropped for having
+        too few generators would have had no more in the whole pass.
+        """
+        with self._lock:
+            if not self._run_keys:
+                return 0
+            keys = np.concatenate(self._run_keys)
+        keys.sort()
+        if keys.size > 1 and np.any(keys[1:] == keys[:-1]):
+            return None
+        return int(keys.size)
+
+    def result(self, n_distinct: int | None = None) -> PassResult:
+        """Merge all partials into the whole-pass result; ``n_distinct``
+        is its :attr:`PassResult.n_distinct`."""
         with self._lock:
             parts = [p for _, p in sorted(self._parts, key=lambda kv: kv[0])]
         if not parts:
             raise ValueError("no partial results to merge")
         if len(parts) == 1:
-            return parts[0]
-        with get_obs().tracer.span("aggregate.merge_partials",
-                                   n_partials=len(parts)):
-            return self._merge(parts)
-
-    def _merge(self, parts: list[PassResult]) -> PassResult:
-        """Merge host partials (ascending trial order) with ``agg_merge``."""
-        fps, members, gen_counts, gens = agg_merge(
-            [p.fingerprints for p in parts], [p.members for p in parts],
-            [p.gen_graph.degrees() for p in parts],
-            [p.gen_graph.indices for p in parts])
-        return pass_result_from_wire(fps, members, gen_counts, gens,
-                                     n_segments=self.n_segments)
+            wire = parts[0]
+        else:
+            with get_obs().tracer.span("aggregate.merge_partials",
+                                       n_partials=len(parts)):
+                wire = agg_merge(*(list(lane) for lane in zip(*parts)))
+        return pass_result_from_wire(*wire, n_segments=self.n_segments,
+                                     n_distinct=n_distinct)
 
 
 def pass_result_from_wire(fps: np.ndarray, members: np.ndarray,
                           gen_counts: np.ndarray, gens: np.ndarray, *,
-                          n_segments: int) -> PassResult:
+                          n_segments: int,
+                          n_distinct: int | None = None) -> PassResult:
     """A :class:`PassResult` from ``(fps, members, gen_counts, gens)``."""
     gen_indptr = np.zeros(fps.size + 1, dtype=np.int64)
     np.cumsum(gen_counts, out=gen_indptr[1:])
@@ -290,7 +319,7 @@ def pass_result_from_wire(fps: np.ndarray, members: np.ndarray,
                       gen_graph=BipartiteCSR(gen_indptr, gens,
                                              n_right=n_segments,
                                              validate=False),
-                      n_input_segments=n_segments)
+                      n_input_segments=n_segments, n_distinct=n_distinct)
 
 
 def _check_no_sentinel_members(result: PassResult, s: int) -> None:

@@ -51,8 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.aggregate import (StreamingAggregator, aggregate_pass,
-                                  debug_checks_enabled, merge_splits_into,
-                                  pass_result_from_wire)
+                                  debug_checks_enabled, merge_splits_into)
 from repro.core.params import KERNEL_FUSED, PassConfig
 from repro.core.passresult import PassResult
 from repro.core.report import PartitionFold
@@ -79,6 +78,7 @@ def device_shingle_pass(
     trial_chunk: int = 16,
     max_elements: int | None = None,
     streams: int = 1,
+    min_generators: int = 1,
 ) -> PassResult:
     """Run one full shingling pass through the simulated device.
 
@@ -102,12 +102,19 @@ def device_shingle_pass(
         keeps ``streams`` kernel working sets resident.
     streams:
         Trial chunks in flight at once.
+    min_generators:
+        Keep only the shingles with at least this many generators; 1
+        keeps every shingle.  The single-batch reducing path drops the
+        others on the device (:func:`_single_batch_streaming`), every
+        other path filters its finished result.
 
     Returns
     -------
     PassResult
-        Identical to :func:`repro.core.serial.serial_shingle_pass` on the
-        same inputs and configuration, under every schedule.
+        :func:`repro.core.serial.serial_shingle_pass` on the same inputs
+        and configuration filtered with
+        :meth:`~PassResult.with_min_generators`, under every schedule; its
+        ``n_distinct`` counts every distinct shingle of the pass.
     """
     s, c = config.s, config.c
     t_start = time.perf_counter()
@@ -117,29 +124,36 @@ def device_shingle_pass(
     batch_plan, chunks, n_seg = inp.batch_plan, inp.chunks, inp.n_seg
 
     if batch_plan.n_batches == 1:
-        result = _single_batch_streaming(
-            device, elements, batch_plan.batches[0], chunks, config, kernel,
-            streams, lengths, valid_ids, n_seg, inp.n_values)
+        args = (device, elements, batch_plan.batches[0], chunks, config,
+                kernel, streams, lengths, valid_ids, n_seg, inp.n_values)
+        result = _single_batch_streaming(*args, min_generators)
+        if result is None:
+            # Two runs share a fingerprint, so a dropped run may belong to
+            # a kept shingle: the full pass is exact, filtered below.
+            device.obs.metrics.counter("shingle.fp_collision_fallbacks").add(1)
+            result = _single_batch_streaming(*args, 1)
     else:
         result = _multi_batch_accumulate(
             device, elements, batch_plan, chunks, config, kernel, streams,
             lengths, valid_ids, n_seg, inp.n_values)
 
     with device.breakdown.timing(BUCKET_CPU):
+        result = result.with_min_generators(min_generators)
         # Dedup accounting: how many (trial, segment) shingle occurrence
         # slots collapsed into distinct fingerprints this pass (the shingle
         # dedup ratio the bench JSONs report).
         metrics = device.obs.metrics
         metrics.counter("shingle.occurrence_slots").add(
             int(c) * valid_ids.size)
-        metrics.counter("shingle.distinct_fps").add(int(result.n_shingles))
+        metrics.counter("shingle.distinct_fps").add(int(result.n_distinct))
         tracer = device.obs.tracer
         if tracer.enabled:
             tracer.record("exec.shingle_pass", t_start, time.perf_counter(),
                           attrs={"streams": streams, "kernel": kernel,
                                  "c": c, "s": s, "n_segments": n_seg,
                                  "n_batches": batch_plan.n_batches,
-                                 "n_shingles": int(result.n_shingles)})
+                                 "n_shingles": int(result.n_distinct),
+                                 "n_kept": int(result.n_shingles)})
     return result
 
 
@@ -187,12 +201,17 @@ def _compact_input(indptr, elements, config: PassConfig, device,
             # CPU-side compaction: segments shorter than s generate no
             # shingles (Section III-B: shingles exist only for "any vertex
             # ... that has at least s links"), so they never ship to the
-            # device.  The serial reference skips them the same way.
+            # device.  The serial reference skips them the same way.  Pass
+            # II's input (pass I's kept generator lists) has none.
             valid = all_lengths >= s
-            valid_ids = np.flatnonzero(valid)
-            lengths = all_lengths[valid_ids]
-            elements = elements[np.repeat(valid, all_lengths)]
-            compact_indptr = _offsets(lengths)
+            if valid.all():
+                valid_ids = np.arange(all_lengths.size)
+                lengths, compact_indptr = all_lengths, indptr
+            else:
+                valid_ids = np.flatnonzero(valid)
+                lengths = all_lengths[valid_ids]
+                elements = elements[np.repeat(valid, all_lengths)]
+                compact_indptr = _offsets(lengths)
             # Exclusive element-id bound; sizes the fused kernel's hash
             # table and the on-device reduction's packed keys.  Dropping
             # duplicate segments leaves the set of ids as it is.
@@ -565,7 +584,8 @@ def _single_batch_streaming(
     valid_ids: np.ndarray,
     n_seg: int,
     n_values: int,
-) -> PassResult:
+    min_generators: int,
+) -> PassResult | None:
     """The streaming hot path: one resident batch, per-chunk aggregation.
 
     A single batch cannot contain split lists, so every trial chunk's block
@@ -581,7 +601,16 @@ def _single_batch_streaming(
     selection is then the binned tournament, planned once here from the
     batch geometry (the eager select is the fallback for geometries the
     plan rejects); with debug checks on, each pass's first chunk is also
-    checked against the eager select.  The sort never plans.
+    checked against the eager select.  The sort never plans.  The reduce
+    folds its fingerprints from one ``mix64`` table of the pass's ids.
+
+    With ``min_generators`` above 1 the reduce keeps only the shingles of
+    at least that many generators, so the rest are never permuted,
+    downloaded or merged, and returns the filtered result.  That is exact
+    unless two of the pass's runs share a fingerprint
+    (:meth:`StreamingAggregator.distinct_runs`); then this returns
+    ``None`` and the caller runs the full pass.  Without the reduce the
+    result is the full one, for the caller to filter.
     """
     breakdown = device.breakdown
     tracer = device.obs.tracer
@@ -600,10 +629,15 @@ def _single_batch_streaming(
                 batch_elements, batch.local_indptr, s, n_values, kernel,
                 tracer)
             gen_ids = valid_ids.astype(np.uint32)
+            # Each id is mixed once per pass, when the table is smaller
+            # than the batch (as the fused hash's own table).
+            id_mix = (mix64_array(np.arange(n_values, dtype=np.uint64))
+                      if n_values <= batch_elements.size else None)
         else:
             tournament = None
             seg_ids_table = segment_element_ids(batch.local_indptr)
         aggregator = StreamingAggregator(s, n_seg)
+        drop_runs = use_reduce and min_generators > 1
         host_pool = ScratchPool()  # reused download staging across chunks
         check_lo = chunks[0][0] if chunks and debug_checks_enabled() else None
 
@@ -612,15 +646,17 @@ def _single_batch_streaming(
     d_gens = device.upload(gen_ids) if use_reduce else None
 
     def run_chunk_reduce(lo: int, hi: int) -> None:
-        out = device.shingle_chunk_reduce(
+        *wire, run_keys = device.shingle_chunk_reduce(
             d_elems, d_indptr, d_gens,
             a=a[lo:hi], b=b[lo:hi], prime=config.prime, s=s,
             salts=salts[lo:hi], kernel=kernel, seg_ids=seg_ids_table,
-            n_values=n_values, tournament=tournament, check=lo == check_lo,
+            n_values=n_values, tournament=tournament,
+            min_generators=min_generators, id_mix=id_mix,
+            check=lo == check_lo,
             label=f"trials {lo}-{hi - 1}")
         with breakdown.timing(BUCKET_CPU), \
                 tracer.span("exec.chunk_aggregate"):
-            aggregator.add(lo, pass_result_from_wire(*out, n_segments=n_seg))
+            aggregator.add(lo, wire, run_keys if drop_runs else None)
 
     def run_chunk(lo: int, hi: int) -> None:
         t = hi - lo
@@ -654,7 +690,10 @@ def _single_batch_streaming(
                                   np.empty((0, n_rows, s), dtype=np.uint64),
                                   lengths, s, segment_ids=valid_ids,
                                   n_segments=n_seg)
-        return aggregator.result()
+        n_distinct = aggregator.distinct_runs() if drop_runs else None
+        if drop_runs and n_distinct is None:
+            return None
+        return aggregator.result(n_distinct)
 
 
 def _multi_batch_accumulate(

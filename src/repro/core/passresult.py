@@ -37,15 +37,23 @@ class PassResult:
         sorted list of generator ids of shingle ``i`` (the set ``L(s_i)``).
     n_input_segments:
         Number of left nodes in the pass input (for bookkeeping).
+    n_distinct:
+        Distinct shingles the pass found, counting those a
+        :meth:`with_min_generators` filter dropped; ``k`` when omitted.
     """
 
     fingerprints: np.ndarray
     members: np.ndarray
     gen_graph: BipartiteCSR
     n_input_segments: int
+    n_distinct: int | None = None
 
     def __post_init__(self) -> None:
         k = self.fingerprints.size
+        if self.n_distinct is None:
+            object.__setattr__(self, "n_distinct", k)
+        elif self.n_distinct < k:
+            raise ValueError("n_distinct must be >= the fingerprint count")
         if self.members.shape[0] != k:
             raise ValueError("members row count must equal fingerprint count")
         if self.gen_graph.n_left != k:
@@ -61,6 +69,24 @@ class PassResult:
     @property
     def s(self) -> int:
         return int(self.members.shape[1]) if self.members.ndim == 2 else 0
+
+    def with_min_generators(self, m: int) -> "PassResult":
+        """The shingles with at least ``m`` generators, in the same order.
+
+        ``n_distinct`` is kept, so it still counts every distinct shingle
+        of the pass.  Returns ``self`` when nothing is dropped.
+        """
+        degrees = self.gen_graph.degrees()
+        keep = degrees >= m
+        if keep.all():
+            return self
+        indptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.int64)
+        np.cumsum(degrees[keep], out=indptr[1:])
+        gens = BipartiteCSR(indptr,
+                            self.gen_graph.indices[np.repeat(keep, degrees)],
+                            n_right=self.gen_graph.n_right, validate=False)
+        return PassResult(self.fingerprints[keep], self.members[keep], gens,
+                          self.n_input_segments, n_distinct=self.n_distinct)
 
     def generator_lists(self) -> BipartiteCSR:
         """Alias emphasizing that gen_graph's lists are the ``L(s_j)`` sets."""
@@ -81,8 +107,10 @@ class PassResult:
             np.array_equal(self.fingerprints, other.fingerprints)
             and np.array_equal(self.members, other.members)
             and self.gen_graph == other.gen_graph
+            and self.n_distinct == other.n_distinct
         )
 
     def __repr__(self) -> str:
         return (f"PassResult(n_shingles={self.n_shingles}, s={self.s}, "
-                f"generators_nnz={self.gen_graph.nnz})")
+                f"generators_nnz={self.gen_graph.nnz}, "
+                f"n_distinct={self.n_distinct})")

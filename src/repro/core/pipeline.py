@@ -127,7 +127,11 @@ class GpClust:
                 graph.indptr, graph.indices, config1, device,
                 kernel=params.kernel, trial_chunk=params.trial_chunk,
                 max_elements=self.max_batch_elements,
-                streams=params.streams)
+                streams=params.streams,
+                min_generators=pass1_min_generators(params))
+        with breakdown.timing(BUCKET_CPU):
+            device.obs.metrics.counter("shingle.pass1_kept").add(
+                pass1.n_shingles)
         if params.grouping == GROUPING_ONE_SHINGLE:
             with breakdown.timing(BUCKET_CPU), \
                     tracer.span("phase3.report"):
@@ -135,7 +139,7 @@ class GpClust:
             device.sync_metrics()
             self._record_run(tracer, t_start, graph)
             return _make_result(graph.n_vertices, params, "device", output,
-                                breakdown, pass1.n_shingles)
+                                breakdown, pass1.n_distinct)
 
         with breakdown.timing(BUCKET_CPU), \
                 tracer.span("gpclust.pass2_input"):
@@ -173,7 +177,7 @@ class GpClust:
             device.sync_metrics()
         self._record_run(tracer, t_start, graph)
         return _make_result(graph.n_vertices, params, "device", output,
-                            breakdown, pass1.n_shingles)
+                            breakdown, pass1.n_distinct)
 
     @staticmethod
     def _record_run(tracer, t_start: float, graph: CSRGraph) -> None:
@@ -182,6 +186,19 @@ class GpClust:
             tracer.record("gpclust.run", t_start, time.perf_counter(),
                           attrs={"n_vertices": graph.n_vertices,
                                  "n_edges": graph.n_edges})
+
+
+def pass1_min_generators(params: ShinglingParams) -> int:
+    """Fewest generators of a first-level shingle that Phase III can read.
+
+    Pass II shingles the generator lists, and a list shorter than ``s2``
+    yields no second-level shingle; the one-shingle grouping unions only
+    lists of at least two generators.  Every other pass I shingle is
+    dropped on the device.
+    """
+    if params.grouping == GROUPING_ONE_SHINGLE:
+        return 2
+    return params.s2
 
 
 def _make_result(n_vertices: int, params: ShinglingParams, backend: str,

@@ -294,6 +294,8 @@ class SimulatedDevice:
         seg_ids: np.ndarray | None = None,
         n_values: int | None = None,
         tournament: kernels.TournamentPlan | None = None,
+        min_generators: int = 1,
+        id_mix: np.ndarray | None = None,
         check: bool = False,
         label: str = "trial chunk",
     ) -> tuple:
@@ -321,8 +323,14 @@ class SimulatedDevice:
         the driver checks both.  ``d_gen_ids`` is the device-resident uint32
         table mapping columns to original segment ids.
 
-        Returns host arrays ``(fps, members, gen_counts, gens)`` in the
-        wire dtypes of ``chunk_reduce`` (uint64/uint32).
+        ``min_generators`` and ``id_mix`` pass through to ``chunk_reduce``:
+        only the runs of at least ``min_generators`` occurrences ship back,
+        and the fold looks its ids up in the pass's ``mix64`` table.
+
+        Returns host arrays ``(fps, members, gen_counts, gens, run_keys)``
+        in the wire dtypes of ``chunk_reduce`` (uint64/uint32).  Without a
+        threshold ``run_keys`` is ``fps`` itself: every run is kept, so only
+        the kept fingerprints are downloaded.
         """
         t = len(a)
         t0 = time.perf_counter()
@@ -334,14 +342,15 @@ class SimulatedDevice:
         tournament, table, top32, top_ids, d_work = self._select_top_ids(
             elements, indptr, kernel=kernel, a=a, b=b, prime=prime, s=s,
             seg_ids=seg_ids, n_values=n_values, tournament=tournament)
-        reduce_cols = ({"col_ids": tournament.perm_cols,
-                        "col_to_row": tournament.col_to_row}
-                       if tournament is not None else {})
-        fps, members, gen_counts, gens = kernels.chunk_reduce(
+        col_ids = tournament.perm_cols if tournament is not None else None
+        fps, members, gen_counts, gens, run_keys = kernels.chunk_reduce(
             top_ids, np.asarray(salts, dtype=np.uint64),
-            d_gen_ids.device_view(), n_values, scratch=pool, **reduce_cols)
-        d_out = [self.memory.adopt(arr)
-                 for arr in (fps, members, gen_counts, gens)]
+            d_gen_ids.device_view(), n_values, scratch=pool,
+            col_ids=col_ids, min_generators=min_generators, id_mix=id_mix)
+        wire = (fps, members, gen_counts, gens)
+        if min_generators > 1:
+            wire += (run_keys,)
+        d_out = [self.memory.adopt(arr) for arr in wire]
         t1 = time.perf_counter()
         with self.breakdown.timing(BUCKET_CPU):
             self.breakdown.add(BUCKET_GPU, t1 - t0)
@@ -350,7 +359,8 @@ class SimulatedDevice:
                 tracer.record("device.shingle_chunk_reduce", t0, t1,
                               attrs={"kernel": kernel, "trials": t,
                                      "nnz": nnz, "n_seg": n_seg,
-                                     "k_chunk": int(fps.size),
+                                     "k_chunk": int(run_keys.size),
+                                     "k_kept": int(fps.size),
                                      "label": label,
                                      "select": _engine(kernel, tournament)})
             select_s = self._charge_select(kernel, t, nnz, n_seg, s)
@@ -374,7 +384,7 @@ class SimulatedDevice:
         host = tuple(self.download(buf) for buf in d_out)
         with self.breakdown.timing(BUCKET_CPU):
             self.free(*d_out)
-        return host
+        return host if min_generators > 1 else host + host[:1]
 
     def shingle_chunk_ids(
         self,

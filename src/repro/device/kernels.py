@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.device.memory import ScratchPool
-from repro.util.mixhash import fold_fingerprint_array
+from repro.util.mixhash import fold_fingerprint_array, mix64_array, mix64_inplace
 
 #: Sentinel marking "no element": larger than any packed (hash, id) pair.
 SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -467,10 +467,10 @@ class TournamentPlan:
     table whose row ``j`` maps bin columns to element values (pad slots
     point at the sentinel column ``n_values`` of the extended hash table);
     the bin's segments occupy permuted columns ``pos0:pos0+m``.  ``perm``
-    maps permuted columns to original segments; ``perm_cols`` /
-    ``col_to_row`` let :func:`chunk_reduce` consume the permuted block
-    directly — packed keys carry original column ids, so its global sort
-    restores the unpermuted order without an inverse scatter.
+    maps permuted columns to original segments; ``perm_cols`` lets
+    :func:`chunk_reduce` consume the permuted block directly — packed keys
+    carry original column ids, so its global sort restores the unpermuted
+    order without an inverse scatter.
     """
 
     n_seg: int
@@ -479,7 +479,6 @@ class TournamentPlan:
     bins: list
     perm: np.ndarray          # (n_seg,) int64, permuted -> original
     perm_cols: np.ndarray     # (n_seg,) uint64 original column ids
-    col_to_row: np.ndarray    # (n_seg,) int64, original -> permuted
 
 
 def distinct_within_segments(elements: np.ndarray, indptr: np.ndarray,
@@ -529,8 +528,6 @@ def build_tournament_plan(elements: np.ndarray, indptr: np.ndarray,
     # frexp's exponent of (length - 1) is its bit length: the log2 bucket.
     buckets = np.frexp(lengths - 1)[1]
     perm = np.argsort(buckets, kind="stable")
-    col_to_row = np.empty(n_seg, dtype=np.int64)
-    col_to_row[perm] = np.arange(n_seg, dtype=np.int64)
     sorted_buckets = buckets[perm]
     edges = np.concatenate(
         ([0], np.flatnonzero(sorted_buckets[1:] != sorted_buckets[:-1]) + 1,
@@ -552,7 +549,7 @@ def build_tournament_plan(elements: np.ndarray, indptr: np.ndarray,
     return TournamentPlan(
         n_seg=n_seg, n_values=n_values,
         iota=np.arange(n_values + 1, dtype=np.uint64), bins=bins, perm=perm,
-        perm_cols=perm.astype(np.uint64), col_to_row=col_to_row)
+        perm_cols=perm.astype(np.uint64))
 
 
 #: Element budget of one tournament block.  A bin of ``m`` segments folds
@@ -725,8 +722,10 @@ def reduce_keys_fit(n_trials: int, n_seg: int, s: int, n_values: int) -> bool:
 def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
                  n_values: int, scratch: ScratchPool | None = None,
                  col_ids: np.ndarray | None = None,
-                 col_to_row: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 min_generators: int = 1,
+                 id_mix: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                            np.ndarray]:
     """On-device sort-dedup of one trial chunk's shingle occurrences.
 
     Groups the ``(t, n)`` occurrences by their identity — the ordered member
@@ -736,8 +735,17 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     column occupies the low bits, equal-identity runs come out contiguous
     AND ascending by column without needing a stable sort, so the first
     element of each run is the first occurrence and each run's column list
-    is already the sorted, duplicate-free generator list.  Fingerprints are
-    folded only for the ``k`` distinct shingles.
+    is already the sorted, duplicate-free generator list.  A run's trial
+    and member tuple are decoded from its key, and fingerprints are folded
+    only for the ``k`` runs.
+
+    With ``min_generators`` above 1, only the runs of at least that many
+    occurrences are kept: their member rows and generator lists are
+    gathered and fingerprint-sorted, the rest never leave the device.  A
+    shingle's fingerprint is salted by its trial, so all its occurrences
+    are in one chunk and a dropped run is final — unless it shares its
+    fingerprint with another run, which the caller detects from
+    ``run_keys``.
 
     The caller must guarantee :func:`reduce_keys_fit` and that ``top_ids``
     contains no sentinel entries (all segments have length >= s — the device
@@ -754,25 +762,36 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
         (the driver's ``valid_ids`` table, device-resident).
     n_values:
         Exclusive upper bound on member ids (the tuple-key base).
-    col_ids, col_to_row:
+    col_ids:
         Support for *column-permuted* ``top_ids`` blocks (the tournament's
-        bin order): ``col_ids`` (``(n,)`` uint64) supplies the ORIGINAL column
-        id of each permuted position for the packed key (instead of
-        ``arange(n)``), and ``col_to_row`` (``(n,)`` int64) maps an original
-        column back to its permuted row for the member gather.  Because the
-        key then carries original ids, the global sort canonicalizes order
-        and every output — including collision-merge tiebreaks, which use
-        original flat positions — is bit-identical to the unpermuted call.
+        bin order): the ``(n,)`` uint64 ORIGINAL column id of each permuted
+        position, packed into the key instead of ``arange(n)``.  The global
+        sort then canonicalizes order, and every output — including
+        collision-merge tiebreaks, which use original flat positions — is
+        bit-identical to the unpermuted call.
+    min_generators:
+        Fewest occurrences a kept run has; 1 keeps every run.
+    id_mix:
+        Optional ``(n_values,)`` uint64 table of ``mix64(v)`` for every id
+        ``v`` (one per pass); the fold then looks its ids up instead of
+        mixing them.  Either way the fingerprints are
+        :func:`~repro.util.mixhash.fold_fingerprint`'s.
 
     Returns
     -------
-    (fps, members, gen_counts, gens):
+    (fps, members, gen_counts, gens, run_keys):
         ``fps`` — ``(k,)`` uint64, strictly ascending; ``members`` —
         ``(k, s)`` uint32 first-occurrence member rows; ``gen_counts`` —
         ``(k,)`` uint32 generator-list lengths; ``gens`` — concatenated
-        uint32 generator lists in ``fps`` order (``t*n`` entries total).
-        Exactly what host-side ``aggregate_pass`` would distill from the
-        dense ``(t, n)`` arrays, at O(k) download size.
+        uint32 generator lists in ``fps`` order.  Without a threshold these
+        are exactly what host-side ``aggregate_pass`` would distill from
+        the dense ``(t, n)`` arrays, at O(k) download size, and
+        ``run_keys`` is ``fps``; with one, that result restricted to the
+        shingles of at least ``min_generators`` generators, and
+        ``run_keys`` holds one uint64 per run, kept or not, in no
+        particular order, two runs sharing a key iff they share a
+        fingerprint (:func:`~repro.util.mixhash.mix64` is a bijection,
+        so it is the fingerprint before its last mix).
     """
     top_ids = np.asarray(top_ids, dtype=np.uint64)
     salts = np.asarray(salts, dtype=np.uint64)
@@ -780,15 +799,18 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     t, n, s = top_ids.shape
     total = t * n
     if total == 0:
-        return (np.empty(0, dtype=np.uint64), np.empty((0, s), dtype=np.uint32),
-                np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32))
+        empty = np.empty(0, dtype=np.uint64)
+        return (empty, np.empty((0, s), dtype=np.uint32),
+                np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32),
+                empty)
+    nv64 = np.uint64(n_values)
     m_pow_s = np.uint64(n_values ** s)
     n64 = np.uint64(n)
     key = _take(scratch, (t, n), np.uint64)
     np.copyto(key, top_ids[..., 0])
     with np.errstate(over="ignore"):
         for j in range(1, s):
-            np.multiply(key, np.uint64(n_values), out=key)
+            np.multiply(key, nv64, out=key)
             np.add(key, top_ids[..., j], out=key)
         np.add(key, (np.arange(t, dtype=np.uint64) * m_pow_s).reshape(t, 1),
                out=key)
@@ -812,40 +834,65 @@ def chunk_reduce(top_ids: np.ndarray, salts: np.ndarray, gen_ids: np.ndarray,
     np.subtract(run_start[1:], run_start[:-1], out=counts[:-1])
     counts[-1] = total - run_start[-1]
 
-    # First occurrence of each run = its smallest column (low key bits).
-    start_keys = skey[run_start]
-    col = (start_keys % n64).astype(np.int64)
-    trial = (gkey[run_start] // m_pow_s).astype(np.int64)
-    flatpos = trial * n + col
-    gather_pos = flatpos if col_to_row is None else trial * n + col_to_row[col]
-    # ``take`` along axis 0 moves whole rows; fancy indexing is several
-    # times slower for narrow rows.
-    members = np.take(top_ids.reshape(total, s), gather_pos, axis=0)
-    fps = fold_fingerprint_array(members, salts[trial])
+    # Each run's trial and member tuple, decoded from its key (NumPy
+    # divides by a scalar fast but takes remainders slowly, so every
+    # remainder is a divide, multiply and subtract).
+    tup = gkey[run_start]
+    _give(scratch, gkey_buf)
+    trial = tup // m_pow_s
+    with np.errstate(over="ignore"):
+        tup -= trial * m_pow_s
+        digits = np.empty((s, k), dtype=np.uint64)
+        for j in range(s - 1, 0, -1):
+            q = tup // nv64
+            np.subtract(tup, q * nv64, out=digits[j])
+            tup = q
+        digits[0] = tup
+    trial = trial.view(np.int64)
+    # The fold of every run, but for its last mix.
+    run_keys = mix64_array(salts)[trial]
+    tmp = np.empty_like(run_keys)
+    for j in range(s):
+        mixed = (mix64_array(digits[j]) if id_mix is None
+                 else np.take(id_mix, digits[j].view(np.int64)))
+        if j:
+            mix64_inplace(run_keys, tmp)
+        run_keys ^= mixed
 
-    # Column -> generator id for every occurrence, still in key order (runs
-    # contiguous, columns ascending within each run).  ``take`` wants intp
-    # indices; one explicit cast beats the fancy-index path's internal one.
-    np.remainder(skey, n64, out=gkey)
-    gens_all = np.take(np.asarray(gen_ids, dtype=np.uint32),
-                       gkey.astype(np.int64))
-
+    if min_generators > 1:
+        kept = np.flatnonzero(counts >= min_generators)
+        fps, digits, trial = run_keys[kept], digits[:, kept], trial[kept]
+        run_start, counts = run_start[kept], counts[kept]
+    else:
+        fps = run_keys
+    mix64_inplace(fps, tmp[:fps.size])
     order = np.argsort(fps, kind="quicksort")
     fps_sorted = fps[order]
-    counts_o, gens = _permute_runs(gens_all, run_start, counts, order)
-    # Narrow before the row gather: ids fit uint32, so permuting the
-    # narrowed rows moves half the bytes of permute-then-cast.
-    members_o = np.take(members.astype(np.uint32), order, axis=0)
-    _give(scratch, key, gkey_buf)
+    # The kept runs' sorted keys in output order; their low digits are the
+    # columns, which map to generator ids.  ``take`` wants intp indices,
+    # and a view of these sub-2**63 keys is one.
+    counts_o, cols = _permute_runs(skey, run_start, counts, order)
+    with np.errstate(over="ignore"):
+        cols -= cols // n64 * n64
+    gens = np.take(np.asarray(gen_ids, dtype=np.uint32), cols.view(np.int64))
+    # Narrow before the gather: ids fit uint32, so permuting the narrowed
+    # digits moves half the bytes of permute-then-cast.
+    members_o = np.take(digits.astype(np.uint32).T, order, axis=0)
 
-    if k > 1 and np.any(fps_sorted[1:] == fps_sorted[:-1]):
+    if fps_sorted.size > 1 and np.any(fps_sorted[1:] == fps_sorted[:-1]):
         # Cross-trial (or cross-tuple) fingerprint collision within the
         # chunk — astronomically rare.  Merge the colliding runs exactly as
         # the dense np.unique path would: first occurrence in trial-major
         # order wins the member row; generator lists union.
+        first = skey[run_start[order]]
+        flatpos = trial[order] * n + (first - first // n64 * n64).view(np.int64)
+        _give(scratch, key)
         return _merge_fp_collisions(fps_sorted, members_o, counts_o, gens,
-                                    flatpos[order])
-    return fps_sorted, members_o, counts_o.astype(np.uint32), gens
+                                    flatpos) + (run_keys,)
+    _give(scratch, key)
+    if min_generators <= 1:
+        run_keys = fps
+    return fps_sorted, members_o, counts_o.astype(np.uint32), gens, run_keys
 
 
 def _permute_runs(values: np.ndarray, run_start: np.ndarray,

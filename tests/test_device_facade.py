@@ -218,7 +218,7 @@ class TestShingleChunkReduce:
         _, fps_dense, top_dense = runner._run(other, lists, trial_chunk=6)
         ref = aggregate_pass(fps_dense, top_dense,
                              np.array([len(x) for x in lists]), 2)
-        cfg, (fps, members, counts, gens) = self._run_reduce(device, lists)
+        cfg, (fps, members, counts, gens, _) = self._run_reduce(device, lists)
         assert np.array_equal(fps, ref.fingerprints)
         assert np.array_equal(members.astype(np.int64), ref.members)
         assert np.array_equal(gens.astype(np.int64), ref.gen_graph.indices)

@@ -340,7 +340,7 @@ class TestChunkReduce:
         top_ids, fps, top, salts, indptr = self._dense_chunk(rng, s=s)
         n_seg = indptr.size - 1
         gen_ids = np.arange(n_seg, dtype=np.uint32)
-        r_fps, r_members, r_counts, r_gens = chunk_reduce(
+        r_fps, r_members, r_counts, r_gens, _ = chunk_reduce(
             top_ids, salts, gen_ids, n_values=40)
 
         ref = aggregate_pass(fps, top, np.diff(indptr), s)
@@ -360,7 +360,7 @@ class TestChunkReduce:
         top_ids, fps, top, salts, indptr = self._dense_chunk(rng, s=s)
         n_seg = indptr.size - 1
         valid_ids = (np.arange(n_seg) * 3 + 1).astype(np.uint32)  # sparse ids
-        r_fps, r_members, r_counts, r_gens = chunk_reduce(
+        r_fps, r_members, r_counts, r_gens, _ = chunk_reduce(
             top_ids, salts, valid_ids, n_values=40)
         ref = aggregate_pass(fps, top, np.diff(indptr), s,
                              segment_ids=valid_ids.astype(np.int64),
@@ -391,7 +391,7 @@ class TestChunkReduce:
                                   (t, n_seg, s)).copy()
         fps = fold_fingerprints(top_ids, salts)
         top_t = np.broadcast_to(top, (t, n_seg, s)).copy()
-        r_fps, r_members, r_counts, r_gens = chunk_reduce(
+        r_fps, r_members, r_counts, r_gens, _ = chunk_reduce(
             top_ids, salts, np.arange(n_seg, dtype=np.uint32), n_values=8)
         ref = aggregate_pass(fps, top_t, lengths, s)
         assert np.array_equal(r_fps, ref.fingerprints)
@@ -399,7 +399,7 @@ class TestChunkReduce:
         assert np.array_equal(r_gens.astype(np.int64), ref.gen_graph.indices)
 
     def test_empty_chunk(self):
-        fps, members, counts, gens = chunk_reduce(
+        fps, members, counts, gens, _ = chunk_reduce(
             np.empty((0, 0, 2), dtype=np.uint64),
             np.empty(0, dtype=np.uint64),
             np.empty(0, dtype=np.uint32), n_values=1)

@@ -145,8 +145,7 @@ def test_chunk_reduce_permuted_equals_unpermuted(seed, s):
     ref = chunk_reduce(_eager_ids(elements, indptr, a, b, s, n_values),
                        salts, gen_ids, n_values)
     got = chunk_reduce(_tournament_ids(plan, a, b, s), salts, gen_ids,
-                       n_values, col_ids=plan.perm_cols,
-                       col_to_row=plan.col_to_row)
+                       n_values, col_ids=plan.perm_cols)
     for want, have in zip(ref, got):
         assert want.dtype == have.dtype
         assert np.array_equal(want, have)
